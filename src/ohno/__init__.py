@@ -42,11 +42,8 @@ from ohno.zeta import (
     to_word,
 )
 from ohno.sums import (
-    TruncatedSeries,
-    dual_gap,
-    dual_gap_skew,
-    hoffman_defect,
-    hoffman_delta,
+    dual_gap_skew_symbolic,
+    hoffman_sides,
     ohno_series,
     ohno_shifts,
     ohno_sum,
@@ -59,7 +56,7 @@ from ohno.verify import (
     report_to_file,
     verify,
 )
-from ohno.expr import ExprError, expand_text, parse, serialize
+from ohno.expr import ExprError, expand_text, parse
 
 __version__ = "0.1.0"
 
@@ -71,13 +68,11 @@ __all__ = [
     "Index",
     "IndexCombination",
     "PrecisionError",
-    "TruncatedSeries",
     "VerificationReport",
     "ZetaCache",
     "append_entry",
     "combination_to_text",
-    "dual_gap",
-    "dual_gap_skew",
+    "dual_gap_skew_symbolic",
     "dual_linear",
     "enumerate_shifts",
     "eval_combination",
@@ -86,8 +81,7 @@ __all__ = [
     "expand_text",
     "from_word",
     "hast",
-    "hoffman_defect",
-    "hoffman_delta",
+    "hoffman_sides",
     "iter_admissible",
     "list_identities",
     "ohno_series",
@@ -98,7 +92,6 @@ __all__ = [
     "repeat",
     "report_to_file",
     "reverse_swap",
-    "serialize",
     "sha",
     "star_single",
     "to_word",

@@ -20,8 +20,8 @@ import os
 import sys
 from typing import Optional
 
-from ohno.expr import ExprError, expand_text, serialize
-from ohno.indices import Index, IndexCombination, dual_linear
+from ohno.expr import ExprError, expand_text
+from ohno.indices import Index, IndexCombination, combination_to_text, dual_linear
 from ohno.sums import ohno_series, ohno_sum, ohno_sum_symbolic
 from ohno.verify import list_identities, report_to_file, verify
 from ohno.zeta import EvalConfig, ZetaCache, eval_combination
@@ -82,13 +82,6 @@ def _range_values(text: str) -> list[int]:
     return out
 
 
-def _index_from_text(text: str) -> Index:
-    stripped = text.strip()
-    if stripped.startswith("(") and stripped.endswith(")") and stripped != "()":
-        stripped = stripped[1:-1]
-    return Index.from_text(stripped)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ohno",
@@ -146,7 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for flag in ("--s", "--t", "--l", "--m", "--p", "--q"):
         p_verify.add_argument(flag, type=_range_values, default=None, help=f"grid values for {flag[2:]}")
     p_verify.add_argument("--weight", type=int, default=None, help="weight bound for index-family grids")
-    p_verify.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
     p_verify.add_argument("--out", default=None, help="write the report to this path")
     p_verify.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
     add_eval_flags(p_verify)
@@ -184,7 +176,7 @@ def _combination_from(args: argparse.Namespace) -> IndexCombination:
     if has_index == has_expr:
         raise ValueError("provide exactly one of --index and --expr")
     if has_index:
-        return IndexCombination.from_index(_index_from_text(args.index))
+        return IndexCombination.from_index(Index.from_text(args.index))
     return expand_text(args.expr)
 
 
@@ -199,13 +191,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    print(serialize(expand_text(args.expr)))
+    print(combination_to_text(expand_text(args.expr)))
     return 0
 
 
 def _cmd_dual(args: argparse.Namespace) -> int:
     comb = _combination_from(args)
-    print(serialize(dual_linear(comb)))
+    print(combination_to_text(dual_linear(comb)))
     return 0
 
 
@@ -215,14 +207,13 @@ def _cmd_ohno(args: argparse.Namespace) -> int:
     if args.M is not None:
         if args.M < 0:
             raise ValueError("--M must be nonnegative")
-        series = ohno_series(comb, args.M, cfg)
-        for order, value in enumerate(series.coefficients):
+        for order, value in enumerate(ohno_series(comb, args.M, cfg)):
             print(f"{order}: {value}")
     elif args.m is not None:
         if args.eval:
             print(ohno_sum(comb, args.m, cfg))
         else:
-            print(serialize(ohno_sum_symbolic(comb, args.m)))
+            print(combination_to_text(ohno_sum_symbolic(comb, args.m)))
     else:
         raise ValueError("provide --m (one order) or --M (series prefix)")
     if cache is not None and save_path is not None:
@@ -247,14 +238,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError("--out requires a single identity name")
         all_passed = True
         for spec in list_identities():
-            report = verify(spec.name, cfg=cfg, jobs=args.jobs)
+            report = verify(spec.name, cfg=cfg)
             print(report.summary())
             all_passed = all_passed and report.passed
         if cache is not None and save_path is not None:
             cache.save(save_path)
         return 0 if all_passed else 1
 
-    report = verify(args.name, cfg=cfg, jobs=args.jobs, **grid)
+    report = verify(args.name, cfg=cfg, **grid)
     print(report.summary())
     if args.out is not None:
         report_to_file(report, args.out, args.format)

@@ -37,7 +37,6 @@ from ohno.indices import (
     EMPTY,
     Index,
     IndexCombination,
-    combination_to_text,
     dual_linear,
     hast,
     repeat,
@@ -51,7 +50,6 @@ __all__ = [
     "expand",
     "expand_text",
     "parse",
-    "serialize",
 ]
 
 #: Upper bound for integer literals; keeps accidental huge inputs from
@@ -388,8 +386,3 @@ def expand_text(text: str) -> IndexCombination:
     if isinstance(text, str) and text.strip() == "0":
         return IndexCombination.zero()
     return expand(parse(text))
-
-
-def serialize(comb: IndexCombination) -> str:
-    """Canonical text of a combination; parses back to an equal combination."""
-    return combination_to_text(comb)

@@ -27,7 +27,6 @@ __all__ = [
     "EMPTY",
     "Index",
     "IndexCombination",
-    "ShiftVector",
     "append_entry",
     "as_combination",
     "combination_to_text",
@@ -39,10 +38,6 @@ __all__ = [
     "sha",
     "star_single",
 ]
-
-#: A componentwise shift: a tuple of nonnegative integers.  The depth match
-#: with the index being shifted is checked at the point of use.
-ShiftVector = tuple
 
 Scalar = Union[int, Fraction]
 
@@ -104,7 +99,7 @@ class Index:
             out.append(a + 1)
         return Index(tuple(out))
 
-    def oplus(self, shift: ShiftVector) -> "Index":
+    def oplus(self, shift: tuple[int, ...]) -> "Index":
         """Componentwise sum with a same-depth vector of nonnegative integers."""
         shift = tuple(shift)
         if len(shift) != self.depth:
@@ -124,8 +119,11 @@ class Index:
 
     @staticmethod
     def from_text(text: str) -> "Index":
+        """Parse ``"2,3"`` or ``"(2,3)"``; ``""`` and ``"()"`` are the empty index."""
         text = text.strip()
-        if text == "()" or text == "":
+        if text.startswith("(") and text.endswith(")"):
+            text = text[1:-1].strip()
+        if text == "":
             return EMPTY
         try:
             entries = tuple(int(part) for part in text.split(","))

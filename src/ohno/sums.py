@@ -7,24 +7,25 @@ The basic object is the order-``m`` shifted sum of an admissible index:
 extended linearly to combinations.  On top of it the module builds the
 families used by the identity catalogue in :mod:`ohno.verify`:
 
-* ``dual_gap`` -- the gap ``O_m((s) # k # {2}^l) - O_m((s) # (k # {2}^l)^dual)``
-  between a shuffled shifted sum and its dualised partner, and its
-  antisymmetrised difference ``dual_gap_skew``;
+* the dual gap ``O_m((s) # k # {2}^l) - O_m((s) # (k # {2}^l)^dual)``
+  between a shuffled shifted sum and its dualised partner
+  (``dual_gap_operands``), and its antisymmetrised difference
+  (``dual_gap_skew_sides``, ``dual_gap_skew_symbolic``);
 * a three-part decomposition ``term_a + term_b + term_c`` of a particular
   skew gap, with closed-form re-expansions of each part;
 * two exact rewriting families (``grouped_*`` vs ``composed_*``) expressing
   the same block-shaped shifted sums either as layered shifted sums or as
   composition sums with an explicit weight factor;
-* the derivative-style defect of the double-shuffle relation
-  (``hoffman_delta`` / ``hoffman_defect``).
+* the two sides of the derivative-style relation of double shuffle
+  (``hoffman_sides``).
 
-Symbolic functions return exact :class:`~ohno.indices.IndexCombination`
-objects; numeric functions thread an :class:`~ohno.zeta.EvalConfig`.
+Everything here returns exact :class:`~ohno.indices.IndexCombination`
+objects, except ``ohno_sum`` and ``ohno_series``, which evaluate shifted
+sums through :func:`~ohno.zeta.eval_combination`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from ohno.indices import (
@@ -41,15 +42,12 @@ from ohno.indices import (
 from ohno.zeta import EvalConfig, eval_combination
 
 __all__ = [
-    "TruncatedSeries",
     "composed_single",
     "composed_single_total",
     "composed_split",
     "composed_split_total",
-    "dual_gap",
     "dual_gap_operands",
-    "dual_gap_series",
-    "dual_gap_skew",
+    "dual_gap_skew_sides",
     "dual_gap_skew_symbolic",
     "dualized_hast_expansion",
     "dualized_shuffle_expansion",
@@ -59,8 +57,6 @@ __all__ = [
     "grouped_split_total",
     "hast_merge_sides",
     "hast_shifted_sum",
-    "hoffman_defect",
-    "hoffman_delta",
     "hoffman_sides",
     "ohno_series",
     "ohno_shifts",
@@ -71,26 +67,10 @@ __all__ = [
     "split_entry_expansion",
     "term_a",
     "term_a_layers",
-    "term_a_value",
     "term_b",
     "term_bc_closed",
     "term_c",
 ]
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Finitely many leading coefficients of a generating series in one
-    variable, each accurate to the stated per-coefficient tolerance."""
-
-    coefficients: tuple[float, ...]
-    tol: float
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
-
-    def __getitem__(self, m: int) -> float:
-        return self.coefficients[m]
 
 
 def _check_order(m: int) -> None:
@@ -127,65 +107,46 @@ def ohno_sum(comb: Union[Index, IndexCombination], m: int, cfg: Optional[EvalCon
 
 def ohno_series(
     comb: Union[Index, IndexCombination], order: int, cfg: Optional[EvalConfig] = None
-) -> TruncatedSeries:
-    """The first ``order + 1`` coefficients of the shifted-sum generating series."""
+) -> tuple[float, ...]:
+    """The first ``order + 1`` coefficients of the shifted-sum generating
+    series, each to within ``cfg.tol``."""
     _check_order(order)
-    cfg = cfg or EvalConfig()
-    coeffs = tuple(ohno_sum(comb, m, cfg) for m in range(order + 1))
-    return TruncatedSeries(coeffs, cfg.tol)
+    return tuple(ohno_sum(comb, m, cfg) for m in range(order + 1))
 
 
 # -- the dual gap and its antisymmetrisation ----------------------------------
 
 
 def dual_gap_operands(s: int, k: Index, l: int) -> tuple[IndexCombination, IndexCombination]:
-    """The two combinations whose shifted sums are subtracted in
-    :func:`dual_gap`: ``(s) # k # {2}^l`` and ``(s) # (k # {2}^l)^dual``."""
+    """The two combinations whose order-``m`` shifted sums make the dual gap
+    ``O_m((s) # k # {2}^l) - O_m((s) # (k # {2}^l)^dual)``."""
     if not isinstance(s, int) or s < 2:
         raise ValueError(f"the depth-one factor needs an entry >= 2, got {s!r}")
     if not isinstance(l, int) or l < 0:
         raise ValueError(f"the {{2}}-block length must be nonnegative, got {l!r}")
     if not k.admissible:
-        raise ValueError(f"dual_gap needs an admissible index, got {k}")
+        raise ValueError(f"the dual gap needs an admissible index, got {k}")
     body = sha(k, repeat(2, l))
     plain = sha(Index((s,)), body)
     dualised = sha(Index((s,)), dual_linear(body))
     return plain, dualised
 
 
-def dual_gap(s: int, k: Index, l: int, m: int, cfg: Optional[EvalConfig] = None) -> float:
-    """``O_m((s) # k # {2}^l) - O_m((s) # (k # {2}^l)^dual)``."""
-    _check_order(m)
-    plain, dualised = dual_gap_operands(s, k, l)
-    return ohno_sum(plain, m, cfg) - ohno_sum(dualised, m, cfg)
-
-
-def dual_gap_series(s: int, k: Index, order: int, cfg: Optional[EvalConfig] = None) -> TruncatedSeries:
-    """Generating-series coefficients of the ``l = 0`` dual gap."""
-    _check_order(order)
-    cfg = cfg or EvalConfig()
-    coeffs = tuple(dual_gap(s, k, 0, m, cfg) for m in range(order + 1))
-    return TruncatedSeries(coeffs, cfg.tol)
-
-
-def dual_gap_skew(s: int, t: int, l: int, m: int, cfg: Optional[EvalConfig] = None) -> float:
-    """``dual_gap(s; (t+1)) - dual_gap(t; (s+1))`` at block length ``l``.
-
-    Its vanishing for all ``s, t >= 2`` and ``l, m >= 0`` is the main
-    numeric identity of the catalogue; antisymmetry in ``s, t`` is exact
-    even in floating point because both orientations evaluate the same
-    two differences.
-    """
-    if not isinstance(s, int) or s < 2 or not isinstance(t, int) or t < 2:
-        raise ValueError(f"dual_gap_skew needs s, t >= 2, got s={s!r}, t={t!r}")
-    return dual_gap(s, Index((t + 1,)), l, m, cfg) - dual_gap(t, Index((s + 1,)), l, m, cfg)
+def dual_gap_skew_sides(s: int, t: int, l: int, m: int) -> tuple[IndexCombination, IndexCombination]:
+    """The skew gap, the dual gap of ``(s; (t+1))`` minus that of
+    ``(t; (s+1))`` at block length ``l``, as its positive and its negative
+    part, each with nonnegative coefficients.  The two parts have equal
+    values for all ``s, t >= 2`` and ``l, m >= 0``: that is the main identity
+    of the catalogue."""
+    plain_st, dual_st = dual_gap_operands(s, Index((t + 1,)), l)
+    plain_ts, dual_ts = dual_gap_operands(t, Index((s + 1,)), l)
+    return ohno_sum_symbolic(plain_st + dual_ts, m), ohno_sum_symbolic(dual_st + plain_ts, m)
 
 
 def dual_gap_skew_symbolic(s: int, t: int, l: int, m: int) -> IndexCombination:
-    """The skew gap as a single exact combination (evaluates to the skew gap)."""
-    plain_st, dual_st = dual_gap_operands(s, Index((t + 1,)), l)
-    plain_ts, dual_ts = dual_gap_operands(t, Index((s + 1,)), l)
-    return ohno_sum_symbolic(plain_st - dual_st - plain_ts + dual_ts, m)
+    """The skew gap as one exact combination."""
+    positive, negative = dual_gap_skew_sides(s, t, l, m)
+    return positive - negative
 
 
 def hast_shifted_sum(base: Union[Index, IndexCombination], k0: int, m: int) -> IndexCombination:
@@ -236,10 +197,6 @@ def term_a(s: int, l: int, m: int) -> IndexCombination:
     for a, layer in enumerate(term_a_layers(s, l, m)):
         total = total + ohno_sum_symbolic(layer, m - a)
     return -total
-
-
-def term_a_value(s: int, l: int, m: int, cfg: Optional[EvalConfig] = None) -> float:
-    return eval_combination(term_a(s, l, m), cfg)
 
 
 def term_b(s: int, l: int, m: int) -> IndexCombination:
@@ -593,7 +550,7 @@ def hast_merge_sides(s: int, t: int, l: int) -> tuple[IndexCombination, IndexCom
     return lhs, rhs
 
 
-# -- double-shuffle derivative defect -----------------------------------------
+# -- the derivative-style relation of double shuffle ---------------------------
 
 
 def hoffman_sides(k: Index) -> tuple[IndexCombination, IndexCombination]:
@@ -619,17 +576,3 @@ def hoffman_sides(k: Index) -> tuple[IndexCombination, IndexCombination]:
             idx = Index(k.entries[:i] + (j + 1, e - j) + k.entries[i + 1 :])
             rhs[idx] = rhs.get(idx, 0) + 1
     return IndexCombination(lhs.items()), IndexCombination(rhs.items())
-
-
-def hoffman_delta(k: Index) -> IndexCombination:
-    """Exact combination whose value is :func:`hoffman_defect`
-    (left side of the derivative-style relation minus its right side)."""
-    lhs, rhs = hoffman_sides(k)
-    return lhs - rhs
-
-
-def hoffman_defect(k: Index, cfg: Optional[EvalConfig] = None) -> float:
-    """Numeric left-minus-right defect of the derivative-style relation;
-    identically zero for admissible indices."""
-    lhs, rhs = hoffman_sides(k)
-    return eval_combination(lhs, cfg) - eval_combination(rhs, cfg)

@@ -1,15 +1,21 @@
 """Catalogue of identities with grid-based verification and reporting.
 
-Each catalogue entry is an :class:`IdentitySpec` with a fixed name, a kind,
-a parameter list, and a one-line statement.  Two kinds exist:
+Each catalogue entry is one function from its parameters to a list of
+``(lhs, rhs)`` pairs of exact :class:`~ohno.indices.IndexCombination` sides;
+a side may also be a tuple of combinations whose values multiply.  The
+:func:`identity` decorator registers it under its name, with its docstring as
+the statement and the kind, default grid and hypotheses given to the
+decorator, as an :class:`IdentitySpec`.  Two kinds exist:
 
-* ``numeric``: both sides are evaluated to floats; a point passes when the
-  absolute residual is at most ``cfg.tol * max(evals, 1) * 4``, where
-  ``evals`` counts the distinct indices appearing in the evaluated
-  combinations (each contributes one evaluation whose error is of order
-  ``cfg.tol``; the factor 4 absorbs accumulation and rounding).
-* ``exact-symbolic``: both sides are exact rational combinations and must
-  be identical term by term; no floats are involved.
+* ``numeric``: every side is evaluated with :func:`~ohno.zeta.eval_combination`;
+  the residual of a point is ``max |value(lhs) - value(rhs)|`` over its pairs,
+  and the point passes when it is at most ``cfg.tol * max(evals, 1) * 4``,
+  where ``evals`` counts the distinct indices across all sides (each
+  contributes one evaluation whose error is of order ``cfg.tol``; the factor
+  4 absorbs accumulation and rounding).  Sides carry nonnegative
+  coefficients, so no index cancels out of ``evals``.
+* ``exact-symbolic``: the two sides of every pair must be identical term by
+  term; no floats are involved.
 
 :func:`verify` expands a parameter grid (per-identity defaults, overridable
 point-wise), refuses points that violate an identity's hypotheses (refused
@@ -22,15 +28,17 @@ points only) via :func:`report_to_file`.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Optional, Union
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterator, Mapping, Optional, Union
 
 from ohno.indices import (
     Index,
     IndexCombination,
+    as_combination,
     dual_linear,
     hast,
     iter_admissible,
@@ -41,9 +49,8 @@ from ohno.indices import (
 from ohno.sums import (
     composed_single,
     composed_split,
-    dual_gap,
     dual_gap_operands,
-    dual_gap_skew,
+    dual_gap_skew_sides,
     dualized_hast_expansion,
     dualized_shuffle_expansion,
     grouped_single,
@@ -56,7 +63,7 @@ from ohno.sums import (
     term_b,
     term_c,
 )
-from ohno.zeta import EvalConfig, eval_combination, eval_zeta
+from ohno.zeta import EvalConfig, eval_combination
 
 __all__ = [
     "IdentitySpec",
@@ -70,15 +77,29 @@ __all__ = [
 #: Numeric pass threshold is ``cfg.tol * max(evals, 1) * RESIDUAL_MARGIN``.
 RESIDUAL_MARGIN = 4
 
+#: One side of an identity: a combination, or a tuple of combinations whose
+#: values multiply.
+Side = Union[IndexCombination, tuple[IndexCombination, ...]]
+
 
 @dataclass(frozen=True)
 class IdentitySpec:
-    """A catalogue entry: what is verified and over which parameters."""
+    """A catalogue entry: what is verified and over which parameters.
+
+    ``grid`` holds the default value lists (``weight`` bounds the index
+    family ``k``; ``None`` for ``p``/``q`` is the window ``1..l+1``).  The
+    hypotheses are ``at_least`` (a lower bound per integer parameter),
+    admissibility of ``k``, and ``p, q <= l+1``.  ``sides`` maps the
+    parameters of a point to its ``(lhs, rhs)`` pairs.
+    """
 
     name: str
     kind: str  # "numeric" | "exact-symbolic"
     params: tuple[str, ...]
     statement: str
+    grid: Mapping[str, Any]
+    at_least: Mapping[str, int]
+    sides: Callable[..., list[tuple[Side, Side]]] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -144,389 +165,215 @@ class VerificationReport:
 
 # -- the catalogue ------------------------------------------------------------
 
-_SPECS: dict[str, IdentitySpec] = {}
-_DEFAULTS: dict[str, dict[str, Any]] = {}
+_CATALOGUE: dict[str, IdentitySpec] = {}
 
 
-def _register(name: str, kind: str, params: tuple[str, ...], statement: str, defaults: dict[str, Any]) -> None:
-    _SPECS[name] = IdentitySpec(name, kind, params, statement)
-    _DEFAULTS[name] = defaults
+def identity(kind: str, grid: Mapping[str, Any], at_least: Optional[Mapping[str, int]] = None) -> Callable:
+    """Register the decorated function as the catalogue entry of its name.
+
+    The function's parameters are the identity's parameters, its docstring
+    is the statement, and it returns the identity's ``(lhs, rhs)`` pairs at
+    one point.  ``at_least`` bounds every parameter except the index ``k``.
+    """
+
+    def register(fn: Callable) -> Callable:
+        params = tuple(inspect.signature(fn).parameters)
+        statement = inspect.getdoc(fn)
+        _CATALOGUE[fn.__name__] = IdentitySpec(fn.__name__, kind, params, statement, grid, at_least or {}, fn)
+        return fn
+
+    return register
 
 
-_register(
-    "duality",
+@identity("numeric", {"weight": 6})
+def duality(k):
+    """the value of an admissible index equals the value of its dual"""
+    return [(as_combination(k), as_combination(k.dual()))]
+
+
+@identity("numeric", {"weight": 5, "m": (0, 1, 2)}, {"m": 0})
+def ohno(k, m):
+    """order-m shifted sums of an admissible index and of its dual agree"""
+    return [(ohno_sum_symbolic(k, m), ohno_sum_symbolic(k.dual(), m))]
+
+
+@identity("numeric", {"n": (2, 3), "weight": 4}, {"n": 2})
+def stuffle_single(n, k):
+    """the product of a depth-one value with any value expands through the depth-one harmonic product"""
+    return [((as_combination(Index((n,))), as_combination(k)), star_single(n, k))]
+
+
+@identity("numeric", {"weight": 6})
+def hoffman(k):
+    """raising one entry (summed over positions) equals splitting one entry (summed over splits)"""
+    return [hoffman_sides(k)]
+
+
+@identity("numeric", {"s": (2, 3, 4, 5), "t": (2, 3, 4, 5), "m": (0, 1, 2, 3)}, {"s": 2, "t": 2, "m": 0})
+def hmos(s, t, m):
+    """the depth-one dual gap at block length zero is symmetric in its two parameters"""
+    return [dual_gap_skew_sides(s, t, 0, m)]
+
+
+@identity(
     "numeric",
-    ("k",),
-    "the value of an admissible index equals the value of its dual",
-    {"weight": 6},
-)
-_register(
-    "ohno",
-    "numeric",
-    ("k", "m"),
-    "order-m shifted sums of an admissible index and of its dual agree",
-    {"weight": 5, "m": (0, 1, 2)},
-)
-_register(
-    "stuffle_single",
-    "numeric",
-    ("n", "k"),
-    "the product of a depth-one value with any value expands through the depth-one harmonic product",
-    {"n": (2, 3), "weight": 4},
-)
-_register(
-    "hoffman",
-    "numeric",
-    ("k",),
-    "raising one entry (summed over positions) equals splitting one entry (summed over splits)",
-    {"weight": 6},
-)
-_register(
-    "hmos",
-    "numeric",
-    ("s", "t", "m"),
-    "the depth-one dual gap at block length zero is symmetric in its two parameters",
-    {"s": (2, 3, 4, 5), "t": (2, 3, 4, 5), "m": (0, 1, 2, 3)},
-)
-_register(
-    "main",
-    "numeric",
-    ("s", "t", "l", "m"),
-    "the dual gap against a {2}-block is symmetric in its two parameters",
     {"s": (2, 3, 4), "t": (2, 3, 4), "l": (0, 1, 2), "m": (0, 1, 2)},
+    {"s": 2, "t": 2, "l": 0, "m": 0},
 )
-_register(
-    "lemma_fmpre1",
-    "numeric",
-    ("s", "t", "l", "m"),
-    "the dual gap equals the signed pair of position-sum families of the shifted body",
-    {"s": (2, 3), "t": (1, 2, 3), "l": (0, 1), "m": (0, 1, 2)},
+def main(s, t, l, m):
+    """the dual gap against a {2}-block is symmetric in its two parameters"""
+    return [dual_gap_skew_sides(s, t, l, m)]
+
+
+@identity(
+    "numeric", {"s": (2, 3), "t": (1, 2, 3), "l": (0, 1), "m": (0, 1, 2)}, {"s": 2, "t": 1, "l": 0, "m": 0}
 )
-_register(
-    "lemma_fmpre2",
-    "numeric",
-    ("s", "t", "l", "m"),
-    "telescoping two position-sum families reduces to one shifted position-sum",
-    {"s": (1, 2, 3), "t": (1, 2), "l": (0, 1), "m": (1, 2)},
+def lemma_fmpre1(s, t, l, m):
+    """the dual gap equals the signed pair of position-sum families of the shifted body"""
+    body = sha(Index((t + 1,)), repeat(2, l))
+    plain, dualised = dual_gap_operands(s, Index((t + 1,)), l)
+    lhs = ohno_sum_symbolic(plain, m) + hast_shifted_sum(body, s, m)
+    rhs = ohno_sum_symbolic(dualised, m) + hast_shifted_sum(dual_linear(body), s, m)
+    return [(lhs, rhs)]
+
+
+@identity(
+    "numeric", {"s": (1, 2, 3), "t": (1, 2), "l": (0, 1), "m": (1, 2)}, {"s": 1, "t": 1, "l": 0, "m": 1}
 )
-_register(
-    "lemma_fm",
-    "numeric",
-    ("s", "t", "l", "m"),
-    "the first difference of dual gaps equals the signed shifted position-sums",
-    {"s": (3, 4), "t": (1, 2), "l": (0, 1), "m": (1, 2)},
+def lemma_fmpre2(s, t, l, m):
+    """telescoping two position-sum families reduces to one shifted position-sum"""
+    body = sha(Index((t + 1,)), repeat(2, l))
+    pairs = []
+    for base in (body, dual_linear(body)):
+        rhs = hast_shifted_sum(base, s + 1, m - 1) + ohno_sum_symbolic(hast(s, base), m)
+        pairs.append((hast_shifted_sum(base, s, m), rhs))
+    return pairs
+
+
+@identity("numeric", {"s": (3, 4), "t": (1, 2), "l": (0, 1), "m": (1, 2)}, {"s": 3, "t": 1, "l": 0, "m": 1})
+def lemma_fm(s, t, l, m):
+    """the first difference of dual gaps equals the signed shifted position-sums"""
+    body = sha(Index((t + 1,)), repeat(2, l))
+    plain1, dual1 = dual_gap_operands(s - 1, Index((t + 1,)), l)
+    plain2, dual2 = dual_gap_operands(s, Index((t + 1,)), l)
+    lhs = ohno_sum_symbolic(plain1 + hast(s - 1, body), m) + ohno_sum_symbolic(dual2, m - 1)
+    rhs = ohno_sum_symbolic(dual1 + hast(s - 1, dual_linear(body)), m) + ohno_sum_symbolic(plain2, m - 1)
+    return [(lhs, rhs)]
+
+
+@identity(
+    "numeric", {"s": (3, 4), "t": (3, 4), "l": (0, 1), "m": (0, 1, 2)}, {"s": 3, "t": 3, "l": 0, "m": 0}
 )
-_register(
-    "lemma_oooo",
-    "numeric",
-    ("s", "t", "l", "m"),
-    "dualised interleave minus dualised position-sum families are symmetric in the two parameters",
-    {"s": (3, 4), "t": (3, 4), "l": (0, 1), "m": (0, 1, 2)},
-)
-_register(
-    "lemma_dddd",
-    "numeric",
-    ("s", "t", "l", "m"),
-    "the skew dual gap satisfies the triangle recurrence in (order, parameters)",
-    {"s": (3, 4), "t": (3, 4), "l": (0, 1), "m": (1, 2)},
-)
-_register(
-    "sha_expansion_oooo",
-    "exact-symbolic",
-    ("s", "t", "l"),
-    "closed expansions of the dualised interleave and dualised position-sum families",
-    {"s": (2, 3, 4), "t": (2, 3, 4), "l": (1, 2)},
-)
-_register(
-    "hast_symmetry",
-    "exact-symbolic",
-    ("s", "t", "l"),
-    "a position-sum against an interleaved {2}-block merges into a symmetric closed form",
-    {"s": (2, 3, 4), "t": (1, 2, 3), "l": (0, 1, 2)},
-)
-_register(
-    "add1",
-    "exact-symbolic",
-    ("s", "l", "m", "p", "q"),
-    "layered block sums with a raised entry equal weighted composition sums",
-    {"s": (2, 3), "l": (1, 2), "m": (0, 1, 2), "p": None, "q": None},
-)
-_register(
-    "add2",
-    "exact-symbolic",
-    ("s", "l", "m", "p", "q"),
-    "layered block sums with a split entry equal weighted composition sums",
-    {"s": (2, 3), "l": (1, 2), "m": (0, 1, 2), "p": None, "q": None},
-)
-_register(
-    "abc_decomposition",
-    "numeric",
-    ("s", "l", "m"),
-    "the skew dual gap against parameter 2 equals its three-part closed decomposition",
-    {"s": (2, 3), "l": (0, 1), "m": (0, 1)},
-)
+def lemma_oooo(s, t, l, m):
+    """dualised interleave minus dualised position-sum families are symmetric in the two parameters"""
+
+    def interleave(x: int, y: int) -> IndexCombination:
+        return sha(Index((x,)), dual_linear(sha(Index((y,)), repeat(2, l))))
+
+    def position(x: int, y: int) -> IndexCombination:
+        return hast(x - 1, dual_linear(sha(Index((y + 1,)), repeat(2, l))))
+
+    lhs = ohno_sum_symbolic(interleave(s, t) + position(t, s), m)
+    return [(lhs, ohno_sum_symbolic(position(s, t) + interleave(t, s), m))]
+
+
+@identity("numeric", {"s": (3, 4), "t": (3, 4), "l": (0, 1), "m": (1, 2)}, {"s": 3, "t": 3, "l": 0, "m": 1})
+def lemma_dddd(s, t, l, m):
+    """the skew dual gap satisfies the triangle recurrence in (order, parameters)"""
+    a_pos, a_neg = dual_gap_skew_sides(s, t, l, m - 1)
+    b_pos, b_neg = dual_gap_skew_sides(s - 1, t, l, m)
+    c_pos, c_neg = dual_gap_skew_sides(s, t - 1, l, m)
+    return [(a_pos + b_neg + c_neg, a_neg + b_pos + c_pos)]
+
+
+@identity("exact-symbolic", {"s": (2, 3, 4), "t": (2, 3, 4), "l": (1, 2)}, {"s": 2, "t": 2, "l": 1})
+def sha_expansion_oooo(s, t, l):
+    """closed expansions of the dualised interleave and dualised position-sum families"""
+    return [dualized_shuffle_expansion(s, t, l), dualized_hast_expansion(s, t, l)]
+
+
+@identity("exact-symbolic", {"s": (2, 3, 4), "t": (1, 2, 3), "l": (0, 1, 2)}, {"s": 2, "t": 1, "l": 0})
+def hast_symmetry(s, t, l):
+    """a position-sum against an interleaved {2}-block merges into a symmetric closed form"""
+    return [hast_merge_sides(s, t, l)]
+
+
+_BLOCK_GRID = {"s": (2, 3), "l": (1, 2), "m": (0, 1, 2), "p": None, "q": None}
+_BLOCK_BOUNDS = {"s": 2, "l": 1, "m": 0, "p": 1, "q": 1}
+
+
+@identity("exact-symbolic", _BLOCK_GRID, _BLOCK_BOUNDS)
+def add1(s, l, m, p, q):
+    """layered block sums with a raised entry equal weighted composition sums"""
+    return [(grouped_single(s, l, m, p, q), composed_single(s, l, m, p, q))]
+
+
+@identity("exact-symbolic", _BLOCK_GRID, _BLOCK_BOUNDS)
+def add2(s, l, m, p, q):
+    """layered block sums with a split entry equal weighted composition sums"""
+    return [(grouped_split(s, l, m, p, q), composed_split(s, l, m, p, q))]
+
+
+@identity("numeric", {"s": (2, 3), "l": (0, 1), "m": (0, 1)}, {"s": 2, "l": 0, "m": 0})
+def abc_decomposition(s, l, m):
+    """the skew dual gap against parameter 2 equals its three-part closed decomposition"""
+    pos, neg = dual_gap_skew_sides(s, 2, l, m)
+    return [(pos - term_a(s, l, m), neg + term_b(s, l, m) + term_c(s, l, m))]
 
 
 def list_identities() -> tuple[IdentitySpec, ...]:
     """All catalogue entries, in stable registry order."""
-    return tuple(_SPECS.values())
+    return tuple(_CATALOGUE.values())
 
 
-# -- hypothesis checks --------------------------------------------------------
+# -- hypotheses and sides -----------------------------------------------------
 
 
-def _need_int(params: Mapping[str, Any], name: str, low: int) -> Optional[str]:
-    v = params[name]
-    if not isinstance(v, int) or isinstance(v, bool):
-        return f"{name} must be an integer, got {v!r}"
-    if v < low:
-        return f"{name} must be at least {low}, got {v}"
+def _refusal(spec: IdentitySpec, params: Mapping[str, Any]) -> Optional[str]:
+    """The first hypothesis a point violates, in parameter order, or None."""
+    for name in spec.params:
+        v = params[name]
+        if name == "k":
+            if not v.admissible:
+                return f"k must be admissible (nonempty, last entry >= 2), got {v}"
+            continue
+        low = spec.at_least[name]
+        if v < low:
+            return f"{name} must be at least {low}, got {v}"
+        if name in ("p", "q") and v > params["l"] + 1:
+            return f"{name} must be at most l+1 = {params['l'] + 1}, got {v}"
     return None
 
 
-def _need_admissible(params: Mapping[str, Any], name: str = "k") -> Optional[str]:
-    k = params[name]
-    if not isinstance(k, Index):
-        return f"{name} must be an index, got {k!r}"
-    if not k.admissible:
-        return f"{name} must be admissible (nonempty, last entry >= 2), got {k}"
-    return None
+def _factors(side: Side) -> tuple[IndexCombination, ...]:
+    return side if isinstance(side, tuple) else (side,)
 
 
-def _chk_many(params: Mapping[str, Any], bounds: dict[str, int]) -> Optional[str]:
-    for name, low in bounds.items():
-        reason = _need_int(params, name, low)
-        if reason:
-            return reason
-    return None
+def _value(side: Side, cfg: EvalConfig) -> float:
+    return math.prod(eval_combination(c, cfg) for c in _factors(side))
 
 
-def _chk_pq_window(params: Mapping[str, Any]) -> Optional[str]:
-    reason = _chk_many(params, {"s": 2, "l": 1, "m": 0})
-    if reason:
-        return reason
-    l = params["l"]
-    for name in ("p", "q"):
-        reason = _need_int(params, name, 1)
-        if reason:
-            return reason
-        if params[name] > l + 1:
-            return f"{name} must be at most l+1 = {l + 1}, got {params[name]}"
-    return None
-
-
-_CHECKS = {
-    "duality": lambda p: _need_admissible(p),
-    "ohno": lambda p: _need_admissible(p) or _need_int(p, "m", 0),
-    "stuffle_single": lambda p: _need_int(p, "n", 2) or _need_admissible(p),
-    "hoffman": lambda p: _need_admissible(p),
-    "hmos": lambda p: _chk_many(p, {"s": 2, "t": 2, "m": 0}),
-    "main": lambda p: _chk_many(p, {"s": 2, "t": 2, "l": 0, "m": 0}),
-    "lemma_fmpre1": lambda p: _chk_many(p, {"s": 2, "t": 1, "l": 0, "m": 0}),
-    "lemma_fmpre2": lambda p: _chk_many(p, {"s": 1, "t": 1, "l": 0, "m": 1}),
-    "lemma_fm": lambda p: _chk_many(p, {"s": 3, "t": 1, "l": 0, "m": 1}),
-    "lemma_oooo": lambda p: _chk_many(p, {"s": 3, "t": 3, "l": 0, "m": 0}),
-    "lemma_dddd": lambda p: _chk_many(p, {"s": 3, "t": 3, "l": 0, "m": 1}),
-    "sha_expansion_oooo": lambda p: _chk_many(p, {"s": 2, "t": 2, "l": 1}),
-    "hast_symmetry": lambda p: _chk_many(p, {"s": 2, "t": 1, "l": 0}),
-    "add1": _chk_pq_window,
-    "add2": _chk_pq_window,
-    "abc_decomposition": lambda p: _chk_many(p, {"s": 2, "l": 0, "m": 0}),
-}
-
-
-# -- point runners ------------------------------------------------------------
-
-
-def _distinct(*combs: IndexCombination) -> int:
+def _distinct(pairs: list[tuple[Side, Side]]) -> int:
     seen: set[Index] = set()
-    for c in combs:
-        seen.update(c.support())
+    for pair in pairs:
+        for side in pair:
+            for comb in _factors(side):
+                seen.update(comb.support())
     return len(seen)
-
-
-def _skew_combs(s: int, t: int, l: int, m: int) -> tuple[IndexCombination, ...]:
-    plain_st, dual_st = dual_gap_operands(s, Index((t + 1,)), l)
-    plain_ts, dual_ts = dual_gap_operands(t, Index((s + 1,)), l)
-    return tuple(ohno_sum_symbolic(c, m) for c in (plain_st, dual_st, plain_ts, dual_ts))
-
-
-def _run_duality(cfg: EvalConfig, k: Index) -> tuple[float, int]:
-    kd = k.dual()
-    residual = abs(eval_zeta(k, cfg) - eval_zeta(kd, cfg))
-    return residual, len({k, kd})
-
-
-def _run_ohno(cfg: EvalConfig, k: Index, m: int) -> tuple[float, int]:
-    lhs = ohno_sum_symbolic(k, m)
-    rhs = ohno_sum_symbolic(k.dual(), m)
-    residual = abs(eval_combination(lhs, cfg) - eval_combination(rhs, cfg))
-    return residual, _distinct(lhs, rhs)
-
-
-def _run_stuffle(cfg: EvalConfig, n: int, k: Index) -> tuple[float, int]:
-    merged = star_single(n, k)
-    product = eval_zeta(Index((n,)), cfg) * eval_zeta(k, cfg)
-    residual = abs(product - eval_combination(merged, cfg))
-    factors = IndexCombination(((Index((n,)), 1), (k, 1)))
-    return residual, _distinct(factors, merged)
-
-
-def _run_hoffman(cfg: EvalConfig, k: Index) -> tuple[float, int]:
-    lhs, rhs = hoffman_sides(k)
-    residual = abs(eval_combination(lhs, cfg) - eval_combination(rhs, cfg))
-    return residual, _distinct(lhs, rhs)
-
-
-def _run_hmos(cfg: EvalConfig, s: int, t: int, m: int) -> tuple[float, int]:
-    residual = abs(dual_gap_skew(s, t, 0, m, cfg))
-    return residual, _distinct(*_skew_combs(s, t, 0, m))
-
-
-def _run_main(cfg: EvalConfig, s: int, t: int, l: int, m: int) -> tuple[float, int]:
-    residual = abs(dual_gap_skew(s, t, l, m, cfg))
-    return residual, _distinct(*_skew_combs(s, t, l, m))
-
-
-def _run_fmpre1(cfg: EvalConfig, s: int, t: int, l: int, m: int) -> tuple[float, int]:
-    body = sha(Index((t + 1,)), repeat(2, l))
-    plain_fam = hast_shifted_sum(body, s, m)
-    dual_fam = hast_shifted_sum(dual_linear(body), s, m)
-    lhs = dual_gap(s, Index((t + 1,)), l, m, cfg)
-    rhs = eval_combination(dual_fam - plain_fam, cfg)
-    plain, dualised = dual_gap_operands(s, Index((t + 1,)), l)
-    evals = _distinct(
-        ohno_sum_symbolic(plain, m), ohno_sum_symbolic(dualised, m), plain_fam, dual_fam
-    )
-    return abs(lhs - rhs), evals
-
-
-def _run_fmpre2(cfg: EvalConfig, s: int, t: int, l: int, m: int) -> tuple[float, int]:
-    body = sha(Index((t + 1,)), repeat(2, l))
-    residuals: list[float] = []
-    pieces: list[IndexCombination] = []
-    for base in (body, dual_linear(body)):
-        upper = hast_shifted_sum(base, s, m)
-        lower = hast_shifted_sum(base, s + 1, m - 1)
-        merged = ohno_sum_symbolic(hast(s, base), m)
-        residuals.append(abs(eval_combination(upper - lower, cfg) - eval_combination(merged, cfg)))
-        pieces.extend((upper, lower, merged))
-    return max(residuals), _distinct(*pieces)
-
-
-def _run_fm(cfg: EvalConfig, s: int, t: int, l: int, m: int) -> tuple[float, int]:
-    body = sha(Index((t + 1,)), repeat(2, l))
-    plain_fam = ohno_sum_symbolic(hast(s - 1, body), m)
-    dual_fam = ohno_sum_symbolic(hast(s - 1, dual_linear(body)), m)
-    lhs = dual_gap(s - 1, Index((t + 1,)), l, m, cfg) - dual_gap(s, Index((t + 1,)), l, m - 1, cfg)
-    rhs = eval_combination(dual_fam - plain_fam, cfg)
-    p1, d1 = dual_gap_operands(s - 1, Index((t + 1,)), l)
-    p2, d2 = dual_gap_operands(s, Index((t + 1,)), l)
-    evals = _distinct(
-        ohno_sum_symbolic(p1, m),
-        ohno_sum_symbolic(d1, m),
-        ohno_sum_symbolic(p2, m - 1),
-        ohno_sum_symbolic(d2, m - 1),
-        plain_fam,
-        dual_fam,
-    )
-    return abs(lhs - rhs), evals
-
-
-def _run_oooo(cfg: EvalConfig, s: int, t: int, l: int, m: int) -> tuple[float, int]:
-    def side(x: int, y: int) -> tuple[IndexCombination, IndexCombination]:
-        inter = ohno_sum_symbolic(sha(Index((x,)), dual_linear(sha(Index((y,)), repeat(2, l)))), m)
-        pos = ohno_sum_symbolic(hast(x - 1, dual_linear(sha(Index((y + 1,)), repeat(2, l)))), m)
-        return inter, pos
-
-    a1, a2 = side(s, t)
-    b1, b2 = side(t, s)
-    residual = abs(eval_combination(a1 - a2 - b1 + b2, cfg))
-    return residual, _distinct(a1, a2, b1, b2)
-
-
-def _run_dddd(cfg: EvalConfig, s: int, t: int, l: int, m: int) -> tuple[float, int]:
-    residual = abs(
-        dual_gap_skew(s, t, l, m - 1, cfg)
-        - dual_gap_skew(s - 1, t, l, m, cfg)
-        - dual_gap_skew(s, t - 1, l, m, cfg)
-    )
-    evals = _distinct(
-        *_skew_combs(s, t, l, m - 1),
-        *_skew_combs(s - 1, t, l, m),
-        *_skew_combs(s, t - 1, l, m),
-    )
-    return residual, evals
-
-
-def _run_sha_expansion(cfg: EvalConfig, s: int, t: int, l: int) -> tuple[bool, int]:
-    lhs1, rhs1 = dualized_shuffle_expansion(s, t, l)
-    lhs2, rhs2 = dualized_hast_expansion(s, t, l)
-    return (lhs1 == rhs1) and (lhs2 == rhs2), 0
-
-
-def _run_hast_symmetry(cfg: EvalConfig, s: int, t: int, l: int) -> tuple[bool, int]:
-    lhs, rhs = hast_merge_sides(s, t, l)
-    return lhs == rhs, 0
-
-
-def _run_add1(cfg: EvalConfig, s: int, l: int, m: int, p: int, q: int) -> tuple[bool, int]:
-    return grouped_single(s, l, m, p, q) == composed_single(s, l, m, p, q), 0
-
-
-def _run_add2(cfg: EvalConfig, s: int, l: int, m: int, p: int, q: int) -> tuple[bool, int]:
-    return grouped_split(s, l, m, p, q) == composed_split(s, l, m, p, q), 0
-
-
-def _run_abc(cfg: EvalConfig, s: int, l: int, m: int) -> tuple[float, int]:
-    part_a = term_a(s, l, m)
-    part_b = term_b(s, l, m)
-    part_c = term_c(s, l, m)
-    lhs = dual_gap_skew(s, 2, l, m, cfg)
-    rhs = eval_combination(part_a + part_b + part_c, cfg)
-    evals = _distinct(*_skew_combs(s, 2, l, m), part_a, part_b, part_c)
-    return abs(lhs - rhs), evals
-
-
-_RUNNERS = {
-    "duality": _run_duality,
-    "ohno": _run_ohno,
-    "stuffle_single": _run_stuffle,
-    "hoffman": _run_hoffman,
-    "hmos": _run_hmos,
-    "main": _run_main,
-    "lemma_fmpre1": _run_fmpre1,
-    "lemma_fmpre2": _run_fmpre2,
-    "lemma_fm": _run_fm,
-    "lemma_oooo": _run_oooo,
-    "lemma_dddd": _run_dddd,
-    "sha_expansion_oooo": _run_sha_expansion,
-    "hast_symmetry": _run_hast_symmetry,
-    "add1": _run_add1,
-    "add2": _run_add2,
-    "abc_decomposition": _run_abc,
-}
 
 
 # -- grid handling ------------------------------------------------------------
 
 
-def _coerce_index(value: Union[Index, str]) -> Index:
-    if isinstance(value, Index):
-        return value
-    if isinstance(value, str):
-        text = value.strip()
-        if text.startswith("(") and text.endswith(")") and text != "()":
-            text = text[1:-1]
-        return Index.from_text(text)
-    raise ValueError(f"expected an index or index text, got {value!r}")
-
-
 def _as_list(value: Any, index_valued: bool) -> list[Any]:
     if index_valued:
-        if isinstance(value, (Index, str)):
-            return [_coerce_index(value)]
-        return [_coerce_index(v) for v in value]
+        single = isinstance(value, (Index, str)) or not hasattr(value, "__iter__")
+        values = [value] if single else list(value)
+        out = [Index.from_text(v) if isinstance(v, str) else v for v in values]
+        for v in out:
+            if not isinstance(v, Index):
+                raise ValueError(f"expected an index or index text, got {v!r}")
+        return out
     if isinstance(value, int) and not isinstance(value, bool):
         return [value]
     out = list(value)
@@ -544,7 +391,7 @@ def _normalize_grid(
     Returns (value lists per parameter; None marks the dynamic p/q window)
     and a JSON-friendly description of the grid actually used.
     """
-    defaults = _DEFAULTS[spec.name]
+    defaults = spec.grid
     allowed = set(spec.params) | ({"weight"} if "weight" in defaults else set())
     unknown = set(overrides) - allowed
     if unknown:
@@ -602,13 +449,28 @@ def _display_params(params: Mapping[str, Any]) -> dict[str, Any]:
 # -- the driver ---------------------------------------------------------------
 
 
-def verify(
-    name: str,
-    *,
-    cfg: Optional[EvalConfig] = None,
-    jobs: int = 1,
-    **grid: Any,
-) -> VerificationReport:
+def _point_result(spec: IdentitySpec, cfg: EvalConfig, params: dict[str, Any]) -> PointResult:
+    shown = _display_params(params)
+    reason = _refusal(spec, params)
+    if reason is not None:
+        return PointResult(params=shown, refused=True, reason=reason)
+    start = time.perf_counter()
+    pairs = spec.sides(**params)
+    if spec.kind == "numeric":
+        residual = max(abs(_value(lhs, cfg) - _value(rhs, cfg)) for lhs, rhs in pairs)
+        evals = _distinct(pairs)
+        return PointResult(
+            params=shown,
+            residual=residual,
+            threshold=cfg.tol * max(evals, 1) * RESIDUAL_MARGIN,
+            evals=evals,
+            elapsed_ms=(time.perf_counter() - start) * 1000.0,
+        )
+    equal = all(lhs == rhs for lhs, rhs in pairs)
+    return PointResult(params=shown, equal=equal, elapsed_ms=(time.perf_counter() - start) * 1000.0)
+
+
+def verify(name: str, *, cfg: Optional[EvalConfig] = None, **grid: Any) -> VerificationReport:
     """Verify one catalogue identity over a parameter grid.
 
     ``grid`` keyword arguments override the per-identity defaults; each value
@@ -618,46 +480,18 @@ def verify(
     identity's hypotheses are refused, recorded, and excluded from the
     verdict; if every point is refused a ``ValueError`` is raised.
     """
-    if name not in _SPECS:
-        known = ", ".join(_SPECS)
+    if name not in _CATALOGUE:
+        known = ", ".join(_CATALOGUE)
         raise ValueError(f"unknown identity {name!r}; known identities: {known}")
-    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
-    spec = _SPECS[name]
+    spec = _CATALOGUE[name]
     cfg = cfg or EvalConfig()
     norm, desc = _normalize_grid(spec, grid)
     points = list(_iter_points(spec, norm))
     if not points:
         raise ValueError(f"the grid for {name} is empty")
 
-    check = _CHECKS[name]
-    runner = _RUNNERS[name]
-
-    def run_point(params: dict[str, Any]) -> PointResult:
-        shown = _display_params(params)
-        reason = check(params)
-        if reason is not None:
-            return PointResult(params=shown, refused=True, reason=reason)
-        start = time.perf_counter()
-        outcome, evals = runner(cfg, **params)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        if spec.kind == "numeric":
-            threshold = cfg.tol * max(evals, 1) * RESIDUAL_MARGIN
-            return PointResult(
-                params=shown,
-                residual=outcome,
-                threshold=threshold,
-                evals=evals,
-                elapsed_ms=elapsed_ms,
-            )
-        return PointResult(params=shown, equal=outcome, evals=evals, elapsed_ms=elapsed_ms)
-
     start = time.perf_counter()
-    if jobs == 1:
-        results = [run_point(p) for p in points]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_point, points))
+    results = [_point_result(spec, cfg, p) for p in points]
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     evaluated = [r for r in results if not r.refused]
@@ -706,6 +540,7 @@ def report_dict(report: VerificationReport) -> dict[str, Any]:
         "tol": report.tol,
         "pass": report.passed,
         "max_residual": report.max_residual,
+        "elapsed_ms": round(report.elapsed_ms, 3),
         "points": [_point_dict(p) for p in report.points],
     }
 

@@ -37,6 +37,7 @@ Repeated evaluation with an identical configuration is bit-identical.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import threading
@@ -170,14 +171,24 @@ class ZetaCache:
         return ZetaCacheStats(self._hits, self._misses)
 
     def save(self, path: str) -> None:
+        """Write the flat file through a temporary file in the same directory
+        that replaces ``path`` only once complete, so a save that fails or is
+        killed midway leaves the previous file intact."""
         with self._lock:
             rows = sorted(
                 ((k.to_text(), b, v) for k, (b, v) in self._entries.items()),
                 key=lambda row: row[0],
             )
-        with open(path, "w", encoding="ascii") as fh:
-            for text, bucket, value in rows:
-                fh.write(f"{text}\t{bucket}\t{value.hex()}\n")
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="ascii") as fh:
+                for text, bucket, value in rows:
+                    fh.write(f"{text}\t{bucket}\t{value.hex()}\n")
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
 
     def load(self, path: str) -> None:
         with open(path, "r", encoding="ascii") as fh:

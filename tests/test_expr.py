@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ohno.expr import ExprError, MAX_INT_LITERAL, expand, expand_text, parse, serialize
+from ohno.expr import ExprError, MAX_INT_LITERAL, expand, expand_text, parse
 from ohno.indices import EMPTY, Index, IndexCombination, combination_to_text
 
 
@@ -73,18 +73,18 @@ def test_parse_then_expand_equals_expand_text():
 
 def test_serialize_is_canonical_text():
     c = comb(((2,), -1), ((3,), Fraction(1, 2)), ((1, 2), 2))
-    assert serialize(c) == combination_to_text(c)
-    assert expand_text(serialize(c)) == c
+    assert combination_to_text(c) == "-(2) + 1/2*(3) + 2*(1,2)"
+    assert expand_text(combination_to_text(c)) == c
 
 
 def test_serialize_zero_round_trips():
-    assert serialize(IndexCombination.zero()) == "0"
+    assert combination_to_text(IndexCombination.zero()) == "0"
     assert expand_text("0") == IndexCombination.zero()
 
 
 def test_serialize_empty_index_round_trips():
     c = IndexCombination.from_index(EMPTY, 2)
-    assert expand_text(serialize(c)) == c
+    assert expand_text(combination_to_text(c)) == c
 
 
 coef_st = st.one_of(
@@ -100,7 +100,7 @@ comb_st = st.lists(
 @given(comb_st)
 @settings(max_examples=120)
 def test_round_trip_random_combinations(c):
-    assert expand_text(serialize(c)) == c
+    assert expand_text(combination_to_text(c)) == c
 
 
 # ---------------------------------------------------------------------------

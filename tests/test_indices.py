@@ -123,6 +123,7 @@ def test_text_round_trip():
     assert Index.from_text("()") == EMPTY
     assert Index.from_text("") == EMPTY
     assert Index.from_text(" 1,2 ") == Index((1, 2))
+    assert Index.from_text("(2,3)") == Index((2, 3))
     assert str(Index((1, 2))) == "(1,2)"
 
 

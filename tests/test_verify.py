@@ -1,13 +1,15 @@
 """Tests for the identity catalogue, its grid driver, and report output."""
 
 import csv
+import dataclasses
+import importlib
 import json
 import pathlib
 
 import pytest
 
-from ohno.indices import Index, iter_admissible
-from ohno.sums import dual_gap_skew
+from ohno.indices import Index, IndexCombination, iter_admissible
+from ohno.sums import dual_gap_skew_symbolic
 from ohno.verify import (
     RESIDUAL_MARGIN,
     list_identities,
@@ -15,7 +17,10 @@ from ohno.verify import (
     report_to_file,
     verify,
 )
-from ohno.zeta import EvalConfig, ZetaCache
+from ohno.zeta import EvalConfig, ZetaCache, eval_combination
+
+# The package re-exports the function ``verify`` under the module's name.
+catalogue = importlib.import_module("ohno.verify")
 
 MANIFEST = pathlib.Path(__file__).with_name("identity_manifest.json")
 
@@ -134,9 +139,12 @@ def test_unknown_grid_key():
         verify("duality", bogus=3)
 
 
-def test_bad_jobs():
-    with pytest.raises(ValueError):
-        verify("duality", weight=4, jobs=0)
+def test_grid_index_must_be_index_or_text():
+    for bad in (5, [5], [(2, 3)]):
+        with pytest.raises(ValueError, match="expected an index or index text"):
+            verify("duality", k=bad)
+    report = verify("duality", k=["(2,3)", "1,2", Index((3,))])
+    assert report.grid == {"k": ["(2,3)", "(1,2)", "(3)"]}
 
 
 def test_hypothesis_violations_are_refused():
@@ -171,23 +179,39 @@ def test_refused_points_do_not_affect_verdict():
 
 
 # ---------------------------------------------------------------------------
-# determinism and parallel sweeps
+# determinism
 # ---------------------------------------------------------------------------
-
-
-def test_jobs_parallel_matches_serial():
-    grid = dict(s=(2, 3), t=(2, 3), m=(0, 1))
-    serial = verify("hmos", **grid)
-    parallel = verify("hmos", jobs=3, **grid)
-    assert [p.params for p in serial.points] == [p.params for p in parallel.points]
-    assert [p.residual for p in serial.points] == [p.residual for p in parallel.points]
-    assert serial.passed and parallel.passed
 
 
 def test_repeat_runs_are_bitwise_identical():
     first = verify("main", s=2, t=3, l=1, m=1)
     second = verify("main", s=2, t=3, l=1, m=1)
     assert first.max_residual == second.max_residual
+
+
+# ---------------------------------------------------------------------------
+# a PASS can fail
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", [spec.name for spec in list_identities()])
+def test_broken_identity_fails_at_every_point(name, monkeypatch):
+    """Adding the term (2) to one side must fail every evaluated default
+    point, so no verdict holds whatever the sides are."""
+    spec = catalogue._CATALOGUE[name]
+
+    def broken(**params):
+        (lhs, rhs), *rest = spec.sides(**params)
+        return [(lhs, rhs + IndexCombination.from_index(Index((2,))))] + rest
+
+    monkeypatch.setitem(catalogue._CATALOGUE, name, dataclasses.replace(spec, sides=broken))
+    report = verify(name)
+    assert not report.passed
+    assert report.evaluated
+    for point in report.evaluated:
+        assert point.passed is False
+        if spec.kind == "exact-symbolic":
+            assert point.equal is False
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +227,9 @@ def test_chained_residual_bounded_by_parts():
         report = verify("lemma_dddd", cfg=cfg, s=s, t=t, l=l, m=m)
         (point,) = report.points
         parts = (
-            abs(dual_gap_skew(s, t, l, m - 1, cfg))
-            + abs(dual_gap_skew(s - 1, t, l, m, cfg))
-            + abs(dual_gap_skew(s, t - 1, l, m, cfg))
+            abs(eval_combination(dual_gap_skew_symbolic(s, t, l, m - 1), cfg))
+            + abs(eval_combination(dual_gap_skew_symbolic(s - 1, t, l, m), cfg))
+            + abs(eval_combination(dual_gap_skew_symbolic(s, t - 1, l, m), cfg))
         )
         assert point.residual <= parts + 1e-28
 
@@ -222,6 +246,8 @@ def test_report_dict_shape():
     assert data["kind"] == "numeric"
     assert data["pass"] is True
     assert data["tol"] == report.tol
+    assert data["elapsed_ms"] == round(report.elapsed_ms, 3)
+    assert data["elapsed_ms"] >= sum(round(p["elapsed_ms"], 3) for p in data["points"]) - 0.01
     assert len(data["points"]) == 7
     for point in data["points"]:
         assert set(point) == {"params", "residual", "threshold", "evals", "elapsed_ms", "pass"}

@@ -1,6 +1,7 @@
 """Tests for the word codec, the nested-series evaluator, and its cache."""
 
 import math
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -333,6 +334,31 @@ def test_cache_save_load_round_trip(tmp_path):
     assert len(reloaded) == 3
     for k, v in values.items():
         assert reloaded.lookup(k, 12) == v
+
+
+def test_cache_failed_save_keeps_previous_file(tmp_path):
+    path = tmp_path / "cache.tsv"
+    previous = ZetaCache()
+    previous.store(Index((2,)), 12, 1.5)
+    previous.store(Index((3,)), 12, 2.5)
+    previous.save(str(path))
+    before = path.read_text()
+
+    class DiskFull(float):
+        def hex(self):
+            raise OSError("disk full")
+
+    cache = ZetaCache()
+    cache.store(Index((2,)), 12, 1.25)  # written first: "2" sorts before "9"
+    cache.store(Index((9,)), 12, DiskFull(0.5))
+    with pytest.raises(OSError, match="disk full"):
+        cache.save(str(path))
+
+    assert path.read_text() == before
+    assert os.listdir(tmp_path) == ["cache.tsv"]
+    reloaded = ZetaCache(str(path))
+    assert reloaded.lookup(Index((2,)), 12) == 1.5
+    assert reloaded.lookup(Index((3,)), 12) == 2.5
 
 
 def test_cache_constructor_with_missing_path(tmp_path):
