@@ -32,6 +32,21 @@ Error budget of ``eval_zeta`` (absolute, target ``cfg.tol``):
   accumulated rounding below ``tol/10``;
 * the final conversion rounds once to the nearest double.
 
+Cost of ``eval_zeta``.  The tail majorant depends only on the depth of a
+factor and on ``P``, so the number of terms a factor sums (its stopping
+index) is computed once per (depth, ``P``) and memoised, as are the tables
+of fixed-point inverse powers ``2^P // m^n``.  For a word ``w`` of length
+``n`` the deconcatenation after ``j`` letters multiplies the lower factor
+``w[j:]`` by the upper factor ``reverse_swap(w[:j])``, and
+
+    reverse_swap(w[:j]) == reverse_swap(w)[n-j:],
+
+so both families are suffixes of a single word: ``w`` or its dual.  The
+suffixes of one word share their inner sums (the inner sums of a suffix are
+those of the runs after its first block), so all the missing suffix factors
+of a word are computed in one pass over its inner chains, and each factor
+is looked up in the memo once per evaluation.
+
 Repeated evaluation with an identical configuration is bit-identical.
 """
 
@@ -42,6 +57,8 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
+from operator import mul, rshift
 from typing import Iterable, Optional, Union
 
 from ohno.indices import Index, IndexCombination, as_combination
@@ -81,21 +98,28 @@ def to_word(k: Index) -> str:
     return "".join("X" * (e - 1) + "Y" for e in reversed(k.entries))
 
 
+def _word_runs(word: str) -> tuple[int, ...]:
+    """Split a Y-terminated word into X-run lengths plus one per Y."""
+    runs: list[int] = []
+    x = 0
+    for ch in word:
+        if ch == "X":
+            x += 1
+        else:
+            runs.append(x + 1)
+            x = 0
+    if x:
+        raise ValueError(f"series word {word!r} does not end with Y")
+    return tuple(runs)
+
+
 def from_word(word: str) -> Index:
     """Decode a word over {X, Y} back to an admissible index."""
     if not word or set(word) - {"X", "Y"}:
         raise ValueError(f"malformed word {word!r}: expected a nonempty string over X/Y")
     if word[0] != "X" or word[-1] != "Y":
         raise ValueError(f"malformed word {word!r}: must start with X and end with Y")
-    blocks: list[int] = []
-    run = 0
-    for ch in word:
-        if ch == "X":
-            run += 1
-        else:
-            blocks.append(run + 1)
-            run = 0
-    return Index(tuple(reversed(blocks)))
+    return Index(tuple(reversed(_word_runs(word))))
 
 
 def reverse_swap(word: str) -> str:
@@ -215,8 +239,10 @@ class EvalConfig:
         doubles, so targets below about 1e-15 are not honourable; the
         constructor rejects them.
     ``max_terms``
-        Cap on the length of any single series factor.  Exhausting it raises
-        :class:`PrecisionError` rather than returning a degraded value.
+        Cap on the length of any single series factor.  An evaluation whose
+        deepest factor needs more terms than this to meet the error budget
+        raises :class:`PrecisionError` rather than returning a degraded
+        value, whether or not its factors are memoised.
     ``working_precision``
         Fixed-point fractional bits for internal arithmetic.  ``None``
         derives ``2*ceil(log2(1/tol)) + 16`` from the tolerance bucket;
@@ -267,83 +293,114 @@ DEFAULT_CONFIG = EvalConfig()
 # and can be shared freely across evaluations.
 _FACTOR_CACHE: dict[tuple[str, int], int] = {}
 _FACTOR_LOCK = threading.Lock()
+# Stopping index per (depth, precision), and fixed-point inverse powers
+# ``(1 << fbits) // m**n`` per (n, precision), indexed by m (entry 0 unused).
+# Inverse-power tables only grow, in place, so a shorter read stays valid.
+_STOPS: dict[tuple[int, int], int] = {}
+_INV_POWERS: dict[tuple[int, int], list[int]] = {}
 
 
-def _word_runs(word: str) -> tuple[int, ...]:
-    """Split a Y-terminated word into X-run lengths plus one per Y."""
-    runs: list[int] = []
-    x = 0
-    for ch in word:
-        if ch == "X":
-            x += 1
-        else:
-            runs.append(x + 1)
-            x = 0
-    if x:
-        raise ValueError(f"series word {word!r} does not end with Y")
-    return tuple(runs)
+def _stop(depth: int, fbits: int) -> int:
+    """Number of terms summed for a series factor of depth ``depth >= 1``.
 
-
-def _series_half_fixed(runs: tuple[int, ...], fbits: int, max_terms: int) -> int:
-    """Fixed-point value of the nested series
+    The factor with ``runs = (n1, ..., nk)``, ``k = depth``, is the nested
+    series
 
         sum over m1 > m2 > ... > mk >= 1 of  (1/2)^m1 / (m1^n1 * ... * mk^nk)
 
-    with ``runs = (n1, ..., nk)``, to ``fbits`` fractional bits.
-
-    Truncation stops once the proven tail majorant
+    summed over ``m1 <= N``.  ``N`` is the first ``N >= k`` at which the
+    proven tail majorant
 
         2^-N * (1 + ln N)^(k-1) * rho/(1-rho),   rho = exp((k-1)/N) / 2
 
     falls below ``2^-(fbits-8)``; the majorant dominates the true tail
     because the inner sums are bounded by (1 + ln N)^(k-1) and
-    ``(1 + ln(N+j)) <= (1 + ln N) * exp(j/N)``.
+    ``(1 + ln(N+j)) <= (1 + ln N) * exp(j/N)``.  It does not depend on the
+    runs, and it grows with the depth.
     """
-    k = len(runs)
-    one = 1 << fbits
-    if k == 0:
-        return one
-    inner = [0] * (k + 1)
-    inner[k] = one
-    acc = 0
-    stop_log2 = -(fbits - 8)
-    m = 0
-    while True:
-        m += 1
-        if m > max_terms:
-            raise PrecisionError(
-                f"series cap of {max_terms} terms exhausted before the error "
-                f"budget was met (runs {runs}, precision {fbits} bits)"
-            )
-        invs = [one // m**n for n in runs]
-        acc += (invs[0] * inner[1]) >> (fbits + m)
-        for i in range(1, k):
-            inner[i] += (invs[i] * inner[i + 1]) >> fbits
-        if m >= k:
-            rho = math.exp((k - 1) / m) / 2.0
+    key = (depth, fbits)
+    stop = _STOPS.get(key)
+    if stop is None:
+        stop_log2 = -(fbits - 8)
+        m = depth - 1
+        while True:
+            m += 1
+            rho = math.exp((depth - 1) / m) / 2.0
             if rho < 1.0:
-                tail_log2 = -m + (k - 1) * math.log2(1.0 + math.log(m)) + math.log2(rho / (1.0 - rho))
+                tail_log2 = -m + (depth - 1) * math.log2(1.0 + math.log(m)) + math.log2(rho / (1.0 - rho))
                 if tail_log2 < stop_log2:
-                    return acc
+                    break
+        stop = _STOPS[key] = m
+    return stop
 
 
-def _factor(word: str, fbits: int, max_terms: int) -> int:
-    if not word:
-        return 1 << fbits
-    key = (word, fbits)
-    cached = _FACTOR_CACHE.get(key)
-    if cached is not None:
-        return cached
-    value = _series_half_fixed(_word_runs(word), fbits, max_terms)
+def _inverse_powers(n: int, fbits: int, terms: int) -> list[int]:
+    """``(1 << fbits) // m**n`` for ``m = 0..terms`` or more (entry 0 is 0)."""
+    table = _INV_POWERS.setdefault((n, fbits), [0])
+    if len(table) <= terms:
+        one = 1 << fbits
+        with _FACTOR_LOCK:
+            table.extend([one // m**n for m in range(len(table), terms + 1)])
+    return table
+
+
+def _suffix_factors(word: str, fbits: int) -> list[int]:
+    """Fixed-point factors of every suffix ``word[j:]``, ``j = 0..len(word)``.
+
+    Each suffix is looked up once in the memo; the missing ones are computed
+    together and stored.  The factor of a suffix with runs ``(n1, ..., nk)``
+    is the series of :func:`_stop` to ``fbits`` fractional bits: with
+    ``inner(i)`` the fixed-point nested sum over ``runs[1:]`` restricted to
+    ``m2 <= i``, it adds ``(2^fbits // m^n1) * inner(m-1) >> (fbits + m)``
+    for ``m = 1 .. _stop(k, fbits)``.  Each inner level is built the same
+    way from the level below it, with a shift of ``fbits``.
+
+    A suffix starting inside block ``a`` of the runs ``(n0, ..., n(k-1))``
+    of ``word`` has runs ``(n', n(a+1), ..., n(k-1))`` with ``n' <= na``,
+    and its inner sums are those of ``runs[a+1:]``, which do not depend on
+    the suffix.  So one pass computes the inner chains of ``runs[1:]``,
+    ``runs[2:]``, ... once, and every missing factor reads its own chain up
+    to the stopping index of its own depth.
+    """
+    values = [_FACTOR_CACHE.get((word[j:], fbits)) for j in range(len(word))]
+    values.append(1 << fbits)
+    if None not in values:
+        return values
+    runs = _word_runs(word)
+    k = len(runs)
+    # (block, first run) of the suffix starting at each position of the word
+    heads = [(a, n) for a, run in enumerate(runs) for n in range(run, 0, -1)]
+    missing = [j for j, value in enumerate(values) if value is None]
+    first = min(heads[j][0] for j in missing)
+    terms = _stop(k - first, fbits)
+    # chains[b][i]: inner sum over runs[b:] after i terms, i = 0..terms-1
+    chains: list[Optional[list[int]]] = [None] * (k + 1)
+    chains[k] = [1 << fbits] * terms
+    for b in range(k - 1, first, -1):
+        inv = _inverse_powers(runs[b], fbits, terms)
+        below = chains[b + 1]
+        chains[b] = [0, *accumulate(map(rshift, map(mul, inv[1:terms], below), repeat(fbits)))]
+    found = {}
+    for j in missing:
+        a, n = heads[j]
+        stop = _stop(k - a, fbits)
+        inv = _inverse_powers(n, fbits, stop)
+        inner = chains[a + 1]
+        values[j] = found[(word[j:], fbits)] = sum(
+            map(rshift, map(mul, inv[1 : stop + 1], inner), range(fbits + 1, fbits + stop + 1))
+        )
     with _FACTOR_LOCK:
-        _FACTOR_CACHE[key] = value
-    return value
+        _FACTOR_CACHE.update(found)
+    return values
 
 
 def clear_factor_cache() -> None:
-    """Drop memoised series factors (they are recomputed on demand)."""
+    """Drop memoised series factors, stopping indices and inverse-power
+    tables (all are recomputed on demand)."""
     with _FACTOR_LOCK:
         _FACTOR_CACHE.clear()
+        _STOPS.clear()
+        _INV_POWERS.clear()
 
 
 # -- evaluators ---------------------------------------------------------------
@@ -352,11 +409,19 @@ def clear_factor_cache() -> None:
 def _eval_uncached(k: Index, cfg: EvalConfig) -> float:
     fbits = cfg.precision
     word = to_word(k)
-    acc = 0
-    for j in range(len(word) + 1):
-        upper = _factor(reverse_swap(word[:j]), fbits, cfg.max_terms)
-        lower = _factor(word[j:], fbits, cfg.max_terms)
-        acc += (upper * lower) >> fbits
+    # The two full words are the deepest factors and stops grow with depth,
+    # so this one check covers every factor, memoised or not.
+    deepest = max(k.depth, len(word) - k.depth)
+    if _stop(deepest, fbits) > cfg.max_terms:
+        raise PrecisionError(
+            f"series cap of {cfg.max_terms} terms is below what a depth-{deepest} "
+            f"factor needs to meet the error budget (index {k}, precision {fbits} bits)"
+        )
+    # The upper factor of the split after j letters is reverse_swap(word[:j]),
+    # which is the suffix of length j of the dual word.
+    lower = _suffix_factors(word, fbits)
+    upper = _suffix_factors(reverse_swap(word), fbits)
+    acc = sum((u * v) >> fbits for u, v in zip(reversed(upper), lower))
     return math.ldexp(float(acc), -fbits)
 
 

@@ -1,11 +1,13 @@
 """Tests for the word codec, the nested-series evaluator, and its cache."""
 
+import hashlib
 import math
 import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ohno import zeta
 from ohno.indices import EMPTY, Index, IndexCombination, iter_admissible, repeat
 from ohno.zeta import (
     DEFAULT_CONFIG,
@@ -251,12 +253,18 @@ def test_eval_combination_large_mass():
 
 
 def test_series_cap_exhaustion_raises():
-    # The cap governs fresh series computation; a warm factor cache may
-    # legitimately satisfy the request, so pin the cold-start contract.
     clear_factor_cache()
     cfg = EvalConfig(tol=1e-12, max_terms=8)
     with pytest.raises(PrecisionError):
         eval_zeta(Index((2,)), cfg)
+
+
+def test_series_cap_ignores_warm_factors():
+    """The cap is a property of the request: factors memoised by an earlier
+    call at the default cap must not let a short cap through."""
+    eval_zeta(Index((2,)), EvalConfig(tol=1e-12))
+    with pytest.raises(PrecisionError):
+        eval_zeta(Index((2,)), EvalConfig(tol=1e-12, max_terms=8))
 
 
 def test_series_cap_exhaustion_from_combination():
@@ -264,6 +272,23 @@ def test_series_cap_exhaustion_from_combination():
     cfg = EvalConfig(tol=1e-12, max_terms=8)
     with pytest.raises(PrecisionError):
         eval_combination(IndexCombination.from_index(Index((3,))), cfg)
+
+
+def test_factor_memo_pinned():
+    """Every memoised series factor of a cold sweep over all admissible
+    indices of weight <= 12 at three tolerances, pinned bit for bit.  The
+    digest also pins the memo's key set: no factor is stored that no
+    deconcatenation uses."""
+    clear_factor_cache()
+    for tol in (1e-8, 1e-12, 1e-15):
+        cfg = EvalConfig(tol=tol)
+        for k in iter_admissible(12):
+            eval_zeta(k, cfg)
+    table = "".join(f"{w}\t{b}\t{v:x}\n" for (w, b), v in sorted(zeta._FACTOR_CACHE.items()))
+    assert len(zeta._FACTOR_CACHE) == 9213
+    assert hashlib.sha256(table.encode()).hexdigest() == (
+        "693dad3e96608862b57588ba6e0634e92aaff98f1458d0882c7e18c6905e1b25"
+    )
 
 
 def test_generous_cap_succeeds():
