@@ -12,15 +12,24 @@ and the three products used throughout the package:
                   over all positions,
 * ``star_single`` -- the depth-one harmonic product ``(k) * l = (k)#l + (k) hast l``.
 
-Everything in this module is exact: coefficients are ``fractions.Fraction``
-and no floats ever appear.
+Everything in this module is exact and no floats ever appear.  A
+coefficient is an ``int`` whenever its value is an integer and a
+``fractions.Fraction`` otherwise; only rational input (a ``Fraction``
+scalar, or a ``Scale`` in :mod:`ohno.expr`) brings one in, and a
+``Fraction`` with denominator 1 is stored as an ``int``.  Equal values
+compare and hash alike in both types, so the rule changes no result.
+
+The public constructors ``Index(...)`` and ``IndexCombination(...)`` check
+what they are given.  What the algebra builds from checked operands (sums,
+scalings, products, shifts and duals) goes through the trusted constructors
+``_trusted_index`` and ``_trusted_combination``, which drop zero terms but
+check nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 __all__ = [
@@ -97,7 +106,7 @@ class Index:
         for a, b in reversed(pairs):
             out.extend([1] * (b - 1))
             out.append(a + 1)
-        return Index(tuple(out))
+        return _trusted_index(tuple(out))
 
     def oplus(self, shift: tuple[int, ...]) -> "Index":
         """Componentwise sum with a same-depth vector of nonnegative integers."""
@@ -144,6 +153,14 @@ class Index:
 EMPTY = Index(())
 
 
+def _trusted_index(entries: tuple[int, ...]) -> Index:
+    """An index over a tuple of positive ints the algebra built itself,
+    without the checks of ``Index(...)``."""
+    k = object.__new__(Index)
+    object.__setattr__(k, "entries", entries)
+    return k
+
+
 def repeat(a: int, l: int) -> Index:
     """The index ``({a}^l)``: the entry ``a`` repeated ``l`` times."""
     if not isinstance(a, int) or a < 1:
@@ -157,6 +174,20 @@ def _sort_key(k: Index) -> tuple[int, tuple[int, ...]]:
     return (k.depth, k.entries)
 
 
+def _scalar(c: Scalar) -> Scalar:
+    """``c`` as a stored coefficient: an ``int`` when integral, else a
+    ``Fraction``; ``Fraction(c)`` rejects what is not a number."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _canonical(terms: Mapping[Index, Scalar]) -> dict[Index, Scalar]:
+    """Drop zero terms and store integral coefficients as ``int``."""
+    return {k: c if type(c) is int else _scalar(c) for k, c in terms.items() if c}
+
+
 class IndexCombination:
     """A finite formal sum of indices with exact rational coefficients.
 
@@ -168,18 +199,14 @@ class IndexCombination:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Union[Mapping[Index, Scalar], Iterable[tuple[Index, Scalar]], None] = None):
-        data: dict[Index, Fraction] = {}
+        data: dict[Index, Scalar] = {}
         if terms is not None:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for k, c in items:
                 if not isinstance(k, Index):
                     raise ValueError(f"combination keys must be Index, got {k!r}")
-                c = Fraction(c)
-                if c:
-                    data[k] = data.get(k, Fraction(0)) + c
-                    if not data[k]:
-                        del data[k]
-        self._terms = {k: c for k, c in data.items() if c}
+                data[k] = data.get(k, 0) + _scalar(c)
+        self._terms = _canonical(data)
 
     # -- construction helpers -------------------------------------------------
 
@@ -197,28 +224,28 @@ class IndexCombination:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def items(self) -> list[tuple[Index, Fraction]]:
+    def items(self) -> list[tuple[Index, Scalar]]:
         """Terms in canonical order: by depth, then lexicographically."""
         return sorted(self._terms.items(), key=lambda kv: _sort_key(kv[0]))
 
     def support(self) -> list[Index]:
         return sorted(self._terms, key=_sort_key)
 
-    def coefficient(self, k: Index) -> Fraction:
-        return self._terms.get(k, Fraction(0))
+    def coefficient(self, k: Index) -> Scalar:
+        return self._terms.get(k, 0)
 
-    def coefficient_mass(self) -> Fraction:
+    def coefficient_mass(self) -> Scalar:
         """Sum of absolute values of the coefficients."""
-        return sum((abs(c) for c in self._terms.values()), Fraction(0))
+        return sum(abs(c) for c in self._terms.values())
 
-    def term_count(self) -> Fraction:
+    def term_count(self) -> Scalar:
         """Sum of the coefficients (terms counted with multiplicity)."""
-        return sum(self._terms.values(), Fraction(0))
+        return sum(self._terms.values())
 
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __iter__(self) -> Iterator[tuple[Index, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Index, Scalar]]:
         return iter(self.items())
 
     def __contains__(self, k: Index) -> bool:
@@ -231,24 +258,24 @@ class IndexCombination:
             return NotImplemented
         out = dict(self._terms)
         for k, c in other._terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return IndexCombination(out)
+            out[k] = out.get(k, 0) + c
+        return _trusted_combination(out)
 
     def __sub__(self, other: "IndexCombination") -> "IndexCombination":
         if not isinstance(other, IndexCombination):
             return NotImplemented
         out = dict(self._terms)
         for k, c in other._terms.items():
-            out[k] = out.get(k, Fraction(0)) - c
-        return IndexCombination(out)
+            out[k] = out.get(k, 0) - c
+        return _trusted_combination(out)
 
     def __neg__(self) -> "IndexCombination":
-        return IndexCombination({k: -c for k, c in self._terms.items()})
+        return _trusted_combination({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, scalar: Scalar) -> "IndexCombination":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return IndexCombination({k: c * scalar for k, c in self._terms.items()})
+        return _trusted_combination({k: c * scalar for k, c in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -263,25 +290,33 @@ class IndexCombination:
 
     def map_indices(self, f: Callable[[Index], Index]) -> "IndexCombination":
         """Apply an index-to-index map to the support, keeping coefficients."""
-        out: dict[Index, Fraction] = {}
+        out: dict[Index, Scalar] = {}
         for k, c in self._terms.items():
             kk = f(k)
-            out[kk] = out.get(kk, Fraction(0)) + c
-        return IndexCombination(out)
+            out[kk] = out.get(kk, 0) + c
+        return _trusted_combination(out)
 
     def map_linear(self, f: Callable[[Index], "IndexCombination"]) -> "IndexCombination":
         """Extend an index-to-combination map linearly."""
-        out: dict[Index, Fraction] = {}
+        out: dict[Index, Scalar] = {}
         for k, c in self._terms.items():
             for kk, cc in f(k)._terms.items():
-                out[kk] = out.get(kk, Fraction(0)) + c * cc
-        return IndexCombination(out)
+                out[kk] = out.get(kk, 0) + c * cc
+        return _trusted_combination(out)
 
     def __repr__(self) -> str:
         return f"IndexCombination({combination_to_text(self)!r})"
 
     def __str__(self) -> str:
         return combination_to_text(self)
+
+
+def _trusted_combination(terms: Mapping[Index, Scalar]) -> IndexCombination:
+    """A combination over terms the algebra built itself, made canonical
+    but without the checks of ``IndexCombination(...)``."""
+    comb = object.__new__(IndexCombination)
+    comb._terms = _canonical(terms)
+    return comb
 
 
 def as_combination(x: Union[Index, IndexCombination]) -> IndexCombination:
@@ -375,25 +410,31 @@ def _admissible_of_weight(w: int) -> Iterator[Index]:
 # -- the interleaving product -------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _interleave(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _interleave(a: tuple[int, ...], b: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """Interleavings of two entry sequences, with multiplicities.
 
-    Defined by the end-recursion  (K,k)#(L,l) = (K#(L,l), k) + ((K,k)#L, l)
-    with the empty sequence as the unit.
+    A count table over positions: ``row[j]`` maps every interleaving of
+    ``a[:i]`` and ``b[:j]`` to its multiplicity, and row ``i`` follows from
+    row ``i - 1`` by the end-recursion
+
+        (K,k)#(L,l) = (K#(L,l), k) + ((K,k)#L, l)
+
+    with the empty sequence as the unit.  Only two rows are alive at a time,
+    and nothing outlives the call.
     """
-    if not a:
-        return ((b, 1),)
-    if not b:
-        return ((a, 1),)
-    acc: dict[tuple[int, ...], int] = {}
-    for t, n in _interleave(a[:-1], b):
-        key = t + (a[-1],)
-        acc[key] = acc.get(key, 0) + n
-    for t, n in _interleave(a, b[:-1]):
-        key = t + (b[-1],)
-        acc[key] = acc.get(key, 0) + n
-    return tuple(sorted(acc.items()))
+    row = [{b[:j]: 1} for j in range(len(b) + 1)]
+    for x in a:
+        cell = {t + (x,): n for t, n in row[0].items()}
+        next_row = [cell]
+        for above, y in zip(row[1:], b):
+            left = cell
+            cell = {t + (x,): n for t, n in above.items()}
+            for t, n in left.items():
+                t += (y,)
+                cell[t] = cell.get(t, 0) + n
+            next_row.append(cell)
+        row = next_row
+    return row[-1]
 
 
 def sha(left: Union[Index, IndexCombination], right: Union[Index, IndexCombination]) -> IndexCombination:
@@ -405,14 +446,13 @@ def sha(left: Union[Index, IndexCombination], right: Union[Index, IndexCombinati
     """
     a = as_combination(left)
     b = as_combination(right)
-    out: dict[Index, Fraction] = {}
+    out: dict[tuple[int, ...], Scalar] = {}
     for ka, ca in a._terms.items():
         for kb, cb in b._terms.items():
             c = ca * cb
-            for entries, mult in _interleave(ka.entries, kb.entries):
-                key = Index(entries)
-                out[key] = out.get(key, Fraction(0)) + c * mult
-    return IndexCombination(out)
+            for entries, mult in _interleave(ka.entries, kb.entries).items():
+                out[entries] = out.get(entries, 0) + c * mult
+    return _trusted_combination({_trusted_index(entries): c for entries, c in out.items()})
 
 
 # -- the position-sum product -------------------------------------------------
@@ -431,13 +471,12 @@ def hast(k: int, target: Union[Index, IndexCombination]) -> IndexCombination:
     def one(idx: Index) -> IndexCombination:
         if idx.depth == 0:
             raise ValueError("hast is undefined against the empty index ()")
-        terms: dict[Index, Fraction] = {}
-        for i in range(idx.depth):
-            entries = list(idx.entries)
-            entries[i] += k
-            key = Index(tuple(entries))
-            terms[key] = terms.get(key, Fraction(0)) + 1
-        return IndexCombination(terms)
+        e = idx.entries
+        terms: dict[Index, int] = {}
+        for i in range(len(e)):
+            key = _trusted_index(e[:i] + (e[i] + k,) + e[i + 1 :])
+            terms[key] = terms.get(key, 0) + 1
+        return _trusted_combination(terms)
 
     return comb.map_linear(one)
 

@@ -26,11 +26,14 @@ sums through :func:`~ohno.zeta.eval_combination`.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Optional, Union
 
 from ohno.indices import (
     Index,
     IndexCombination,
+    _trusted_combination,
+    _trusted_index,
     append_entry,
     as_combination,
     dual_linear,
@@ -91,7 +94,9 @@ def ohno_shifts(k: Index, m: int) -> IndexCombination:
     _check_order(m)
     if not k.admissible:
         raise ValueError(f"shifted sums need an admissible index, got {k}")
-    return IndexCombination((k.oplus(e), 1) for e in enumerate_shifts(k.depth, m))
+    entries = k.entries
+    shifts = enumerate_shifts(k.depth, m)
+    return _trusted_combination({_trusted_index(tuple(map(add, entries, e))): 1 for e in shifts})
 
 
 def ohno_sum_symbolic(comb: Union[Index, IndexCombination], m: int) -> IndexCombination:

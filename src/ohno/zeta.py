@@ -47,6 +47,12 @@ those of the runs after its first block), so all the missing suffix factors
 of a word are computed in one pass over its inner chains, and each factor
 is looked up in the memo once per evaluation.
 
+The final double is memoised too, per (index entries, ``P``), so an index
+evaluated before costs one lookup instead of the word, the two suffix
+passes and the product sum.  That memo sits after the ``max_terms`` check:
+the cap belongs to the request, not to the key, and a value memoised under
+a generous cap must not answer a request whose cap is too short for it.
+
 Repeated evaluation with an identical configuration is bit-identical.
 """
 
@@ -56,6 +62,7 @@ import contextlib
 import math
 import os
 import threading
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from operator import mul, rshift
@@ -298,6 +305,10 @@ _FACTOR_LOCK = threading.Lock()
 # Inverse-power tables only grow, in place, so a shorter read stays valid.
 _STOPS: dict[tuple[int, int], int] = {}
 _INV_POWERS: dict[tuple[int, int], list[int]] = {}
+# Final value per precision and index entries (the index's own tuple, so a
+# value costs no key of its own): a pure function of the two, like the
+# factors it is summed from.
+_VALUES: defaultdict[int, dict[tuple[int, ...], float]] = defaultdict(dict)
 
 
 def _stop(depth: int, fbits: int) -> int:
@@ -395,9 +406,10 @@ def _suffix_factors(word: str, fbits: int) -> list[int]:
 
 
 def clear_factor_cache() -> None:
-    """Drop memoised series factors, stopping indices and inverse-power
-    tables (all are recomputed on demand)."""
+    """Drop memoised values, series factors, stopping indices and
+    inverse-power tables (all are recomputed on demand)."""
     with _FACTOR_LOCK:
+        _VALUES.clear()
         _FACTOR_CACHE.clear()
         _STOPS.clear()
         _INV_POWERS.clear()
@@ -408,21 +420,26 @@ def clear_factor_cache() -> None:
 
 def _eval_uncached(k: Index, cfg: EvalConfig) -> float:
     fbits = cfg.precision
-    word = to_word(k)
-    # The two full words are the deepest factors and stops grow with depth,
-    # so this one check covers every factor, memoised or not.
-    deepest = max(k.depth, len(word) - k.depth)
+    # The two full words (the index's and its dual's, of length the weight)
+    # are the deepest factors and stops grow with depth, so this one check
+    # covers every factor, memoised or not.  It precedes the value memo.
+    deepest = max(k.depth, k.weight - k.depth)
     if _stop(deepest, fbits) > cfg.max_terms:
         raise PrecisionError(
             f"series cap of {cfg.max_terms} terms is below what a depth-{deepest} "
             f"factor needs to meet the error budget (index {k}, precision {fbits} bits)"
         )
-    # The upper factor of the split after j letters is reverse_swap(word[:j]),
-    # which is the suffix of length j of the dual word.
-    lower = _suffix_factors(word, fbits)
-    upper = _suffix_factors(reverse_swap(word), fbits)
-    acc = sum((u * v) >> fbits for u, v in zip(reversed(upper), lower))
-    return math.ldexp(float(acc), -fbits)
+    values = _VALUES[fbits]
+    value = values.get(k.entries)
+    if value is None:
+        word = to_word(k)
+        # The upper factor of the split after j letters is
+        # reverse_swap(word[:j]), the suffix of length j of the dual word.
+        lower = _suffix_factors(word, fbits)
+        upper = _suffix_factors(reverse_swap(word), fbits)
+        acc = sum((u * v) >> fbits for u, v in zip(reversed(upper), lower))
+        value = values[k.entries] = math.ldexp(float(acc), -fbits)
+    return value
 
 
 def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
@@ -451,20 +468,21 @@ def eval_combination(comb: Union[Index, IndexCombination], cfg: Optional[EvalCon
     never pushed below 1e-15 because the memoised values are doubles anyway.
     """
     cfg = cfg or DEFAULT_CONFIG
-    comb = as_combination(comb)
-    for idx in comb.support():
+    terms = as_combination(comb).items()
+    mass = 0
+    for idx, c in terms:
         if not idx.admissible:
             raise ValueError(f"cannot evaluate non-admissible index {idx}")
-    if comb.is_zero:
+        mass += abs(c)
+    if not terms:
         return 0.0
     if cfg.working_precision is None:
-        mass = float(comb.coefficient_mass())
-        bucket = max(cfg.bucket, math.ceil(-math.log10(cfg.tol / max(mass, 1.0)) - 1e-9))
+        bucket = max(cfg.bucket, math.ceil(-math.log10(cfg.tol / max(float(mass), 1.0)) - 1e-9))
         bucket = min(bucket, _MAX_COMBINATION_BUCKET)
         term_cfg = EvalConfig(tol=10.0**-bucket, max_terms=cfg.max_terms, cache=cfg.cache)
     else:
         term_cfg = cfg
-    return math.fsum(float(c) * eval_zeta(k, term_cfg) for k, c in comb.items())
+    return math.fsum(float(c) * eval_zeta(k, term_cfg) for k, c in terms)
 
 
 def eval_zeta_direct(k: Index, terms: int) -> tuple[float, float]:

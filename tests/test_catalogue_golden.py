@@ -3,9 +3,11 @@
 ``catalogue_golden.json`` records, for each identity, the report fields
 ``identity``, ``kind``, ``grid``, ``tol`` and ``pass``, and one row per
 point: ``[params, reason]`` for a refused point, ``[params, evals,
-threshold, equal, pass]`` for an evaluated one.  Residuals and timings are
-not pinned: a change of evaluation order may move a residual, but never a
-verdict or a threshold.
+threshold, equal, pass]`` for an evaluated one.  Timings are not pinned.
+Residuals are pinned apart, as one digest of their bits
+(``test_default_residuals_pinned``): a change meant to keep every value
+must keep it, and one meant to move values (a new working precision, say)
+states so and rewrites the digest, never a verdict or a threshold.
 
 The file was written from the catalogue as it stood before identities were
 restated as ``(lhs, rhs)`` sides.  Rewrite it only for an intended change of
@@ -14,6 +16,7 @@ the catalogue::
     PYTHONPATH=src python tests/test_catalogue_golden.py
 """
 
+import hashlib
 import json
 import pathlib
 
@@ -65,6 +68,23 @@ def test_default_grids_match_golden():
     assert [r["identity"] for r in got] == [r["identity"] for r in expected]
     for got_row, want_row in zip(got, expected):
         assert got_row == want_row, got_row["identity"]
+
+
+def test_default_residuals_pinned():
+    """Every residual of every numeric default-grid point, bit for bit.
+
+    The golden file pins verdicts and thresholds only, so a change that
+    moves value bits would pass it unnoticed; a speed-up must not."""
+    lines = []
+    for spec in list_identities():
+        for p in verify(spec.name).points:
+            if p.residual is not None:
+                params = json.dumps(dict(p.params), sort_keys=True)
+                lines.append(f"{spec.name}\t{params}\t{p.residual.hex()}\n")
+    assert len(lines) == 390
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "8ea01c81f9bfe376de2f719017cb3eba9c8cc5b3d0887c60beb4fb71a1598a63"
+    )
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from ohno.indices import (
     sha,
     star_single,
 )
+from ohno.sums import ohno_sum_symbolic
 
 
 # ---------------------------------------------------------------------------
@@ -500,3 +501,58 @@ def test_dual_linear_merges():
 def test_dual_linear_involution(pairs):
     c = IndexCombination(pairs)
     assert dual_linear(dual_linear(c)) == c
+
+
+# ---------------------------------------------------------------------------
+# coefficient types: int unless a non-integer appears
+# ---------------------------------------------------------------------------
+
+
+def test_products_have_int_coefficients():
+    products = [
+        sha(Index((1, 2)), Index((1, 2, 3))),
+        sha(sha(Index((2,)), Index((3,))), repeat(2, 2)),
+        hast(2, sha(Index((3,)), repeat(2, 2))),
+        ohno_sum_symbolic(sha(Index((3,)), repeat(2, 2)), 2),
+        dual_linear(sha(Index((3,)), repeat(2, 2))),
+        star_single(2, Index((1, 3))),
+    ]
+    for comb in products:
+        assert comb.items()
+        assert all(type(c) is int for _, c in comb.items())
+
+
+def test_integral_fraction_is_stored_as_int():
+    k = Index((2,))
+    for comb in (
+        IndexCombination([(k, Fraction(4, 2))]),
+        IndexCombination.from_index(k, Fraction(1, 2)) * Fraction(4),
+        IndexCombination.from_index(k, Fraction(1, 2)) + IndexCombination.from_index(k, Fraction(3, 2)),
+    ):
+        assert comb.coefficient(k) == 2
+        assert type(comb.coefficient(k)) is int
+
+
+def test_half_coefficients_stay_exact():
+    half = Fraction(1, 2)
+    a = IndexCombination([(Index((2,)), half), (Index((3,)), 1)])
+    b = IndexCombination([(Index((2,)), half), (Index((1, 2)), half)])
+    total = a + b
+    assert total.coefficient(Index((2,))) == 1 and type(total.coefficient(Index((2,)))) is int
+    assert total.coefficient(Index((1, 2))) == half
+    assert (b * 3).coefficient(Index((1, 2))) == Fraction(3, 2)
+    halved = a.map_linear(lambda k: IndexCombination.from_index(k, half))
+    assert halved.coefficient(Index((2,))) == Fraction(1, 4)
+    assert halved.coefficient(Index((3,))) == half
+    assert combination_to_text(total) == "(2) + (3) + 1/2*(1,2)"
+    assert combination_to_text(halved) == "1/4*(2) + 1/2*(3)"
+
+
+def test_statistics_are_exact_for_both_coefficient_types():
+    ints = IndexCombination([(Index((2,)), -2), (Index((3,)), 5)])
+    assert ints.coefficient_mass() == 7 and type(ints.coefficient_mass()) is int
+    assert ints.term_count() == 3 and type(ints.term_count()) is int
+    halves = IndexCombination([(Index((2,)), Fraction(-1, 2)), (Index((3,)), Fraction(1, 3))])
+    assert halves.coefficient_mass() == Fraction(5, 6)
+    assert halves.term_count() == Fraction(-1, 6)
+    assert IndexCombination().coefficient_mass() == 0

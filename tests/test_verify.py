@@ -214,6 +214,20 @@ def test_broken_identity_fails_at_every_point(name, monkeypatch):
             assert point.equal is False
 
 
+@pytest.mark.parametrize("spec", list_identities(), ids=lambda spec: spec.name)
+def test_catalogue_sides_have_int_coefficients(spec):
+    """Every side the catalogue builds is integral, so its coefficients are
+    stored as ``int``: only rational input brings in a ``Fraction``."""
+    norm, _ = catalogue._normalize_grid(spec, {})
+    params = next(catalogue._iter_points(spec, norm))
+    assert catalogue._refusal(spec, params) is None
+    for pair in spec.sides(**params):
+        for side in pair:
+            for comb in side if isinstance(side, tuple) else (side,):
+                assert comb.items()
+                assert all(type(c) is int for _, c in comb.items())
+
+
 # ---------------------------------------------------------------------------
 # error-budget chaining
 # ---------------------------------------------------------------------------

@@ -267,6 +267,23 @@ def test_series_cap_ignores_warm_factors():
         eval_zeta(Index((2,)), EvalConfig(tol=1e-12, max_terms=8))
 
 
+def test_series_cap_ignores_warm_value_memo():
+    """The memoised value of an index must not let a short cap through
+    either: the cap check comes first."""
+    k = Index((2,))
+    value = eval_zeta(k)
+    assert zeta._VALUES[DEFAULT_CONFIG.precision][k.entries] == value
+    with pytest.raises(PrecisionError):
+        eval_zeta(k, EvalConfig(max_terms=8))
+
+
+def test_clear_factor_cache_empties_value_memo():
+    eval_zeta(Index((2, 3)))
+    assert zeta._VALUES
+    clear_factor_cache()
+    assert not zeta._VALUES
+
+
 def test_series_cap_exhaustion_from_combination():
     clear_factor_cache()
     cfg = EvalConfig(tol=1e-12, max_terms=8)
