@@ -205,7 +205,7 @@ class IndexCombination:
             for k, c in items:
                 if not isinstance(k, Index):
                     raise ValueError(f"combination keys must be Index, got {k!r}")
-                data[k] = data.get(k, 0) + _scalar(c)
+                data[k] = data.get(k, 0) + (c if type(c) is int else _scalar(c))
         self._terms = _canonical(data)
 
     # -- construction helpers -------------------------------------------------

@@ -13,9 +13,11 @@ families used by the identity catalogue in :mod:`ohno.verify`:
   (``dual_gap_skew_sides``, ``dual_gap_skew_symbolic``);
 * a three-part decomposition ``term_a + term_b + term_c`` of a particular
   skew gap, with closed-form re-expansions of each part;
-* two exact rewriting families (``grouped_*`` vs ``composed_*``) expressing
-  the same block-shaped shifted sums either as layered shifted sums or as
-  composition sums with an explicit weight factor;
+* the block ``{2}^(l+1)`` with one entry raised or split at positions ``p``
+  and ``q``, as layered shifted sums (``grouped_*``) and as weighted
+  composition sums (``composed_*``); summed over all positions they give
+  ``-term_a``, ``term_bc_closed`` and the expansions ``*_entry_expansion``,
+  and at ``p = q`` the split family has three parts (``split_diag_parts``);
 * the two sides of the derivative-style relation of double shuffle
   (``hoffman_sides``).
 
@@ -26,8 +28,9 @@ sums through :func:`~ohno.zeta.eval_combination`.
 
 from __future__ import annotations
 
+from functools import reduce
 from operator import add
-from typing import Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from ohno.indices import (
     Index,
@@ -46,18 +49,14 @@ from ohno.zeta import EvalConfig, eval_combination
 
 __all__ = [
     "composed_single",
-    "composed_single_total",
     "composed_split",
-    "composed_split_total",
     "dual_gap_operands",
     "dual_gap_skew_sides",
     "dual_gap_skew_symbolic",
     "dualized_hast_expansion",
     "dualized_shuffle_expansion",
     "grouped_single",
-    "grouped_single_total",
     "grouped_split",
-    "grouped_split_total",
     "hast_merge_sides",
     "hast_shifted_sum",
     "hoffman_sides",
@@ -69,7 +68,6 @@ __all__ = [
     "split_diag_parts",
     "split_entry_expansion",
     "term_a",
-    "term_a_layers",
     "term_b",
     "term_bc_closed",
     "term_c",
@@ -81,8 +79,9 @@ def _check_order(m: int) -> None:
         raise ValueError(f"shift order must be a nonnegative integer, got {m!r}")
 
 
-def _single(entry: int) -> IndexCombination:
-    return IndexCombination.from_index(Index((entry,)))
+def _count(terms: Iterable[tuple[int, ...]]) -> IndexCombination:
+    """The combination counting each entry tuple of ``terms`` once per occurrence."""
+    return IndexCombination((Index(entries), 1) for entries in terms)
 
 
 # -- shifted sums -------------------------------------------------------------
@@ -101,6 +100,8 @@ def ohno_shifts(k: Index, m: int) -> IndexCombination:
 
 def ohno_sum_symbolic(comb: Union[Index, IndexCombination], m: int) -> IndexCombination:
     """Linear extension of :func:`ohno_shifts`."""
+    if isinstance(comb, Index):
+        return ohno_shifts(comb, m)
     _check_order(m)
     return as_combination(comb).map_linear(lambda k: ohno_shifts(k, m))
 
@@ -164,10 +165,7 @@ def hast_shifted_sum(base: Union[Index, IndexCombination], k0: int, m: int) -> I
     _check_order(m)
     if not isinstance(k0, int) or k0 < 1:
         raise ValueError(f"hast base must be a positive integer, got {k0!r}")
-    total = IndexCombination.zero()
-    for m1 in range(m + 1):
-        total = total + hast(k0 + m1, ohno_sum_symbolic(base, m - m1))
-    return total
+    return reduce(add, (hast(k0 + m1, ohno_sum_symbolic(base, m - m1)) for m1 in range(m + 1)))
 
 
 # -- three-part decomposition of a skew gap -----------------------------------
@@ -181,34 +179,50 @@ def _check_block(s: int, l: int, m: int) -> None:
     _check_order(m)
 
 
-def term_a_layers(s: int, l: int, m: int) -> list[IndexCombination]:
-    """Layer ``a`` of the first decomposition part:
-    ``(s+a+3) # {2}^l + (s+a+2) # (3) # {2}^(l-1)`` for ``a = 0..m``
-    (the second summand is dropped at ``l = 0``)."""
-    _check_block(s, l, m)
-    layers = []
-    for a in range(m + 1):
-        comb = sha(Index((s + a + 3,)), repeat(2, l))
-        if l >= 1:
-            comb = comb + sha(sha(_single(s + a + 2), _single(3)), repeat(2, l - 1))
-        layers.append(comb)
-    return layers
+def _layers(m: int, layer: Callable[[int], Union[Index, IndexCombination]]) -> IndexCombination:
+    """``sum over a = 0..m of O_(m-a)-family(layer(a))``, the layered form
+    shared by the decomposition parts and the grouped families."""
+    return reduce(add, (ohno_sum_symbolic(layer(a), m - a) for a in range(m + 1)))
+
+
+def _block(n: int, *raises: tuple[int, int], one_before: int = 0) -> Index:
+    """The block ``{2}^n`` with each ``(position, amount)`` of ``raises`` added at
+    its 1-based position, then a 1 inserted before position ``one_before`` if set."""
+    entries = [2] * n
+    for position, amount in raises:
+        entries[position - 1] += amount
+    if one_before:
+        entries.insert(one_before - 1, 1)
+    return _trusted_index(tuple(entries))
+
+
+def _pairs(s: int, l: int, m: int, p: int) -> IndexCombination:
+    """``sum over 0<=j<=s-2 of O_m-family({2}^(p-1), j+2, s-j+1, {2}^(l-p+1))``."""
+    return reduce(add, (ohno_shifts(_block(l + 2, (p, j), (p + 1, s - j - 1)), m) for j in range(s - 1)))
 
 
 def term_a(s: int, l: int, m: int) -> IndexCombination:
     """First decomposition part, fully expanded and signed:
-    ``- sum over a of O_(m-a)-family(layer a)``."""
-    total = IndexCombination.zero()
-    for a, layer in enumerate(term_a_layers(s, l, m)):
-        total = total + ohno_sum_symbolic(layer, m - a)
-    return -total
+
+        - sum over a of O_(m-a)-family((s+a+3) # {2}^l + (s+a+2) # (3) # {2}^(l-1))
+
+    (the second summand is dropped at ``l = 0``)."""
+    _check_block(s, l, m)
+
+    def layer(a: int) -> IndexCombination:
+        comb = sha(Index((s + a + 3,)), repeat(2, l))
+        if l >= 1:
+            comb = comb + sha(sha(Index((s + a + 2,)), Index((3,))), repeat(2, l - 1))
+        return comb
+
+    return -_layers(m, layer)
 
 
 def term_b(s: int, l: int, m: int) -> IndexCombination:
     """Second decomposition part: the position-sum family against the
     dualised block, ``sum over m1+m2=m of (s+m1) hast ((3)#{2}^l)^dual + shifts``."""
     _check_block(s, l, m)
-    base = dual_linear(sha(_single(3), repeat(2, l)))
+    base = dual_linear(sha(Index((3,)), repeat(2, l)))
     return hast_shifted_sum(base, s, m)
 
 
@@ -216,12 +230,7 @@ def term_c(s: int, l: int, m: int) -> IndexCombination:
     """Third decomposition part, in reduced closed form:
     ``sum over 0<=i<=l, 0<=j<=s-2 of O_m-family({2}^i, j+2, s-j+1, {2}^(l-i))``."""
     _check_block(s, l, m)
-    total = IndexCombination.zero()
-    for i in range(l + 1):
-        for j in range(s - 1):
-            idx = Index((2,) * i + (j + 2, s - j + 1) + (2,) * (l - i))
-            total = total + ohno_shifts(idx, m)
-    return total
+    return reduce(add, (_pairs(s, l, m, p) for p in range(1, l + 2)))
 
 
 def term_bc_closed(s: int, l: int, m: int) -> IndexCombination:
@@ -231,19 +240,18 @@ def term_bc_closed(s: int, l: int, m: int) -> IndexCombination:
                      + O_(m-a)-family((s+a+1)#{2}^l, 2)
                      + O_(m-a)-family((1)#{2}^l, s+a+2)
 
-    (an appended entry extends every index of the combination) plus the
-    reduced closed form of ``term_c``."""
+    (an appended entry extends every index of the combination; the first
+    family is dropped at ``l = 0``) plus the reduced closed form of ``term_c``."""
     _check_block(s, l, m)
-    total = IndexCombination.zero()
-    for a in range(m + 1):
+
+    def layer(a: int) -> IndexCombination:
+        comb = append_entry(sha(Index((s + a + 1,)), repeat(2, l)), 2)
+        comb = comb + append_entry(sha(Index((1,)), repeat(2, l)), s + a + 2)
         if l >= 1:
-            first = append_entry(sha(sha(_single(1), _single(s + a + 2)), repeat(2, l - 1)), 2)
-            total = total + ohno_sum_symbolic(first, m - a)
-        second = append_entry(sha(_single(s + a + 1), repeat(2, l)), 2)
-        total = total + ohno_sum_symbolic(second, m - a)
-        third = append_entry(sha(_single(1), repeat(2, l)), s + a + 2)
-        total = total + ohno_sum_symbolic(third, m - a)
-    return total + term_c(s, l, m)
+            comb = comb + append_entry(sha(sha(Index((1,)), Index((s + a + 2,))), repeat(2, l - 1)), 2)
+        return comb
+
+    return _layers(m, layer) + term_c(s, l, m)
 
 
 # -- grouped vs composed block families ---------------------------------------
@@ -253,31 +261,33 @@ def _check_pq(s: int, l: int, m: int, p: int, q: int) -> None:
     _check_block(s, l, m)
     if l < 1:
         raise ValueError(f"block families need l >= 1, got l={l!r}")
-    if not isinstance(p, int) or not 1 <= p <= l + 1:
-        raise ValueError(f"position p must satisfy 1 <= p <= l+1 = {l + 1}, got {p!r}")
-    if not isinstance(q, int) or not 1 <= q <= l + 1:
-        raise ValueError(f"position q must satisfy 1 <= q <= l+1 = {l + 1}, got {q!r}")
+    for name, v in (("p", p), ("q", q)):
+        if not isinstance(v, int) or not 1 <= v <= l + 1:
+            raise ValueError(f"position {name} must satisfy 1 <= {name} <= l+1 = {l + 1}, got {v!r}")
+
+
+def _raise_entry(entries: tuple[int, ...], i: int) -> list[tuple[int, ...]]:
+    """``entries`` with its entry ``i`` (0-based) raised by one."""
+    return [entries[:i] + (entries[i] + 1,) + entries[i + 1 :]]
+
+
+def _split_entry(entries: tuple[int, ...], i: int) -> list[tuple[int, ...]]:
+    """``entries`` with its entry ``i`` (0-based), ``e``, split into each ``(j+1, e-j)``, ``j <= e-2``."""
+    e = entries[i]
+    return [entries[:i] + (j + 1, e - j) + entries[i + 1 :] for j in range(e - 1)]
 
 
 def grouped_single(s: int, l: int, m: int, p: int, q: int) -> IndexCombination:
-    """Layered shifted sums of a {2}-block with one big entry at position
-    ``p`` and one raised entry (3) at position ``q``:
+    """Layered shifted sums of the block ``{2}^(l+1)`` with ``s+a`` added at
+    position ``p`` and 1 added at position ``q``:
 
-        p < q:  sum over a of O_(m-a)-family({2}^(p-1), s+a+2, {2}^(q-p-1), 3, {2}^(l-q+1))
-        p = q:  sum over a of O_(m-a)-family({2}^(p-1), s+a+3, {2}^(l-p+1))
-        p > q:  sum over a of O_(m-a)-family({2}^(q-1), 3, {2}^(p-q-1), s+a+2, {2}^(l-p+1))
+        sum over a of O_(m-a)-family({2}^(l+1) + (s+a) at p + 1 at q)
+
+    For ``p < q`` that index is ``({2}^(p-1), s+a+2, {2}^(q-p-1), 3,
+    {2}^(l-q+1))``, and for ``p = q`` it is ``({2}^(p-1), s+a+3, {2}^(l-p+1))``.
     """
     _check_pq(s, l, m, p, q)
-    total = IndexCombination.zero()
-    for a in range(m + 1):
-        if p < q:
-            idx = (2,) * (p - 1) + (s + a + 2,) + (2,) * (q - p - 1) + (3,) + (2,) * (l - q + 1)
-        elif p == q:
-            idx = (2,) * (p - 1) + (s + a + 3,) + (2,) * (l - p + 1)
-        else:
-            idx = (2,) * (q - 1) + (3,) + (2,) * (p - q - 1) + (s + a + 2,) + (2,) * (l - p + 1)
-        total = total + ohno_shifts(Index(idx), m - a)
-    return total
+    return _layers(m, lambda a: _block(l + 1, (p, s + a), (q, 1)))
 
 
 def composed_single(s: int, l: int, m: int, p: int, q: int) -> IndexCombination:
@@ -286,47 +296,21 @@ def composed_single(s: int, l: int, m: int, p: int, q: int) -> IndexCombination:
         sum over m1 + ... + m(l+1) = m + s of
             max(m_p - s + 1, 0) * (m1+2, ..., m_q+3, ..., m(l+1)+2)
     """
-    _check_pq(s, l, m, p, q)
-    terms: dict[Index, int] = {}
-    for comp in enumerate_shifts(l + 1, m + s):
-        weight = comp[p - 1] - s + 1
-        if weight <= 0:
-            continue
-        entries = tuple(c + 3 if i == q - 1 else c + 2 for i, c in enumerate(comp))
-        idx = Index(entries)
-        terms[idx] = terms.get(idx, 0) + weight
-    return IndexCombination(terms.items())
+    return _composed(s, l, m, p, q, _raise_entry)
 
 
 def grouped_split(s: int, l: int, m: int, p: int, q: int) -> IndexCombination:
-    """Layered shifted sums with the raised entry replaced by a split pair
-    (an extra entry 1 next to the big entry, or a boundary pair):
-
-        p < q:  sum over a of O_(m-a)-family({2}^(p-1), s+a+2, {2}^(q-p-1), 1, {2}^(l-q+2))
-        p = q:  sum over a of O_(m-a)-family({2}^(p-1), 1, s+a+2, {2}^(l-p+1))
-              + sum over a of O_(m-a)-family({2}^(p-1), s+a+1, {2}^(l-p+2))
-              + sum over 0<=j<=s-2 of O_m-family({2}^(p-1), j+2, s-j+1, {2}^(l-p+1))
-        p > q:  sum over a of O_(m-a)-family({2}^(q-1), 1, {2}^(p-q), s+a+2, {2}^(l-p+1))
+    """Layered shifted sums of the block ``{2}^(l+1)`` with ``s+a`` added at
+    position ``p`` and an entry 1 inserted before position ``q``, which for
+    ``p < q`` is ``({2}^(p-1), s+a+2, {2}^(q-p-1), 1, {2}^(l-q+2))``.  At
+    ``p = q`` it is the sum of the three diagonal families of
+    :func:`split_diag_parts`, the first of which is that insertion.
     """
     _check_pq(s, l, m, p, q)
-    total = IndexCombination.zero()
-    if p < q:
-        for a in range(m + 1):
-            idx = (2,) * (p - 1) + (s + a + 2,) + (2,) * (q - p - 1) + (1,) + (2,) * (l - q + 2)
-            total = total + ohno_shifts(Index(idx), m - a)
-    elif p == q:
-        for a in range(m + 1):
-            idx1 = (2,) * (p - 1) + (1, s + a + 2) + (2,) * (l - p + 1)
-            idx2 = (2,) * (p - 1) + (s + a + 1,) + (2,) * (l - p + 2)
-            total = total + ohno_shifts(Index(idx1), m - a) + ohno_shifts(Index(idx2), m - a)
-        for j in range(s - 1):
-            idx3 = (2,) * (p - 1) + (j + 2, s - j + 1) + (2,) * (l - p + 1)
-            total = total + ohno_shifts(Index(idx3), m)
-    else:
-        for a in range(m + 1):
-            idx = (2,) * (q - 1) + (1,) + (2,) * (p - q) + (s + a + 2,) + (2,) * (l - p + 1)
-            total = total + ohno_shifts(Index(idx), m - a)
-    return total
+    if p == q:
+        first, second, third = _split_diagonal(s, l, m, p)
+        return first + second + third
+    return _layers(m, lambda a: _block(l + 1, (p, s + a), one_before=q))
 
 
 def composed_split(s: int, l: int, m: int, p: int, q: int) -> IndexCombination:
@@ -336,100 +320,77 @@ def composed_split(s: int, l: int, m: int, p: int, q: int) -> IndexCombination:
         sum over 0 <= j <= m_q of
             (m1+2, ..., m(q-1)+2, j+1, m_q-j+2, m(q+1)+2, ..., m(l+1)+2)
     """
+    return _composed(s, l, m, p, q, _split_entry)
+
+
+def _composed(s: int, l: int, m: int, p: int, q: int, expand) -> IndexCombination:
+    """``sum over m1+...+m(l+1) = m+s of max(m_p-s+1, 0) * expand((m1+2, ..., m(l+1)+2), q-1)``."""
     _check_pq(s, l, m, p, q)
-    terms: dict[Index, int] = {}
-    for comp in enumerate_shifts(l + 1, m + s):
-        weight = comp[p - 1] - s + 1
-        if weight <= 0:
-            continue
-        head = tuple(c + 2 for c in comp[: q - 1])
-        tail = tuple(c + 2 for c in comp[q:])
-        mq = comp[q - 1]
-        for j in range(mq + 1):
-            idx = Index(head + (j + 1, mq - j + 2) + tail)
-            terms[idx] = terms.get(idx, 0) + weight
-    return IndexCombination(terms.items())
-
-
-def _pq_total(fn, s: int, l: int, m: int) -> IndexCombination:
-    total = IndexCombination.zero()
-    for p in range(1, l + 2):
-        for q in range(1, l + 2):
-            total = total + fn(s, l, m, p, q)
-    return total
-
-
-def grouped_single_total(s: int, l: int, m: int) -> IndexCombination:
-    return _pq_total(grouped_single, s, l, m)
-
-
-def composed_single_total(s: int, l: int, m: int) -> IndexCombination:
-    return _pq_total(composed_single, s, l, m)
-
-
-def grouped_split_total(s: int, l: int, m: int) -> IndexCombination:
-    return _pq_total(grouped_split, s, l, m)
-
-
-def composed_split_total(s: int, l: int, m: int) -> IndexCombination:
-    return _pq_total(composed_split, s, l, m)
+    return IndexCombination(
+        (Index(entries), comp[p - 1] - s + 1)
+        for comp in enumerate_shifts(l + 1, m + s)
+        if comp[p - 1] >= s
+        for entries in expand(tuple(c + 2 for c in comp), q - 1)
+    )
 
 
 def raised_entry_expansion(s: int, l: int, m: int) -> IndexCombination:
-    """Independent builder of the aggregated composed-single family:
+    """Independent builder of the composed-single family summed over ``p, q``:
 
         sum over compositions m1+...+m(l+1) = m+s of
             (sum over p of max(m_p - s + 1, 0)) *
             sum over i of (m1+2, ..., m_i+3, ..., m(l+1)+2)
     """
-    _check_block(s, l, m)
-    if l < 1:
-        raise ValueError(f"block families need l >= 1, got l={l!r}")
-    terms: dict[Index, int] = {}
-    for comp in enumerate_shifts(l + 1, m + s):
-        weight = sum(max(c - s + 1, 0) for c in comp)
-        if weight == 0:
-            continue
-        for i in range(l + 1):
-            entries = tuple(c + 3 if j == i else c + 2 for j, c in enumerate(comp))
-            idx = Index(entries)
-            terms[idx] = terms.get(idx, 0) + weight
-    return IndexCombination(terms.items())
+    return _entry_expansion(s, l, m, _raise_entry)
 
 
 def split_entry_expansion(s: int, l: int, m: int) -> IndexCombination:
-    """Independent builder of the aggregated composed-split family:
+    """Independent builder of the composed-split family summed over ``p, q``:
 
         sum over compositions m1+...+m(l+1) = m+s of
             (sum over p of max(m_p - s + 1, 0)) *
             sum over i, 0 <= j <= m_i of
             (m1+2, ..., m(i-1)+2, j+1, m_i-j+2, m(i+1)+2, ..., m(l+1)+2)
     """
-    _check_block(s, l, m)
-    if l < 1:
-        raise ValueError(f"block families need l >= 1, got l={l!r}")
-    terms: dict[Index, int] = {}
+    return _entry_expansion(s, l, m, _split_entry)
+
+
+def _entry_expansion(s: int, l: int, m: int, expand) -> IndexCombination:
+    """``sum over m1 + ... + m(l+1) = m + s of (sum over p of max(m_p - s + 1, 0))
+    * sum over i of expand((m1+2, ..., m(l+1)+2), i)``: the weights of all
+    positions are summed first, unlike in :func:`_composed`."""
+    _check_pq(s, l, m, 1, 1)
+    terms = []
     for comp in enumerate_shifts(l + 1, m + s):
         weight = sum(max(c - s + 1, 0) for c in comp)
-        if weight == 0:
-            continue
-        for i in range(l + 1):
-            head = tuple(c + 2 for c in comp[:i])
-            tail = tuple(c + 2 for c in comp[i + 1 :])
-            mi = comp[i]
-            for j in range(mi + 1):
-                idx = Index(head + (j + 1, mi - j + 2) + tail)
-                terms[idx] = terms.get(idx, 0) + weight
-    return IndexCombination(terms.items())
+        if weight:
+            block = tuple(c + 2 for c in comp)
+            terms.extend((Index(entries), weight) for i in range(l + 1) for entries in expand(block, i))
+    return IndexCombination(terms)
+
+
+def _split_diagonal(s: int, l: int, m: int, p: int) -> list[IndexCombination]:
+    """The three diagonal families whose sum is :func:`grouped_split` at
+    ``p = q``:
+
+        sum over a of O_(m-a)-family({2}^(p-1), 1, s+a+2, {2}^(l-p+1))
+        sum over a of O_(m-a)-family({2}^(p-1), s+a+1, {2}^(l-p+2))
+        sum over 0<=j<=s-2 of O_m-family({2}^(p-1), j+2, s-j+1, {2}^(l-p+1))
+    """
+    return [
+        _layers(m, lambda a: _block(l + 1, (p, s + a), one_before=p)),
+        _layers(m, lambda a: _block(l + 2, (p, s + a - 1))),
+        _pairs(s, l, m, p),
+    ]
 
 
 def split_diag_parts(s: int, l: int, m: int, p: int) -> list[tuple[IndexCombination, IndexCombination]]:
     """The three diagonal (p = q) split sub-identities as (lhs, rhs) pairs.
 
-    Each lhs is one of the three layered families in the p = q branch of
-    :func:`grouped_split`; each rhs is the matching slice of the composed
-    form, a quadruple sum over v, an l-part composition of m - v, u <= v and
-    a j-window, of
+    Each lhs is one of the three layered families whose sum is
+    :func:`grouped_split` at ``p = q``; each rhs is the matching slice of the
+    composed form, a quadruple sum over v, an l-part composition of m - v,
+    u <= v and a j-window, of
 
         ({2->}m1+2, ..., m(p-1)+2, j, s+v-j+3, m_p+2, ..., m_l+2)
 
@@ -437,35 +398,23 @@ def split_diag_parts(s: int, l: int, m: int, p: int) -> list[tuple[IndexCombinat
     """
     _check_pq(s, l, m, p, p)
 
-    lhs1 = IndexCombination.zero()
-    lhs2 = IndexCombination.zero()
-    for a in range(m + 1):
-        idx1 = (2,) * (p - 1) + (1, s + a + 2) + (2,) * (l - p + 1)
-        idx2 = (2,) * (p - 1) + (s + a + 1,) + (2,) * (l - p + 2)
-        lhs1 = lhs1 + ohno_shifts(Index(idx1), m - a)
-        lhs2 = lhs2 + ohno_shifts(Index(idx2), m - a)
-    lhs3 = IndexCombination.zero()
-    for j in range(s - 1):
-        idx3 = (2,) * (p - 1) + (j + 2, s - j + 1) + (2,) * (l - p + 1)
-        lhs3 = lhs3 + ohno_shifts(Index(idx3), m)
-
     def rhs_for(window) -> IndexCombination:
-        terms: dict[Index, int] = {}
+        terms = []
         for v in range(m + 1):
             for comp in enumerate_shifts(l, m - v):
                 head = tuple(c + 2 for c in comp[: p - 1])
                 tail = tuple(c + 2 for c in comp[p - 1 :])
                 for u in range(v + 1):
                     lo, hi = window(u, v)
-                    for j in range(lo, hi + 1):
-                        idx = Index(head + (j, s + v - j + 3) + tail)
-                        terms[idx] = terms.get(idx, 0) + 1
-        return IndexCombination(terms.items())
+                    terms.extend(head + (j, s + v - j + 3) + tail for j in range(lo, hi + 1))
+        return _count(terms)
 
-    rhs1 = rhs_for(lambda u, v: (1, v - u + 1))
-    rhs2 = rhs_for(lambda u, v: (s + v - u + 1, s + v + 1))
-    rhs3 = rhs_for(lambda u, v: (v - u + 2, s + v - u))
-    return [(lhs1, rhs1), (lhs2, rhs2), (lhs3, rhs3)]
+    windows = (
+        lambda u, v: (1, v - u + 1),
+        lambda u, v: (s + v - u + 1, s + v + 1),
+        lambda u, v: (v - u + 2, s + v - u),
+    )
+    return list(zip(_split_diagonal(s, l, m, p), map(rhs_for, windows)))
 
 
 # -- exact expansion identities used by the catalogue -------------------------
@@ -482,21 +431,16 @@ def dualized_shuffle_expansion(s: int, t: int, l: int) -> tuple[IndexCombination
     Returns (lhs, rhs).
     """
     _check_expansion_params(s, t, l)
-    lhs = sha(Index((s,)), dual_linear(sha(_single(t), repeat(2, l))))
-    terms: dict[Index, int] = {}
-
-    def add(entries: tuple[int, ...]) -> None:
-        idx = Index(entries)
-        terms[idx] = terms.get(idx, 0) + 1
-
+    lhs = sha(Index((s,)), dual_linear(sha(Index((t,)), repeat(2, l))))
+    terms = []
     for i in range(l + 1):
         for j in range(i + 1):
-            add((2,) * j + (s,) + (2,) * (i - j) + (1,) * (t - 2) + (2,) * (l - i + 1))
+            terms.append((2,) * j + (s,) + (2,) * (i - j) + (1,) * (t - 2) + (2,) * (l - i + 1))
         for j in range(1, t - 1):
-            add((2,) * i + (1,) * j + (s,) + (1,) * (t - j - 2) + (2,) * (l - i + 1))
+            terms.append((2,) * i + (1,) * j + (s,) + (1,) * (t - j - 2) + (2,) * (l - i + 1))
         for j in range(l - i + 1):
-            add((2,) * i + (1,) * (t - 2) + (2,) * (j + 1) + (s,) + (2,) * (l - i - j))
-    return lhs, IndexCombination(terms.items())
+            terms.append((2,) * i + (1,) * (t - 2) + (2,) * (j + 1) + (s,) + (2,) * (l - i - j))
+    return lhs, _count(terms)
 
 
 def dualized_hast_expansion(s: int, t: int, l: int) -> tuple[IndexCombination, IndexCombination]:
@@ -510,22 +454,17 @@ def dualized_hast_expansion(s: int, t: int, l: int) -> tuple[IndexCombination, I
     Returns (lhs, rhs).
     """
     _check_expansion_params(s, t, l)
-    lhs = hast(s - 1, dual_linear(sha(_single(t + 1), repeat(2, l))))
-    terms: dict[Index, int] = {}
-
-    def add(entries: tuple[int, ...]) -> None:
-        idx = Index(entries)
-        terms[idx] = terms.get(idx, 0) + 1
-
+    lhs = hast(s - 1, dual_linear(sha(Index((t + 1,)), repeat(2, l))))
+    terms = []
     for i in range(1, l + 1):
         for j in range(i):
-            add((2,) * j + (s + 1,) + (2,) * (i - j - 1) + (1,) * (t - 1) + (2,) * (l - i + 1))
+            terms.append((2,) * j + (s + 1,) + (2,) * (i - j - 1) + (1,) * (t - 1) + (2,) * (l - i + 1))
     for i in range(l + 1):
         for j in range(t - 1):
-            add((2,) * i + (1,) * j + (s,) + (1,) * (t - j - 2) + (2,) * (l - i + 1))
+            terms.append((2,) * i + (1,) * j + (s,) + (1,) * (t - j - 2) + (2,) * (l - i + 1))
         for j in range(l - i + 1):
-            add((2,) * i + (1,) * (t - 1) + (2,) * j + (s + 1,) + (2,) * (l - i - j))
-    return lhs, IndexCombination(terms.items())
+            terms.append((2,) * i + (1,) * (t - 1) + (2,) * j + (s + 1,) + (2,) * (l - i - j))
+    return lhs, _count(terms)
 
 
 def _check_expansion_params(s: int, t: int, l: int) -> None:
@@ -548,10 +487,10 @@ def hast_merge_sides(s: int, t: int, l: int) -> tuple[IndexCombination, IndexCom
         raise ValueError(f"merge identity needs s >= 2 and t >= 1, got s={s!r}, t={t!r}")
     if not isinstance(l, int) or l < 0:
         raise ValueError(f"need l >= 0, got {l!r}")
-    lhs = hast(s - 1, sha(_single(t + 1), repeat(2, l)))
+    lhs = hast(s - 1, sha(Index((t + 1,)), repeat(2, l)))
     rhs = sha(Index((s + t,)), repeat(2, l))
     if l >= 1:
-        rhs = rhs + sha(sha(_single(s + 1), _single(t + 1)), repeat(2, l - 1))
+        rhs = rhs + sha(sha(Index((s + 1,)), Index((t + 1,))), repeat(2, l - 1))
     return lhs, rhs
 
 
@@ -567,17 +506,6 @@ def hoffman_sides(k: Index) -> tuple[IndexCombination, IndexCombination]:
     """
     if not k.admissible:
         raise ValueError(f"the defect needs an admissible index, got {k}")
-    lhs: dict[Index, int] = {}
-    for i in range(k.depth):
-        entries = list(k.entries)
-        entries[i] += 1
-        idx = Index(tuple(entries))
-        lhs[idx] = lhs.get(idx, 0) + 1
-    rhs: dict[Index, int] = {}
-    for i, e in enumerate(k.entries):
-        if e < 2:
-            continue
-        for j in range(e - 1):
-            idx = Index(k.entries[:i] + (j + 1, e - j) + k.entries[i + 1 :])
-            rhs[idx] = rhs.get(idx, 0) + 1
-    return IndexCombination(lhs.items()), IndexCombination(rhs.items())
+    positions = range(k.depth)
+    lhs = _count(e for i in positions for e in _raise_entry(k.entries, i))
+    return lhs, _count(e for i in positions for e in _split_entry(k.entries, i))

@@ -33,6 +33,9 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import product
+from operator import add
 from typing import Any, Callable, Iterator, Mapping, Optional, Union
 
 from ohno.indices import (
@@ -59,8 +62,12 @@ from ohno.sums import (
     hast_shifted_sum,
     hoffman_sides,
     ohno_sum_symbolic,
+    raised_entry_expansion,
+    split_diag_parts,
+    split_entry_expansion,
     term_a,
     term_b,
+    term_bc_closed,
     term_c,
 )
 from ohno.zeta import EvalConfig, eval_combination
@@ -314,11 +321,32 @@ def add2(s, l, m, p, q):
     return [(grouped_split(s, l, m, p, q), composed_split(s, l, m, p, q))]
 
 
+@identity(
+    "exact-symbolic", {"s": (2, 3), "l": (1, 2), "m": (0, 1, 2), "p": None}, {"s": 2, "l": 1, "m": 0, "p": 1}
+)
+def add2_diagonal(s, l, m, p):
+    """each of the three diagonal split families equals its slice of the weighted composition sums"""
+    return split_diag_parts(s, l, m, p)
+
+
 @identity("numeric", {"s": (2, 3), "l": (0, 1), "m": (0, 1)}, {"s": 2, "l": 0, "m": 0})
 def abc_decomposition(s, l, m):
     """the skew dual gap against parameter 2 equals its three-part closed decomposition"""
     pos, neg = dual_gap_skew_sides(s, 2, l, m)
     return [(pos - term_a(s, l, m), neg + term_b(s, l, m) + term_c(s, l, m))]
+
+
+@identity("exact-symbolic", {"s": (2, 3), "l": (1, 2), "m": (0, 1)}, {"s": 2, "l": 1, "m": 0})
+def abc_closed_forms(s, l, m):
+    """summed over all positions, the block families equal the closed forms of the decomposition parts"""
+    window = list(product(range(1, l + 2), repeat=2))
+    closed_forms = [
+        (grouped_single, -term_a(s, l, m)),
+        (grouped_split, term_bc_closed(s, l, m)),
+        (composed_single, raised_entry_expansion(s, l, m)),
+        (composed_split, split_entry_expansion(s, l, m)),
+    ]
+    return [(reduce(add, (family(s, l, m, p, q) for p, q in window)), form) for family, form in closed_forms]
 
 
 def list_identities() -> tuple[IdentitySpec, ...]:

@@ -64,6 +64,7 @@ import os
 import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, repeat
 from operator import mul, rshift
 from typing import Iterable, Optional, Union
@@ -136,10 +137,10 @@ def reverse_swap(word: str) -> str:
 
 # -- configuration and cache --------------------------------------------------
 
-# Finest per-term tolerance bucket used by eval_combination when it scales
-# budgets by coefficient mass.  Results are doubles, so refining past the
-# double-precision floor (bucket 15, tol 1e-15) buys nothing.
-_MAX_COMBINATION_BUCKET = 15
+# Finest tolerance bucket of any evaluation, also where eval_combination stops
+# refining the per-term budgets it scales by coefficient mass.  Results are
+# doubles, so refining past the double-precision floor (tol 1e-15) buys nothing.
+_FINEST_BUCKET = 15
 
 
 def _bucket_of(tol: float) -> int:
@@ -167,7 +168,8 @@ class ZetaCache:
     are deterministic functions of index and bucket).
 
     The flat-file form has one line per index:
-    ``index<TAB>tol-bucket<TAB>hex-float``.
+    ``index<TAB>tol-bucket<TAB>hex-float``; a line whose index is not
+    admissible, bucket outside 1..15 or value not finite is malformed.
     """
 
     def __init__(self, path: Optional[str] = None):
@@ -234,6 +236,8 @@ class ZetaCache:
                     value = float.fromhex(hex_text)
                 except ValueError:
                     raise ValueError(f"malformed cache line {line!r}") from None
+                if not (k.admissible and 1 <= bucket <= _FINEST_BUCKET and math.isfinite(value)):
+                    raise ValueError(f"malformed cache line {line!r}")
                 self.store(k, bucket, value)
 
 
@@ -279,11 +283,11 @@ class EvalConfig:
                     f"{needed} bits required for tol {self.tol}"
                 )
 
-    @property
+    @cached_property
     def bucket(self) -> int:
         return _bucket_of(self.tol)
 
-    @property
+    @cached_property
     def precision(self) -> int:
         if self.working_precision is not None:
             return self.working_precision
@@ -478,7 +482,7 @@ def eval_combination(comb: Union[Index, IndexCombination], cfg: Optional[EvalCon
         return 0.0
     if cfg.working_precision is None:
         bucket = max(cfg.bucket, math.ceil(-math.log10(cfg.tol / max(float(mass), 1.0)) - 1e-9))
-        bucket = min(bucket, _MAX_COMBINATION_BUCKET)
+        bucket = min(bucket, _FINEST_BUCKET)
         term_cfg = EvalConfig(tol=10.0**-bucket, max_terms=cfg.max_terms, cache=cfg.cache)
     else:
         term_cfg = cfg

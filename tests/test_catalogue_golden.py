@@ -7,7 +7,11 @@ threshold, equal, pass]`` for an evaluated one.  Timings are not pinned.
 Residuals are pinned apart, as one digest of their bits
 (``test_default_residuals_pinned``): a change meant to keep every value
 must keep it, and one meant to move values (a new working precision, say)
-states so and rewrites the digest, never a verdict or a threshold.
+states so and rewrites the digest, never a verdict or a threshold.  The
+sides themselves are pinned per identity, as one digest of the canonical
+text of every side at every default point (``test_default_sides_pinned``),
+since a residual cannot see a side that is reordered or built wrong in a
+way that keeps its value.
 
 The file was written from the catalogue as it stood before identities were
 restated as ``(lhs, rhs)`` sides.  Rewrite it only for an intended change of
@@ -17,10 +21,14 @@ the catalogue::
 """
 
 import hashlib
+import importlib
 import json
 import pathlib
 
+from ohno.indices import combination_to_text
 from ohno.verify import list_identities, verify
+
+catalogue = importlib.import_module("ohno.verify")
 
 GOLDEN = pathlib.Path(__file__).with_name("catalogue_golden.json")
 
@@ -85,6 +93,53 @@ def test_default_residuals_pinned():
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
         "8ea01c81f9bfe376de2f719017cb3eba9c8cc5b3d0887c60beb4fb71a1598a63"
     )
+
+
+#: sha256 of the canonical text of every side at every default point.
+SIDE_DIGESTS = {
+    "duality": "1f1ec0396f654daa3ba3df0ab279caebdf8db9159e2314cf75d4e01abcfabe4e",
+    "ohno": "42811c7d1bd27d84b00a2a65ca2fcd59f142c00bd9368b54a57039545dd4e6c5",
+    "stuffle_single": "5899519538fc0cbc33bafdd633e86960974820191e0c855fcbcaf23fc97ac215",
+    "hoffman": "8ffc80a8bf67d2616fd7fb761b46e88155653550a373800d16deb82a2f8bd7ba",
+    "hmos": "a0e77d618cb6971ed7ea86826acb72d174f2ca9aa6eae6c3327675eada64a15c",
+    "main": "f883aa8e2bf6efa42700f8dd62aced5575f353863d8673592423676f1dd32a2b",
+    "lemma_fmpre1": "54025937d4329ad07ec4ef791cfa72661532fae2cd17468c2d1afc3e126114aa",
+    "lemma_fmpre2": "3055bc582ef620e62c255a3471b6d6be3e9f2e7dcd2a879b12883ad6b969ce90",
+    "lemma_fm": "2ab73a94bc80d8bf8be2c43d828d6a2e0ba3fee4a8556d82856c2d65931fbb4f",
+    "lemma_oooo": "6129012a36ea466255ebac4554a8586fb9680aea619271915f99e3247a89ff5a",
+    "lemma_dddd": "11ba9b5e6865c877fbcd7cc3f447e2b4a23d2c9230479d6eb30fb537869b80f0",
+    "sha_expansion_oooo": "075b8084fda252aa59fc02bff5d3fe5d0bfb56d7b0dd37848df21709ec9d3032",
+    "hast_symmetry": "5f14394ea21355c4c90f9464ac82ed63090ce72c07c667975d6899eb7684994a",
+    "add1": "859c57fdcafb1e07136d11f583330d2e4bf680b08e831cec1a90e146ad49a11f",
+    "add2": "d4d70ed490c2ee9070aa7c77f457a2b717880469646e5853aba756118dc13468",
+    "add2_diagonal": "77c6575e813cc2b62fe647c27a13d7e48dbe2e6d3b2c507cdcf74902cb65de0b",
+    "abc_decomposition": "3a20e43989975446facd46966a9ec355762192e01960d5f3a30a708f4037089a",
+    "abc_closed_forms": "365f1e696bb77c91900ee5d417610342d6558c09b145844ce6a94765ac23772b",
+}
+
+
+def test_default_sides_pinned():
+    """Every side of every evaluated default point, term by term.
+
+    One line per pair: the point's parameters, the pair's position, and the
+    canonical text of both sides (the factors of a product side joined by
+    `` * ``)."""
+    digests = {}
+    for spec in list_identities():
+        norm, _ = catalogue._normalize_grid(spec, {})
+        lines = []
+        for params in catalogue._iter_points(spec, norm):
+            if catalogue._refusal(spec, params) is not None:
+                continue
+            shown = json.dumps(catalogue._display_params(params), sort_keys=True)
+            for i, pair in enumerate(spec.sides(**params)):
+                texts = []
+                for side in pair:
+                    factors = side if isinstance(side, tuple) else (side,)
+                    texts.append(" * ".join(combination_to_text(c) for c in factors))
+                lines.append(f"{shown}\t{i}\t" + "\t".join(texts) + "\n")
+        digests[spec.name] = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digests == SIDE_DIGESTS
 
 
 if __name__ == "__main__":

@@ -177,7 +177,7 @@ def test_verify_unknown_name(run):
 def test_list(run):
     code, out, _ = run("list")
     lines = out.strip().splitlines()
-    assert len(lines) == 16
+    assert len(lines) == 18
     assert lines[0].startswith("duality")
     assert "[numeric]" in lines[0]
     assert any("[exact-symbolic]" in ln for ln in lines)
@@ -272,6 +272,18 @@ def test_cache_off_stays_off(run, tmp_path):
     code, _, _ = run("eval", "--index", "(4)", "--cache", "off", env={"OHNO_CACHE": str(never)})
     assert code == 0
     assert not never.exists()
+
+
+@pytest.mark.parametrize(
+    "command", [("eval", "--index", "2"), ("verify", "--name", "duality", "--weight", "3")]
+)
+def test_cache_file_with_nan_value_is_a_usage_error(run, tmp_path, command):
+    path = tmp_path / "nan.tsv"
+    path.write_text("2\t99\tnan\n")
+    code, out, err = run(*command, "--cache", str(path))
+    assert code == 2
+    assert out == ""
+    assert "malformed cache line" in err
 
 
 def test_verify_populates_cache_file(run, tmp_path):

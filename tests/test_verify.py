@@ -46,7 +46,7 @@ def test_registry_statements_and_kinds():
         assert spec.statement.strip()
     kinds = [s.kind for s in list_identities()]
     assert kinds.count("numeric") == 12
-    assert kinds.count("exact-symbolic") == 4
+    assert kinds.count("exact-symbolic") == 6
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +168,15 @@ def test_pq_window_refusal():
     assert len(report.refusals) == 1
     assert "at most l+1" in report.refusals[0].reason
     assert report.passed
+
+
+def test_p_only_window_refusal():
+    """An identity with a position ``p`` but no ``q`` refuses p above l+1."""
+    report = verify("add2_diagonal", l=1, p=(1, 2, 3))
+    assert report.passed
+    assert {r.params["p"] for r in report.refusals} == {3}
+    assert {r.reason for r in report.refusals} == {"p must be at most l+1 = 2, got 3"}
+    assert {p.params["p"] for p in report.evaluated} == {1, 2}
 
 
 def test_refused_points_do_not_affect_verdict():

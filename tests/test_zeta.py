@@ -415,6 +415,28 @@ def test_cache_load_rejects_garbage(tmp_path):
         ZetaCache().load(str(path))
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "(2)\t12\tnan",
+        "(2)\t12\tinf",
+        "(2)\t12\t-inf",
+        "(2)\t0\t0x1.0p+0",
+        "(2)\t16\t0x1.0p+0",
+        "(2)\t99\t0x1.0p+0",
+        "(1)\t12\t0x1.0p+0",
+        "()\t12\t0x1.0p+0",
+    ],
+)
+def test_cache_load_rejects_values_it_cannot_serve(tmp_path, line):
+    """A non-finite value, a bucket outside 1..15 or a non-admissible index
+    is refused like an unparsable line, also after good lines."""
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"(3)\t12\t0x1.33ba004f00621p+0\n{line}\n")
+    with pytest.raises(ValueError, match="malformed cache line"):
+        ZetaCache().load(str(path))
+
+
 def test_cached_values_feed_combinations():
     cache = ZetaCache()
     cfg = EvalConfig(tol=1e-12, cache=cache)
