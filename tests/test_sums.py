@@ -268,6 +268,22 @@ def test_term_frozen_values():
     )
 
 
+def test_term_a_layers():
+    # term_a(s, l, m) is minus the layered Ohno sums of
+    # (s+a+3) # {2}^l + (s+a+2) # (3) # {2}^(l-1), layer a at order m - a
+    layers = [
+        sha(Index((2 + a + 3,)), repeat(2, 1)) + sha(sha(Index((2 + a + 2,)), Index((3,))), EMPTY)
+        for a in (0, 1)
+    ]
+    assert [T(x) for x in layers] == [
+        "(2,5) + (3,4) + (4,3) + (5,2)",
+        "(2,6) + (3,5) + (5,3) + (6,2)",
+    ]
+    assert term_a(2, 1, 1) == -(
+        ohno_sum_symbolic(layers[0], 1) + ohno_sum_symbolic(layers[1], 0)
+    )
+
+
 def test_term_bc_closed_is_b_plus_c():
     for s, l, m in product((2, 3, 4), (0, 1, 2), (0, 1, 2)):
         assert term_bc_closed(s, l, m) == term_b(s, l, m) + term_c(s, l, m)
