@@ -1,5 +1,16 @@
-"""Tests for the expression mini-language: parsing, expansion, serialization."""
+"""Tests for the expression mini-language: parsing, expansion, serialization.
 
+``expr_golden.json`` pins the outcome of a fixed corpus of texts: the
+canonical text of each expansion, or the exact :class:`ExprError` message
+with its line and column.  Rewrite it only for an intended change of the
+language::
+
+    PYTHONPATH=src python tests/test_expr.py
+"""
+
+import json
+import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -157,3 +168,207 @@ def test_literal_versus_group_disambiguation():
     assert expand_text("((2) + (3))") == comb(((2,), 1), ((3,), 1))
     with pytest.raises(ExprError):
         expand_text("(2 + (3))")  # a bare int can only precede '*'
+
+
+# ---------------------------------------------------------------------------
+# golden corpus: expansions and error messages, positions included
+# ---------------------------------------------------------------------------
+
+GOLDEN = pathlib.Path(__file__).with_name("expr_golden.json")
+
+#: The distinct ``table-persist`` benchmark texts of seeds 1-3.
+TABLE_TEXTS = tuple(
+    f"ohno({m}, {a} # {b}) - ohno({m}, dual({a} # {b}))"
+    for m, a, b in [
+        (1, "(4)", "(3,1,2)"),
+        (1, "(5)", "(3,1,2)"),
+        (2, "(2,3)", "(4)"),
+        (2, "(3,3)", "(4)"),
+        (2, "(4)", "(4,2)"),
+        (2, "(5)", "(1,4)"),
+        (2, "(4)", "(1,1,5)"),
+        (1, "(2)", "(1,2,4,2)"),
+        (1, "(4)", "(2,2,2)"),
+        (2, "(1,5)", "(4)"),
+        (2, "(4)", "(3,3)"),
+        (2, "(4)", "(2,1,4)"),
+        (1, "(2)", "(1,1,2,5)"),
+        (1, "(5)", "(1,1,4)"),
+        (2, "(3,2)", "(4)"),
+        (2, "(5)", "(3,2)"),
+        (2, "(4)", "(1,2,4)"),
+        (1, "(2)", "(1,1,4,3)"),
+        (2, "(4)", "(1,5)"),
+        (2, "(4)", "(3,2,2)"),
+        (1, "(2)", "(1,2,3,3)"),
+    ]
+)
+
+#: Fragments that parse but fail to expand, and fragments that fail to parse.
+DOMAIN_ERRORS = ("(0)", "rep(0,2)", "dual((1,1))", "hast(0,(2))", "hast(1,())", "ohno(1,(1))")
+SYNTAX_ERRORS = ("(2", "(1,)", "foo(2)", "(2)##(3)", "$", "(1000001)", "1/0*(2)", "(2) (3)")
+
+HAND_TEXTS = (
+    # chains of three or more '#'
+    "(2)#(3)#(4)",
+    "(2)#(3)#(4)#(5)",
+    "(1)#(2)#(3)#(4)#(2)",
+    "(2,3)#(4)#(2)",
+    "rep(2,2)#(3)#(2)",
+    "(2)#()#(3)",
+    "((2)#(3))#(4)",
+    "(2)#((3)#(4))",
+    "dual((3)#(2))#(2)#(2)",
+    "hast(1,(2)#(3)#(4))",
+    "ohno(1,(2)#(3)#(4))",
+    "dual((2)#(3)#(4))",
+    "-(2)#(3)#(4)",
+    "(2) # (3) # (4) + (5) # (2) # (3)",
+    "(2)#(3)#(4) - (4)#(3)#(2)",
+    "2*(2)#(3)#(4)",
+    "(2)#(3)#",
+    "(2)#(3)##(4)",
+    "(2)#(3)#(0)",
+    "(0)#(3)#(4)",
+    "(1,1)#(0)#dual((1,1))",
+    "dual((1,1))#(0)#(2)",
+    # nested groups
+    "((2))",
+    "(((2)))",
+    "((((2,3))))",
+    "((2) + ((3) - ((4))))",
+    "(((2)#(3)))",
+    "-((2) - ((3)))",
+    "((()))",
+    "(()())",
+    "(((2)",
+    "((2)))",
+    "2*((2) + (3))",
+    "1/2*((2)#(3))",
+    "dual(((1,3)))",
+    "ohno(1,((2) + (3)))",
+    "((2,3) + (3))",
+    "( (2) )",
+    "(2 + (3))",
+    # multi-line input
+    "(2)\n+ (3)",
+    "(2) +\n(3",
+    "ohno(1,\n  (2)#(3))\n- ohno(1,\n  dual((2)#(3)))",
+    "\n\n(2",
+    "(2)\n\n\n)",
+    "\t(2)\t#\t(3)\n",
+    "(2)\r\n+ (3)",
+    "\n",
+    "  \n  0  \n",
+    "(2) +\n\n  (0)",
+    "dual(\n(1,1)\n)",
+    "(2)\n$",
+    "(2,\n3)",
+    "rep(2,\n3\n)",
+    "(2)\n#\n(3)\n#\n(4)",
+    "(1000001\n)",
+    "(0)\n+\n(2",
+    # a syntax error and a domain error in one text
+    "hast(0, dual((1,1)))",
+    "ohno(1, (0)) - foo(2)",
+    "foo(2) - (0)",
+    "3*(0) +",
+    "1/0*(0)",
+    "hast(1, ()) + (2) (3)",
+    "dual((1,1)) + \u00e9(2)",
+    # letters, digits and the rest
+    "(\u0663)",
+    "\u00e9(2)",
+    "0",
+    " 0 ",
+    "00",
+    "-0",
+    "0*(2)",
+    "0 + (2)",
+    "-()",
+    "rep(0,0)",
+    "ohno(0,())",
+    "dual(())",
+    "Rep(2,2)",
+    "rep (2,2)",
+    "dual ((1,3))",
+    "2/4*(2) + 1/2*(2)",
+    "(2)-(2)+(2)",
+)
+
+
+def _fuzz_texts(count, seed=7):
+    """Random texts from the grammar, with small entries so that expansions
+    stay short; some carry a bad value, and some a deleted or stray character."""
+    rng = random.Random(seed)
+
+    def index():
+        entries = [rng.choice((1, 2, 3)) for _ in range(rng.randint(0, 2))] + [rng.choice((2, 3, 4))]
+        if rng.random() < 0.05:
+            entries[rng.randrange(len(entries))] = rng.choice((0, 1))
+        return "(" + ",".join(map(str, entries)) + ")" if rng.random() < 0.95 else "()"
+
+    def factor(depth):
+        roll = rng.randrange(6 if depth else 2)
+        if roll == 0:
+            return index()
+        if roll == 1:
+            return f"rep({rng.choice((0, 2, 2, 2, 3, 3))},{rng.randint(0, 3)})"
+        if roll == 2:
+            return f"dual({expr(depth - 1)})"
+        if roll == 3:
+            return f"hast({rng.choice((0, 1, 1, 1, 2, 2))},{expr(depth - 1)})"
+        if roll == 4:
+            return f"ohno({rng.randint(0, 2)},{expr(depth - 1)})"
+        return f"({expr(depth - 1)})"
+
+    def term(depth):
+        if rng.random() < 0.2:
+            return f"{rng.randint(0, 3)}/{rng.choice((0, 1, 2, 3, 3, 3, 3))}*{factor(depth)}"
+        return "#".join(factor(depth) for _ in range(rng.choice((1, 1, 2, 3))))
+
+    def expr(depth):
+        out = ("-" if rng.random() < 0.2 else "") + term(depth)
+        for _ in range(rng.choice((0, 0, 1))):
+            out += rng.choice((" + ", "-", "\n- ")) + term(depth)
+        return out
+
+    texts = []
+    while len(texts) < count:
+        text = expr(rng.randint(0, 2))
+        for _ in range(rng.choice((0, 0, 0, 1, 2))):
+            at = rng.randint(0, len(text))
+            if text and rng.random() < 0.5:
+                text = text[:at] + text[at + 1 :]
+            else:
+                text = text[:at] + rng.choice("(),#+-*/ \nx") + text[at:]
+        if sum(ch.isdigit() for ch in text) <= 7 and text not in texts:
+            texts.append(text)
+    return texts
+
+
+def corpus():
+    texts = list(TABLE_TEXTS) + list(HAND_TEXTS)
+    for bad in DOMAIN_ERRORS:
+        for broken in SYNTAX_ERRORS:
+            texts += [f"{bad} + {broken}", f"{broken}\n- {bad}"]
+    texts += _fuzz_texts(250)
+    return list(dict.fromkeys(texts))
+
+
+def _outcome(text):
+    try:
+        return {"expansion": combination_to_text(expand_text(text))}
+    except ExprError as exc:
+        return {"error": str(exc)}
+
+
+def test_corpus_matches_golden():
+    golden = json.loads(GOLDEN.read_text())
+    assert len(golden) > 400
+    assert [text for text, want in golden.items() if _outcome(text) != want] == []
+
+
+if __name__ == "__main__":
+    lines = [f"{json.dumps(text)}: {json.dumps(_outcome(text))}" for text in corpus()]
+    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
