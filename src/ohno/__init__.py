@@ -56,7 +56,7 @@ from ohno.verify import (
     report_to_file,
     verify,
 )
-from ohno.expr import ExprError, expand_text, parse
+from ohno.expr import ExprError, expand_text
 
 __version__ = "0.1.0"
 
@@ -88,7 +88,6 @@ __all__ = [
     "ohno_shifts",
     "ohno_sum",
     "ohno_sum_symbolic",
-    "parse",
     "repeat",
     "report_to_file",
     "reverse_swap",

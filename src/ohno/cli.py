@@ -20,7 +20,7 @@ import os
 import sys
 from typing import Optional
 
-from ohno.expr import ExprError, expand_text
+from ohno.expr import GRAMMAR, ExprError, expand_text
 from ohno.indices import Index, IndexCombination, combination_to_text, dual_linear
 from ohno.sums import ohno_series, ohno_sum, ohno_sum_symbolic
 from ohno.verify import list_identities, report_to_file, verify
@@ -28,26 +28,7 @@ from ohno.zeta import EvalConfig, ZetaCache, eval_combination
 
 __all__ = ["main"]
 
-GRAMMAR_HELP = """\
-expression grammar:
-  expr     := ["-"] term (("+" | "-") term)*
-  term     := factor ("#" factor)* | rational "*" factor
-  factor   := literal | rep(a, l) | dual(expr) | hast(k, expr)
-            | ohno(m, expr) | "(" expr ")"
-  literal  := "(" int ("," int)* ")" | "()"
-  rational := int | int "/" int
-
-notes:
-  (2,3)       the index with entries 2, 3;  ()  is the empty index
-  rep(a, l)   the index ({a}^l), the entry a repeated l times
-  e1 # e2     interleaving (shuffle-of-entries) product
-  dual(e)     elementwise dual of every index in e
-  hast(k, e)  add k to one entry, summed over all positions
-  ohno(m, e)  order-m shifted-sum family of e
-  3/2 * e     scale one factor by a rational
-  A parenthesised group containing only integers and commas is an index
-  literal; anything with operators inside is a grouped subexpression.
-
+GRAMMAR_HELP = GRAMMAR + """
 ranges:
   grid flags (--s --t --l --m --p --q) accept a value (3), an inclusive
   range (2..4), or a comma-separated list (2,4,6).

@@ -1,60 +1,65 @@
 """A small expression language over indices and their formal combinations.
 
-Grammar (EBNF)::
+The grammar, with the meaning of each form, is :data:`GRAMMAR`; the command
+line prints it under ``--help``.  The leading ``-`` and the ``()``
+empty-index literal exist so that the canonical text of any combination
+parses back to itself; ``expand_text`` additionally accepts ``"0"`` for the
+zero combination.
 
-    expr     := ["-"] term (("+" | "-") term)* ;
-    term     := factor ("#" factor)*  |  rational "*" factor ;
-    factor   := literal
-              | "rep(" int "," int ")"
-              | "dual(" expr ")"
-              | "hast(" int "," expr ")"
-              | "ohno(" int "," expr ")"
-              | "(" expr ")" ;
-    literal  := "(" int ("," int)* ")"  |  "()" ;
-    rational := int  |  int "/" int ;
-
-``#`` is the interleaving product, ``rep(a, l)`` the index ``({a}^l)``,
-``dual`` elementwise duality, ``hast(k, e)`` the position-sum product, and
-``ohno(m, e)`` the order-``m`` shifted-sum family.  A parenthesised group
-whose inside consists purely of integers and commas is a literal index;
-anything containing an operator or function is a grouped subexpression
-(so ``(2)`` is the index, ``((2))`` a grouped index, ``(2 + (3))`` a sum).
-
-The leading ``-`` and the ``()`` empty-index literal exist so that the
-canonical text of any combination parses back to itself; ``expand_text``
-additionally accepts ``"0"`` for the zero combination.
+Each parse method returns the deferred expansion of what it read, a
+zero-argument callable, and ``expand_text`` runs it only once the whole text
+has parsed: a syntax error anywhere is reported before a domain error (a
+non-admissible dual, a zero entry) anywhere else.
 
 Errors raise :class:`ExprError` carrying a 1-based line and column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
-from typing import Union
+from typing import Callable
 
-from ohno.indices import (
-    EMPTY,
-    Index,
-    IndexCombination,
-    dual_linear,
-    hast,
-    repeat,
-    sha,
-)
+from ohno.indices import Index, IndexCombination, dual_linear, hast, repeat, sha
 from ohno.sums import ohno_sum_symbolic
 
-__all__ = [
-    "ExprError",
-    "MAX_INT_LITERAL",
-    "expand",
-    "expand_text",
-    "parse",
-]
+__all__ = ["ExprError", "GRAMMAR", "MAX_INT_LITERAL", "expand_text"]
+
+GRAMMAR = """\
+expression grammar:
+  expr     := ["-"] term (("+" | "-") term)*
+  term     := factor ("#" factor)* | rational "*" factor
+  factor   := literal | "rep(" int "," int ")" | "dual(" expr ")"
+            | "hast(" int "," expr ")" | "ohno(" int "," expr ")" | "(" expr ")"
+  literal  := "(" int ("," int)* ")" | "()"
+  rational := int | int "/" int
+
+notes:
+  (2,3)       the index with entries 2, 3;  ()  is the empty index
+  rep(a, l)   the index ({a}^l), the entry a repeated l times
+  e1 # e2     interleaving (shuffle-of-entries) product
+  dual(e)     elementwise dual of every index in e
+  hast(k, e)  add k to one entry, summed over all positions
+  ohno(m, e)  order-m shifted-sum family of e
+  3/2 * e     scale one factor by a rational
+  0           on its own, the zero combination
+  A parenthesised group containing only integers and commas is an index
+  literal; anything with operators inside is a grouped subexpression:
+  (2) is an index, ((2)) a grouped index, ((2) + (3)) a sum.
+"""
 
 #: Upper bound for integer literals; keeps accidental huge inputs from
 #: exploding combinatorial expansions.
 MAX_INT_LITERAL = 10**6
+
+_FUNCTIONS = ("rep", "dual", "hast", "ohno")
+
+# ``\d`` is exactly the decimal digits ``int`` accepts; ``[^\W\d_]`` is the
+# letters plus the numerals that are no decimal digit (such as ``²``), which
+# ``_tokenize`` rejects.
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[^\W\d_]+)|(?P<op>[(),#+\-*/])|\s+|(?P<bad>.)")
+
+_Expansion = Callable[[], IndexCombination]
 
 
 class ExprError(ValueError):
@@ -66,323 +71,180 @@ class ExprError(ValueError):
         self.col = col
 
 
-# -- tokens -------------------------------------------------------------------
+def _error(text: str, message: str, at: int) -> ExprError:
+    """An :class:`ExprError` at character offset ``at`` of ``text``."""
+    return ExprError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # INT IDENT LPAREN RPAREN COMMA HASH PLUS MINUS STAR SLASH EOF
-    value: Union[int, str, None]
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            start_col = col
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            value = int(text[i:j])
+def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    """``(kind, value, offset)`` triples, closed by an ``end`` token.  The
+    kind of an operator is the operator itself."""
+    tokens: list[tuple[str, object, int]] = []
+    for match in _TOKEN.finditer(text):
+        kind, word, at = match.lastgroup, match.group(), match.start()
+        if kind == "name" and not word.isalpha():
+            kind = "bad"
+            at += next(i for i, ch in enumerate(word) if not ch.isalpha())
+        if kind == "bad":
+            raise _error(text, f"unexpected character {text[at]!r}", at)
+        if kind == "int":
+            value = int(word)
             if value > MAX_INT_LITERAL:
-                raise ExprError(f"integer literal too large (limit {MAX_INT_LITERAL})", line, start_col)
-            tokens.append(_Token("INT", value, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            start_col = col
-            j = i
-            while j < n and text[j].isalpha():
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        simple = {
-            "(": "LPAREN",
-            ")": "RPAREN",
-            ",": "COMMA",
-            "#": "HASH",
-            "+": "PLUS",
-            "-": "MINUS",
-            "*": "STAR",
-            "/": "SLASH",
-        }
-        if ch in simple:
-            tokens.append(_Token(simple[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ExprError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", None, line, col))
+                raise _error(text, f"integer literal too large (limit {MAX_INT_LITERAL})", at)
+            tokens.append(("int", value, at))
+        elif kind is not None:
+            tokens.append((word if kind == "op" else kind, word, at))
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
-# -- abstract syntax ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Node:
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class Literal(_Node):
-    entries: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Rep(_Node):
-    entry: int
-    count: int
-
-
-@dataclass(frozen=True)
-class Dual(_Node):
-    child: "_Node"
-
-
-@dataclass(frozen=True)
-class Hast(_Node):
-    amount: int
-    child: "_Node"
-
-
-@dataclass(frozen=True)
-class OhnoSum(_Node):
-    order: int
-    child: "_Node"
-
-
-@dataclass(frozen=True)
-class Sha(_Node):
-    left: "_Node"
-    right: "_Node"
-
-
-@dataclass(frozen=True)
-class Scale(_Node):
-    coefficient: Fraction
-    child: "_Node"
-
-
-@dataclass(frozen=True)
-class Sum(_Node):
-    #: (sign, term) pairs with sign +1 or -1; the first sign may be -1 only
-    #: for a leading unary minus.
-    terms: tuple[tuple[int, "_Node"], ...]
-
-
-# -- parsing ------------------------------------------------------------------
-
-
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+    def peek(self) -> str:
+        return self.tokens[self.i][0]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "EOF":
+    def take(self) -> tuple[str, object, int]:
+        token = self.tokens[self.i]
+        if token[0] != "end":
             self.i += 1
-        return tok
+        return token
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExprError(f"expected {what}", tok.line, tok.col)
-        return self.advance()
+    def expect(self, kind: str, what: str) -> tuple[str, object, int]:
+        if self.peek() != kind:
+            raise _error(self.text, f"expected {what}", self.tokens[self.i][2])
+        return self.take()
 
-    # expr := ["-"] term (("+"|"-") term)*
-    def parse_expr(self) -> _Node:
-        first = self.peek()
+    def guarded(self, at: int, action: _Expansion) -> _Expansion:
+        """Defer ``action``, reporting a domain error it raises at offset ``at``."""
+
+        def run() -> IndexCombination:
+            try:
+                return action()
+            except ExprError:
+                raise
+            except ValueError as exc:
+                raise _error(self.text, str(exc), at) from None
+
+        return run
+
+    # expr := ["-"] term (("+" | "-") term)*
+    def expr(self) -> _Expansion:
         sign = 1
-        if first.kind == "MINUS":
-            self.advance()
+        if self.peek() == "-":
+            self.take()
             sign = -1
-        terms = [(sign, self.parse_term())]
-        while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.advance()
-            terms.append((1 if op.kind == "PLUS" else -1, self.parse_term()))
-        if len(terms) == 1 and terms[0][0] == 1:
+        terms = [(sign, self.term())]
+        while self.peek() in ("+", "-"):
+            sign = 1 if self.take()[0] == "+" else -1
+            terms.append((sign, self.term()))
+        if len(terms) == 1 and sign == 1:
             return terms[0][1]
-        return Sum(first.line, first.col, tuple(terms))
+
+        def total() -> IndexCombination:
+            out = IndexCombination.zero()
+            for sign, term in terms:
+                out = out + term() if sign > 0 else out - term()
+            return out
+
+        return total
 
     # term := factor ("#" factor)* | rational "*" factor
-    def parse_term(self) -> _Node:
-        tok = self.peek()
-        if tok.kind == "INT":
-            coefficient = self.parse_rational()
-            self.expect("STAR", "'*' after a rational coefficient")
-            child = self.parse_factor()
-            return Scale(tok.line, tok.col, coefficient, child)
-        node = self.parse_factor()
-        while self.peek().kind == "HASH":
-            op = self.advance()
-            right = self.parse_factor()
-            node = Sha(op.line, op.col, node, right)
-        return node
+    def term(self) -> _Expansion:
+        if self.peek() == "int":
+            coefficient = self.rational()
+            self.expect("*", "'*' after a rational coefficient")
+            factor = self.factor()
+            return lambda: coefficient * factor()
+        product = self.factor()
+        while self.peek() == "#":
+            at = self.take()[2]
+            right = self.factor()
+            # Default arguments bind this step's operands; a closure over the
+            # loop variables would see only the last step and call itself.
+            product = self.guarded(at, lambda left=product, right=right: sha(left(), right()))
+        return product
 
-    def parse_rational(self) -> Fraction:
-        numerator = self.expect("INT", "an integer").value
-        if self.peek().kind == "SLASH":
-            self.advance()
-            denominator_tok = self.expect("INT", "an integer denominator")
-            if denominator_tok.value == 0:
-                raise ExprError("zero denominator", denominator_tok.line, denominator_tok.col)
-            return Fraction(numerator, denominator_tok.value)
-        return Fraction(numerator)
+    # rational := int | int "/" int
+    def rational(self) -> Fraction:
+        numerator = self.take()[1]
+        if self.peek() != "/":
+            return Fraction(numerator)
+        self.take()
+        _, denominator, at = self.expect("int", "an integer denominator")
+        if denominator == 0:
+            raise _error(self.text, "zero denominator", at)
+        return Fraction(numerator, denominator)
 
-    def parse_factor(self) -> _Node:
-        tok = self.peek()
-        if tok.kind == "IDENT":
-            return self.parse_call()
-        if tok.kind == "LPAREN":
-            if self._paren_is_literal():
-                return self.parse_literal()
-            self.advance()
-            inner = self.parse_expr()
-            self.expect("RPAREN", "')'")
-            return inner
-        raise ExprError("expected an index, a function call, or '('", tok.line, tok.col)
+    def factor(self) -> _Expansion:
+        kind, _, at = self.tokens[self.i]
+        if kind == "name":
+            return self.call()
+        if kind != "(":
+            raise _error(self.text, "expected an index, a function call, or '('", at)
+        if self.literal_follows():
+            return self.literal()
+        self.take()
+        inner = self.expr()
+        self.expect(")", "')'")
+        return inner
 
-    def _paren_is_literal(self) -> bool:
-        """True when the group starting at the current '(' holds only
-        integers and commas up to its closing ')'."""
+    def literal_follows(self) -> bool:
+        """True when the group opening at the current '(' holds only integers
+        and commas up to its closing ')'."""
         j = self.i + 1
-        while True:
-            tok = self.tokens[j]
-            if tok.kind == "RPAREN":
-                return True
-            if tok.kind not in ("INT", "COMMA"):
-                return False  # operators, nesting, or EOF: a grouped expression
+        while self.tokens[j][0] in ("int", ","):
             j += 1
+        return self.tokens[j][0] == ")"
 
-    def parse_literal(self) -> _Node:
-        open_tok = self.expect("LPAREN", "'('")
-        if self.peek().kind == "RPAREN":
-            self.advance()
-            return Literal(open_tok.line, open_tok.col, ())
-        entries = [self.expect("INT", "an integer entry").value]
-        while self.peek().kind == "COMMA":
-            self.advance()
-            entries.append(self.expect("INT", "an integer entry").value)
-        self.expect("RPAREN", "')' closing the index")
-        return Literal(open_tok.line, open_tok.col, tuple(entries))
+    # literal := "(" int ("," int)* ")" | "()"
+    def literal(self) -> _Expansion:
+        at = self.take()[2]
+        entries = []
+        if self.peek() != ")":
+            entries.append(self.expect("int", "an integer entry")[1])
+            while self.peek() == ",":
+                self.take()
+                entries.append(self.expect("int", "an integer entry")[1])
+        self.expect(")", "')' closing the index")
+        return self.guarded(at, lambda: IndexCombination.from_index(Index(tuple(entries))))
 
-    def parse_call(self) -> _Node:
-        name_tok = self.advance()
-        name = name_tok.value
-        if name not in ("rep", "dual", "hast", "ohno"):
-            raise ExprError(
-                f"unknown function {name!r}; known functions: rep, dual, hast, ohno",
-                name_tok.line,
-                name_tok.col,
-            )
-        self.expect("LPAREN", f"'(' after {name}")
+    def call(self) -> _Expansion:
+        _, name, at = self.take()
+        if name not in _FUNCTIONS:
+            raise _error(self.text, f"unknown function {name!r}; known functions: {', '.join(_FUNCTIONS)}", at)
+        self.expect("(", f"'(' after {name}")
         if name == "rep":
-            entry = self.expect("INT", "an integer entry").value
-            self.expect("COMMA", "','")
-            count = self.expect("INT", "an integer repetition count").value
-            self.expect("RPAREN", "')'")
-            return Rep(name_tok.line, name_tok.col, entry, count)
+            entry = self.expect("int", "an integer entry")[1]
+            self.expect(",", "','")
+            count = self.expect("int", "an integer repetition count")[1]
+            self.expect(")", "')'")
+            return self.guarded(at, lambda: IndexCombination.from_index(repeat(entry, count)))
         if name == "dual":
-            child = self.parse_expr()
-            self.expect("RPAREN", "')'")
-            return Dual(name_tok.line, name_tok.col, child)
-        amount = self.expect("INT", "an integer first argument").value
-        self.expect("COMMA", "','")
-        child = self.parse_expr()
-        self.expect("RPAREN", "')'")
+            child = self.expr()
+            self.expect(")", "')'")
+            return self.guarded(at, lambda: dual_linear(child()))
+        amount = self.expect("int", "an integer first argument")[1]
+        self.expect(",", "','")
+        child = self.expr()
+        self.expect(")", "')'")
         if name == "hast":
-            return Hast(name_tok.line, name_tok.col, amount, child)
-        return OhnoSum(name_tok.line, name_tok.col, amount, child)
-
-
-def parse(text: str) -> _Node:
-    """Parse expression text into an AST; raise :class:`ExprError` on failure."""
-    if not isinstance(text, str):
-        raise ValueError(f"expected expression text, got {text!r}")
-    parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing.kind != "EOF":
-        raise ExprError("unexpected trailing input", trailing.line, trailing.col)
-    return node
-
-
-# -- expansion ----------------------------------------------------------------
-
-
-def expand(node: _Node) -> IndexCombination:
-    """Evaluate an AST to an exact combination.
-
-    Domain errors from the algebra layer (non-admissible duals, empty-index
-    position sums, bad entries) are re-raised as :class:`ExprError` at the
-    offending node's position.
-    """
-
-    def guard(action, n: _Node) -> IndexCombination:
-        try:
-            return action()
-        except ExprError:
-            raise
-        except ValueError as exc:
-            raise ExprError(str(exc), n.line, n.col) from None
-
-    if isinstance(node, Literal):
-        if not node.entries:
-            return IndexCombination.from_index(EMPTY)
-        return guard(lambda: IndexCombination.from_index(Index(node.entries)), node)
-    if isinstance(node, Rep):
-        return guard(lambda: IndexCombination.from_index(repeat(node.entry, node.count)), node)
-    if isinstance(node, Dual):
-        child = expand(node.child)
-        return guard(lambda: dual_linear(child), node)
-    if isinstance(node, Hast):
-        child = expand(node.child)
-        return guard(lambda: hast(node.amount, child), node)
-    if isinstance(node, OhnoSum):
-        child = expand(node.child)
-        return guard(lambda: ohno_sum_symbolic(child, node.order), node)
-    if isinstance(node, Sha):
-        left = expand(node.left)
-        right = expand(node.right)
-        return guard(lambda: sha(left, right), node)
-    if isinstance(node, Scale):
-        child = expand(node.child)
-        return node.coefficient * child
-    if isinstance(node, Sum):
-        total = IndexCombination.zero()
-        for sign, term in node.terms:
-            piece = expand(term)
-            total = total + piece if sign > 0 else total - piece
-        return total
-    raise ValueError(f"unknown expression node {node!r}")
+            return self.guarded(at, lambda: hast(amount, child()))
+        return self.guarded(at, lambda: ohno_sum_symbolic(child(), amount))
 
 
 def expand_text(text: str) -> IndexCombination:
-    """Parse and expand in one step; ``"0"`` denotes the zero combination."""
-    if isinstance(text, str) and text.strip() == "0":
+    """Expand expression text to an exact combination; ``"0"`` denotes the
+    zero combination.  Raise :class:`ExprError` for a syntax or domain error."""
+    if not isinstance(text, str):
+        raise ValueError(f"expected expression text, got {text!r}")
+    if text.strip() == "0":
         return IndexCombination.zero()
-    return expand(parse(text))
+    parser = _Parser(text)
+    expansion = parser.expr()
+    if parser.peek() != "end":
+        raise _error(text, "unexpected trailing input", parser.tokens[parser.i][2])
+    return expansion()

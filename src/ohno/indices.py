@@ -15,9 +15,9 @@ and the three products used throughout the package:
 Everything in this module is exact and no floats ever appear.  A
 coefficient is an ``int`` whenever its value is an integer and a
 ``fractions.Fraction`` otherwise; only rational input (a ``Fraction``
-scalar, or a ``Scale`` in :mod:`ohno.expr`) brings one in, and a
-``Fraction`` with denominator 1 is stored as an ``int``.  Equal values
-compare and hash alike in both types, so the rule changes no result.
+scalar, or a ``3/2*`` coefficient in :mod:`ohno.expr` text) brings one
+in, and a ``Fraction`` with denominator 1 is stored as an ``int``.  Equal
+values compare and hash alike in both types, so the rule changes no result.
 
 The public constructors ``Index(...)`` and ``IndexCombination(...)`` check
 what they are given.  What the algebra builds from checked operands (sums,

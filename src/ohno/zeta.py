@@ -224,6 +224,9 @@ class ZetaCache:
             raise
 
     def load(self, path: str) -> None:
+        """Merge the flat file at ``path``.  Every line is checked before any
+        is stored, so a malformed line leaves the cache as it was."""
+        rows = []
         with open(path, "r", encoding="ascii") as fh:
             for line in fh:
                 line = line.strip()
@@ -238,7 +241,9 @@ class ZetaCache:
                     raise ValueError(f"malformed cache line {line!r}") from None
                 if not (k.admissible and 1 <= bucket <= _FINEST_BUCKET and math.isfinite(value)):
                     raise ValueError(f"malformed cache line {line!r}")
-                self.store(k, bucket, value)
+                rows.append((k, bucket, value))
+        for row in rows:
+            self.store(*row)
 
 
 @dataclass(frozen=True)

@@ -328,18 +328,6 @@ def test_family_frozen_values():
     assert T(composed_split(2, 1, 0, 1, 2)) == "(4,1,2)"
 
 
-def test_single_entry_pairs_agree():
-    for s, l, m in product((2, 3), (1, 2), (0, 1, 2)):
-        for p, q in product(range(1, l + 2), repeat=2):
-            assert grouped_single(s, l, m, p, q) == composed_single(s, l, m, p, q)
-
-
-def test_split_entry_pairs_agree():
-    for s, l, m in product((2, 3), (1, 2), (0, 1, 2)):
-        for p, q in product(range(1, l + 2), repeat=2):
-            assert grouped_split(s, l, m, p, q) == composed_split(s, l, m, p, q)
-
-
 def test_family_totals_match_closed_forms():
     report = verify("abc_closed_forms", s=(2, 3), l=(1, 2), m=(0, 1))
     assert report.passed
@@ -369,13 +357,6 @@ def test_split_diag_parts_frozen():
         ("(3,2,2)", "(3,2,2)"),
         ("(2,3,2)", "(2,3,2)"),
     ]
-
-
-def test_split_diag_parts_agree_on_grid():
-    for s, l, m in product((2, 3), (1, 2), (0, 1, 2)):
-        for p in range(1, l + 2):
-            for lhs, rhs in split_diag_parts(s, l, m, p):
-                assert lhs == rhs
 
 
 # ---------------------------------------------------------------------------

@@ -437,6 +437,20 @@ def test_cache_load_rejects_values_it_cannot_serve(tmp_path, line):
         ZetaCache().load(str(path))
 
 
+def test_cache_failed_load_changes_nothing(tmp_path):
+    """A load that meets a malformed line stores none of the lines before it."""
+    cache = ZetaCache()
+    cache.store(Index((2,)), 12, 1.5)
+    path = tmp_path / "bad.tsv"
+    path.write_text("(2)\t15\t0x1.0p+1\n(3)\t12\t0x1.33ba004f00621p+0\n(2,3)\t12\tnan\n")
+    with pytest.raises(ValueError, match="malformed cache line"):
+        cache.load(str(path))
+    assert len(cache) == 1
+    assert cache.lookup(Index((2,)), 12) == 1.5
+    assert cache.lookup(Index((2,)), 13) is None
+    assert cache.lookup(Index((3,)), 1) is None
+
+
 def test_cached_values_feed_combinations():
     cache = ZetaCache()
     cfg = EvalConfig(tol=1e-12, cache=cache)
