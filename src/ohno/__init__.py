@@ -44,9 +44,7 @@ from ohno.zeta import (
 from ohno.sums import (
     dual_gap_skew_symbolic,
     hoffman_sides,
-    ohno_series,
     ohno_shifts,
-    ohno_sum,
     ohno_sum_symbolic,
 )
 from ohno.verify import (
@@ -84,9 +82,7 @@ __all__ = [
     "hoffman_sides",
     "iter_admissible",
     "list_identities",
-    "ohno_series",
     "ohno_shifts",
-    "ohno_sum",
     "ohno_sum_symbolic",
     "repeat",
     "report_to_file",

@@ -10,7 +10,8 @@ Subcommands::
     list     show the identity catalogue
 
 Exit codes: 0 on success (and verification pass), 1 on verification
-failure, 2 on usage or input errors.
+failure, 2 on usage or input errors, including a series cap too short for
+the tolerance (``PrecisionError``).
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from typing import Optional
 
 from ohno.expr import GRAMMAR, ExprError, expand_text
 from ohno.indices import Index, IndexCombination, combination_to_text, dual_linear
-from ohno.sums import ohno_series, ohno_sum, ohno_sum_symbolic
+from ohno.sums import ohno_sum_symbolic
 from ohno.verify import list_identities, report_to_file, verify
-from ohno.zeta import EvalConfig, ZetaCache, eval_combination
+from ohno.zeta import DEFAULT_CONFIG, EvalConfig, PrecisionError, ZetaCache, eval_combination
 
 __all__ = ["main"]
 
@@ -74,9 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_eval_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tol", type=float, default=1e-12, help="absolute accuracy target (default 1e-12)")
-        p.add_argument("--terms-cap", type=int, default=256, help="series length cap (default 256)")
-        p.add_argument("--precision-bits", type=int, default=None, help="fixed-point working precision")
+        tol, cap = DEFAULT_CONFIG.tol, DEFAULT_CONFIG.max_terms
+        p.add_argument("--tol", type=float, default=tol, help=f"absolute accuracy target (default {tol})")
+        p.add_argument("--terms-cap", type=int, default=cap, help=f"series length cap (default {cap})")
         p.add_argument("--cache", default="on", help="on, off, or a file path (default on)")
 
     def add_input_flags(p: argparse.ArgumentParser) -> None:
@@ -140,17 +141,6 @@ def _resolve_cache(cache_arg: str) -> tuple[Optional[ZetaCache], Optional[str]]:
     return ZetaCache(cache_arg), cache_arg
 
 
-def _config_from(args: argparse.Namespace) -> tuple[EvalConfig, Optional[ZetaCache], Optional[str]]:
-    cache, save_path = _resolve_cache(args.cache)
-    cfg = EvalConfig(
-        tol=args.tol,
-        max_terms=args.terms_cap,
-        working_precision=args.precision_bits,
-        cache=cache,
-    )
-    return cfg, cache, save_path
-
-
 def _combination_from(args: argparse.Namespace) -> IndexCombination:
     has_index = getattr(args, "index", None) is not None
     has_expr = getattr(args, "expr", None) is not None
@@ -162,12 +152,7 @@ def _combination_from(args: argparse.Namespace) -> IndexCombination:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    cfg, cache, save_path = _config_from(args)
-    comb = _combination_from(args)
-    value = eval_combination(comb, cfg)
-    print(value)
-    if cache is not None and save_path is not None:
-        cache.save(save_path)
+    print(eval_combination(_combination_from(args), args.cfg))
     return 0
 
 
@@ -183,27 +168,21 @@ def _cmd_dual(args: argparse.Namespace) -> int:
 
 
 def _cmd_ohno(args: argparse.Namespace) -> int:
-    cfg, cache, save_path = _config_from(args)
     comb = _combination_from(args)
     if args.M is not None:
         if args.M < 0:
             raise ValueError("--M must be nonnegative")
-        for order, value in enumerate(ohno_series(comb, args.M, cfg)):
-            print(f"{order}: {value}")
+        values = [eval_combination(ohno_sum_symbolic(comb, m), args.cfg) for m in range(args.M + 1)]
+        print("\n".join(f"{order}: {value}" for order, value in enumerate(values)))
     elif args.m is not None:
-        if args.eval:
-            print(ohno_sum(comb, args.m, cfg))
-        else:
-            print(combination_to_text(ohno_sum_symbolic(comb, args.m)))
+        family = ohno_sum_symbolic(comb, args.m)
+        print(eval_combination(family, args.cfg) if args.eval else combination_to_text(family))
     else:
         raise ValueError("provide --m (one order) or --M (series prefix)")
-    if cache is not None and save_path is not None:
-        cache.save(save_path)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg, cache, save_path = _config_from(args)
     grid: dict[str, object] = {}
     for name in ("s", "t", "l", "m", "p", "q"):
         values = getattr(args, name)
@@ -219,19 +198,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError("--out requires a single identity name")
         all_passed = True
         for spec in list_identities():
-            report = verify(spec.name, cfg=cfg)
+            report = verify(spec.name, cfg=args.cfg)
             print(report.summary())
             all_passed = all_passed and report.passed
-        if cache is not None and save_path is not None:
-            cache.save(save_path)
         return 0 if all_passed else 1
 
-    report = verify(args.name, cfg=cfg, **grid)
+    report = verify(args.name, cfg=args.cfg, **grid)
     print(report.summary())
     if args.out is not None:
         report_to_file(report, args.out, args.format)
-    if cache is not None and save_path is not None:
-        cache.save(save_path)
     return 0 if report.passed else 1
 
 
@@ -256,12 +231,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        save_path = None
+        if "cache" in args:  # a command that evaluates: build its request once
+            cache, save_path = _resolve_cache(args.cache)
+            args.cfg = EvalConfig(tol=args.tol, max_terms=args.terms_cap, cache=cache)
+        code = _COMMANDS[args.command](args)
+        if save_path is not None:
+            cache.save(save_path)
+        return code
     except ExprError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(GRAMMAR_HELP, file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

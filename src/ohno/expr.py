@@ -23,7 +23,7 @@ from typing import Callable
 from ohno.indices import Index, IndexCombination, dual_linear, hast, repeat, sha
 from ohno.sums import ohno_sum_symbolic
 
-__all__ = ["ExprError", "GRAMMAR", "MAX_INT_LITERAL", "expand_text"]
+__all__ = ["ExprError", "GRAMMAR", "MAX_INT_LITERAL", "MAX_NESTING", "expand_text"]
 
 GRAMMAR = """\
 expression grammar:
@@ -51,6 +51,11 @@ notes:
 #: Upper bound for integer literals; keeps accidental huge inputs from
 #: exploding combinatorial expansions.
 MAX_INT_LITERAL = 10**6
+
+#: Upper bound for the levels of ``(`` open at once, function calls
+#: included; keeps the parser's recursion far from the interpreter's limit.
+#: Both limits are checked while tokenizing, before the grammar.
+MAX_NESTING = 100
 
 _FUNCTIONS = ("rep", "dual", "hast", "ohno")
 
@@ -80,6 +85,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     """``(kind, value, offset)`` triples, closed by an ``end`` token.  The
     kind of an operator is the operator itself."""
     tokens: list[tuple[str, object, int]] = []
+    depth = 0
     for match in _TOKEN.finditer(text):
         kind, word, at = match.lastgroup, match.group(), match.start()
         if kind == "name" and not word.isalpha():
@@ -93,6 +99,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 raise _error(text, f"integer literal too large (limit {MAX_INT_LITERAL})", at)
             tokens.append(("int", value, at))
         elif kind is not None:
+            depth += (word == "(") - (word == ")")
+            if depth > MAX_NESTING:
+                raise _error(text, f"nesting too deep (limit {MAX_NESTING} levels of '(')", at)
             tokens.append((word if kind == "op" else kind, word, at))
     tokens.append(("end", None, len(text)))
     return tokens
@@ -159,13 +168,19 @@ class _Parser:
             self.expect("*", "'*' after a rational coefficient")
             factor = self.factor()
             return lambda: coefficient * factor()
-        product = self.factor()
+        first, steps = self.factor(), []
         while self.peek() == "#":
-            at = self.take()[2]
-            right = self.factor()
-            # Default arguments bind this step's operands; a closure over the
-            # loop variables would see only the last step and call itself.
-            product = self.guarded(at, lambda left=product, right=right: sha(left(), right()))
+            steps.append((self.take()[2], self.factor()))
+        if not steps:
+            return first
+
+        def product() -> IndexCombination:
+            # A loop, not nested closures: a long chain needs no deep stack.
+            out = first()
+            for at, right in steps:
+                out = self.guarded(at, lambda: sha(out, right()))()
+            return out
+
         return product
 
     # rational := int | int "/" int

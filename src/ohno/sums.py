@@ -22,15 +22,14 @@ families used by the identity catalogue in :mod:`ohno.verify`:
   (``hoffman_sides``).
 
 Everything here returns exact :class:`~ohno.indices.IndexCombination`
-objects, except ``ohno_sum`` and ``ohno_series``, which evaluate shifted
-sums through :func:`~ohno.zeta.eval_combination`.
+objects; evaluating them is :func:`~ohno.zeta.eval_combination`'s job.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from operator import add
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Union
 
 from ohno.indices import (
     Index,
@@ -45,7 +44,6 @@ from ohno.indices import (
     repeat,
     sha,
 )
-from ohno.zeta import EvalConfig, eval_combination
 
 __all__ = [
     "composed_single",
@@ -60,9 +58,7 @@ __all__ = [
     "hast_merge_sides",
     "hast_shifted_sum",
     "hoffman_sides",
-    "ohno_series",
     "ohno_shifts",
-    "ohno_sum",
     "ohno_sum_symbolic",
     "raised_entry_expansion",
     "split_diag_parts",
@@ -104,20 +100,6 @@ def ohno_sum_symbolic(comb: Union[Index, IndexCombination], m: int) -> IndexComb
         return ohno_shifts(comb, m)
     _check_order(m)
     return as_combination(comb).map_linear(lambda k: ohno_shifts(k, m))
-
-
-def ohno_sum(comb: Union[Index, IndexCombination], m: int, cfg: Optional[EvalConfig] = None) -> float:
-    """Numeric order-``m`` shifted sum."""
-    return eval_combination(ohno_sum_symbolic(comb, m), cfg)
-
-
-def ohno_series(
-    comb: Union[Index, IndexCombination], order: int, cfg: Optional[EvalConfig] = None
-) -> tuple[float, ...]:
-    """The first ``order + 1`` coefficients of the shifted-sum generating
-    series, each to within ``cfg.tol``."""
-    _check_order(order)
-    return tuple(ohno_sum(comb, m, cfg) for m in range(order + 1))
 
 
 # -- the dual gap and its antisymmetrisation ----------------------------------

@@ -26,7 +26,7 @@ Error budget of ``eval_zeta`` (absolute, target ``cfg.tol``):
 
 * truncation: each series factor is summed until a provable tail majorant
   drops below ``2^-(P-8)`` where ``P`` is the working precision in bits;
-  with the default ``P >= 2*ceil(log2(1/tol)) + 16`` this leaves every
+  with ``P >= 2*ceil(log2(1/tol)) + 16`` this leaves every
   deconcatenation term far inside a uniform split of ``tol/2``;
 * rounding: fixed-point arithmetic with ``P`` fractional bits keeps the
   accumulated rounding below ``tol/10``;
@@ -49,11 +49,13 @@ is looked up in the memo once per evaluation.
 
 The final double is memoised too, per (index entries, ``P``), so an index
 evaluated before costs one lookup instead of the word, the two suffix
-passes and the product sum.  That memo sits after the ``max_terms`` check:
-the cap belongs to the request, not to the key, and a value memoised under
-a generous cap must not answer a request whose cap is too short for it.
+passes and the product sum.  Every request takes one path: the precision
+follows from the tolerance and the coefficient mass, and the ``max_terms``
+cap is checked for the deepest factor before the cache or any memo is read,
+because the cap belongs to the request, not to the key.
 
-Repeated evaluation with an identical configuration is bit-identical.
+Repeated evaluation with an identical configuration is bit-identical, up
+to what a cache may change (see :class:`EvalConfig`).
 """
 
 from __future__ import annotations
@@ -253,24 +255,22 @@ class EvalConfig:
     ``tol``
         Absolute accuracy target for a single value.  Values are returned as
         doubles, so targets below about 1e-15 are not honourable; the
-        constructor rejects them.
+        constructor rejects them.  The working precision follows from it:
+        ``2*ceil(log2(1/tol)) + 16`` fixed-point bits for the tolerance
+        bucket, finer for a combination whose coefficient mass is large.
     ``max_terms``
         Cap on the length of any single series factor.  An evaluation whose
         deepest factor needs more terms than this to meet the error budget
         raises :class:`PrecisionError` rather than returning a degraded
-        value, whether or not its factors are memoised.
-    ``working_precision``
-        Fixed-point fractional bits for internal arithmetic.  ``None``
-        derives ``2*ceil(log2(1/tol)) + 16`` from the tolerance bucket;
-        explicit values below that are rejected.
+        value, whether or not its value is memoised or cached.
     ``cache``
-        Optional :class:`ZetaCache`.  Results with the cache enabled are
-        bit-identical to results without it for a fixed configuration.
+        Optional :class:`ZetaCache`.  It answers with the value at the
+        finest bucket it holds for an index: within the requested tolerance,
+        but possibly not bit-identical to the value computed without it.
     """
 
     tol: float = 1e-12
     max_terms: int = 256
-    working_precision: Optional[int] = None
     cache: Optional[ZetaCache] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -280,13 +280,6 @@ class EvalConfig:
             raise ValueError(f"tol {self.tol!r} is below the double-precision floor 1e-15")
         if not isinstance(self.max_terms, int) or self.max_terms < 8:
             raise ValueError(f"max_terms must be an integer >= 8, got {self.max_terms!r}")
-        if self.working_precision is not None:
-            needed = _default_precision(self.bucket)
-            if not isinstance(self.working_precision, int) or self.working_precision < needed:
-                raise ValueError(
-                    f"working_precision {self.working_precision!r} is below the "
-                    f"{needed} bits required for tol {self.tol}"
-                )
 
     @cached_property
     def bucket(self) -> int:
@@ -294,8 +287,7 @@ class EvalConfig:
 
     @cached_property
     def precision(self) -> int:
-        if self.working_precision is not None:
-            return self.working_precision
+        """Working precision in bits for a single index at ``tol``."""
         return _default_precision(self.bucket)
 
 
@@ -427,17 +419,13 @@ def clear_factor_cache() -> None:
 # -- evaluators ---------------------------------------------------------------
 
 
-def _eval_uncached(k: Index, cfg: EvalConfig) -> float:
-    fbits = cfg.precision
-    # The two full words (the index's and its dual's, of length the weight)
-    # are the deepest factors and stops grow with depth, so this one check
-    # covers every factor, memoised or not.  It precedes the value memo.
-    deepest = max(k.depth, k.weight - k.depth)
-    if _stop(deepest, fbits) > cfg.max_terms:
-        raise PrecisionError(
-            f"series cap of {cfg.max_terms} terms is below what a depth-{deepest} "
-            f"factor needs to meet the error budget (index {k}, precision {fbits} bits)"
-        )
+def _value(k: Index, bucket: int, fbits: int, cache: Optional[ZetaCache]) -> float:
+    """The value of an admissible index at ``fbits`` bits, through the
+    cache and the value memo; the caller has checked the series cap."""
+    if cache is not None:
+        hit = cache.lookup(k, bucket)
+        if hit is not None:
+            return hit
     values = _VALUES[fbits]
     value = values.get(k.entries)
     if value is None:
@@ -448,25 +436,16 @@ def _eval_uncached(k: Index, cfg: EvalConfig) -> float:
         upper = _suffix_factors(reverse_swap(word), fbits)
         acc = sum((u * v) >> fbits for u, v in zip(reversed(upper), lower))
         value = values[k.entries] = math.ldexp(float(acc), -fbits)
+    if cache is not None:
+        cache.store(k, bucket, value)
     return value
 
 
 def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
     """Evaluate an admissible index to within ``cfg.tol`` (absolute)."""
-    cfg = cfg or DEFAULT_CONFIG
     if not isinstance(k, Index):
         raise ValueError(f"expected an Index, got {k!r}")
-    if not k.admissible:
-        raise ValueError(f"cannot evaluate non-admissible index {k}")
-    bucket = cfg.bucket
-    if cfg.cache is not None:
-        hit = cfg.cache.lookup(k, bucket)
-        if hit is not None:
-            return hit
-    value = _eval_uncached(k, cfg)
-    if cfg.cache is not None:
-        cfg.cache.store(k, bucket, value)
-    return value
+    return eval_combination(k, cfg)
 
 
 def eval_combination(comb: Union[Index, IndexCombination], cfg: Optional[EvalConfig] = None) -> float:
@@ -475,23 +454,29 @@ def eval_combination(comb: Union[Index, IndexCombination], cfg: Optional[EvalCon
     Per-term tolerances are scaled by the combination's coefficient mass so
     the truncation budgets sum to at most ``cfg.tol``; the per-term budget is
     never pushed below 1e-15 because the memoised values are doubles anyway.
+    The series cap is checked once, for the deepest factor of any term,
+    before any value is read from the cache or the memo.
     """
     cfg = cfg or DEFAULT_CONFIG
     terms = as_combination(comb).items()
-    mass = 0
+    mass = deepest = 0
     for idx, c in terms:
         if not idx.admissible:
             raise ValueError(f"cannot evaluate non-admissible index {idx}")
         mass += abs(c)
+        # The two full words (the index's and its dual's, of length the
+        # weight) are the deepest factors, and stops grow with depth.
+        deepest = max(deepest, idx.depth, idx.weight - idx.depth)
     if not terms:
         return 0.0
-    if cfg.working_precision is None:
-        bucket = max(cfg.bucket, math.ceil(-math.log10(cfg.tol / max(float(mass), 1.0)) - 1e-9))
-        bucket = min(bucket, _FINEST_BUCKET)
-        term_cfg = EvalConfig(tol=10.0**-bucket, max_terms=cfg.max_terms, cache=cfg.cache)
-    else:
-        term_cfg = cfg
-    return math.fsum(float(c) * eval_zeta(k, term_cfg) for k, c in terms)
+    bucket = min(max(cfg.bucket, _bucket_of(cfg.tol / max(float(mass), 1.0))), _FINEST_BUCKET)
+    fbits = _default_precision(bucket)
+    if _stop(deepest, fbits) > cfg.max_terms:
+        raise PrecisionError(
+            f"series cap of {cfg.max_terms} terms is below what a depth-{deepest} "
+            f"factor needs to meet the error budget at {fbits} bits"
+        )
+    return math.fsum(float(c) * _value(k, bucket, fbits, cfg.cache) for k, c in terms)
 
 
 def eval_zeta_direct(k: Index, terms: int) -> tuple[float, float]:

@@ -291,3 +291,29 @@ def test_verify_populates_cache_file(run, tmp_path):
     code, _, _ = run("verify", "--name", "duality", "--weight", "4", "--cache", str(path))
     assert code == 0
     assert len(ZetaCache(str(path))) == 7
+
+
+# ---------------------------------------------------------------------------
+# a series cap too short for the tolerance exits 2
+# ---------------------------------------------------------------------------
+
+
+def test_short_terms_cap_is_an_input_error(run, tmp_path):
+    path = tmp_path / "cache.tsv"
+    code, out, err = run("eval", "--index", "2,3", "--terms-cap", "8", "--cache", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: series cap of 8 terms")
+    assert not path.exists()
+
+
+def test_short_terms_cap_not_answered_by_cache_file(run, tmp_path):
+    path = tmp_path / "cache.tsv"
+    code, _, _ = run("eval", "--index", "2,3", "--cache", str(path))
+    assert code == 0
+    saved = path.read_text()
+    code, out, err = run("eval", "--index", "2,3", "--terms-cap", "8", "--cache", str(path))
+    assert code == 2
+    assert out == ""
+    assert "series cap of 8 terms" in err
+    assert path.read_text() == saved

@@ -136,6 +136,8 @@ def test_round_trip_random_combinations(c):
         ("dual((1,1))", 1, 1, "admissible"),
         ("ohno(-1,(2))", 1, 6, "integer first argument"),
         ("(²)", 1, 2, "unexpected character '²'"),
+        pytest.param("(" * 350 + "(2)" + ")" * 350, 1, 101, "nesting too deep", id="groups-351-deep"),
+        pytest.param("dual(" * 300 + "(2,3)" + ")" * 300, 1, 505, "nesting too deep", id="calls-301-deep"),
     ],
 )
 def test_errors_have_positions(text, line, col, fragment):
@@ -150,6 +152,14 @@ def test_errors_have_positions(text, line, col, fragment):
 
 def test_expr_error_is_value_error():
     assert issubclass(ExprError, ValueError)
+
+
+def test_deep_but_bounded_texts_expand():
+    """100 levels of '(' are allowed, and a long '#' chain expands in a loop
+    rather than by recursion."""
+    assert expand_text("(" * 99 + "(2)" + ")" * 99) == expand_text("(2)")
+    assert expand_text("dual(" * 99 + "(2,3)" + ")" * 99) == expand_text("(1,2,2)")
+    assert expand_text("()#" * 600 + "(2)") == expand_text("(2)")
 
 
 def test_int_literal_limit_is_reachable():

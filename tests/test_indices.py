@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ohno.indices import (
     EMPTY,
@@ -403,6 +403,9 @@ def test_sha_commutative(a, b):
 @given(index_st, index_st, index_st)
 @settings(max_examples=30, deadline=None)
 def test_sha_associative(a, b, c):
+    # Three depth-6 operands give 17,153,136 interleavings, more than a
+    # 3 GB address space holds; a depth sum of 15 peaks at 756,756 (5, 5, 5).
+    assume(a.depth + b.depth + c.depth <= 15)
     assert sha(sha(a, b), c) == sha(a, sha(b, c))
 
 

@@ -112,13 +112,6 @@ def test_config_derived_precision(tol, bucket, precision):
     assert cfg.precision == precision
 
 
-def test_config_explicit_precision():
-    cfg = EvalConfig(tol=1e-12, working_precision=128)
-    assert cfg.precision == 128
-    with pytest.raises(ValueError):
-        EvalConfig(tol=1e-12, working_precision=64)  # below the 96-bit floor
-
-
 @pytest.mark.parametrize("tol", [0.0, -1e-3, 1e-16])
 def test_config_rejects_bad_tol(tol):
     with pytest.raises(ValueError):
@@ -277,6 +270,18 @@ def test_series_cap_ignores_warm_value_memo():
         eval_zeta(k, EvalConfig(max_terms=8))
 
 
+@pytest.mark.parametrize("evaluate", [eval_zeta, eval_combination])
+def test_series_cap_ignores_warm_zeta_cache(evaluate):
+    """A value held by a ZetaCache must not let a short cap through: the
+    cap is checked before the cache is read."""
+    cache = ZetaCache()
+    k = Index((2, 3))
+    eval_zeta(k, EvalConfig(cache=cache))
+    with pytest.raises(PrecisionError):
+        evaluate(k, EvalConfig(max_terms=8, cache=cache))
+    assert cache.stats.hits == 0
+
+
 def test_clear_factor_cache_empties_value_memo():
     eval_zeta(Index((2, 3)))
     assert zeta._VALUES
@@ -333,6 +338,20 @@ def test_cache_is_transparent():
         k = Index(entries)
         assert eval_zeta(k, cfg) == eval_zeta(k, plain)
         assert eval_zeta(k, cfg) == eval_zeta(k, plain)  # second pass hits
+
+
+def test_cache_answers_with_its_finest_value():
+    """A cache returns the finest value it holds for an index: after a
+    combination of mass 300 at tol 1e-8 (bucket 11), a single index at
+    tol 1e-8 gets the bucket-11 value, which differs in the last bit from
+    the bucket-8 value computed without the cache."""
+    k = Index((1, 2, 1, 3))
+    cfg = EvalConfig(tol=1e-8, cache=ZetaCache())
+    eval_combination(IndexCombination.from_index(k, 300), cfg)
+    cached = eval_zeta(k, cfg)
+    assert cached == eval_zeta(k, EvalConfig(tol=1e-11))
+    assert cached != eval_zeta(k, EvalConfig(tol=1e-8))
+    assert cached == pytest.approx(eval_zeta(k, EvalConfig(tol=1e-8)), abs=1e-8)
 
 
 def test_cache_counts_hits_and_misses():
