@@ -74,6 +74,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def with_grammar(name: str, summary: str) -> argparse.ArgumentParser:
+        """A subcommand whose help ends with the expression grammar."""
+        return sub.add_parser(name, help=summary, epilog=GRAMMAR_HELP, formatter_class=parser.formatter_class)
+
     def add_eval_flags(p: argparse.ArgumentParser) -> None:
         tol, cap = DEFAULT_CONFIG.tol, DEFAULT_CONFIG.max_terms
         p.add_argument("--tol", type=float, default=tol, help=f"absolute accuracy target (default {tol})")
@@ -84,32 +88,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--index", help="an index, e.g. '1,2' or '(1,2)'")
         p.add_argument("--expr", help="an expression in the grammar below --help")
 
-    p_eval = sub.add_parser(
-        "eval",
-        help="evaluate an index or expression to a float",
-        epilog=GRAMMAR_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p_eval = with_grammar("eval", "evaluate an index or expression to a float")
     add_input_flags(p_eval)
     add_eval_flags(p_eval)
 
-    p_expand = sub.add_parser(
-        "expand",
-        help="expand an expression to canonical combination text",
-        epilog=GRAMMAR_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p_expand = with_grammar("expand", "expand an expression to canonical combination text")
     p_expand.add_argument("--expr", required=True, help="expression to expand")
 
     p_dual = sub.add_parser("dual", help="dualise an index or expression")
     add_input_flags(p_dual)
 
-    p_ohno = sub.add_parser(
-        "ohno",
-        help="shifted-sum families of an index or expression",
-        epilog=GRAMMAR_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p_ohno = with_grammar("ohno", "shifted-sum families of an index or expression")
     add_input_flags(p_ohno)
     p_ohno.add_argument("--m", type=int, default=None, help="shift order")
     p_ohno.add_argument("--M", type=int, default=None, help="series mode: numeric sums for orders 0..M")

@@ -419,9 +419,19 @@ def clear_factor_cache() -> None:
 # -- evaluators ---------------------------------------------------------------
 
 
-def _value(k: Index, bucket: int, fbits: int, cache: Optional[ZetaCache]) -> float:
-    """The value of an admissible index at ``fbits`` bits, through the
-    cache and the value memo; the caller has checked the series cap."""
+class _TermConfig(EvalConfig):
+    """A per-term configuration of :func:`eval_combination`, made after the
+    series cap is checked for every term: its terms are read unchecked."""
+
+
+def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
+    """Evaluate an admissible index to within ``cfg.tol`` (absolute)."""
+    cfg = cfg or DEFAULT_CONFIG
+    if type(cfg) is not _TermConfig:
+        if not isinstance(k, Index):
+            raise ValueError(f"expected an Index, got {k!r}")
+        return eval_combination(k, cfg)  # checks the cap, then reads k below
+    fbits, bucket, cache = cfg.precision, cfg.bucket, cfg.cache
     if cache is not None:
         hit = cache.lookup(k, bucket)
         if hit is not None:
@@ -441,13 +451,6 @@ def _value(k: Index, bucket: int, fbits: int, cache: Optional[ZetaCache]) -> flo
     return value
 
 
-def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
-    """Evaluate an admissible index to within ``cfg.tol`` (absolute)."""
-    if not isinstance(k, Index):
-        raise ValueError(f"expected an Index, got {k!r}")
-    return eval_combination(k, cfg)
-
-
 def eval_combination(comb: Union[Index, IndexCombination], cfg: Optional[EvalConfig] = None) -> float:
     """Evaluate a rational combination of admissible indices.
 
@@ -458,7 +461,7 @@ def eval_combination(comb: Union[Index, IndexCombination], cfg: Optional[EvalCon
     before any value is read from the cache or the memo.
     """
     cfg = cfg or DEFAULT_CONFIG
-    terms = as_combination(comb).items()
+    terms = [(comb, 1)] if isinstance(comb, Index) else as_combination(comb).items()
     mass = deepest = 0
     for idx, c in terms:
         if not idx.admissible:
@@ -466,17 +469,19 @@ def eval_combination(comb: Union[Index, IndexCombination], cfg: Optional[EvalCon
         mass += abs(c)
         # The two full words (the index's and its dual's, of length the
         # weight) are the deepest factors, and stops grow with depth.
-        deepest = max(deepest, idx.depth, idx.weight - idx.depth)
+        d = max(len(idx.entries), sum(idx.entries) - len(idx.entries))
+        if d > deepest:
+            deepest, worst = d, idx
     if not terms:
         return 0.0
     bucket = min(max(cfg.bucket, _bucket_of(cfg.tol / max(float(mass), 1.0))), _FINEST_BUCKET)
-    fbits = _default_precision(bucket)
-    if _stop(deepest, fbits) > cfg.max_terms:
+    term_cfg = _TermConfig(tol=10.0**-bucket, max_terms=cfg.max_terms, cache=cfg.cache)
+    if _stop(deepest, term_cfg.precision) > cfg.max_terms:
         raise PrecisionError(
-            f"series cap of {cfg.max_terms} terms is below what a depth-{deepest} "
-            f"factor needs to meet the error budget at {fbits} bits"
+            f"series cap of {cfg.max_terms} terms is below what a depth-{deepest} factor "
+            f"needs to meet the error budget (index {worst}, precision {term_cfg.precision} bits)"
         )
-    return math.fsum(float(c) * _value(k, bucket, fbits, cfg.cache) for k, c in terms)
+    return math.fsum(float(c) * eval_zeta(k, term_cfg) for k, c in terms)
 
 
 def eval_zeta_direct(k: Index, terms: int) -> tuple[float, float]:

@@ -282,6 +282,28 @@ def test_series_cap_ignores_warm_zeta_cache(evaluate):
     assert cache.stats.hits == 0
 
 
+def test_combination_reads_each_term_through_eval_zeta(monkeypatch):
+    """eval_combination asks eval_zeta for every term at the combination's
+    bucket, so a wrapper around eval_zeta (the benchmark's tracer) sees
+    each per-term request; the cap is checked once, before any of them."""
+    seen = []
+
+    def spy(k, cfg=None):
+        seen.append((k, cfg.bucket))
+        return original(k, cfg)
+
+    original = zeta.eval_zeta
+    monkeypatch.setattr(zeta, "eval_zeta", spy)
+    a, b = Index((2, 3)), Index((1, 2, 1, 3))
+    comb = IndexCombination({a: 100, b: 200})  # mass 300: bucket 11 at tol 1e-8
+    eval_combination(comb, EvalConfig(tol=1e-8))
+    assert len(seen) == 2 and set(seen) == {(a, 11), (b, 11)}
+    seen.clear()
+    with pytest.raises(PrecisionError):
+        eval_combination(comb, EvalConfig(tol=1e-8, max_terms=8))
+    assert seen == []
+
+
 def test_clear_factor_cache_empties_value_memo():
     eval_zeta(Index((2, 3)))
     assert zeta._VALUES
