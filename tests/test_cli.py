@@ -307,6 +307,14 @@ def test_short_terms_cap_is_an_input_error(run, tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("tol", ["inf", "1e400", "nan"])
+def test_unusable_tolerance_is_an_input_error(run, tol):
+    code, out, err = run("eval", "--index", "2,3", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tol must be a positive finite number")
+
+
 def test_short_terms_cap_not_answered_by_cache_file(run, tmp_path):
     path = tmp_path / "cache.tsv"
     code, _, _ = run("eval", "--index", "2,3", "--cache", str(path))
