@@ -11,7 +11,8 @@ Subcommands::
 
 Exit codes: 0 on success (and verification pass), 1 on verification
 failure, 2 on usage or input errors, including a series cap too short for
-the tolerance (``PrecisionError``).
+the tolerance (``PrecisionError``) and a cache or report file that cannot be
+read or written (``OSError``).
 """
 
 from __future__ import annotations
@@ -232,7 +233,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(GRAMMAR_HELP, file=sys.stderr)
         return 2
-    except (ValueError, PrecisionError) as exc:
+    except (ValueError, PrecisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

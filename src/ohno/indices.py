@@ -51,6 +51,11 @@ __all__ = [
 Scalar = Union[int, Fraction]
 
 
+def _int_at_least(value: object, low: int) -> bool:
+    """The one integer-argument check: exactly an ``int`` (so not a ``bool``) >= ``low``."""
+    return type(value) is int and value >= low
+
+
 @dataclass(frozen=True)
 class Index:
     """A finite sequence of positive integers.
@@ -64,7 +69,7 @@ class Index:
     def __post_init__(self) -> None:
         entries = tuple(self.entries)
         for e in entries:
-            if not isinstance(e, int) or isinstance(e, bool) or e < 1:
+            if not _int_at_least(e, 1):
                 raise ValueError(f"index entries must be positive integers, got {entries!r}")
         object.__setattr__(self, "entries", entries)
 
@@ -116,7 +121,7 @@ class Index:
                 f"shift {shift!r} has length {len(shift)}, index {self} has depth {self.depth}"
             )
         for v in shift:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            if not _int_at_least(v, 0):
                 raise ValueError(f"shift entries must be nonnegative integers, got {shift!r}")
         return Index(tuple(e + v for e, v in zip(self.entries, shift)))
 
@@ -163,9 +168,9 @@ def _trusted_index(entries: tuple[int, ...]) -> Index:
 
 def repeat(a: int, l: int) -> Index:
     """The index ``({a}^l)``: the entry ``a`` repeated ``l`` times."""
-    if not isinstance(a, int) or a < 1:
+    if not _int_at_least(a, 1):
         raise ValueError(f"repeat needs a positive entry, got {a!r}")
-    if not isinstance(l, int) or l < 0:
+    if not _int_at_least(l, 0):
         raise ValueError(f"repeat needs a nonnegative count, got {l!r}")
     return Index((a,) * l)
 
@@ -364,9 +369,9 @@ def enumerate_shifts(r: int, m: int) -> list[tuple[int, ...]]:
 
     Ordered lexicographically; there are ``C(m + r - 1, r - 1)`` of them.
     """
-    if not isinstance(r, int) or r < 0:
+    if not _int_at_least(r, 0):
         raise ValueError(f"shift length must be a nonnegative integer, got {r!r}")
-    if not isinstance(m, int) or m < 0:
+    if not _int_at_least(m, 0):
         raise ValueError(f"shift total must be a nonnegative integer, got {m!r}")
     if r == 0:
         if m > 0:
@@ -464,7 +469,7 @@ def hast(k: int, target: Union[Index, IndexCombination]) -> IndexCombination:
     ``(k) hast (l1, ..., lr) = (l1+k, ..., lr) + ... + (l1, ..., lr+k)``,
     extended linearly.  Undefined against the empty index.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+    if not _int_at_least(k, 1):
         raise ValueError(f"hast needs a positive integer summand, got {k!r}")
     comb = as_combination(target)
 
@@ -499,6 +504,6 @@ def star_single(k: int, target: Union[Index, IndexCombination]) -> IndexCombinat
 
 def append_entry(comb: Union[Index, IndexCombination], entry: int) -> IndexCombination:
     """Append ``entry`` at the end of every support index."""
-    if not isinstance(entry, int) or entry < 1:
+    if not _int_at_least(entry, 1):
         raise ValueError(f"appended entry must be a positive integer, got {entry!r}")
     return as_combination(comb).map_indices(lambda k: Index(k.entries + (entry,)))

@@ -34,6 +34,7 @@ from typing import Callable, Iterable, Union
 from ohno.indices import (
     Index,
     IndexCombination,
+    _int_at_least,
     _trusted_combination,
     _trusted_index,
     append_entry,
@@ -71,7 +72,7 @@ __all__ = [
 
 
 def _check_order(m: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+    if not _int_at_least(m, 0):
         raise ValueError(f"shift order must be a nonnegative integer, got {m!r}")
 
 
@@ -108,9 +109,9 @@ def ohno_sum_symbolic(comb: Union[Index, IndexCombination], m: int) -> IndexComb
 def dual_gap_operands(s: int, k: Index, l: int) -> tuple[IndexCombination, IndexCombination]:
     """The two combinations whose order-``m`` shifted sums make the dual gap
     ``O_m((s) # k # {2}^l) - O_m((s) # (k # {2}^l)^dual)``."""
-    if not isinstance(s, int) or s < 2:
+    if not _int_at_least(s, 2):
         raise ValueError(f"the depth-one factor needs an entry >= 2, got {s!r}")
-    if not isinstance(l, int) or l < 0:
+    if not _int_at_least(l, 0):
         raise ValueError(f"the {{2}}-block length must be nonnegative, got {l!r}")
     if not k.admissible:
         raise ValueError(f"the dual gap needs an admissible index, got {k}")
@@ -145,7 +146,7 @@ def hast_shifted_sum(base: Union[Index, IndexCombination], k0: int, m: int) -> I
     ``k0 + m1`` to one entry in all ways.
     """
     _check_order(m)
-    if not isinstance(k0, int) or k0 < 1:
+    if not _int_at_least(k0, 1):
         raise ValueError(f"hast base must be a positive integer, got {k0!r}")
     return reduce(add, (hast(k0 + m1, ohno_sum_symbolic(base, m - m1)) for m1 in range(m + 1)))
 
@@ -154,9 +155,9 @@ def hast_shifted_sum(base: Union[Index, IndexCombination], k0: int, m: int) -> I
 
 
 def _check_block(s: int, l: int, m: int) -> None:
-    if not isinstance(s, int) or s < 2:
+    if not _int_at_least(s, 2):
         raise ValueError(f"need s >= 2, got {s!r}")
-    if not isinstance(l, int) or l < 0:
+    if not _int_at_least(l, 0):
         raise ValueError(f"need l >= 0, got {l!r}")
     _check_order(m)
 
@@ -244,7 +245,7 @@ def _check_pq(s: int, l: int, m: int, p: int, q: int) -> None:
     if l < 1:
         raise ValueError(f"block families need l >= 1, got l={l!r}")
     for name, v in (("p", p), ("q", q)):
-        if not isinstance(v, int) or not 1 <= v <= l + 1:
+        if not _int_at_least(v, 1) or v > l + 1:
             raise ValueError(f"position {name} must satisfy 1 <= {name} <= l+1 = {l + 1}, got {v!r}")
 
 
@@ -450,11 +451,11 @@ def dualized_hast_expansion(s: int, t: int, l: int) -> tuple[IndexCombination, I
 
 
 def _check_expansion_params(s: int, t: int, l: int) -> None:
-    if not isinstance(s, int) or s < 2:
+    if not _int_at_least(s, 2):
         raise ValueError(f"expansion needs s >= 2, got {s!r}")
-    if not isinstance(t, int) or t < 2:
+    if not _int_at_least(t, 2):
         raise ValueError(f"expansion needs t >= 2, got {t!r}")
-    if not isinstance(l, int) or l < 1:
+    if not _int_at_least(l, 1):
         raise ValueError(f"expansion needs l >= 1, got {l!r}")
 
 
@@ -465,9 +466,9 @@ def hast_merge_sides(s: int, t: int, l: int) -> tuple[IndexCombination, IndexCom
 
     (the second summand is dropped at ``l = 0``).  Returns (lhs, rhs).
     """
-    if not isinstance(s, int) or s < 2 or not isinstance(t, int) or t < 1:
+    if not (_int_at_least(s, 2) and _int_at_least(t, 1)):
         raise ValueError(f"merge identity needs s >= 2 and t >= 1, got s={s!r}, t={t!r}")
-    if not isinstance(l, int) or l < 0:
+    if not _int_at_least(l, 0):
         raise ValueError(f"need l >= 0, got {l!r}")
     lhs = hast(s - 1, sha(Index((t + 1,)), repeat(2, l)))
     rhs = sha(Index((s + t,)), repeat(2, l))

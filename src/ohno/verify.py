@@ -41,6 +41,7 @@ from typing import Any, Callable, Iterator, Mapping, Optional, Union
 from ohno.indices import (
     Index,
     IndexCombination,
+    _int_at_least,
     as_combination,
     dual_linear,
     hast,
@@ -436,7 +437,7 @@ def _normalize_grid(
                 desc["k"] = [str(v) for v in values]
             else:
                 weight = overrides.get("weight", defaults["weight"])
-                if not isinstance(weight, int) or isinstance(weight, bool) or weight < 2:
+                if not _int_at_least(weight, 2):
                     raise ValueError(f"weight must be an integer >= 2, got {weight!r}")
                 values = list(iter_admissible(weight))
                 desc["weight"] = weight

@@ -44,18 +44,16 @@ of fixed-point inverse powers ``2^P // m^n``.  For a word ``w`` of length
 so both families are suffixes of a single word: ``w`` or its dual.  The
 inner sums of a factor form a chain that depends only on its run tail (the
 runs after its first), and suffixes share tails across words as well as
-within one.  So the first term of a combination that misses a factor fills
-the missing factors of every term that no cache or memo answers in one
-batch: their words, sorted by reversed runs, are walked with one stack of
-chains, and each chain is built once.  Only the stack is kept alive: a dict
-of a batch's chains peaked 15 MB higher on a 553-term combination.
-
-The final double is memoised too, per (index entries, ``P``), so an index
-evaluated before costs one lookup instead of the word, the two suffix
-reads and the product sum.  Every request takes one path: the precision
-follows from the tolerance and the coefficient mass, and the ``max_terms``
-cap is checked for the deepest factor before the cache or any memo is read,
-because the cap belongs to the request, not to the key.
+within one.  So ``eval_combination`` plans a request in one pass: it finds
+the terms that no cache or memo answers, checks the ``max_terms`` cap, and
+fills their missing factors in one batch, whose words, sorted by reversed
+runs, are walked with one stack of chains, so each chain is built once (a
+dict of a batch's chains peaked 15 MB higher on a 553-term combination).
+``eval_zeta`` then reads each suffix factor of a term's two words once,
+and memoises the final double per (index entries, ``P``), so a repeat costs
+one lookup.  Every request takes one path: the precision follows from the
+tolerance and the coefficient mass, and the cap is checked before the cache
+counts a lookup or any memo is written: it belongs to the request, not the key.
 
 Repeated evaluation with an identical configuration is bit-identical, up
 to what a cache may change (see :class:`EvalConfig`).
@@ -72,9 +70,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, repeat
 from operator import mul, rshift
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
-from ohno.indices import Index, IndexCombination, _sort_key, as_combination
+from ohno.indices import Index, IndexCombination, _int_at_least, _sort_key, as_combination
 
 __all__ = [
     "EvalConfig",
@@ -281,7 +279,7 @@ class EvalConfig:
             raise ValueError(f"tol must be a positive finite number, got {self.tol!r}")
         if self.tol < 1e-15:
             raise ValueError(f"tol {self.tol!r} is below the double-precision floor 1e-15")
-        if not isinstance(self.max_terms, int) or self.max_terms < 8:
+        if not _int_at_least(self.max_terms, 8):
             raise ValueError(f"max_terms must be an integer >= 8, got {self.max_terms!r}")
 
     @cached_property
@@ -370,21 +368,20 @@ def _fill_factors(words: Iterable[str], fbits: int) -> None:
     empty tail's chain is constant 1.  Stack level ``d`` holds the chain of
     the run tail of length ``d``.  Chain entries are prefix sums, so a level
     that a word shares with the word before it is extended, not rebuilt.
+    A fill stores every missing suffix of its word, so the memo is closed
+    under suffixes, and one lookup of a whole word tells whether it is done.
     """
     todo: dict[str, tuple[int, ...]] = {}  # word -> its runs, reversed
     for word in words:
-        if word not in todo and any((word[j:], fbits) not in _FACTOR_CACHE for j in range(len(word))):
+        if word not in todo and (word, fbits) not in _FACTOR_CACHE:
             todo[word] = _word_runs(word)[::-1]
     one = 1 << fbits
     stack, path = [[one]], ()
     for word in sorted(todo, key=todo.__getitem__):
-        rev = todo[word]
-        missing = [j for j in range(len(word)) if (word[j:], fbits) not in _FACTOR_CACHE]
-        if not missing:  # all are suffixes of words filled before it
+        if (word, fbits) in _FACTOR_CACHE:  # a suffix of a word filled before it
             continue
-        # (depth, first run) of the suffix starting at each position
-        heads = [(d, n) for d, run in zip(range(len(rev), 0, -1), reversed(rev)) for n in range(run, 0, -1)]
-        depth = heads[missing[0]][0]
+        rev = todo[word]
+        depth = len(rev)
         terms = _stop(depth, fbits)
         shared = 0
         while shared < min(len(path), depth - 1) and path[shared] == rev[shared]:
@@ -399,11 +396,15 @@ def _fill_factors(words: Iterable[str], fbits: int) -> None:
                 inv = _inverse_powers(rev[d - 1], fbits, terms)
                 steps = map(rshift, map(mul, inv[have:terms], stack[d - 1][have - 1 : terms - 1]), repeat(fbits))
                 chain[have - 1 :] = accumulate(steps, initial=chain[-1])
-        for j in missing:
-            d, n = heads[j]
+        # (depth, first run) of the suffix at each position; the missing come first
+        heads = ((d, n) for d, run in zip(range(depth, 0, -1), reversed(rev)) for n in range(run, 0, -1))
+        for j, (d, n) in enumerate(heads):
+            key = (word[j:], fbits)
+            if key in _FACTOR_CACHE:
+                break
             stop = _stop(d, fbits)
             inv = _inverse_powers(n, fbits, stop)
-            _FACTOR_CACHE[(word[j:], fbits)] = sum(
+            _FACTOR_CACHE[key] = sum(
                 map(rshift, map(mul, inv[1 : stop + 1], stack[d - 1]), range(fbits + 1, fbits + stop + 1))
             )
 
@@ -422,37 +423,9 @@ def clear_factor_cache() -> None:
 
 
 class _TermConfig(EvalConfig):
-    """A per-term configuration of :func:`eval_combination`, made after the
-    series cap is checked for every term: its terms are read unchecked.
-    ``batch`` (no field: set after construction) holds the combination's
-    terms, so the first term that misses a factor fills those of them all."""
-
-    batch: Iterable[tuple[Index, object]] = ()
-
-
-def _batch_words(cfg: _TermConfig) -> Iterator[str]:
-    """Both words of every term of ``cfg.batch`` that neither the value memo
-    nor the cache (peeked at without counting a lookup) answers."""
-    values, bucket = _VALUES[cfg.precision], cfg.bucket
-    held = cfg.cache._entries if cfg.cache is not None else {}
-    for k, _ in cfg.batch:
-        entry = held.get(k)
-        if k.entries not in values and (entry is None or entry[0] < bucket):
-            word = to_word(k)
-            yield word
-            yield reverse_swap(word)
-
-
-def _suffix_factors(word: str, cfg: _TermConfig) -> list[int]:
-    """Memoised factors of every suffix ``word[j:]``, ``j = 0..len(word)``,
-    read once; the first one missing fills the batch of ``cfg``."""
-    fbits = cfg.precision
-    factors = [_FACTOR_CACHE.get((word[j:], fbits)) for j in range(len(word))]
-    if None in factors:
-        _fill_factors([word, *_batch_words(cfg)], fbits)
-        factors = [_FACTOR_CACHE[(word[j:], fbits)] for j in range(len(word))]
-    factors.append(1 << fbits)
-    return factors
+    """The configuration :func:`eval_combination` hands :func:`eval_zeta`
+    for each term once the series cap is checked and the missing factors of
+    every term are filled, so the term is read without either step."""
 
 
 def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
@@ -461,7 +434,7 @@ def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
     if type(cfg) is not _TermConfig:
         if not isinstance(k, Index):
             raise ValueError(f"expected an Index, got {k!r}")
-        return eval_combination(k, cfg)  # checks the cap, then reads k below
+        return eval_combination(k, cfg)  # checks the cap, fills, then reads k below
     fbits, bucket, cache = cfg.precision, cfg.bucket, cfg.cache
     if cache is not None:
         hit = cache.lookup(k, bucket)
@@ -471,11 +444,13 @@ def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
     value = values.get(k.entries)
     if value is None:
         word = to_word(k)
-        # The upper factor of the split after j letters is
-        # reverse_swap(word[:j]), the suffix of length j of the dual word.
-        lower = _suffix_factors(word, cfg)
-        upper = _suffix_factors(reverse_swap(word), cfg)
-        acc = sum((u * v) >> fbits for u, v in zip(reversed(upper), lower))
+        dual = reverse_swap(word)
+        # The split after j letters multiplies the factor of word[j:] by that
+        # of reverse_swap(word[:j]) == dual[n-j:]; the empty word's is 1.
+        one, n = 1 << fbits, len(word)
+        lower = [_FACTOR_CACHE[word[j:], fbits] for j in range(n)] + [one]
+        upper = [one] + [_FACTOR_CACHE[dual[j:], fbits] for j in range(n - 1, -1, -1)]
+        acc = sum((u * v) >> fbits for u, v in zip(upper, lower))
         value = values[k.entries] = math.ldexp(float(acc), -fbits)
     if cache is not None:
         cache.store(k, bucket, value)
@@ -488,36 +463,46 @@ def eval_combination(comb: Union[Index, IndexCombination], cfg: Optional[EvalCon
     Per-term tolerances are scaled by the combination's coefficient mass so
     the truncation budgets sum to at most ``cfg.tol``; the per-term budget is
     never pushed below 1e-15 because the memoised values are doubles anyway.
-    The series cap is checked once, for the deepest factor of any term,
-    before any value is read from the cache or the memo.  Terms are read in
-    any order (``fsum`` is exact); errors name the first in canonical order.
+    One pass over the terms checks admissibility, finds the deepest factor
+    and collects the words of the terms that neither the value memo nor the
+    cache (peeked at, no lookup counted) answers.  Then the series cap is
+    checked, one :func:`_fill_factors` call fills those words and their
+    duals, and every term is read through :func:`eval_zeta`, in any order
+    (``fsum`` is exact); errors name the first index in canonical order.
     """
     cfg = cfg or DEFAULT_CONFIG
-    terms = [(comb, 1)] if isinstance(comb, Index) else as_combination(comb)._terms.items()
-    mass = deepest = 0
-    for idx, c in terms:
-        if not idx.admissible:
-            bad = min((k for k, _ in terms if not k.admissible), key=_sort_key)
-            raise ValueError(f"cannot evaluate non-admissible index {bad}")
-        mass += abs(c)
-        # The two full words (the index's and its dual's, of length the
-        # weight) are the deepest factors, and stops grow with depth.
-        d = max(len(idx.entries), sum(idx.entries) - len(idx.entries))
-        if d > deepest:
-            deepest = d
+    terms = {comb: 1} if isinstance(comb, Index) else as_combination(comb)._terms
     if not terms:
         return 0.0
+    mass = sum(map(abs, terms.values()))
     bucket = min(max(cfg.bucket, _bucket_of(cfg.tol / max(float(mass), 1.0))), _FINEST_BUCKET)
     term_cfg = _TermConfig(tol=10.0**-bucket, max_terms=cfg.max_terms, cache=cfg.cache)
-    term_cfg.batch = terms
-    if _stop(deepest, term_cfg.precision) > cfg.max_terms:
-        tied = (k for k, _ in terms if deepest in (len(k.entries), sum(k.entries) - len(k.entries)))
+    fbits = term_cfg.precision
+    values = _VALUES.get(fbits, {})
+    held = cfg.cache._entries if cfg.cache is not None else {}
+    deepest, words = 0, []
+    for k in terms:
+        entries = k.entries
+        if not entries or entries[-1] < 2:  # k.admissible, inlined for the warm path
+            bad = min((k for k in terms if not k.admissible), key=_sort_key)
+            raise ValueError(f"cannot evaluate non-admissible index {bad}")
+        # The two full words (the index's and its dual's, of length the
+        # weight) are the deepest factors, and stops grow with depth.
+        d = max(len(entries), sum(entries) - len(entries))
+        if d > deepest:
+            deepest = d
+        if entries not in values and held.get(k, (0,))[0] < bucket:
+            words.append(to_word(k))
+    if _stop(deepest, fbits) > cfg.max_terms:
+        tied = (k for k in terms if deepest in (len(k.entries), sum(k.entries) - len(k.entries)))
         worst = min(tied, key=_sort_key)
         raise PrecisionError(
             f"series cap of {cfg.max_terms} terms is below what a depth-{deepest} factor "
-            f"needs to meet the error budget (index {worst}, precision {term_cfg.precision} bits)"
+            f"needs to meet the error budget (index {worst}, precision {fbits} bits)"
         )
-    return math.fsum(float(c) * eval_zeta(k, term_cfg) for k, c in terms)
+    if words:
+        _fill_factors([*words, *map(reverse_swap, words)], fbits)
+    return math.fsum(float(c) * eval_zeta(k, term_cfg) for k, c in terms.items())
 
 
 def eval_zeta_direct(k: Index, terms: int) -> tuple[float, float]:

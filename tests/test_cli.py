@@ -325,3 +325,36 @@ def test_short_terms_cap_not_answered_by_cache_file(run, tmp_path):
     assert out == ""
     assert "series cap of 8 terms" in err
     assert path.read_text() == saved
+
+
+# ---------------------------------------------------------------------------
+# a cache or report file that cannot be read or written exits 2
+# ---------------------------------------------------------------------------
+
+
+def test_cache_path_that_is_a_directory_is_an_input_error(run, tmp_path):
+    code, out, err = run("eval", "--index", "2,3", "--cache", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+def test_cache_file_in_a_missing_directory_is_an_input_error(run, tmp_path, via_env):
+    path = tmp_path / "missing" / "cache.tsv"
+    if via_env:
+        code, _, err = run("eval", "--index", "2,3", env={"OHNO_CACHE": str(path)})
+    else:
+        code, _, err = run("eval", "--index", "2,3", "--cache", str(path))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not path.parent.exists()
+
+
+def test_report_in_a_missing_directory_is_an_input_error(run, tmp_path):
+    path = tmp_path / "missing" / "r.json"
+    code, out, err = run("verify", "--name", "duality", "--weight", "3", "--out", str(path))
+    assert code == 2
+    assert out.startswith("duality: PASS")
+    assert err.startswith("error: ")
+    assert not path.parent.exists()

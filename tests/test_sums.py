@@ -434,3 +434,38 @@ def test_hoffman_rejects_non_admissible():
         hoffman_sides(Index((2, 1)))
     with pytest.raises(ValueError):
         hoffman_sides(EMPTY)
+
+
+# ---------------------------------------------------------------------------
+# integer arguments: a bool is not an integer
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        pytest.param(term_a, (2, True, 1), id="term_a-l"),
+        pytest.param(term_b, (2, 1, True), id="term_b-m"),
+        pytest.param(grouped_single, (2, 1, 0, True, 1), id="grouped_single-p"),
+        pytest.param(composed_split, (2, 1, 0, 1, True), id="composed_split-q"),
+        pytest.param(dualized_shuffle_expansion, (2, 2, True), id="dualized_shuffle_expansion-l"),
+        pytest.param(dual_gap_operands, (2, Index((3,)), True), id="dual_gap_operands-l"),
+        pytest.param(hast_shifted_sum, (Index((2,)), True, 0), id="hast_shifted_sum-k0"),
+        pytest.param(hast_merge_sides, (2, True, 0), id="hast_merge_sides-t"),
+        pytest.param(hast_merge_sides, (2, 1, True), id="hast_merge_sides-l"),
+        pytest.param(ohno_shifts, (Index((2,)), True), id="ohno_shifts-m"),
+        pytest.param(hast, (True, Index((2,))), id="hast-k"),
+        pytest.param(repeat, (2, True), id="repeat-l"),
+        pytest.param(repeat, (True, 2), id="repeat-a"),
+        pytest.param(enumerate_shifts, (True, 1), id="enumerate_shifts-r"),
+        pytest.param(enumerate_shifts, (1, True), id="enumerate_shifts-m"),
+        pytest.param(Index, ((True, 2),), id="Index-entry"),
+        pytest.param(Index((2,)).oplus, ((True,),), id="oplus-shift"),
+        pytest.param(lambda t: EvalConfig(max_terms=t), (True,), id="EvalConfig-max_terms"),
+    ],
+)
+def test_integer_arguments_reject_bool(build, args):
+    """``True == 1``, but every integer argument of the algebra and of the
+    families refuses it, through one check."""
+    with pytest.raises(ValueError):
+        build(*args)

@@ -398,6 +398,28 @@ def test_batch_skips_terms_the_cache_or_value_memo_answers():
     assert {w for w, _ in zeta._FACTOR_CACHE} == {w[j:] for w in words for j in range(len(w))}
 
 
+def test_factor_memo_is_closed_under_suffixes():
+    """A fill stores every missing suffix of its word, so a held word has
+    all its suffixes held: the fill skips a word with one lookup on that."""
+    clear_factor_cache()
+    for tol in (1e-8, 1e-12, 1e-15):
+        cfg = EvalConfig(tol=tol)
+        for k in iter_admissible(9):
+            eval_zeta(k, cfg)
+    eval_combination(dual_gap_skew_sides(3, 4, 1, 1)[0])
+    memo = zeta._FACTOR_CACHE
+    assert all((w[j:], b) in memo for w, b in memo for j in range(len(w)))
+
+
+def test_refused_request_writes_no_memo():
+    """The cap is checked before any factor is filled or value memoised."""
+    clear_factor_cache()
+    with pytest.raises(PrecisionError):
+        eval_combination(dual_gap_skew_sides(3, 4, 1, 1)[0], EvalConfig(max_terms=8))
+    assert zeta._FACTOR_CACHE == {}
+    assert not zeta._VALUES
+
+
 def test_batch_keeps_one_stack_of_chains():
     """A cold 132-term side peaks less than 1 MB above what it retains: the
     chains of a batch live on one stack (0.03 MB here), not in a dict of
