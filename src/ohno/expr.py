@@ -225,7 +225,7 @@ class _Parser:
                 self.take()
                 entries.append(self.expect("int", "an integer entry")[1])
         self.expect(")", "')' closing the index")
-        return self.guarded(at, lambda: IndexCombination.from_index(Index(tuple(entries))))
+        return self.guarded(at, lambda: IndexCombination.from_index(Index(entries)))
 
     def call(self) -> _Expansion:
         _, name, at = self.take()

@@ -19,17 +19,19 @@ scalar, or a ``3/2*`` coefficient in :mod:`ohno.expr` text) brings one
 in, and a ``Fraction`` with denominator 1 is stored as an ``int``.  Equal
 values compare and hash alike in both types, so the rule changes no result.
 
-The public constructors ``Index(...)`` and ``IndexCombination(...)`` check
-what they are given.  What the algebra builds from checked operands (sums,
-scalings, products, shifts and duals) goes through the trusted constructors
-``_trusted_index`` and ``_trusted_combination``, which drop zero terms but
-check nothing.
+An ``Index`` is a ``tuple`` of its entries; it equals, and hashes like, the
+plain tuple.  The public constructors ``Index(...)`` and
+``IndexCombination(...)`` check what they are given.  What the algebra
+builds from checked operands (sums, scalings, products, shifts and duals)
+goes through the trusted constructors: ``_trusted_index``, which is
+``tuple.__new__`` on ``Index``, and ``_trusted_combination``, which drops
+zero terms; neither checks anything.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 __all__ = [
@@ -56,37 +58,40 @@ def _int_at_least(value: object, low: int) -> bool:
     return type(value) is int and value >= low
 
 
-@dataclass(frozen=True)
-class Index:
-    """A finite sequence of positive integers.
+class Index(tuple):
+    """A finite sequence of positive integers, stored as the tuple of its entries.
 
-    The empty index ``EMPTY`` is the multiplicative unit of ``sha``; it is
-    never admissible and never evaluated.
+    An index equals, and hashes like, the plain tuple of its entries, so
+    ``Index((1, 3)) == (1, 3)`` and either finds the other in a dict or set.
+    Slicing or concatenating an index gives a plain tuple; where an index is
+    required (a combination key, :func:`~ohno.zeta.eval_zeta`), a plain tuple
+    is refused.  The empty index ``EMPTY`` is the multiplicative unit of
+    ``sha``; it is never admissible and never evaluated.
     """
 
-    entries: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        entries = tuple(self.entries)
+    def __new__(cls, entries: Iterable[int] = ()) -> "Index":
+        entries = tuple(entries)
         for e in entries:
             if not _int_at_least(e, 1):
                 raise ValueError(f"index entries must be positive integers, got {entries!r}")
-        object.__setattr__(self, "entries", entries)
+        return tuple.__new__(cls, entries)
 
     @property
     def weight(self) -> int:
         """Sum of the entries."""
-        return sum(self.entries)
+        return sum(self)
 
     @property
     def depth(self) -> int:
         """Number of entries."""
-        return len(self.entries)
+        return len(self)
 
     @property
     def admissible(self) -> bool:
         """True when nonempty with last entry >= 2."""
-        return bool(self.entries) and self.entries[-1] >= 2
+        return bool(self) and self[-1] >= 2
 
     def dual(self) -> "Index":
         """The dual index.
@@ -101,7 +106,7 @@ class Index:
             raise ValueError(f"dual is defined for admissible indices only, got {self}")
         pairs: list[tuple[int, int]] = []
         ones = 0
-        for e in self.entries:
+        for e in self:
             if e == 1:
                 ones += 1
             else:
@@ -111,7 +116,7 @@ class Index:
         for a, b in reversed(pairs):
             out.extend([1] * (b - 1))
             out.append(a + 1)
-        return _trusted_index(tuple(out))
+        return _trusted_index(out)
 
     def oplus(self, shift: tuple[int, ...]) -> "Index":
         """Componentwise sum with a same-depth vector of nonnegative integers."""
@@ -123,13 +128,11 @@ class Index:
         for v in shift:
             if not _int_at_least(v, 0):
                 raise ValueError(f"shift entries must be nonnegative integers, got {shift!r}")
-        return Index(tuple(e + v for e, v in zip(self.entries, shift)))
+        return Index(e + v for e, v in zip(self, shift))
 
     def to_text(self) -> str:
         """Comma-separated entries, e.g. ``"1,3"``; the empty index is ``"()"``."""
-        if not self.entries:
-            return "()"
-        return ",".join(str(e) for e in self.entries)
+        return ",".join(map(str, self)) if self else "()"
 
     @staticmethod
     def from_text(text: str) -> "Index":
@@ -146,24 +149,17 @@ class Index:
         return Index(entries)
 
     def __str__(self) -> str:
-        return f"({self.to_text()})" if self.entries else "()"
+        return f"({self.to_text()})" if self else "()"
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
+    def __repr__(self) -> str:
+        return f"Index({tuple.__repr__(self)})"
 
 
 EMPTY = Index(())
 
-
-def _trusted_index(entries: tuple[int, ...]) -> Index:
-    """An index over a tuple of positive ints the algebra built itself,
-    without the checks of ``Index(...)``."""
-    k = object.__new__(Index)
-    object.__setattr__(k, "entries", entries)
-    return k
+# An index over positive ints the algebra built itself, without the checks
+# of ``Index(...)``.
+_trusted_index = partial(tuple.__new__, Index)
 
 
 def repeat(a: int, l: int) -> Index:
@@ -176,7 +172,7 @@ def repeat(a: int, l: int) -> Index:
 
 
 def _sort_key(k: Index) -> tuple[int, tuple[int, ...]]:
-    return (k.depth, k.entries)
+    return (len(k), k)
 
 
 def _scalar(c: Scalar) -> Scalar:
@@ -373,6 +369,11 @@ def enumerate_shifts(r: int, m: int) -> list[tuple[int, ...]]:
         raise ValueError(f"shift length must be a nonnegative integer, got {r!r}")
     if not _int_at_least(m, 0):
         raise ValueError(f"shift total must be a nonnegative integer, got {m!r}")
+    return _shifts(r, m)
+
+
+def _shifts(r: int, m: int) -> list[tuple[int, ...]]:
+    """:func:`enumerate_shifts` for arguments already checked."""
     if r == 0:
         if m > 0:
             raise ValueError(f"no length-0 shift vector has sum {m}")
@@ -455,7 +456,7 @@ def sha(left: Union[Index, IndexCombination], right: Union[Index, IndexCombinati
     for ka, ca in a._terms.items():
         for kb, cb in b._terms.items():
             c = ca * cb
-            for entries, mult in _interleave(ka.entries, kb.entries).items():
+            for entries, mult in _interleave(ka, kb).items():
                 out[entries] = out.get(entries, 0) + c * mult
     return _trusted_combination({_trusted_index(entries): c for entries, c in out.items()})
 
@@ -476,10 +477,9 @@ def hast(k: int, target: Union[Index, IndexCombination]) -> IndexCombination:
     def one(idx: Index) -> IndexCombination:
         if idx.depth == 0:
             raise ValueError("hast is undefined against the empty index ()")
-        e = idx.entries
         terms: dict[Index, int] = {}
-        for i in range(len(e)):
-            key = _trusted_index(e[:i] + (e[i] + k,) + e[i + 1 :])
+        for i in range(len(idx)):
+            key = _trusted_index(idx[:i] + (idx[i] + k,) + idx[i + 1 :])
             terms[key] = terms.get(key, 0) + 1
         return _trusted_combination(terms)
 
@@ -506,4 +506,4 @@ def append_entry(comb: Union[Index, IndexCombination], entry: int) -> IndexCombi
     """Append ``entry`` at the end of every support index."""
     if not _int_at_least(entry, 1):
         raise ValueError(f"appended entry must be a positive integer, got {entry!r}")
-    return as_combination(comb).map_indices(lambda k: Index(k.entries + (entry,)))
+    return as_combination(comb).map_indices(lambda k: _trusted_index(k + (entry,)))

@@ -35,6 +35,7 @@ from ohno.indices import (
     Index,
     IndexCombination,
     _int_at_least,
+    _shifts,
     _trusted_combination,
     _trusted_index,
     append_entry,
@@ -88,19 +89,22 @@ def ohno_shifts(k: Index, m: int) -> IndexCombination:
     """The order-``m`` shift family of one admissible index:
     the sum of ``k + e`` over all depth-matching shift vectors with |e| = m."""
     _check_order(m)
+    return _ohno_shifts(k, m)
+
+
+def _ohno_shifts(k: Index, m: int) -> IndexCombination:
+    """:func:`ohno_shifts` for an order already checked."""
     if not k.admissible:
         raise ValueError(f"shifted sums need an admissible index, got {k}")
-    entries = k.entries
-    shifts = enumerate_shifts(k.depth, m)
-    return _trusted_combination({_trusted_index(tuple(map(add, entries, e))): 1 for e in shifts})
+    return _trusted_combination({_trusted_index(map(add, k, e)): 1 for e in _shifts(len(k), m)})
 
 
 def ohno_sum_symbolic(comb: Union[Index, IndexCombination], m: int) -> IndexCombination:
     """Linear extension of :func:`ohno_shifts`."""
-    if isinstance(comb, Index):
-        return ohno_shifts(comb, m)
     _check_order(m)
-    return as_combination(comb).map_linear(lambda k: ohno_shifts(k, m))
+    if isinstance(comb, Index):
+        return _ohno_shifts(comb, m)
+    return as_combination(comb).map_linear(lambda k: _ohno_shifts(k, m))
 
 
 # -- the dual gap and its antisymmetrisation ----------------------------------
@@ -176,7 +180,7 @@ def _block(n: int, *raises: tuple[int, int], one_before: int = 0) -> Index:
         entries[position - 1] += amount
     if one_before:
         entries.insert(one_before - 1, 1)
-    return _trusted_index(tuple(entries))
+    return _trusted_index(entries)
 
 
 def _pairs(s: int, l: int, m: int, p: int) -> IndexCombination:
@@ -490,5 +494,5 @@ def hoffman_sides(k: Index) -> tuple[IndexCombination, IndexCombination]:
     if not k.admissible:
         raise ValueError(f"the defect needs an admissible index, got {k}")
     positions = range(k.depth)
-    lhs = _count(e for i in positions for e in _raise_entry(k.entries, i))
-    return lhs, _count(e for i in positions for e in _split_entry(k.entries, i))
+    lhs = _count(e for i in positions for e in _raise_entry(k, i))
+    return lhs, _count(e for i in positions for e in _split_entry(k, i))

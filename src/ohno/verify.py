@@ -395,20 +395,17 @@ def _distinct(pairs: list[tuple[Side, Side]]) -> int:
 
 
 def _as_list(value: Any, index_valued: bool) -> list[Any]:
-    if index_valued:
-        single = isinstance(value, (Index, str)) or not hasattr(value, "__iter__")
-        values = [value] if single else list(value)
-        out = [Index.from_text(v) if isinstance(v, str) else v for v in values]
-        for v in out:
-            if not isinstance(v, Index):
-                raise ValueError(f"expected an index or index text, got {v!r}")
-        return out
-    if isinstance(value, int) and not isinstance(value, bool):
-        return [value]
-    out = list(value)
+    single = isinstance(value, (Index, str)) or not hasattr(value, "__iter__")
+    values = [value] if single else list(value)
+    if not index_valued:
+        for v in values:
+            if type(v) is not int:  # the package's integer rule: a bool is refused
+                raise ValueError(f"grid values must be integers, got {v!r}")
+        return values
+    out = [Index.from_text(v) if isinstance(v, str) else v for v in values]
     for v in out:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"grid values must be integers, got {v!r}")
+        if not isinstance(v, Index):
+            raise ValueError(f"expected an index or index text, got {v!r}")
     return out
 
 

@@ -50,7 +50,7 @@ fills their missing factors in one batch, whose words, sorted by reversed
 runs, are walked with one stack of chains, so each chain is built once (a
 dict of a batch's chains peaked 15 MB higher on a 553-term combination).
 ``eval_zeta`` then reads each suffix factor of a term's two words once,
-and memoises the final double per (index entries, ``P``), so a repeat costs
+and memoises the final double per (index, ``P``), so a repeat costs
 one lookup.  Every request takes one path: the precision follows from the
 tolerance and the coefficient mass, and the cap is checked before the cache
 counts a lookup or any memo is written: it belongs to the request, not the key.
@@ -106,7 +106,7 @@ def to_word(k: Index) -> str:
     """
     if not k.admissible:
         raise ValueError(f"only admissible indices have a word encoding, got {k}")
-    return "".join("X" * (e - 1) + "Y" for e in reversed(k.entries))
+    return "".join("X" * (e - 1) + "Y" for e in reversed(k))
 
 
 def _word_runs(word: str) -> tuple[int, ...]:
@@ -130,7 +130,7 @@ def from_word(word: str) -> Index:
         raise ValueError(f"malformed word {word!r}: expected a nonempty string over X/Y")
     if word[0] != "X" or word[-1] != "Y":
         raise ValueError(f"malformed word {word!r}: must start with X and end with Y")
-    return Index(tuple(reversed(_word_runs(word))))
+    return Index(reversed(_word_runs(word)))
 
 
 def reverse_swap(word: str) -> str:
@@ -307,10 +307,9 @@ _FACTOR_LOCK = threading.Lock()
 # Inverse-power tables only grow, in place, so a shorter read stays valid.
 _STOPS: dict[tuple[int, int], int] = {}
 _INV_POWERS: dict[tuple[int, int], list[int]] = {}
-# Final value per precision and index entries (the index's own tuple, so a
-# value costs no key of its own): a pure function of the two, like the
-# factors it is summed from.
-_VALUES: defaultdict[int, dict[tuple[int, ...], float]] = defaultdict(dict)
+# Final value per precision and index, like ``ZetaCache``'s entries: a pure
+# function of the two, like the factors it is summed from.
+_VALUES: defaultdict[int, dict[Index, float]] = defaultdict(dict)
 
 
 def _stop(depth: int, fbits: int) -> int:
@@ -441,7 +440,7 @@ def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
         if hit is not None:
             return hit
     values = _VALUES[fbits]
-    value = values.get(k.entries)
+    value = values.get(k)
     if value is None:
         word = to_word(k)
         dual = reverse_swap(word)
@@ -451,7 +450,7 @@ def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
         lower = [_FACTOR_CACHE[word[j:], fbits] for j in range(n)] + [one]
         upper = [one] + [_FACTOR_CACHE[dual[j:], fbits] for j in range(n - 1, -1, -1)]
         acc = sum((u * v) >> fbits for u, v in zip(upper, lower))
-        value = values[k.entries] = math.ldexp(float(acc), -fbits)
+        value = values[k] = math.ldexp(float(acc), -fbits)
     if cache is not None:
         cache.store(k, bucket, value)
     return value
@@ -482,19 +481,18 @@ def eval_combination(comb: Union[Index, IndexCombination], cfg: Optional[EvalCon
     held = cfg.cache._entries if cfg.cache is not None else {}
     deepest, words = 0, []
     for k in terms:
-        entries = k.entries
-        if not entries or entries[-1] < 2:  # k.admissible, inlined for the warm path
+        if not k or k[-1] < 2:  # k.admissible, inlined for the warm path
             bad = min((k for k in terms if not k.admissible), key=_sort_key)
             raise ValueError(f"cannot evaluate non-admissible index {bad}")
         # The two full words (the index's and its dual's, of length the
         # weight) are the deepest factors, and stops grow with depth.
-        d = max(len(entries), sum(entries) - len(entries))
+        d = max(len(k), sum(k) - len(k))
         if d > deepest:
             deepest = d
-        if entries not in values and held.get(k, (0,))[0] < bucket:
+        if k not in values and held.get(k, (0,))[0] < bucket:
             words.append(to_word(k))
     if _stop(deepest, fbits) > cfg.max_terms:
-        tied = (k for k in terms if deepest in (len(k.entries), sum(k.entries) - len(k.entries)))
+        tied = (k for k in terms if deepest in (len(k), sum(k) - len(k)))
         worst = min(tied, key=_sort_key)
         raise PrecisionError(
             f"series cap of {cfg.max_terms} terms is below what a depth-{deepest} factor "
@@ -522,20 +520,19 @@ def eval_zeta_direct(k: Index, terms: int) -> tuple[float, float]:
     r = k.depth
     if terms < r:
         raise ValueError(f"need at least depth={r} summation terms, got {terms}")
-    ks = k.entries
     partial_terms: list[float] = []
     # levels[j] accumulates the depth-j partial sum over m_j <= current m - 1;
     # levels[0] is the empty-product sentinel.
     levels = [0.0] * (r + 1)
     levels[0] = 1.0
     for m in range(1, terms + 1):
-        partial_terms.append(levels[r - 1] / m ** ks[r - 1])
+        partial_terms.append(levels[r - 1] / m ** k[r - 1])
         for j in range(r - 1, 0, -1):
-            levels[j] += levels[j - 1] / m ** ks[j - 1]
+            levels[j] += levels[j - 1] / m ** k[j - 1]
     value = math.fsum(partial_terms)
 
     log_n = 1.0 + math.log(terms)
-    kr = ks[-1]
+    kr = k[-1]
     denom = (kr - 1) - (r - 1) / log_n
     decreasing = (r - 1) / log_n <= kr
     if denom <= 0 or not decreasing:

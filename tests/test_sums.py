@@ -235,7 +235,7 @@ def test_hast_shifted_sum_brute_force():
             for shift in enumerate_shifts(base.depth, m - m1):
                 shifted = base.oplus(shift)
                 for i in range(shifted.depth):
-                    entries = list(shifted.entries)
+                    entries = list(shifted)
                     entries[i] += k0 + m1
                     expected = expected + IndexCombination.from_index(Index(tuple(entries)))
         assert hast_shifted_sum(base, k0, m) == expected

@@ -147,6 +147,14 @@ def test_grid_index_must_be_index_or_text():
     assert report.grid == {"k": ["(2,3)", "(1,2)", "(3)"]}
 
 
+def test_grid_value_must_be_an_int():
+    """A single grid value that is not exactly an ``int`` is refused like a
+    list entry: ``True`` is not ``1``."""
+    for bad in (True, 2.5, None):
+        with pytest.raises(ValueError, match="grid values must be integers"):
+            verify("hmos", s=bad, t=2, m=0)
+
+
 def test_hypothesis_violations_are_refused():
     report = verify("lemma_fm", s=(2, 3), t=1, l=0, m=1)
     assert report.passed
@@ -235,6 +243,9 @@ def test_catalogue_sides_have_int_coefficients(spec):
             for comb in side if isinstance(side, tuple) else (side,):
                 assert comb.items()
                 assert all(type(c) is int for _, c in comb.items())
+                # a slice or sum of an Index is a plain tuple, and the
+                # trusted constructors do not check their keys
+                assert all(type(k) is Index for k, _ in comb.items())
 
 
 # ---------------------------------------------------------------------------

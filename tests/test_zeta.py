@@ -267,7 +267,7 @@ def test_series_cap_ignores_warm_value_memo():
     either: the cap check comes first."""
     k = Index((2,))
     value = eval_zeta(k)
-    assert zeta._VALUES[DEFAULT_CONFIG.precision][k.entries] == value
+    assert zeta._VALUES[DEFAULT_CONFIG.precision][k] == value
     with pytest.raises(PrecisionError):
         eval_zeta(k, EvalConfig(max_terms=8))
 
