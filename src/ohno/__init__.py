@@ -44,7 +44,6 @@ from ohno.zeta import (
 from ohno.sums import (
     dual_gap_skew_symbolic,
     hoffman_sides,
-    ohno_shifts,
     ohno_sum_symbolic,
 )
 from ohno.verify import (
@@ -82,7 +81,6 @@ __all__ = [
     "hoffman_sides",
     "iter_admissible",
     "list_identities",
-    "ohno_shifts",
     "ohno_sum_symbolic",
     "repeat",
     "report_to_file",

@@ -12,6 +12,10 @@ and the three products used throughout the package:
                   over all positions,
 * ``star_single`` -- the depth-one harmonic product ``(k) * l = (k)#l + (k) hast l``.
 
+Each linear operator (``sha``, ``hast``, ``map_indices`` and the maps built
+on it) is one loop over the terms of its operands that writes into one
+dict; no per-term combination is built and merged.
+
 Everything in this module is exact and no floats ever appear.  A
 coefficient is an ``int`` whenever its value is an integer and a
 ``fractions.Fraction`` otherwise; only rational input (a ``Fraction``
@@ -297,14 +301,6 @@ class IndexCombination:
             out[kk] = out.get(kk, 0) + c
         return _trusted_combination(out)
 
-    def map_linear(self, f: Callable[[Index], "IndexCombination"]) -> "IndexCombination":
-        """Extend an index-to-combination map linearly."""
-        out: dict[Index, Scalar] = {}
-        for k, c in self._terms.items():
-            for kk, cc in f(k)._terms.items():
-                out[kk] = out.get(kk, 0) + c * cc
-        return _trusted_combination(out)
-
     def __repr__(self) -> str:
         return f"IndexCombination({combination_to_text(self)!r})"
 
@@ -472,18 +468,14 @@ def hast(k: int, target: Union[Index, IndexCombination]) -> IndexCombination:
     """
     if not _int_at_least(k, 1):
         raise ValueError(f"hast needs a positive integer summand, got {k!r}")
-    comb = as_combination(target)
-
-    def one(idx: Index) -> IndexCombination:
-        if idx.depth == 0:
+    out: dict[Index, Scalar] = {}
+    for idx, c in as_combination(target)._terms.items():
+        if not idx:
             raise ValueError("hast is undefined against the empty index ()")
-        terms: dict[Index, int] = {}
         for i in range(len(idx)):
             key = _trusted_index(idx[:i] + (idx[i] + k,) + idx[i + 1 :])
-            terms[key] = terms.get(key, 0) + 1
-        return _trusted_combination(terms)
-
-    return comb.map_linear(one)
+            out[key] = out.get(key, 0) + c
+    return _trusted_combination(out)
 
 
 def star_single(k: int, target: Union[Index, IndexCombination]) -> IndexCombination:
@@ -493,9 +485,8 @@ def star_single(k: int, target: Union[Index, IndexCombination]) -> IndexCombinat
     ``zeta(k) * zeta(l) = zeta((k) * l)`` for ``k >= 2``.
     """
     comb = as_combination(target)
-    for idx in comb.support():
-        if idx.depth == 0:
-            raise ValueError("star_single is undefined against the empty index ()")
+    if EMPTY in comb:
+        raise ValueError("star_single is undefined against the empty index ()")
     return sha(Index((k,)), comb) + hast(k, comb)
 
 

@@ -4,8 +4,10 @@ The basic object is the order-``m`` shifted sum of an admissible index:
 
     O_m(k) = sum over shift vectors e >= 0 with |e| = m of  zeta(k + e)
 
-extended linearly to combinations.  On top of it the module builds the
-families used by the identity catalogue in :mod:`ohno.verify`:
+extended linearly to combinations.  Its one builder, ``ohno_sum_symbolic``,
+makes one pass over the terms of a combination into one accumulator.  On
+top of it the module builds the families used by the identity catalogue in
+:mod:`ohno.verify`:
 
 * the dual gap ``O_m((s) # k # {2}^l) - O_m((s) # (k # {2}^l)^dual)``
   between a shuffled shifted sum and its dualised partner
@@ -34,6 +36,7 @@ from typing import Callable, Iterable, Union
 from ohno.indices import (
     Index,
     IndexCombination,
+    Scalar,
     _int_at_least,
     _shifts,
     _trusted_combination,
@@ -60,7 +63,6 @@ __all__ = [
     "hast_merge_sides",
     "hast_shifted_sum",
     "hoffman_sides",
-    "ohno_shifts",
     "ohno_sum_symbolic",
     "raised_entry_expansion",
     "split_diag_parts",
@@ -85,26 +87,24 @@ def _count(terms: Iterable[tuple[int, ...]]) -> IndexCombination:
 # -- shifted sums -------------------------------------------------------------
 
 
-def ohno_shifts(k: Index, m: int) -> IndexCombination:
-    """The order-``m`` shift family of one admissible index:
-    the sum of ``k + e`` over all depth-matching shift vectors with |e| = m."""
-    _check_order(m)
-    return _ohno_shifts(k, m)
-
-
-def _ohno_shifts(k: Index, m: int) -> IndexCombination:
-    """:func:`ohno_shifts` for an order already checked."""
-    if not k.admissible:
-        raise ValueError(f"shifted sums need an admissible index, got {k}")
-    return _trusted_combination({_trusted_index(map(add, k, e)): 1 for e in _shifts(len(k), m)})
-
-
 def ohno_sum_symbolic(comb: Union[Index, IndexCombination], m: int) -> IndexCombination:
-    """Linear extension of :func:`ohno_shifts`."""
+    """The order-``m`` shifted sum, extended linearly: each admissible index
+    ``k`` of ``comb`` becomes the sum of ``k + e`` over the shift vectors ``e``
+    of its depth with ``|e| = m``, with its coefficient.  The shift vectors
+    of each depth are enumerated once per call."""
     _check_order(m)
-    if isinstance(comb, Index):
-        return _ohno_shifts(comb, m)
-    return as_combination(comb).map_linear(lambda k: _ohno_shifts(k, m))
+    shifts: dict[int, list[tuple[int, ...]]] = {}
+    out: dict[Index, Scalar] = {}
+    for k, c in as_combination(comb)._terms.items():
+        if not k.admissible:
+            raise ValueError(f"shifted sums need an admissible index, got {k}")
+        vectors = shifts.get(len(k))
+        if vectors is None:
+            vectors = shifts[len(k)] = _shifts(len(k), m)
+        for e in vectors:
+            key = _trusted_index(map(add, k, e))
+            out[key] = out.get(key, 0) + c
+    return _trusted_combination(out)
 
 
 # -- the dual gap and its antisymmetrisation ----------------------------------
@@ -185,7 +185,7 @@ def _block(n: int, *raises: tuple[int, int], one_before: int = 0) -> Index:
 
 def _pairs(s: int, l: int, m: int, p: int) -> IndexCombination:
     """``sum over 0<=j<=s-2 of O_m-family({2}^(p-1), j+2, s-j+1, {2}^(l-p+1))``."""
-    return reduce(add, (ohno_shifts(_block(l + 2, (p, j), (p + 1, s - j - 1)), m) for j in range(s - 1)))
+    return ohno_sum_symbolic(_count(_block(l + 2, (p, j), (p + 1, s - j - 1)) for j in range(s - 1)), m)
 
 
 def term_a(s: int, l: int, m: int) -> IndexCombination:
@@ -487,12 +487,10 @@ def hast_merge_sides(s: int, t: int, l: int) -> tuple[IndexCombination, IndexCom
 def hoffman_sides(k: Index) -> tuple[IndexCombination, IndexCombination]:
     """Both sides of the derivative-style relation, as exact combinations:
 
-        lhs = sum over i of (k1, ..., ki+1, ..., kr)
+        lhs = (1) hast k = sum over i of (k1, ..., ki+1, ..., kr)
         rhs = sum over i with ki >= 2, 0 <= j <= ki-2 of
               (k1, ..., k(i-1), j+1, ki-j, k(i+1), ..., kr)
     """
     if not k.admissible:
         raise ValueError(f"the defect needs an admissible index, got {k}")
-    positions = range(k.depth)
-    lhs = _count(e for i in positions for e in _raise_entry(k, i))
-    return lhs, _count(e for i in positions for e in _split_entry(k, i))
+    return hast(1, k), _count(e for i in range(k.depth) for e in _split_entry(k, i))

@@ -387,7 +387,7 @@ def _distinct(pairs: list[tuple[Side, Side]]) -> int:
     for pair in pairs:
         for side in pair:
             for comb in _factors(side):
-                seen.update(comb.support())
+                seen.update(comb._terms)
     return len(seen)
 
 

@@ -462,19 +462,25 @@ def eval_combination(comb: Union[Index, IndexCombination], cfg: Optional[EvalCon
     Per-term tolerances are scaled by the combination's coefficient mass so
     the truncation budgets sum to at most ``cfg.tol``; the per-term budget is
     never pushed below 1e-15 because the memoised values are doubles anyway.
-    One pass over the terms checks admissibility, finds the deepest factor
-    and collects the words of the terms that neither the value memo nor the
-    cache (peeked at, no lookup counted) answers.  Then the series cap is
-    checked, one :func:`_fill_factors` call fills those words and their
-    duals, and every term is read through :func:`eval_zeta`, in any order
-    (``fsum`` is exact); errors name the first index in canonical order.
+    A mass beyond the double range is refused before any cache or memo is
+    read.  One pass over the terms checks admissibility, finds the deepest
+    factor and collects the words of the terms that neither the value memo
+    nor the cache (peeked at, no lookup counted) answers.  Then the series
+    cap is checked, one :func:`_fill_factors` call fills those words and
+    their duals, and every term is read through :func:`eval_zeta`, in any
+    order (``fsum`` is exact); errors name the first index in canonical
+    order.
     """
     cfg = cfg or DEFAULT_CONFIG
     terms = {comb: 1} if isinstance(comb, Index) else as_combination(comb)._terms
     if not terms:
         return 0.0
     mass = sum(map(abs, terms.values()))
-    bucket = min(max(cfg.bucket, _bucket_of(cfg.tol / max(float(mass), 1.0))), _FINEST_BUCKET)
+    try:
+        scale = max(float(mass), 1.0)
+    except OverflowError:
+        raise ValueError("the coefficient mass of the combination is beyond the double range") from None
+    bucket = min(max(cfg.bucket, _bucket_of(cfg.tol / scale)), _FINEST_BUCKET)
     term_cfg = _TermConfig(tol=10.0**-bucket, max_terms=cfg.max_terms, cache=cfg.cache)
     fbits = term_cfg.precision
     values = _VALUES.get(fbits, {})

@@ -307,6 +307,16 @@ def test_short_terms_cap_is_an_input_error(run, tmp_path):
     assert not path.exists()
 
 
+def test_mass_beyond_double_range_is_an_input_error(run, tmp_path):
+    path = tmp_path / "cache.tsv"
+    text = "1000000*(" * 52 + "(2)" + ")" * 52
+    code, out, err = run("eval", "--expr", text, "--cache", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: the coefficient mass of the combination is beyond the double range\n"
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("tol", ["inf", "1e400", "nan"])
 def test_unusable_tolerance_is_an_input_error(run, tol):
     code, out, err = run("eval", "--index", "2,3", "--tol", tol)

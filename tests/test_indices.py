@@ -343,12 +343,6 @@ def test_map_indices_merges_collisions():
     assert merged == IndexCombination.from_index(Index((3,)), 2)
 
 
-def test_map_linear():
-    c = IndexCombination([(Index((2,)), 2)])
-    doubled = c.map_linear(lambda k: IndexCombination.from_index(k, Fraction(1, 2)))
-    assert doubled == IndexCombination.from_index(Index((2,)), 1)
-
-
 def test_combination_to_text_frozen():
     zero = IndexCombination()
     assert combination_to_text(zero) == "0"
@@ -438,6 +432,18 @@ def test_hast_merges_equal_results():
     assert c.coefficient(Index((3, 7))) == 1
     sym = hast(2, Index((4, 2)))  # (6,2) + (4,4)
     assert sym.term_count() == 2
+
+
+def test_hast_exact_and_cancelling():
+    """Results of two target terms that meet are merged exactly: a cancelled
+    term is dropped, and halves that sum to an integer are stored as ``int``."""
+    half = Fraction(1, 2)
+    diff = IndexCombination([(Index((1, 2)), 1), (Index((2, 1)), -1)])
+    assert combination_to_text(hast(1, diff)) == "(1,3) - (3,1)"
+    halves = IndexCombination([(Index((1, 2)), half), (Index((2, 1)), half), (Index((2,)), Fraction(1, 3))])
+    got = hast(1, halves)
+    assert combination_to_text(got) == "1/3*(3) + 1/2*(1,3) + (2,2) + 1/2*(3,1)"
+    assert type(got.coefficient(Index((2, 2)))) is int
 
 
 def test_hast_rejects():
@@ -547,7 +553,7 @@ def test_half_coefficients_stay_exact():
     assert total.coefficient(Index((2,))) == 1 and type(total.coefficient(Index((2,)))) is int
     assert total.coefficient(Index((1, 2))) == half
     assert (b * 3).coefficient(Index((1, 2))) == Fraction(3, 2)
-    halved = a.map_linear(lambda k: IndexCombination.from_index(k, half))
+    halved = a * half
     assert halved.coefficient(Index((2,))) == Fraction(1, 4)
     assert halved.coefficient(Index((3,))) == half
     assert combination_to_text(total) == "(2) + (3) + 1/2*(1,2)"

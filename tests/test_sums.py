@@ -33,7 +33,6 @@ from ohno.sums import (
     hast_merge_sides,
     hast_shifted_sum,
     hoffman_sides,
-    ohno_shifts,
     ohno_sum_symbolic,
     raised_entry_expansion,
     split_diag_parts,
@@ -43,6 +42,7 @@ from ohno.sums import (
     term_bc_closed,
     term_c,
 )
+from ohno.expr import expand_text
 from ohno.verify import verify
 from ohno.zeta import EvalConfig, eval_combination, eval_zeta
 
@@ -75,16 +75,16 @@ def test_every_public_builder_has_a_non_test_user():
 
 
 def test_ohno_shifts_frozen():
-    assert T(ohno_shifts(Index((3,)), 2)) == "(5)"
-    assert T(ohno_shifts(Index((2, 3)), 1)) == "(2,4) + (3,3)"
-    assert T(ohno_shifts(Index((1, 2)), 2)) == "(1,4) + (2,3) + (3,2)"
-    assert T(ohno_shifts(Index((2,)), 0)) == "(2)"
+    assert T(ohno_sum_symbolic(Index((3,)), 2)) == "(5)"
+    assert T(ohno_sum_symbolic(Index((2, 3)), 1)) == "(2,4) + (3,3)"
+    assert T(ohno_sum_symbolic(Index((1, 2)), 2)) == "(1,4) + (2,3) + (3,2)"
+    assert T(ohno_sum_symbolic(Index((2,)), 0)) == "(2)"
 
 
 def test_ohno_shifts_counts():
     for entries, m in [((2,), 4), ((1, 2), 3), ((2, 1, 3), 2)]:
         k = Index(entries)
-        fam = ohno_shifts(k, m)
+        fam = ohno_sum_symbolic(k, m)
         assert fam.term_count() == math.comb(m + k.depth - 1, k.depth - 1)
         for idx, _ in fam.items():
             assert idx.weight == k.weight + m
@@ -93,16 +93,40 @@ def test_ohno_shifts_counts():
 
 
 def test_ohno_shifts_rejects():
+    with pytest.raises(ValueError, match="admissible"):
+        ohno_sum_symbolic(Index((1,)), 1)
+    with pytest.raises(ValueError, match="admissible"):
+        ohno_sum_symbolic(IndexCombination([(Index((2,)), 1), (Index((2, 1)), 1)]), 1)
     with pytest.raises(ValueError):
-        ohno_shifts(Index((1,)), 1)
-    with pytest.raises(ValueError):
-        ohno_shifts(Index((2,)), -1)
+        ohno_sum_symbolic(Index((2,)), -1)
 
 
 def test_ohno_sum_symbolic_linear():
     c = IndexCombination([(Index((2,)), 2), (Index((3,)), -1)])
     got = ohno_sum_symbolic(c, 1)
     assert got == IndexCombination([(Index((3,)), 2), (Index((4,)), -1)])
+
+
+def test_ohno_sum_symbolic_exact_and_cancelling():
+    """Shifts of two source terms that meet are merged exactly: a cancelled
+    term is dropped, and halves that sum to an integer are stored as ``int``."""
+    assert T(ohno_sum_symbolic(expand_text("(1,3) - (2,2)"), 1)) == "(1,4) - (3,2)"
+    halves = ohno_sum_symbolic(expand_text("1/2*(1,3) + 1/2*(2,2) + 1/3*(2)"), 1)
+    assert T(halves) == "1/3*(3) + 1/2*(1,4) + (2,3) + 1/2*(3,2)"
+    assert type(halves.coefficient(Index((2, 3)))) is int
+
+
+def test_ohno_sum_symbolic_enumerates_shifts_once_per_depth(monkeypatch):
+    calls = []
+
+    def counted(r, m):
+        calls.append((r, m))
+        return enumerate_shifts(r, m)
+
+    monkeypatch.setattr(ohno.sums, "_shifts", counted)
+    got = ohno_sum_symbolic(expand_text("(2) + (3) + (1,2) + (2,2) + 2*(1,1,3) + (2,1,2)"), 2)
+    assert sorted(calls) == [(1, 2), (2, 2), (3, 2)]
+    assert got.term_count() == 2 * 1 + 2 * 3 + 3 * 6
 
 
 def test_ohno_sum_numeric():
@@ -453,7 +477,7 @@ def test_hoffman_rejects_non_admissible():
         pytest.param(hast_shifted_sum, (Index((2,)), True, 0), id="hast_shifted_sum-k0"),
         pytest.param(hast_merge_sides, (2, True, 0), id="hast_merge_sides-t"),
         pytest.param(hast_merge_sides, (2, 1, True), id="hast_merge_sides-l"),
-        pytest.param(ohno_shifts, (Index((2,)), True), id="ohno_shifts-m"),
+        pytest.param(ohno_sum_symbolic, (Index((2,)), True), id="ohno_sum_symbolic-m"),
         pytest.param(hast, (True, Index((2,))), id="hast-k"),
         pytest.param(repeat, (2, True), id="repeat-l"),
         pytest.param(repeat, (True, 2), id="repeat-a"),

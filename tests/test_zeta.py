@@ -4,6 +4,7 @@ import hashlib
 import math
 import os
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,6 +241,18 @@ def test_eval_combination_large_mass():
     c = IndexCombination.from_index(Index((2,)), 10**6)
     got = eval_combination(c, EvalConfig(tol=1e-12))
     assert got == pytest.approx(10**6 * ZETA2, rel=1e-12)
+
+
+@pytest.mark.parametrize("coef", [10**309, Fraction(10**400, 3)], ids=["int", "fraction"])
+def test_mass_beyond_double_range_is_an_input_error(coef):
+    """A mass a double cannot hold is refused before any memo or cache is read."""
+    clear_factor_cache()
+    cache = ZetaCache()
+    with pytest.raises(ValueError, match="beyond the double range"):
+        eval_combination(IndexCombination.from_index(Index((2,)), coef), EvalConfig(cache=cache))
+    assert zeta._FACTOR_CACHE == {}
+    assert not zeta._VALUES
+    assert (len(cache), cache.stats.hits, cache.stats.misses) == (0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
