@@ -112,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p_verify.add_argument(flag, type=_range_values, default=None, help=f"grid values for {flag[2:]}")
     p_verify.add_argument("--weight", type=int, default=None, help="weight bound for index-family grids")
     p_verify.add_argument("--out", default=None, help="write the report to this path")
-    p_verify.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
+    p_verify.add_argument("--format", choices=("json", "csv"), help="report format with --out (default json)")
     add_eval_flags(p_verify)
 
     sub.add_parser("list", help="show the identity catalogue")
@@ -173,6 +173,8 @@ def _cmd_ohno(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.format is not None and args.out is None:
+        raise ValueError("--format requires --out")
     grid: dict[str, object] = {}
     for name in ("s", "t", "l", "m", "p", "q"):
         values = getattr(args, name)
@@ -196,7 +198,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify(args.name, cfg=args.cfg, **grid)
     print(report.summary())
     if args.out is not None:
-        report_to_file(report, args.out, args.format)
+        report_to_file(report, args.out, args.format or "json")
     return 0 if report.passed else 1
 
 

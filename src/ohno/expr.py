@@ -48,8 +48,8 @@ notes:
   (2) is an index, ((2)) a grouped index, ((2) + (3)) a sum.
 """
 
-#: Upper bound for integer literals; keeps accidental huge inputs from
-#: exploding combinatorial expansions.
+#: Upper bound for each integer literal.  It bounds no expansion:
+#: ``ohno(50, rep(2, 50))`` is accepted and has C(99, 49) terms.
 MAX_INT_LITERAL = 10**6
 
 #: Upper bound for the levels of ``(`` open at once, function calls

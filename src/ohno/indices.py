@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import combinations_with_replacement
+from operator import sub
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 __all__ = [
@@ -369,44 +371,29 @@ def enumerate_shifts(r: int, m: int) -> list[tuple[int, ...]]:
 
 
 def _shifts(r: int, m: int) -> list[tuple[int, ...]]:
-    """:func:`enumerate_shifts` for arguments already checked."""
+    """:func:`enumerate_shifts` for arguments already checked: the differences
+    of the nondecreasing partial sums ``0 <= s1 <= ... <= s(r-1) <= m``, which
+    ``combinations_with_replacement`` yields, and the differences keep, in
+    lexicographic order."""
     if r == 0:
         if m > 0:
             raise ValueError(f"no length-0 shift vector has sum {m}")
         return [()]
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + (v,), remaining - v, slots - 1)
-
-    rec((), m, r)
-    return out
+    return [tuple(map(sub, s + (m,), (0,) + s)) for s in combinations_with_replacement(range(m + 1), r - 1)]
 
 
 def iter_admissible(max_weight: int) -> Iterator[Index]:
-    """All admissible indices of weight at most ``max_weight``, by weight."""
-    if max_weight < 2:
-        return
+    """All admissible indices of weight at most ``max_weight``, by weight,
+    then last entry, then entries.  The entries before the last are a
+    composition of the rest ``n`` of the weight: one of ``r`` parts is a shift
+    vector of length ``r`` and sum ``n - r``, plus one in every entry."""
     for w in range(2, max_weight + 1):
-        yield from _admissible_of_weight(w)
-
-
-def _admissible_of_weight(w: int) -> Iterator[Index]:
-    def compositions(total: int) -> Iterator[tuple[int, ...]]:
-        if total == 0:
-            yield ()
-            return
-        for first in range(1, total + 1):
-            for rest in compositions(total - first):
-                yield (first,) + rest
-
-    for last in range(2, w + 1):
-        for head in compositions(w - last):
-            yield Index(head + (last,))
+        for last in range(2, w + 1):
+            n = w - last
+            parts = range(min(n, 1), n + 1)  # no parts only for an empty head
+            heads = sorted(tuple(e + 1 for e in v) for r in parts for v in _shifts(r, n - r))
+            for head in heads:
+                yield _trusted_index((*head, last))
 
 
 # -- the interleaving product -------------------------------------------------

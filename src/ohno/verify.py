@@ -17,10 +17,11 @@ decorator, as an :class:`IdentitySpec`.  Two kinds exist:
 * ``exact-symbolic``: the two sides of every pair must be identical term by
   term; no floats are involved.
 
-:func:`verify` expands a parameter grid (per-identity defaults, overridable
-point-wise), refuses points that violate an identity's hypotheses (refused
-points are recorded with a reason and excluded from the verdict; if every
-point is refused the call raises), and returns a :class:`VerificationReport`.
+:func:`verify` builds the points of a parameter grid (per-identity defaults,
+overridable per parameter) in one pass over its parameters, refuses points
+that violate an identity's hypotheses (refused points are recorded with a
+reason and excluded from the verdict; if every point is refused the call
+raises), and returns a :class:`VerificationReport`.
 Reports serialise to JSON (all points, including refusals) or CSV (evaluated
 points only) via :func:`report_to_file`.
 """
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
 from operator import add
-from typing import Any, Callable, Iterator, Mapping, Optional, Union
+from typing import Any, Callable, Mapping, Optional, Union
 
 from ohno.indices import (
     Index,
@@ -409,14 +410,11 @@ def _as_list(value: Any, index_valued: bool) -> list[Any]:
     return out
 
 
-def _normalize_grid(
-    spec: IdentitySpec, overrides: Mapping[str, Any]
-) -> tuple[dict[str, Optional[list[Any]]], dict[str, Any]]:
-    """Merge overrides into the identity's default grid.
-
-    Returns (value lists per parameter; None marks the dynamic p/q window)
-    and a JSON-friendly description of the grid actually used.
-    """
+def _grid(spec: IdentitySpec, overrides: Mapping[str, Any]) -> tuple[dict[str, Any], list[dict[str, Any]]]:
+    """A JSON-friendly description of the grid with the overrides merged in,
+    and its points.  Each parameter in turn extends every point built so far
+    by its values (the last varies fastest); a ``p`` or ``q`` left at its
+    default ``None`` takes ``1..l+1`` from the point it extends."""
     defaults = spec.grid
     allowed = set(spec.params) | ({"weight"} if "weight" in defaults else set())
     unknown = set(overrides) - allowed
@@ -425,8 +423,8 @@ def _normalize_grid(
             f"unknown grid parameter(s) {sorted(unknown)} for {spec.name}; allowed: {sorted(allowed)}"
         )
 
-    norm: dict[str, Optional[list[Any]]] = {}
     desc: dict[str, Any] = {}
+    points: list[dict[str, Any]] = [{}]
     for name in spec.params:
         if name == "k":
             if "k" in overrides:
@@ -438,34 +436,14 @@ def _normalize_grid(
                     raise ValueError(f"weight must be an integer >= 2, got {weight!r}")
                 values = list(iter_admissible(weight))
                 desc["weight"] = weight
-            norm["k"] = values
         elif name in ("p", "q") and defaults[name] is None and name not in overrides:
-            norm[name] = None
+            values = None
             desc[name] = "1..l+1"
         else:
             values = _as_list(overrides.get(name, defaults[name]), index_valued=False)
-            norm[name] = values
             desc[name] = values
-    return norm, desc
-
-
-def _iter_points(spec: IdentitySpec, norm: Mapping[str, Optional[list[Any]]]) -> Iterator[dict[str, Any]]:
-    names = spec.params
-
-    def rec(i: int, current: dict[str, Any]) -> Iterator[dict[str, Any]]:
-        if i == len(names):
-            yield dict(current)
-            return
-        name = names[i]
-        values = norm[name]
-        if values is None:
-            values = list(range(1, current["l"] + 2))
-        for v in values:
-            current[name] = v
-            yield from rec(i + 1, current)
-        current.pop(name, None)
-
-    yield from rec(0, {})
+        points = [{**pt, name: v} for pt in points for v in (range(1, pt["l"] + 2) if values is None else values)]
+    return desc, points
 
 
 def _display_params(params: Mapping[str, Any]) -> dict[str, Any]:
@@ -511,8 +489,7 @@ def verify(name: str, *, cfg: Optional[EvalConfig] = None, **grid: Any) -> Verif
         raise ValueError(f"unknown identity {name!r}; known identities: {known}")
     spec = _CATALOGUE[name]
     cfg = cfg or EvalConfig()
-    norm, desc = _normalize_grid(spec, grid)
-    points = list(_iter_points(spec, norm))
+    desc, points = _grid(spec, grid)
     if not points:
         raise ValueError(f"the grid for {name} is empty")
 

@@ -468,8 +468,8 @@ def eval_combination(comb: Union[Index, IndexCombination], cfg: Optional[EvalCon
     nor the cache (peeked at, no lookup counted) answers.  Then the series
     cap is checked, one :func:`_fill_factors` call fills those words and
     their duals, and every term is read through :func:`eval_zeta`, in any
-    order (``fsum`` is exact); errors name the first index in canonical
-    order.
+    order (``fsum`` is exact), and a value beyond the double range is
+    refused too; errors name the first index in canonical order.
     """
     cfg = cfg or DEFAULT_CONFIG
     terms = {comb: 1} if isinstance(comb, Index) else as_combination(comb)._terms
@@ -506,7 +506,13 @@ def eval_combination(comb: Union[Index, IndexCombination], cfg: Optional[EvalCon
         )
     if words:
         _fill_factors([*words, *map(reverse_swap, words)], fbits)
-    return math.fsum(float(c) * eval_zeta(k, term_cfg) for k, c in terms.items())
+    try:
+        value = math.fsum(float(c) * eval_zeta(k, term_cfg) for k, c in terms.items())
+    except OverflowError:  # a partial sum beyond the double range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError("the value of the combination is beyond the double range")
+    return value
 
 
 def eval_zeta_direct(k: Index, terms: int) -> tuple[float, float]:

@@ -126,9 +126,8 @@ def test_default_sides_pinned():
     `` * ``)."""
     digests = {}
     for spec in list_identities():
-        norm, _ = catalogue._normalize_grid(spec, {})
         lines = []
-        for params in catalogue._iter_points(spec, norm):
+        for params in catalogue._grid(spec, {})[1]:
             if catalogue._refusal(spec, params) is not None:
                 continue
             shown = json.dumps(catalogue._display_params(params), sort_keys=True)

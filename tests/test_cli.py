@@ -100,6 +100,12 @@ def test_ohno_requires_an_order(run):
     assert "error" in err
 
 
+def test_expand_deep_index(run):
+    code, out, err = run("expand", "--expr", "ohno(1, rep(2, 1200))")
+    assert (code, err) == (0, "")
+    assert out.count(" + ") == 1199
+
+
 # ---------------------------------------------------------------------------
 # verify and list
 # ---------------------------------------------------------------------------
@@ -166,6 +172,15 @@ def test_verify_all_rejects_out(run, tmp_path):
     code, _, err = run("verify", "--name", "all", "--out", str(tmp_path / "x.json"))
     assert code == 2
     assert "--out" in err
+
+
+@pytest.mark.parametrize("name", [["duality", "--weight", "3"], ["all"]], ids=["single", "all"])
+def test_verify_format_requires_out(run, monkeypatch, name):
+    monkeypatch.setattr(cli, "verify", lambda *a, **k: pytest.fail("verified before the flags were checked"))
+    code, out, err = run("verify", "--name", *name, "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --format requires --out\n"
 
 
 def test_verify_unknown_name(run):
@@ -315,6 +330,15 @@ def test_mass_beyond_double_range_is_an_input_error(run, tmp_path):
     assert out == ""
     assert err == "error: the coefficient mass of the combination is beyond the double range\n"
     assert not path.exists()
+
+
+@pytest.mark.parametrize("scale, body", [("150", "(2)"), ("80", "(2) + (3)")], ids=["term", "partial-sum"])
+def test_value_beyond_double_range_is_an_input_error(run, scale, body):
+    text = f"{scale}*(" + "1000000*(" * 51 + body + ")" * 52
+    code, out, err = run("eval", "--expr", text)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the value of the combination is beyond the double range\n"
 
 
 @pytest.mark.parametrize("tol", ["inf", "1e400", "nan"])

@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -260,6 +260,44 @@ def test_enumerate_shifts_count_and_order(r, m):
     assert shifts == sorted(shifts)
     assert len(set(shifts)) == len(shifts)
     assert all(len(s) == r and sum(s) == m and min(s) >= 0 for s in shifts)
+
+
+def test_enumerate_shifts_is_the_filtered_product():
+    """Every vector of ``r`` entries from ``0..m`` with sum ``m``, in the
+    lexicographic order ``product`` yields them; no length-0 vector has a
+    positive sum."""
+    for r in range(7):
+        for m in range(7):
+            expected = [e for e in product(range(m + 1), repeat=r) if sum(e) == m]
+            if r == 0 and m > 0:
+                assert expected == []
+                with pytest.raises(ValueError):
+                    enumerate_shifts(r, m)
+            else:
+                assert enumerate_shifts(r, m) == expected, (r, m)
+
+
+def test_enumerate_shifts_deep():
+    """A long vector costs no interpreter frame per entry."""
+    assert enumerate_shifts(1500, 0) == [(0,) * 1500]
+    assert enumerate_shifts(1500, 1)[-1] == (1,) + (0,) * 1499
+
+
+def test_iter_admissible_is_every_admissible_index_in_order():
+    """Every admissible tuple of weight at most 12, sorted by weight, then
+    last entry, then entries; a composition of ``w`` is a set of cut points
+    among its ``w - 1`` gaps."""
+    expected = []
+    for w in range(1, 13):
+        for cuts in range(1 << (w - 1)):
+            ends = [i + 1 for i in range(w - 1) if cuts >> i & 1] + [w]
+            entries = tuple(b - a for a, b in zip([0] + ends, ends))
+            if entries[-1] >= 2:
+                expected.append(entries)
+    expected.sort(key=lambda e: (sum(e), e[-1], e))
+    got = list(iter_admissible(12))
+    assert got == expected
+    assert all(type(k) is Index for k in got)
 
 
 def test_iter_admissible():

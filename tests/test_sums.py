@@ -129,6 +129,14 @@ def test_ohno_sum_symbolic_enumerates_shifts_once_per_depth(monkeypatch):
     assert got.term_count() == 2 * 1 + 2 * 3 + 3 * 6
 
 
+def test_ohno_sum_symbolic_of_a_deep_index():
+    """A shift vector as long as the index costs no interpreter frame per entry."""
+    got = ohno_sum_symbolic(repeat(2, 1200), 1)
+    assert len(got) == 1200
+    assert got.coefficient(Index((2,) * 1199 + (3,))) == 1
+    assert got.term_count() == 1200
+
+
 def test_ohno_sum_numeric():
     cfg = EvalConfig(tol=1e-12)
     assert _ohno_value(Index((2,)), 1, cfg) == pytest.approx(eval_zeta(Index((3,)), cfg), abs=1e-12)

@@ -155,6 +155,23 @@ def test_grid_value_must_be_an_int():
             verify("hmos", s=bad, t=2, m=0)
 
 
+@pytest.mark.parametrize("axis", ["s", "p", "q"])
+def test_empty_grid_is_refused(axis):
+    """An explicit empty list is refused, not read as the default ``1..l+1`` window."""
+    with pytest.raises(ValueError, match="^the grid for add1 is empty$"):
+        verify("add1", **{axis: []})
+
+
+def test_window_follows_l():
+    """Points run in parameter order with the last varying fastest, and
+    ``p, q`` range over ``1..l+1`` of the point they extend."""
+    report = verify("add1", s=2, l=(1, 2), m=0)
+    assert report.grid == {"s": [2], "l": [1, 2], "m": [0], "p": "1..l+1", "q": "1..l+1"}
+    assert [list(point.params) for point in report.points] == [["s", "l", "m", "p", "q"]] * 13
+    got = [(point.params["l"], point.params["p"], point.params["q"]) for point in report.points]
+    assert got == [(l, p, q) for l in (1, 2) for p in range(1, l + 2) for q in range(1, l + 2)]
+
+
 def test_hypothesis_violations_are_refused():
     report = verify("lemma_fm", s=(2, 3), t=1, l=0, m=1)
     assert report.passed
@@ -235,8 +252,7 @@ def test_broken_identity_fails_at_every_point(name, monkeypatch):
 def test_catalogue_sides_have_int_coefficients(spec):
     """Every side the catalogue builds is integral, so its coefficients are
     stored as ``int``: only rational input brings in a ``Fraction``."""
-    norm, _ = catalogue._normalize_grid(spec, {})
-    params = next(catalogue._iter_points(spec, norm))
+    params = catalogue._grid(spec, {})[1][0]
     assert catalogue._refusal(spec, params) is None
     for pair in spec.sides(**params):
         for side in pair:

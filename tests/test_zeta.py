@@ -255,6 +255,20 @@ def test_mass_beyond_double_range_is_an_input_error(coef):
     assert (len(cache), cache.stats.hits, cache.stats.misses) == (0, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [{(2,): 150 * 10**306}, {(2,): 80 * 10**306, (3,): 80 * 10**306}],
+    ids=["term", "partial-sum"],
+)
+def test_value_beyond_double_range_is_an_input_error(terms):
+    """The mass fits a double but the value does not: one term, or only the
+    sum of two, overflows."""
+    comb = IndexCombination({Index(k): c for k, c in terms.items()})
+    assert float(comb.coefficient_mass()) < math.inf
+    with pytest.raises(ValueError, match="^the value of the combination is beyond the double range$"):
+        eval_combination(comb)
+
+
 # ---------------------------------------------------------------------------
 # precision failure is loud
 # ---------------------------------------------------------------------------
