@@ -2,17 +2,20 @@
 
 Subcommands::
 
-    eval     evaluate an index or expression to a float
+    eval     evaluate an expression to a float
     expand   expand an expression to canonical combination text
-    dual     dualise an index or expression
-    ohno     shifted-sum families: symbolic, numeric, or a series prefix
+    ohno     numeric Ohno sums of an expression for orders 0..M
     verify   run one catalogue identity (or all) over a parameter grid
     list     show the identity catalogue
 
+Every input is an expression, so an index is written ``(2,3)``, a dual
+``dual(e)`` and one Ohno sum ``ohno(m, e)``.
+
 Exit codes: 0 on success (and verification pass), 1 on verification
 failure, 2 on usage or input errors, including a series cap too short for
-the tolerance (``PrecisionError``) and a cache or report file that cannot be
-read or written (``OSError``).
+the tolerance (``PrecisionError``), a cache or report file that cannot be
+read or written (``OSError``) and an expansion too large for memory
+(``MemoryError``).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import sys
 from typing import Optional
 
 from ohno.expr import GRAMMAR, ExprError, expand_text
-from ohno.indices import Index, IndexCombination, combination_to_text, dual_linear
+from ohno.indices import combination_to_text
 from ohno.sums import ohno_sum_symbolic
 from ohno.verify import list_identities, report_to_file, verify
 from ohno.zeta import DEFAULT_CONFIG, EvalConfig, PrecisionError, ZetaCache, eval_combination
@@ -85,25 +88,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--terms-cap", type=int, default=cap, help=f"series length cap (default {cap})")
         p.add_argument("--cache", default="on", help="on, off, or a file path (default on)")
 
-    def add_input_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--index", help="an index, e.g. '1,2' or '(1,2)'")
-        p.add_argument("--expr", help="an expression in the grammar below --help")
-
-    p_eval = with_grammar("eval", "evaluate an index or expression to a float")
-    add_input_flags(p_eval)
+    p_eval = with_grammar("eval", "evaluate an expression to a float")
+    p_eval.add_argument("--expr", required=True, help="expression to evaluate")
     add_eval_flags(p_eval)
 
     p_expand = with_grammar("expand", "expand an expression to canonical combination text")
     p_expand.add_argument("--expr", required=True, help="expression to expand")
 
-    p_dual = sub.add_parser("dual", help="dualise an index or expression")
-    add_input_flags(p_dual)
-
-    p_ohno = with_grammar("ohno", "shifted-sum families of an index or expression")
-    add_input_flags(p_ohno)
-    p_ohno.add_argument("--m", type=int, default=None, help="shift order")
-    p_ohno.add_argument("--M", type=int, default=None, help="series mode: numeric sums for orders 0..M")
-    p_ohno.add_argument("--eval", action="store_true", help="with --m, print the numeric sum instead")
+    p_ohno = with_grammar("ohno", "numeric Ohno sums of an expression for orders 0..M")
+    p_ohno.add_argument("--expr", required=True, help="expression whose Ohno sums to evaluate")
+    p_ohno.add_argument("--M", type=int, required=True, help="print the sums of orders 0..M")
     add_eval_flags(p_ohno)
 
     p_verify = sub.add_parser("verify", help="verify a catalogue identity over a grid")
@@ -131,18 +125,8 @@ def _resolve_cache(cache_arg: str) -> tuple[Optional[ZetaCache], Optional[str]]:
     return ZetaCache(cache_arg), cache_arg
 
 
-def _combination_from(args: argparse.Namespace) -> IndexCombination:
-    has_index = getattr(args, "index", None) is not None
-    has_expr = getattr(args, "expr", None) is not None
-    if has_index == has_expr:
-        raise ValueError("provide exactly one of --index and --expr")
-    if has_index:
-        return IndexCombination.from_index(Index.from_text(args.index))
-    return expand_text(args.expr)
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
-    print(eval_combination(_combination_from(args), args.cfg))
+    print(eval_combination(expand_text(args.expr), args.cfg))
     return 0
 
 
@@ -151,24 +135,12 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_dual(args: argparse.Namespace) -> int:
-    comb = _combination_from(args)
-    print(combination_to_text(dual_linear(comb)))
-    return 0
-
-
 def _cmd_ohno(args: argparse.Namespace) -> int:
-    comb = _combination_from(args)
-    if args.M is not None:
-        if args.M < 0:
-            raise ValueError("--M must be nonnegative")
-        values = [eval_combination(ohno_sum_symbolic(comb, m), args.cfg) for m in range(args.M + 1)]
-        print("\n".join(f"{order}: {value}" for order, value in enumerate(values)))
-    elif args.m is not None:
-        family = ohno_sum_symbolic(comb, args.m)
-        print(eval_combination(family, args.cfg) if args.eval else combination_to_text(family))
-    else:
-        raise ValueError("provide --m (one order) or --M (series prefix)")
+    comb = expand_text(args.expr)
+    if args.M < 0:
+        raise ValueError("--M must be nonnegative")
+    values = [eval_combination(ohno_sum_symbolic(comb, m), args.cfg) for m in range(args.M + 1)]
+    print("\n".join(f"{order}: {value}" for order, value in enumerate(values)))
     return 0
 
 
@@ -212,7 +184,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
 _COMMANDS = {
     "eval": _cmd_eval,
     "expand": _cmd_expand,
-    "dual": _cmd_dual,
     "ohno": _cmd_ohno,
     "verify": _cmd_verify,
     "list": _cmd_list,
@@ -237,6 +208,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except (ValueError, PrecisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # raised without a message
+        print("error: out of memory; the input expands or evaluates to too many terms", file=sys.stderr)
         return 2
 
 

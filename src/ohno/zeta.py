@@ -377,8 +377,6 @@ def _fill_factors(words: Iterable[str], fbits: int) -> None:
     one = 1 << fbits
     stack, path = [[one]], ()
     for word in sorted(todo, key=todo.__getitem__):
-        if (word, fbits) in _FACTOR_CACHE:  # a suffix of a word filled before it
-            continue
         rev = todo[word]
         depth = len(rev)
         terms = _stop(depth, fbits)
@@ -456,6 +454,11 @@ def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
     return value
 
 
+def _named(k: Index) -> str:
+    """``k`` as text, or beyond depth 12 its end entries, depth and weight, so an error stays short."""
+    return str(k) if len(k) <= 12 else f"({k[0]},...,{k[-1]}) of depth {len(k)} and weight {sum(k)}"
+
+
 def eval_combination(comb: Union[Index, IndexCombination], cfg: Optional[EvalConfig] = None) -> float:
     """Evaluate a rational combination of admissible indices.
 
@@ -489,7 +492,7 @@ def eval_combination(comb: Union[Index, IndexCombination], cfg: Optional[EvalCon
     for k in terms:
         if not k or k[-1] < 2:  # k.admissible, inlined for the warm path
             bad = min((k for k in terms if not k.admissible), key=_sort_key)
-            raise ValueError(f"cannot evaluate non-admissible index {bad}")
+            raise ValueError(f"cannot evaluate non-admissible index {_named(bad)}")
         # The two full words (the index's and its dual's, of length the
         # weight) are the deepest factors, and stops grow with depth.
         d = max(len(k), sum(k) - len(k))
@@ -502,7 +505,7 @@ def eval_combination(comb: Union[Index, IndexCombination], cfg: Optional[EvalCon
         worst = min(tied, key=_sort_key)
         raise PrecisionError(
             f"series cap of {cfg.max_terms} terms is below what a depth-{deepest} factor "
-            f"needs to meet the error budget (index {worst}, precision {fbits} bits)"
+            f"needs to meet the error budget (index {_named(worst)}, precision {fbits} bits)"
         )
     if words:
         _fill_factors([*words, *map(reverse_swap, words)], fbits)

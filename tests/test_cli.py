@@ -1,12 +1,18 @@
 """End-to-end tests of the command-line front end."""
 
+import dataclasses
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import ohno.cli as cli
-from ohno.verify import VerificationReport
+from ohno.verify import VerificationReport, list_identities
 from ohno.zeta import ZetaCache
 
 
@@ -28,12 +34,12 @@ def run(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# eval / expand / dual / ohno
+# eval / expand / ohno
 # ---------------------------------------------------------------------------
 
 
 def test_eval_index(run):
-    code, out, err = run("eval", "--index", "(2)")
+    code, out, err = run("eval", "--expr", "(2)")
     assert code == 0
     assert float(out) == pytest.approx(math.pi**2 / 6, abs=1e-11)
 
@@ -45,7 +51,7 @@ def test_eval_expression(run):
 
 
 def test_eval_honors_tolerance_flag(run):
-    code, out, _ = run("eval", "--index", "(3)", "--tol", "1e-9")
+    code, out, _ = run("eval", "--expr", "(3)", "--tol", "1e-9")
     assert code == 0
     assert float(out) == pytest.approx(1.2020569031595943, abs=1e-9)
 
@@ -63,41 +69,42 @@ def test_expand_zero(run):
 
 
 def test_dual_index(run):
-    code, out, _ = run("dual", "--index", "(3)")
+    code, out, _ = run("expand", "--expr", "dual((3))")
     assert code == 0
     assert out.strip() == "(1,2)"
 
 
 def test_dual_expression(run):
-    code, out, _ = run("dual", "--expr", "2*(3) + (2,3)")
+    code, out, _ = run("expand", "--expr", "dual(2*(3) + (2,3))")
     assert code == 0
     assert out.strip() == "2*(1,2) + (1,2,2)"
 
 
 def test_ohno_symbolic(run):
-    code, out, _ = run("ohno", "--index", "(3)", "--m", "2")
+    code, out, _ = run("expand", "--expr", "ohno(2, (3))")
     assert code == 0
     assert out.strip() == "(5)"
 
 
 def test_ohno_numeric(run):
-    code, out, _ = run("ohno", "--index", "(3)", "--m", "1", "--eval")
+    code, out, _ = run("eval", "--expr", "ohno(1, (3))")
     assert code == 0
     assert float(out) == pytest.approx(math.pi**4 / 90, abs=1e-11)
 
 
 def test_ohno_series(run):
-    code, out, _ = run("ohno", "--index", "(2)", "--M", "2")
+    code, out, _ = run("ohno", "--expr", "(2)", "--M", "2")
     assert code == 0
     lines = out.strip().splitlines()
     assert [ln.split(":")[0] for ln in lines] == ["0", "1", "2"]
     assert float(lines[0].split(":")[1]) == pytest.approx(math.pi**2 / 6, abs=1e-11)
 
 
-def test_ohno_requires_an_order(run):
-    code, _, err = run("ohno", "--index", "(3)")
-    assert code == 2
-    assert "error" in err
+def test_ohno_requires_an_order(run, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run("ohno", "--expr", "(3)")
+    assert excinfo.value.code == 2
+    assert "--M" in capsys.readouterr().err
 
 
 def test_expand_deep_index(run):
@@ -162,6 +169,23 @@ def test_verify_writes_csv_report(run, tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("failing", [None, "hmos"], ids=["all-pass", "one-fails"])
+def test_verify_all_prints_every_summary(run, monkeypatch, failing):
+    real_verify = cli.verify
+
+    def verify(name, **kwargs):
+        report = real_verify(name, **kwargs)
+        return dataclasses.replace(report, passed=False) if name == failing else report
+
+    monkeypatch.setattr(cli, "verify", verify)
+    code, out, err = run("verify", "--name", "all")
+    assert (code, err) == (0 if failing is None else 1, "")
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [spec.name for spec in list_identities()]
+    statuses = [line.split()[1] for line in lines]
+    assert statuses == ["FAIL" if spec.name == failing else "PASS" for spec in list_identities()]
+
+
 def test_verify_all_rejects_grid_flags(run):
     code, _, err = run("verify", "--name", "all", "--s", "2")
     assert code == 2
@@ -210,20 +234,15 @@ def test_bad_expression_shows_grammar(run):
     assert "expression grammar" in err
 
 
-def test_both_inputs_rejected(run):
-    code, _, err = run("eval", "--index", "(2)", "--expr", "(3)")
-    assert code == 2
-    assert "exactly one" in err
-
-
-def test_missing_input_rejected(run):
-    code, _, err = run("eval")
-    assert code == 2
-    assert "exactly one" in err
+def test_missing_input_rejected(run, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run("eval")
+    assert excinfo.value.code == 2
+    assert "--expr" in capsys.readouterr().err
 
 
 def test_non_admissible_eval(run):
-    code, _, err = run("eval", "--index", "(1,1)")
+    code, _, err = run("eval", "--expr", "(1,1)")
     assert code == 2
     assert "non-admissible" in err
 
@@ -244,7 +263,41 @@ def test_help_shows_grammar(run, capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["--help"])
     assert excinfo.value.code == 0
-    assert "expression grammar" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "expression grammar" in out
+    assert "{eval,expand,ohno,verify,list}" in out
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("rep(2, 3000)", "error: series cap of 256 terms is below what a depth-3000 factor needs to meet the "
+         "error budget (index (2,...,2) of depth 3000 and weight 6000, precision 96 bits)\n"),
+        ("rep(1, 3000)", "error: cannot evaluate non-admissible index (1,...,1) of depth 3000 and weight 3000\n"),
+    ],
+    ids=["precision", "non-admissible"],
+)
+def test_errors_name_a_deep_index_briefly(run, text, message):
+    code, out, err = run("eval", "--expr", text)
+    assert (code, out, err) == (2, "", message)
+    assert len(err.encode()) < 200
+
+
+def test_expansion_beyond_memory_is_an_input_error():
+    """Run in a child whose address space is capped at 128 MB, where the
+    C(302, 3) shift vectors of length 300 cannot be built."""
+    cap = 128 * 2**20
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ohno.cli", "expand", "--expr", "ohno(3, rep(2, 300))"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory")
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +307,11 @@ def test_help_shows_grammar(run, capsys):
 
 def test_cache_file_created_and_reused(run, tmp_path):
     path = tmp_path / "cache.tsv"
-    code, first, _ = run("eval", "--index", "(3)", "--cache", str(path))
+    code, first, _ = run("eval", "--expr", "(3)", "--cache", str(path))
     assert code == 0
     assert path.exists()
     assert len(ZetaCache(str(path))) == 1
-    code, second, _ = run("eval", "--index", "(3)", "--cache", str(path))
+    code, second, _ = run("eval", "--expr", "(3)", "--cache", str(path))
     assert code == 0
     assert first == second
 
@@ -267,7 +320,7 @@ def test_cache_env_overrides_flag_path(run, tmp_path):
     env_path = tmp_path / "env.tsv"
     flag_path = tmp_path / "flag.tsv"
     code, _, _ = run(
-        "eval", "--index", "(4)", "--cache", str(flag_path),
+        "eval", "--expr", "(4)", "--cache", str(flag_path),
         env={"OHNO_CACHE": str(env_path)},
     )
     assert code == 0
@@ -277,20 +330,20 @@ def test_cache_env_overrides_flag_path(run, tmp_path):
 
 def test_cache_env_overrides_on(run, tmp_path):
     env_path = tmp_path / "env.tsv"
-    code, _, _ = run("eval", "--index", "(4)", "--cache", "on", env={"OHNO_CACHE": str(env_path)})
+    code, _, _ = run("eval", "--expr", "(4)", "--cache", "on", env={"OHNO_CACHE": str(env_path)})
     assert code == 0
     assert env_path.exists()
 
 
 def test_cache_off_stays_off(run, tmp_path):
     never = tmp_path / "never.tsv"
-    code, _, _ = run("eval", "--index", "(4)", "--cache", "off", env={"OHNO_CACHE": str(never)})
+    code, _, _ = run("eval", "--expr", "(4)", "--cache", "off", env={"OHNO_CACHE": str(never)})
     assert code == 0
     assert not never.exists()
 
 
 @pytest.mark.parametrize(
-    "command", [("eval", "--index", "2"), ("verify", "--name", "duality", "--weight", "3")]
+    "command", [("eval", "--expr", "(2)"), ("verify", "--name", "duality", "--weight", "3")]
 )
 def test_cache_file_with_nan_value_is_a_usage_error(run, tmp_path, command):
     path = tmp_path / "nan.tsv"
@@ -315,7 +368,7 @@ def test_verify_populates_cache_file(run, tmp_path):
 
 def test_short_terms_cap_is_an_input_error(run, tmp_path):
     path = tmp_path / "cache.tsv"
-    code, out, err = run("eval", "--index", "2,3", "--terms-cap", "8", "--cache", str(path))
+    code, out, err = run("eval", "--expr", "(2,3)", "--terms-cap", "8", "--cache", str(path))
     assert code == 2
     assert out == ""
     assert err.startswith("error: series cap of 8 terms")
@@ -343,7 +396,7 @@ def test_value_beyond_double_range_is_an_input_error(run, scale, body):
 
 @pytest.mark.parametrize("tol", ["inf", "1e400", "nan"])
 def test_unusable_tolerance_is_an_input_error(run, tol):
-    code, out, err = run("eval", "--index", "2,3", "--tol", tol)
+    code, out, err = run("eval", "--expr", "(2,3)", "--tol", tol)
     assert code == 2
     assert out == ""
     assert err.startswith("error: tol must be a positive finite number")
@@ -351,10 +404,10 @@ def test_unusable_tolerance_is_an_input_error(run, tol):
 
 def test_short_terms_cap_not_answered_by_cache_file(run, tmp_path):
     path = tmp_path / "cache.tsv"
-    code, _, _ = run("eval", "--index", "2,3", "--cache", str(path))
+    code, _, _ = run("eval", "--expr", "(2,3)", "--cache", str(path))
     assert code == 0
     saved = path.read_text()
-    code, out, err = run("eval", "--index", "2,3", "--terms-cap", "8", "--cache", str(path))
+    code, out, err = run("eval", "--expr", "(2,3)", "--terms-cap", "8", "--cache", str(path))
     assert code == 2
     assert out == ""
     assert "series cap of 8 terms" in err
@@ -367,7 +420,7 @@ def test_short_terms_cap_not_answered_by_cache_file(run, tmp_path):
 
 
 def test_cache_path_that_is_a_directory_is_an_input_error(run, tmp_path):
-    code, out, err = run("eval", "--index", "2,3", "--cache", str(tmp_path))
+    code, out, err = run("eval", "--expr", "(2,3)", "--cache", str(tmp_path))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
@@ -377,9 +430,9 @@ def test_cache_path_that_is_a_directory_is_an_input_error(run, tmp_path):
 def test_cache_file_in_a_missing_directory_is_an_input_error(run, tmp_path, via_env):
     path = tmp_path / "missing" / "cache.tsv"
     if via_env:
-        code, _, err = run("eval", "--index", "2,3", env={"OHNO_CACHE": str(path)})
+        code, _, err = run("eval", "--expr", "(2,3)", env={"OHNO_CACHE": str(path)})
     else:
-        code, _, err = run("eval", "--index", "2,3", "--cache", str(path))
+        code, _, err = run("eval", "--expr", "(2,3)", "--cache", str(path))
     assert code == 2
     assert err.startswith("error: ")
     assert not path.parent.exists()

@@ -399,14 +399,6 @@ def test_dualized_expansions_frozen_degenerate():
     assert T(lhs) == T(rhs) == "6*(2,2,2)"
 
 
-def test_dualized_expansions_agree():
-    for s, t, l in product((2, 3, 4), (2, 3, 4), (1, 2)):
-        lhs, rhs = dualized_shuffle_expansion(s, t, l)
-        assert lhs == rhs
-        lhs, rhs = dualized_hast_expansion(s, t, l)
-        assert lhs == rhs
-
-
 def test_dualized_expansions_reject():
     with pytest.raises(ValueError):
         dualized_shuffle_expansion(1, 2, 1)

@@ -183,6 +183,21 @@ def test_hypothesis_violations_are_refused():
     assert len(report.evaluated) == 1
 
 
+def test_non_admissible_k_is_refused():
+    report = verify("duality", k=["2,1", "2,3"])
+    assert report.passed
+    assert [(str(r.params["k"]), r.reason) for r in report.refusals] == [
+        ("(2,1)", "k must be admissible (nonempty, last entry >= 2), got (2,1)")
+    ]
+    assert [str(p.params["k"]) for p in report.evaluated] == ["(2,3)"]
+
+
+def test_weight_bound_must_be_an_int_of_at_least_two():
+    for bad in (1, True, 2.5):
+        with pytest.raises(ValueError, match="^weight must be an integer >= 2, got "):
+            verify("duality", weight=bad)
+
+
 def test_all_points_refused_is_an_error():
     with pytest.raises(ValueError, match="violates the hypotheses"):
         verify("lemma_fm", s=2, t=1, l=0, m=1)
