@@ -64,6 +64,11 @@ def _int_at_least(value: object, low: int) -> bool:
     return type(value) is int and value >= low
 
 
+def _named(k: "Index") -> str:
+    """``k`` as text, or beyond depth 12 its end entries, depth and weight, so an error stays short."""
+    return str(k) if len(k) <= 12 else f"({k[0]},...,{k[-1]}) of depth {len(k)} and weight {sum(k)}"
+
+
 class Index(tuple):
     """A finite sequence of positive integers, stored as the tuple of its entries.
 
@@ -109,7 +114,7 @@ class Index(tuple):
         depth to weight minus depth.
         """
         if not self.admissible:
-            raise ValueError(f"dual is defined for admissible indices only, got {self}")
+            raise ValueError(f"dual is defined for admissible indices only, got {_named(self)}")
         pairs: list[tuple[int, int]] = []
         ones = 0
         for e in self:

@@ -38,6 +38,7 @@ from ohno.indices import (
     IndexCombination,
     Scalar,
     _int_at_least,
+    _named,
     _shifts,
     _trusted_combination,
     _trusted_index,
@@ -97,7 +98,7 @@ def ohno_sum_symbolic(comb: Union[Index, IndexCombination], m: int) -> IndexComb
     out: dict[Index, Scalar] = {}
     for k, c in as_combination(comb)._terms.items():
         if not k.admissible:
-            raise ValueError(f"shifted sums need an admissible index, got {k}")
+            raise ValueError(f"shifted sums need an admissible index, got {_named(k)}")
         vectors = shifts.get(len(k))
         if vectors is None:
             vectors = shifts[len(k)] = _shifts(len(k), m)

@@ -7,23 +7,31 @@ a side may also be a tuple of combinations whose values multiply.  The
 the statement and the kind, default grid and hypotheses given to the
 decorator, as an :class:`IdentitySpec`.  Two kinds exist:
 
-* ``numeric``: every side is evaluated with :func:`~ohno.zeta.eval_combination`;
-  the residual of a point is ``max |value(lhs) - value(rhs)|`` over its pairs,
-  and the point passes when it is at most ``cfg.tol * max(evals, 1) * 4``,
-  where ``evals`` counts the distinct indices across all sides (each
-  contributes one evaluation whose error is of order ``cfg.tol``; the factor
-  4 absorbs accumulation and rounding).  Sides carry nonnegative
-  coefficients, so no index cancels out of ``evals``.
+* ``numeric``: every side is evaluated as :func:`~ohno.zeta.eval_combination`
+  evaluates it, bit for bit; the residual of a point is
+  ``max |value(lhs) - value(rhs)|`` over its pairs, and the point passes
+  when it is at most ``cfg.tol * max(evals, 1) * 4``, where ``evals``
+  counts the distinct indices across all sides (each contributes one
+  evaluation whose error is of order ``cfg.tol``; the factor 4 absorbs
+  accumulation and rounding).  Sides carry nonnegative coefficients, so no
+  index cancels out of ``evals``.
 * ``exact-symbolic``: the two sides of every pair must be identical term by
   term; no floats are involved.
 
 :func:`verify` builds the points of a parameter grid (per-identity defaults,
-overridable per parameter) in one pass over its parameters, refuses points
-that violate an identity's hypotheses (refused points are recorded with a
-reason and excluded from the verdict; if every point is refused the call
-raises), and returns a :class:`VerificationReport`.
-Reports serialise to JSON (all points, including refusals) or CSV (evaluated
-points only) via :func:`report_to_file`.
+overridable per parameter) in one pass over its parameters, refuses the
+points that violate an identity's hypotheses, and returns a
+:class:`VerificationReport`.  A numeric grid runs in three phases.  Plan:
+each point in turn builds its sides once and plans their combinations,
+following the cache's store order from point to point.  Fill: one call per
+working precision fills what every plan misses.  Read: each point is reduced
+to its residual once nothing planned before it waits for the fill, so a warm
+sweep holds one point at a time.  A planning error ends the plan; the points
+before it are still filled and read, so the first error in point order is
+raised.  A point's ``elapsed_ms`` covers its own side building, planning,
+reads and comparison; the shared fill counts only in the report's.  Reports
+serialise to JSON (all points, including refusals) or CSV (evaluated points
+only) via :func:`report_to_file`.
 """
 
 from __future__ import annotations
@@ -72,7 +80,7 @@ from ohno.sums import (
     term_bc_closed,
     term_c,
 )
-from ohno.zeta import EvalConfig, eval_combination
+from ohno.zeta import EvalConfig, _fill, _plan, _read
 
 __all__ = [
     "IdentitySpec",
@@ -379,19 +387,6 @@ def _factors(side: Side) -> tuple[IndexCombination, ...]:
     return side if isinstance(side, tuple) else (side,)
 
 
-def _value(side: Side, cfg: EvalConfig) -> float:
-    return math.prod(eval_combination(c, cfg) for c in _factors(side))
-
-
-def _distinct(pairs: list[tuple[Side, Side]]) -> int:
-    seen: set[Index] = set()
-    for pair in pairs:
-        for side in pair:
-            for comb in _factors(side):
-                seen.update(comb._terms)
-    return len(seen)
-
-
 # -- grid handling ------------------------------------------------------------
 
 
@@ -453,25 +448,49 @@ def _display_params(params: Mapping[str, Any]) -> dict[str, Any]:
 # -- the driver ---------------------------------------------------------------
 
 
-def _point_result(spec: IdentitySpec, cfg: EvalConfig, params: dict[str, Any]) -> PointResult:
-    shown = _display_params(params)
-    reason = _refusal(spec, params)
-    if reason is not None:
-        return PointResult(params=shown, refused=True, reason=reason)
-    start = time.perf_counter()
-    pairs = spec.sides(**params)
-    if spec.kind == "numeric":
-        residual = max(abs(_value(lhs, cfg) - _value(rhs, cfg)) for lhs, rhs in pairs)
-        evals = _distinct(pairs)
-        return PointResult(
-            params=shown,
-            residual=residual,
-            threshold=cfg.tol * max(evals, 1) * RESIDUAL_MARGIN,
-            evals=evals,
-            elapsed_ms=(time.perf_counter() - start) * 1000.0,
-        )
-    equal = all(lhs == rhs for lhs, rhs in pairs)
-    return PointResult(params=shown, equal=equal, elapsed_ms=(time.perf_counter() - start) * 1000.0)
+def _point_results(spec: IdentitySpec, cfg: EvalConfig, points: list[dict[str, Any]]) -> list[PointResult]:
+    """Plan the points in order, fill once per precision, then read them (see the module docstring)."""
+
+    def read(row: Any) -> PointResult:
+        if isinstance(row, PointResult):  # a refusal
+            return row
+        shown, pairs, planned, seconds = row
+        start = time.perf_counter()
+        values = iter([_read(*plan) for plan in planned])
+        if isinstance(pairs, Exception):  # a point whose planning raised
+            raise pairs
+        if spec.kind == "numeric":
+            sides = [math.prod(next(values) for _ in _factors(side)) for pair in pairs for side in pair]
+            residual = max(abs(lhs - rhs) for lhs, rhs in zip(sides[::2], sides[1::2]))
+            evals = len(set().union(*(terms for _, terms in planned)))
+            outcome = dict(residual=residual, threshold=cfg.tol * max(evals, 1) * RESIDUAL_MARGIN, evals=evals)
+        else:
+            outcome = dict(equal=all(lhs == rhs for lhs, rhs in pairs))
+        return PointResult(shown, **outcome, elapsed_ms=(seconds + time.perf_counter() - start) * 1000.0)
+
+    todo, held, results, rows = {}, {}, [], []  # rows: refusals and planned points until read
+    for params in points:
+        shown = _display_params(params)
+        reason = _refusal(spec, params)
+        if reason is not None:
+            rows.append(PointResult(params=shown, refused=True, reason=reason))
+            continue
+        start, planned = time.perf_counter(), []
+        try:
+            pairs = spec.sides(**params)
+            if spec.kind == "numeric":  # in the order the values are read
+                for comb in (c for pair in pairs for side in pair for c in _factors(side)):
+                    planned.append(_plan(comb, cfg, todo, held))
+        except Exception as exc:  # raised by read() once the points before it are read
+            rows.append((shown, exc, planned, 0.0))
+            break
+        rows.append((shown, pairs, planned, time.perf_counter() - start))
+        if not todo:  # nothing waits for the fill, so a warm sweep holds one point at a time
+            results += map(read, rows)
+            rows.clear()
+    _fill(todo)
+    results += map(read, rows)
+    return results
 
 
 def verify(name: str, *, cfg: Optional[EvalConfig] = None, **grid: Any) -> VerificationReport:
@@ -494,7 +513,7 @@ def verify(name: str, *, cfg: Optional[EvalConfig] = None, **grid: Any) -> Verif
         raise ValueError(f"the grid for {name} is empty")
 
     start = time.perf_counter()
-    results = [_point_result(spec, cfg, p) for p in points]
+    results = _point_results(spec, cfg, points)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     evaluated = [r for r in results if not r.refused]
@@ -502,18 +521,8 @@ def verify(name: str, *, cfg: Optional[EvalConfig] = None, **grid: Any) -> Verif
         reasons = "; ".join(sorted({r.reason for r in results}))
         raise ValueError(f"every grid point violates the hypotheses of {name}: {reasons}")
     passed = all(r.passed for r in evaluated)
-    residuals = [r.residual for r in evaluated if r.residual is not None]
-    max_residual = max(residuals) if residuals else None
-    return VerificationReport(
-        identity=name,
-        kind=spec.kind,
-        grid=desc,
-        tol=cfg.tol,
-        passed=passed,
-        max_residual=max_residual,
-        points=tuple(results),
-        elapsed_ms=elapsed_ms,
-    )
+    max_residual = max((r.residual for r in evaluated if r.residual is not None), default=None)
+    return VerificationReport(name, spec.kind, desc, cfg.tol, passed, max_residual, tuple(results), elapsed_ms)
 
 
 # -- report serialisation -----------------------------------------------------
@@ -563,25 +572,12 @@ def report_to_file(report: VerificationReport, path: str, fmt: str = "json") -> 
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["identity", "params", "residual", "tol", "pass", "evals", "elapsed_ms"])
-            for point in report.points:
-                if point.refused:
-                    continue
+            for point in report.evaluated:
                 if point.equal is not None:
-                    residual = "equal" if point.equal else "unequal"
-                    tol = ""
+                    residual, tol = ("equal" if point.equal else "unequal"), ""
                 else:
-                    residual = repr(point.residual)
-                    tol = repr(point.threshold)
-                writer.writerow(
-                    [
-                        report.identity,
-                        _params_text(point.params),
-                        residual,
-                        tol,
-                        str(point.passed),
-                        point.evals,
-                        round(point.elapsed_ms, 3),
-                    ]
-                )
+                    residual, tol = repr(point.residual), repr(point.threshold)
+                row = [report.identity, _params_text(point.params), residual, tol, str(point.passed), point.evals]
+                writer.writerow(row + [round(point.elapsed_ms, 3)])
         return
     raise ValueError(f"unknown report format {fmt!r}; use 'json' or 'csv'")

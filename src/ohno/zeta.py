@@ -44,16 +44,18 @@ of fixed-point inverse powers ``2^P // m^n``.  For a word ``w`` of length
 so both families are suffixes of a single word: ``w`` or its dual.  The
 inner sums of a factor form a chain that depends only on its run tail (the
 runs after its first), and suffixes share tails across words as well as
-within one.  So ``eval_combination`` plans a request in one pass: it finds
-the terms that no cache or memo answers, checks the ``max_terms`` cap, and
-fills their missing factors in one batch, whose words, sorted by reversed
-runs, are walked with one stack of chains, so each chain is built once (a
-dict of a batch's chains peaked 15 MB higher on a 553-term combination).
-``eval_zeta`` then reads each suffix factor of a term's two words once,
-and memoises the final double per (index, ``P``), so a repeat costs
-one lookup.  Every request takes one path: the precision follows from the
-tolerance and the coefficient mass, and the cap is checked before the cache
-counts a lookup or any memo is written: it belongs to the request, not the key.
+within one.  So evaluation runs in three phases.  Plan: one pass over a
+combination's terms checks the ``max_terms`` cap before the cache counts a
+lookup or any memo is written (the cap belongs to the request, not the
+key) and finds the terms that no cache or memo will answer.  Fill: one
+batch per precision fills their missing factors; its words, sorted by
+reversed runs, are walked with one stack of chains, so each chain is built
+once per batch (a dict of a batch's chains peaked 15 MB higher on a
+553-term combination).  Read: ``eval_zeta`` reads each suffix factor of a
+term's two words once and memoises the final double per (index, ``P``), so
+a repeat costs one lookup.  ``eval_combination`` plans one combination;
+:func:`~ohno.verify.verify` plans every combination of a grid first, so one
+fill per precision serves the whole sweep and a chain is built once in it.
 
 Repeated evaluation with an identical configuration is bit-identical, up
 to what a cache may change (see :class:`EvalConfig`).
@@ -72,7 +74,7 @@ from itertools import accumulate, repeat
 from operator import mul, rshift
 from typing import Iterable, Optional, Union
 
-from ohno.indices import Index, IndexCombination, _int_at_least, _sort_key, as_combination
+from ohno.indices import Index, IndexCombination, _int_at_least, _named, _sort_key, as_combination
 
 __all__ = [
     "EvalConfig",
@@ -291,6 +293,10 @@ class EvalConfig:
         """Working precision in bits for a single index at ``tol``."""
         return _default_precision(self.bucket)
 
+    @cached_property
+    def _term_configs(self) -> dict[int, "EvalConfig"]:
+        return {}  # bucket -> the configuration that :func:`_plan` reads terms at
+
 
 DEFAULT_CONFIG = EvalConfig()
 
@@ -420,9 +426,7 @@ def clear_factor_cache() -> None:
 
 
 class _TermConfig(EvalConfig):
-    """The configuration :func:`eval_combination` hands :func:`eval_zeta`
-    for each term once the series cap is checked and the missing factors of
-    every term are filled, so the term is read without either step."""
+    """What :func:`_plan` hands :func:`eval_zeta`: a filled term is read without a cap check."""
 
 
 def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
@@ -454,41 +458,29 @@ def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
     return value
 
 
-def _named(k: Index) -> str:
-    """``k`` as text, or beyond depth 12 its end entries, depth and weight, so an error stays short."""
-    return str(k) if len(k) <= 12 else f"({k[0]},...,{k[-1]}) of depth {len(k)} and weight {sum(k)}"
-
-
-def eval_combination(comb: Union[Index, IndexCombination], cfg: Optional[EvalConfig] = None) -> float:
-    """Evaluate a rational combination of admissible indices.
-
-    Per-term tolerances are scaled by the combination's coefficient mass so
-    the truncation budgets sum to at most ``cfg.tol``; the per-term budget is
-    never pushed below 1e-15 because the memoised values are doubles anyway.
-    A mass beyond the double range is refused before any cache or memo is
-    read.  One pass over the terms checks admissibility, finds the deepest
-    factor and collects the words of the terms that neither the value memo
-    nor the cache (peeked at, no lookup counted) answers.  Then the series
-    cap is checked, one :func:`_fill_factors` call fills those words and
-    their duals, and every term is read through :func:`eval_zeta`, in any
-    order (``fsum`` is exact), and a value beyond the double range is
-    refused too; errors name the first index in canonical order.
-    """
-    cfg = cfg or DEFAULT_CONFIG
+def _plan(comb: Union[Index, IndexCombination], cfg: EvalConfig, todo: dict, held: dict) -> tuple:
+    """Check one combination and add the terms whose factors must be filled
+    before it is read to ``todo`` (indices per precision); returns what
+    :func:`_read` takes.  Per-term tolerances are scaled by the coefficient
+    mass so the truncation budgets sum to at most ``cfg.tol``, but never below
+    1e-15.  A refusal (errors name the first index in canonical order) leaves
+    ``todo`` and ``held`` alone.  ``held`` maps an index to the bucket the
+    cache will hold for it once the combinations planned before are read, so
+    a plan follows the cache's store order without a lookup counted."""
     terms = {comb: 1} if isinstance(comb, Index) else as_combination(comb)._terms
     if not terms:
-        return 0.0
+        return cfg, terms
     mass = sum(map(abs, terms.values()))
     try:
         scale = max(float(mass), 1.0)
     except OverflowError:
         raise ValueError("the coefficient mass of the combination is beyond the double range") from None
     bucket = min(max(cfg.bucket, _bucket_of(cfg.tol / scale)), _FINEST_BUCKET)
-    term_cfg = _TermConfig(tol=10.0**-bucket, max_terms=cfg.max_terms, cache=cfg.cache)
+    term_cfg = cfg._term_configs.get(bucket) or cfg._term_configs.setdefault(
+        bucket, _TermConfig(tol=10.0**-bucket, max_terms=cfg.max_terms, cache=cfg.cache))
     fbits = term_cfg.precision
     values = _VALUES.get(fbits, {})
-    held = cfg.cache._entries if cfg.cache is not None else {}
-    deepest, words = 0, []
+    deepest, wanted = 0, []
     for k in terms:
         if not k or k[-1] < 2:  # k.admissible, inlined for the warm path
             bad = min((k for k in terms if not k.admissible), key=_sort_key)
@@ -498,8 +490,8 @@ def eval_combination(comb: Union[Index, IndexCombination], cfg: Optional[EvalCon
         d = max(len(k), sum(k) - len(k))
         if d > deepest:
             deepest = d
-        if k not in values and held.get(k, (0,))[0] < bucket:
-            words.append(to_word(k))
+        if k not in values:
+            wanted.append(k)
     if _stop(deepest, fbits) > cfg.max_terms:
         tied = (k for k in terms if deepest in (len(k), sum(k) - len(k)))
         worst = min(tied, key=_sort_key)
@@ -507,8 +499,25 @@ def eval_combination(comb: Union[Index, IndexCombination], cfg: Optional[EvalCon
             f"series cap of {cfg.max_terms} terms is below what a depth-{deepest} factor "
             f"needs to meet the error budget (index {_named(worst)}, precision {fbits} bits)"
         )
-    if words:
+    if cfg.cache is not None:
+        entries = cfg.cache._entries
+        missed = {k: bucket for k in terms if (held.get(k) or entries.get(k, (0,))[0]) < bucket}
+        wanted = [k for k in wanted if k in missed]
+        held.update(missed)  # a miss stores the value read at the bucket
+    if wanted:
+        todo.setdefault(fbits, {}).update(dict.fromkeys(wanted))
+    return term_cfg, terms
+
+
+def _fill(todo: dict[int, dict[Index, None]]) -> None:
+    """One :func:`_fill_factors` call per precision, for the planned words and their duals."""
+    for fbits, ks in todo.items():
+        words = list(map(to_word, ks))
         _fill_factors([*words, *map(reverse_swap, words)], fbits)
+
+
+def _read(term_cfg: EvalConfig, terms: dict) -> float:
+    """The value of filled terms, read in any order (``fsum`` is exact) and refused beyond the double range."""
     try:
         value = math.fsum(float(c) * eval_zeta(k, term_cfg) for k, c in terms.items())
     except OverflowError:  # a partial sum beyond the double range
@@ -516,6 +525,14 @@ def eval_combination(comb: Union[Index, IndexCombination], cfg: Optional[EvalCon
     if not math.isfinite(value):
         raise ValueError("the value of the combination is beyond the double range")
     return value
+
+
+def eval_combination(comb: Union[Index, IndexCombination], cfg: Optional[EvalConfig] = None) -> float:
+    """Evaluate a rational combination of admissible indices: plan, fill, read."""
+    todo: dict[int, dict[Index, None]] = {}
+    planned = _plan(comb, cfg or DEFAULT_CONFIG, todo, {})
+    _fill(todo)
+    return _read(*planned)
 
 
 def eval_zeta_direct(k: Index, terms: int) -> tuple[float, float]:

@@ -27,6 +27,7 @@ import pathlib
 
 from ohno.indices import combination_to_text
 from ohno.verify import list_identities, verify
+from ohno.zeta import EvalConfig, ZetaCache, ZetaCacheStats
 
 catalogue = importlib.import_module("ohno.verify")
 
@@ -78,21 +79,38 @@ def test_default_grids_match_golden():
         assert got_row == want_row, got_row["identity"]
 
 
+def _residual_digest(cfg=None):
+    """The number of numeric default-grid points and one digest of their
+    residual bits, every identity verified in catalogue order with ``cfg``."""
+    lines = []
+    for spec in list_identities():
+        for p in verify(spec.name, cfg=cfg).points:
+            if p.residual is not None:
+                params = json.dumps(dict(p.params), sort_keys=True)
+                lines.append(f"{spec.name}\t{params}\t{p.residual.hex()}\n")
+    return len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+RESIDUAL_DIGEST = (390, "8ea01c81f9bfe376de2f719017cb3eba9c8cc5b3d0887c60beb4fb71a1598a63")
+
+
 def test_default_residuals_pinned():
     """Every residual of every numeric default-grid point, bit for bit.
 
     The golden file pins verdicts and thresholds only, so a change that
     moves value bits would pass it unnoticed; a speed-up must not."""
-    lines = []
-    for spec in list_identities():
-        for p in verify(spec.name).points:
-            if p.residual is not None:
-                params = json.dumps(dict(p.params), sort_keys=True)
-                lines.append(f"{spec.name}\t{params}\t{p.residual.hex()}\n")
-    assert len(lines) == 390
-    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
-        "8ea01c81f9bfe376de2f719017cb3eba9c8cc5b3d0887c60beb4fb71a1598a63"
-    )
+    assert _residual_digest() == RESIDUAL_DIGEST
+
+
+def test_shared_cache_residuals_pinned():
+    """The path of ``ohno verify --name all``: every identity through one
+    ``ZetaCache`` at tol 1e-12.  A cache answers with the finest value it
+    holds, so its residuals could differ from the uncached ones; here they
+    do not.  The cache's hits and misses pin which requests it served."""
+    cache = ZetaCache()
+    assert _residual_digest(EvalConfig(tol=1e-12, cache=cache)) == RESIDUAL_DIGEST
+    assert cache.stats == ZetaCacheStats(hits=21210, misses=4208)
+    assert len(cache) == 3864
 
 
 #: sha256 of the canonical text of every side at every default point.

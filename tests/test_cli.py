@@ -283,6 +283,23 @@ def test_errors_name_a_deep_index_briefly(run, text, message):
     assert len(err.encode()) < 200
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("dual(rep(1, 3000))", "dual is defined for admissible indices only"),
+        ("ohno(1, rep(1, 3000))", "shifted sums need an admissible index"),
+    ],
+    ids=["dual", "ohno"],
+)
+def test_grammar_errors_name_a_deep_index_briefly(run, text, message):
+    code, out, err = run("expand", "--expr", text)
+    line, help_text = err.split("\n", 1)
+    assert (code, out) == (2, "")
+    assert line == f"error: {message}, got (1,...,1) of depth 3000 and weight 3000 (line 1, column 1)"
+    assert len(line.encode()) < 200
+    assert help_text == cli.GRAMMAR_HELP + "\n"
+
+
 def test_expansion_beyond_memory_is_an_input_error():
     """Run in a child whose address space is capped at 128 MB, where the
     C(302, 3) shift vectors of length 300 cannot be built."""

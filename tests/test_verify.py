@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import importlib
 import json
+import math
 import pathlib
 
 import pytest
@@ -17,7 +18,8 @@ from ohno.verify import (
     report_to_file,
     verify,
 )
-from ohno.zeta import EvalConfig, ZetaCache, eval_combination
+from ohno import zeta
+from ohno.zeta import EvalConfig, PrecisionError, ZetaCache, clear_factor_cache, eval_combination
 
 # The package re-exports the function ``verify`` under the module's name.
 catalogue = importlib.import_module("ohno.verify")
@@ -372,3 +374,114 @@ def test_verify_with_shared_cache():
     again = verify("hmos", cfg=cfg, s=(2, 3), t=(2, 3), m=(0, 1))
     assert again.passed
     assert cache.stats.hits > 0
+
+
+# ---------------------------------------------------------------------------
+# the sweep planner: plan every point, fill once per precision, read
+# ---------------------------------------------------------------------------
+
+
+def _point_by_point(name, cfg, **grid):
+    """The residuals of ``verify(name, cfg=cfg, **grid)`` from evaluating each
+    combination of each point alone, in point order, with
+    :func:`eval_combination`: the reference the planner must reproduce."""
+    spec = catalogue._CATALOGUE[name]
+    residuals = []
+    for params in catalogue._grid(spec, grid)[1]:
+        if catalogue._refusal(spec, params) is None:
+            values = [
+                [math.prod(eval_combination(c, cfg) for c in catalogue._factors(side)) for side in pair]
+                for pair in spec.sides(**params)
+            ]
+            residuals.append(max(abs(lhs - rhs) for lhs, rhs in values))
+    return residuals
+
+
+def _outcome(run):
+    """What ``run`` returns or raises, and the factor memo it leaves from cold."""
+    clear_factor_cache()
+    try:
+        result = ("returned", run())
+    except (ValueError, PrecisionError) as exc:
+        result = ("raised", type(exc), str(exc))
+    return result, dict(zeta._FACTOR_CACHE)
+
+
+def _precision_of(comb, cfg):
+    mass = sum(abs(c) for c in comb._terms.values())
+    return zeta._default_precision(min(max(cfg.bucket, zeta._bucket_of(cfg.tol / max(mass, 1))), 15))
+
+
+def test_cold_sweep_fills_once_per_precision(monkeypatch):
+    spec = catalogue._CATALOGUE["main"]
+    cfg = EvalConfig()
+    precisions = {
+        _precision_of(comb, cfg)
+        for params in catalogue._grid(spec, {})[1]
+        for pair in spec.sides(**params)
+        for side in pair
+        for comb in catalogue._factors(side)
+    }
+    fills = []
+    original = zeta._fill_factors
+    monkeypatch.setattr(zeta, "_fill_factors", lambda words, fbits: fills.append(fbits) or original(words, fbits))
+    clear_factor_cache()
+    verify("main", cfg=cfg)
+    assert sorted(fills) == sorted(precisions)
+    assert len(precisions) > 1
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+def test_planned_sweep_matches_point_by_point_evaluation(tol, cached):
+    """Residuals, memoised factors and the cache's counts and entries are
+    those of evaluating every side alone, bit for bit."""
+    caches = [ZetaCache() if cached else None for _ in range(2)]
+    grid = {"s": (2, 4), "t": (3, 2), "l": (0, 2), "m": (1, 0, 2)}
+    planned = _outcome(lambda: [p.residual for p in verify("main", cfg=EvalConfig(tol=tol, cache=caches[0]), **grid).points])
+    alone = _outcome(lambda: _point_by_point("main", EvalConfig(tol=tol, cache=caches[1]), **grid))
+    assert planned == alone
+    if cached:
+        assert caches[0].stats == caches[1].stats
+        assert caches[0]._entries == caches[1]._entries
+
+
+def test_planning_error_of_the_first_point():
+    cfg = EvalConfig(max_terms=8)
+    first_side = catalogue._CATALOGUE["main"].sides(s=2, t=2, l=0, m=0)[0][0]
+    with pytest.raises(PrecisionError) as expected:
+        eval_combination(first_side, cfg)
+    with pytest.raises(PrecisionError) as got:
+        verify("main", cfg=cfg)
+    assert str(got.value) == str(expected.value)
+
+
+def test_planning_error_at_a_later_point_leaves_what_point_by_point_leaves():
+    """The third point needs more terms than the cap allows; the two before
+    it are still read, so the cache ends as a point-by-point run leaves it."""
+    grid = {"k": ["(2)", "(2,3)", "(2,2,9)", "(1,2)"]}
+    caches = [ZetaCache(), ZetaCache()]
+    planned = _outcome(lambda: verify("duality", cfg=EvalConfig(max_terms=100, cache=caches[0]), **grid))
+    alone = _outcome(lambda: _point_by_point("duality", EvalConfig(max_terms=100, cache=caches[1]), **grid))
+    assert planned == alone
+    assert planned[0][:2] == ("raised", PrecisionError)
+    assert "index (2,2,9)" in planned[0][2]
+    assert caches[0].stats == caches[1].stats
+    assert caches[0]._entries == caches[1]._entries and len(caches[0]) == 3
+
+
+def test_read_error_of_an_earlier_point_comes_first(monkeypatch):
+    """A value beyond the double range at the first point is raised, not the
+    planning error of the second point."""
+    spec = catalogue._CATALOGUE["duality"]
+    huge = IndexCombination({Index((2,)): 15 * 10**307})
+
+    def sides(k):
+        return [(huge, huge)] if k == Index((2,)) else spec.sides(k=k)
+
+    monkeypatch.setitem(catalogue._CATALOGUE, "duality", dataclasses.replace(spec, sides=sides))
+    cfg = EvalConfig(max_terms=112)  # enough for the first point, not for (2,2,12)
+    with pytest.raises(ValueError, match="value of the combination is beyond the double range"):
+        verify("duality", cfg=cfg, k=["(2)", "(2,2,12)"])
+    with pytest.raises(PrecisionError, match=r"index \(2,2,12\)"):
+        verify("duality", cfg=cfg, k=["(2,2,12)", "(2)"])
