@@ -37,7 +37,6 @@ from ohno.zeta import (
     eval_combination,
     eval_zeta,
     eval_zeta_direct,
-    from_word,
     reverse_swap,
     to_word,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "eval_zeta",
     "eval_zeta_direct",
     "expand_text",
-    "from_word",
     "hast",
     "hoffman_sides",
     "iter_admissible",

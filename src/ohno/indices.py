@@ -28,8 +28,9 @@ plain tuple.  The public constructors ``Index(...)`` and
 ``IndexCombination(...)`` check what they are given.  What the algebra
 builds from checked operands (sums, scalings, products, shifts and duals)
 goes through the trusted constructors: ``_trusted_index``, which is
-``tuple.__new__`` on ``Index``, and ``_trusted_combination``, which drops
-zero terms; neither checks anything.
+``tuple.__new__`` on ``Index``, and ``_trusted_combination``, which wraps
+the one dict an operator built, its zero terms already dropped and its
+integral coefficients already ``int``; neither checks anything.
 """
 
 from __future__ import annotations
@@ -195,9 +196,14 @@ def _scalar(c: Scalar) -> Scalar:
     return c.numerator if c.denominator == 1 else c
 
 
-def _canonical(terms: Mapping[Index, Scalar]) -> dict[Index, Scalar]:
-    """Drop zero terms and store integral coefficients as ``int``."""
-    return {k: c if type(c) is int else _scalar(c) for k, c in terms.items() if c}
+def _settled(terms: dict[Index, Scalar]) -> dict[Index, Scalar]:
+    """``terms``, in place, with zero terms dropped and integral coefficients as ``int``."""
+    for k in [k for k, c in terms.items() if not c or type(c) is not int]:
+        if terms[k]:
+            terms[k] = _scalar(terms[k])
+        else:
+            del terms[k]
+    return terms
 
 
 class IndexCombination:
@@ -212,13 +218,11 @@ class IndexCombination:
 
     def __init__(self, terms: Union[Mapping[Index, Scalar], Iterable[tuple[Index, Scalar]], None] = None):
         data: dict[Index, Scalar] = {}
-        if terms is not None:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for k, c in items:
-                if not isinstance(k, Index):
-                    raise ValueError(f"combination keys must be Index, got {k!r}")
-                data[k] = data.get(k, 0) + (c if type(c) is int else _scalar(c))
-        self._terms = _canonical(data)
+        for k, c in terms.items() if isinstance(terms, Mapping) else terms or ():
+            if not isinstance(k, Index):
+                raise ValueError(f"combination keys must be Index, got {k!r}")
+            data[k] = data.get(k, 0) + (c if type(c) is int else _scalar(c))
+        self._terms = _settled(data)
 
     # -- construction helpers -------------------------------------------------
 
@@ -240,19 +244,12 @@ class IndexCombination:
         """Terms in canonical order: by depth, then lexicographically."""
         return sorted(self._terms.items(), key=lambda kv: _sort_key(kv[0]))
 
-    def support(self) -> list[Index]:
-        return sorted(self._terms, key=_sort_key)
-
     def coefficient(self, k: Index) -> Scalar:
         return self._terms.get(k, 0)
 
     def coefficient_mass(self) -> Scalar:
         """Sum of absolute values of the coefficients."""
         return sum(abs(c) for c in self._terms.values())
-
-    def term_count(self) -> Scalar:
-        """Sum of the coefficients (terms counted with multiplicity)."""
-        return sum(self._terms.values())
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -271,15 +268,12 @@ class IndexCombination:
         out = dict(self._terms)
         for k, c in other._terms.items():
             out[k] = out.get(k, 0) + c
-        return _trusted_combination(out)
+        return _trusted_combination(_settled(out))
 
     def __sub__(self, other: "IndexCombination") -> "IndexCombination":
         if not isinstance(other, IndexCombination):
             return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0) - c
-        return _trusted_combination(out)
+        return self + -other
 
     def __neg__(self) -> "IndexCombination":
         return _trusted_combination({k: -c for k, c in self._terms.items()})
@@ -287,7 +281,7 @@ class IndexCombination:
     def __mul__(self, scalar: Scalar) -> "IndexCombination":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return _trusted_combination({k: c * scalar for k, c in self._terms.items()})
+        return _trusted_combination(_settled({k: c * scalar for k, c in self._terms.items()}))
 
     __rmul__ = __mul__
 
@@ -306,7 +300,7 @@ class IndexCombination:
         for k, c in self._terms.items():
             kk = f(k)
             out[kk] = out.get(kk, 0) + c
-        return _trusted_combination(out)
+        return _trusted_combination(_settled(out))
 
     def __repr__(self) -> str:
         return f"IndexCombination({combination_to_text(self)!r})"
@@ -315,11 +309,11 @@ class IndexCombination:
         return combination_to_text(self)
 
 
-def _trusted_combination(terms: Mapping[Index, Scalar]) -> IndexCombination:
-    """A combination over terms the algebra built itself, made canonical
-    but without the checks of ``IndexCombination(...)``."""
+def _trusted_combination(terms: dict[Index, Scalar]) -> IndexCombination:
+    """A combination wrapping ``terms``, a dict the algebra built and settled
+    (see :func:`_settled`), without the checks of ``IndexCombination(...)``."""
     comb = object.__new__(IndexCombination)
-    comb._terms = _canonical(terms)
+    comb._terms = terms
     return comb
 
 
@@ -446,7 +440,7 @@ def sha(left: Union[Index, IndexCombination], right: Union[Index, IndexCombinati
             c = ca * cb
             for entries, mult in _interleave(ka, kb).items():
                 out[entries] = out.get(entries, 0) + c * mult
-    return _trusted_combination({_trusted_index(entries): c for entries, c in out.items()})
+    return _trusted_combination(_settled({_trusted_index(entries): c for entries, c in out.items()}))
 
 
 # -- the position-sum product -------------------------------------------------
@@ -467,7 +461,7 @@ def hast(k: int, target: Union[Index, IndexCombination]) -> IndexCombination:
         for i in range(len(idx)):
             key = _trusted_index(idx[:i] + (idx[i] + k,) + idx[i + 1 :])
             out[key] = out.get(key, 0) + c
-    return _trusted_combination(out)
+    return _trusted_combination(_settled(out))
 
 
 def star_single(k: int, target: Union[Index, IndexCombination]) -> IndexCombination:

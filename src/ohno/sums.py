@@ -25,20 +25,27 @@ top of it the module builds the families used by the identity catalogue in
 
 Everything here returns exact :class:`~ohno.indices.IndexCombination`
 objects; evaluating them is :func:`~ohno.zeta.eval_combination`'s job.
+
+Within one :func:`~ohno.verify.verify` call, ``_MEMO`` keeps the results of
+``dual_gap_operands`` and ``dual_gap_skew_sides`` per arguments, of
+``ohno_sum_symbolic`` per operand term set and order, and shift vectors per
+depth and order; a context variable, so threads never share it, and outside
+such a call nothing is kept.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from contextvars import ContextVar
+from functools import reduce, wraps
 from operator import add
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Optional, Union
 
 from ohno.indices import (
     Index,
     IndexCombination,
-    Scalar,
     _int_at_least,
     _named,
+    _settled,
     _shifts,
     _trusted_combination,
     _trusted_index,
@@ -87,30 +94,57 @@ def _count(terms: Iterable[tuple[int, ...]]) -> IndexCombination:
 
 # -- shifted sums -------------------------------------------------------------
 
+_MEMO: ContextVar[Optional[dict]] = ContextVar("ohno_sweep_memo", default=None)
 
+
+def _memoised(builder: Callable) -> Callable:
+    """The pure ``builder``, its results shared in the open memo between
+    positional calls with equal arguments, a combination counting as its terms."""
+
+    @wraps(builder)
+    def shared(*args, **kwargs):
+        memo = _MEMO.get()
+        if memo is None or kwargs:
+            return builder(*args, **kwargs)
+        key = (builder, *(frozenset(a._terms.items()) if type(a) is IndexCombination else a for a in args))
+        if key not in memo:
+            memo[key] = builder(*args)
+        return memo[key]
+
+    return shared
+
+
+@_memoised
 def ohno_sum_symbolic(comb: Union[Index, IndexCombination], m: int) -> IndexCombination:
     """The order-``m`` shifted sum, extended linearly: each admissible index
     ``k`` of ``comb`` becomes the sum of ``k + e`` over the shift vectors ``e``
-    of its depth with ``|e| = m``, with its coefficient.  The shift vectors
-    of each depth are enumerated once per call."""
+    of its depth with ``|e| = m``, with its coefficient; at ``m = 0`` that is
+    ``comb`` itself.  The shift vectors of each depth are enumerated once per
+    call, or once per ``verify`` call in its memo."""
     _check_order(m)
-    shifts: dict[int, list[tuple[int, ...]]] = {}
-    out: dict[Index, Scalar] = {}
-    for k, c in as_combination(comb)._terms.items():
+    comb = as_combination(comb)
+    for k in comb._terms:
         if not k.admissible:
             raise ValueError(f"shifted sums need an admissible index, got {_named(k)}")
-        vectors = shifts.get(len(k))
+    if not m:
+        return comb
+    memo, out = _MEMO.get(), {}
+    shifts = {} if memo is None else memo
+    for k, c in comb._terms.items():
+        table = (_shifts, len(k), m)
+        vectors = shifts.get(table)
         if vectors is None:
-            vectors = shifts[len(k)] = _shifts(len(k), m)
+            vectors = shifts[table] = _shifts(len(k), m)
         for e in vectors:
             key = _trusted_index(map(add, k, e))
             out[key] = out.get(key, 0) + c
-    return _trusted_combination(out)
+    return _trusted_combination(_settled(out))
 
 
 # -- the dual gap and its antisymmetrisation ----------------------------------
 
 
+@_memoised
 def dual_gap_operands(s: int, k: Index, l: int) -> tuple[IndexCombination, IndexCombination]:
     """The two combinations whose order-``m`` shifted sums make the dual gap
     ``O_m((s) # k # {2}^l) - O_m((s) # (k # {2}^l)^dual)``."""
@@ -126,6 +160,7 @@ def dual_gap_operands(s: int, k: Index, l: int) -> tuple[IndexCombination, Index
     return plain, dualised
 
 
+@_memoised
 def dual_gap_skew_sides(s: int, t: int, l: int, m: int) -> tuple[IndexCombination, IndexCombination]:
     """The skew gap, the dual gap of ``(s; (t+1))`` minus that of
     ``(t; (s+1))`` at block length ``l``, as its positive and its negative
@@ -160,10 +195,9 @@ def hast_shifted_sum(base: Union[Index, IndexCombination], k0: int, m: int) -> I
 
 
 def _check_block(s: int, l: int, m: int) -> None:
-    if not _int_at_least(s, 2):
-        raise ValueError(f"need s >= 2, got {s!r}")
-    if not _int_at_least(l, 0):
-        raise ValueError(f"need l >= 0, got {l!r}")
+    for name, v, low in (("s", s, 2), ("l", l, 0)):
+        if not _int_at_least(v, low):
+            raise ValueError(f"need {name} >= {low}, got {v!r}")
     _check_order(m)
 
 
@@ -456,12 +490,9 @@ def dualized_hast_expansion(s: int, t: int, l: int) -> tuple[IndexCombination, I
 
 
 def _check_expansion_params(s: int, t: int, l: int) -> None:
-    if not _int_at_least(s, 2):
-        raise ValueError(f"expansion needs s >= 2, got {s!r}")
-    if not _int_at_least(t, 2):
-        raise ValueError(f"expansion needs t >= 2, got {t!r}")
-    if not _int_at_least(l, 1):
-        raise ValueError(f"expansion needs l >= 1, got {l!r}")
+    for name, v, low in (("s", s, 2), ("t", t, 2), ("l", l, 1)):
+        if not _int_at_least(v, low):
+            raise ValueError(f"expansion needs {name} >= {low}, got {v!r}")
 
 
 def hast_merge_sides(s: int, t: int, l: int) -> tuple[IndexCombination, IndexCombination]:

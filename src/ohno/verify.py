@@ -22,8 +22,9 @@ decorator, as an :class:`IdentitySpec`.  Two kinds exist:
 overridable per parameter) in one pass over its parameters, refuses the
 points that violate an identity's hypotheses, and returns a
 :class:`VerificationReport`.  A numeric grid runs in three phases.  Plan:
-each point in turn builds its sides once and plans their combinations,
-following the cache's store order from point to point.  Fill: one call per
+each point in turn builds its sides (what points share once per call, in
+the memo of :mod:`ohno.sums`) and plans their combinations, following the
+cache's store order from point to point.  Fill: one call per
 working precision fills what every plan misses.  Read: each point is reduced
 to its residual once nothing planned before it waits for the fill, so a warm
 sweep holds one point at a time.  A planning error ends the plan; the points
@@ -41,6 +42,7 @@ import inspect
 import json
 import math
 import time
+from contextvars import copy_context
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
@@ -60,6 +62,7 @@ from ohno.indices import (
     star_single,
 )
 from ohno.sums import (
+    _MEMO,
     composed_single,
     composed_split,
     dual_gap_operands,
@@ -513,7 +516,9 @@ def verify(name: str, *, cfg: Optional[EvalConfig] = None, **grid: Any) -> Verif
         raise ValueError(f"the grid for {name} is empty")
 
     start = time.perf_counter()
-    results = _point_results(spec, cfg, points)
+    context = copy_context()  # holds the side memo of ohno.sums for this call only
+    context.run(_MEMO.set, {})
+    results = context.run(_point_results, spec, cfg, points)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     evaluated = [r for r in results if not r.refused]
@@ -557,10 +562,6 @@ def report_dict(report: VerificationReport) -> dict[str, Any]:
     }
 
 
-def _params_text(params: Mapping[str, Any]) -> str:
-    return ";".join(f"{k}={v}" for k, v in params.items())
-
-
 def report_to_file(report: VerificationReport, path: str, fmt: str = "json") -> None:
     """Write a report as ``json`` (all points) or ``csv`` (evaluated points)."""
     if fmt == "json":
@@ -577,7 +578,8 @@ def report_to_file(report: VerificationReport, path: str, fmt: str = "json") -> 
                     residual, tol = ("equal" if point.equal else "unequal"), ""
                 else:
                     residual, tol = repr(point.residual), repr(point.threshold)
-                row = [report.identity, _params_text(point.params), residual, tol, str(point.passed), point.evals]
+                params = ";".join(f"{k}={v}" for k, v in point.params.items())
+                row = [report.identity, params, residual, tol, str(point.passed), point.evals]
                 writer.writerow(row + [round(point.elapsed_ms, 3)])
         return
     raise ValueError(f"unknown report format {fmt!r}; use 'json' or 'csv'")

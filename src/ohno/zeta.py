@@ -83,7 +83,6 @@ __all__ = [
     "eval_combination",
     "eval_zeta",
     "eval_zeta_direct",
-    "from_word",
     "reverse_swap",
     "to_word",
 ]
@@ -109,30 +108,6 @@ def to_word(k: Index) -> str:
     if not k.admissible:
         raise ValueError(f"only admissible indices have a word encoding, got {k}")
     return "".join("X" * (e - 1) + "Y" for e in reversed(k))
-
-
-def _word_runs(word: str) -> tuple[int, ...]:
-    """Split a Y-terminated word into X-run lengths plus one per Y."""
-    runs: list[int] = []
-    x = 0
-    for ch in word:
-        if ch == "X":
-            x += 1
-        else:
-            runs.append(x + 1)
-            x = 0
-    if x:
-        raise ValueError(f"series word {word!r} does not end with Y")
-    return tuple(runs)
-
-
-def from_word(word: str) -> Index:
-    """Decode a word over {X, Y} back to an admissible index."""
-    if not word or set(word) - {"X", "Y"}:
-        raise ValueError(f"malformed word {word!r}: expected a nonempty string over X/Y")
-    if word[0] != "X" or word[-1] != "Y":
-        raise ValueError(f"malformed word {word!r}: must start with X and end with Y")
-    return Index(reversed(_word_runs(word)))
 
 
 def reverse_swap(word: str) -> str:
@@ -379,7 +354,7 @@ def _fill_factors(words: Iterable[str], fbits: int) -> None:
     todo: dict[str, tuple[int, ...]] = {}  # word -> its runs, reversed
     for word in words:
         if word not in todo and (word, fbits) not in _FACTOR_CACHE:
-            todo[word] = _word_runs(word)[::-1]
+            todo[word] = tuple(len(x) + 1 for x in reversed(word[:-1].split("Y")))
     one = 1 << fbits
     stack, path = [[one]], ()
     for word in sorted(todo, key=todo.__getitem__):

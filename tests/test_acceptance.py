@@ -233,7 +233,7 @@ def test_10_algebra_properties():
         a, b, c = random_index(), random_index(), random_index()
         ab = sha(a, b)
         ok = ok and ab == sha(b, a)
-        ok = ok and ab.term_count() == math.comb(a.depth + b.depth, a.depth)
+        ok = ok and sum(c for _, c in ab) == math.comb(a.depth + b.depth, a.depth)
         ok = ok and sha(ab, c) == sha(a, sha(b, c))
 
     # randomized serialization round-trips (>= 10^3 cases)

@@ -85,7 +85,7 @@ def test_ohno_shifts_counts():
     for entries, m in [((2,), 4), ((1, 2), 3), ((2, 1, 3), 2)]:
         k = Index(entries)
         fam = ohno_sum_symbolic(k, m)
-        assert fam.term_count() == math.comb(m + k.depth - 1, k.depth - 1)
+        assert sum(c for _, c in fam) == math.comb(m + k.depth - 1, k.depth - 1)
         for idx, _ in fam.items():
             assert idx.weight == k.weight + m
             assert idx.depth == k.depth
@@ -126,7 +126,7 @@ def test_ohno_sum_symbolic_enumerates_shifts_once_per_depth(monkeypatch):
     monkeypatch.setattr(ohno.sums, "_shifts", counted)
     got = ohno_sum_symbolic(expand_text("(2) + (3) + (1,2) + (2,2) + 2*(1,1,3) + (2,1,2)"), 2)
     assert sorted(calls) == [(1, 2), (2, 2), (3, 2)]
-    assert got.term_count() == 2 * 1 + 2 * 3 + 3 * 6
+    assert sum(c for _, c in got) == 2 * 1 + 2 * 3 + 3 * 6
 
 
 def test_ohno_sum_symbolic_of_a_deep_index():
@@ -134,7 +134,21 @@ def test_ohno_sum_symbolic_of_a_deep_index():
     got = ohno_sum_symbolic(repeat(2, 1200), 1)
     assert len(got) == 1200
     assert got.coefficient(Index((2,) * 1199 + (3,))) == 1
-    assert got.term_count() == 1200
+    assert sum(c for _, c in got) == 1200
+
+
+def test_ohno_sum_symbolic_of_order_zero_is_its_operand(monkeypatch):
+    """Order 0 shifts nothing: the operand comes back, its terms in their
+    order, without a shift table; a non-admissible term is refused alike."""
+    monkeypatch.setattr(ohno.sums, "_shifts", lambda r, m: pytest.fail("order 0 built a shift table"))
+    comb = expand_text("(2,1,3) + 1/2*(2) - 3*(1,1,2)")
+    got = ohno_sum_symbolic(comb, 0)
+    assert got == comb and list(got._terms.items()) == list(comb._terms.items())
+    assert ohno_sum_symbolic(Index((2, 3)), 0) == IndexCombination.from_index(Index((2, 3)))
+    monkeypatch.undo()
+    for m in (0, 1):
+        with pytest.raises(ValueError, match=r"^shifted sums need an admissible index, got \(2,1\)$"):
+            ohno_sum_symbolic(expand_text("(2) + (2,1)"), m)
 
 
 def test_ohno_sum_numeric():

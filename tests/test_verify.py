@@ -6,11 +6,13 @@ import importlib
 import json
 import math
 import pathlib
+import threading
 
 import pytest
 
+import ohno.sums
 from ohno.indices import Index, IndexCombination, iter_admissible
-from ohno.sums import dual_gap_skew_symbolic
+from ohno.sums import dual_gap_skew_sides, dual_gap_skew_symbolic, ohno_sum_symbolic
 from ohno.verify import (
     RESIDUAL_MARGIN,
     list_identities,
@@ -485,3 +487,82 @@ def test_read_error_of_an_earlier_point_comes_first(monkeypatch):
         verify("duality", cfg=cfg, k=["(2)", "(2,2,12)"])
     with pytest.raises(PrecisionError, match=r"index \(2,2,12\)"):
         verify("duality", cfg=cfg, k=["(2,2,12)", "(2)"])
+
+
+# ---------------------------------------------------------------------------
+# the sweep memo
+# ---------------------------------------------------------------------------
+
+
+def test_sweep_memo_lives_only_for_one_verify_call():
+    verify("hmos", m=(0, 1))
+    assert ohno.sums._MEMO.get() is None
+    with pytest.raises(PrecisionError):
+        verify("main", cfg=EvalConfig(max_terms=8))
+    assert ohno.sums._MEMO.get() is None
+    first, second = (ohno_sum_symbolic(Index((2, 3)), 2) for _ in range(2))
+    assert first == second and first is not second
+    assert dual_gap_skew_sides(2, 3, 1, 1)[0] is not dual_gap_skew_sides(2, 3, 1, 1)[0]
+
+
+def test_sweep_memo_builds_each_dual_gap_operand_once(monkeypatch):
+    """``main`` meets 27 operand triples (s, (t+1), l), each three products."""
+    calls = []
+    original = ohno.sums.sha
+    monkeypatch.setattr(ohno.sums, "sha", lambda a, b: calls.append(1) or original(a, b))
+    spec = catalogue._CATALOGUE["main"]
+    for params in catalogue._grid(spec, {})[1]:
+        spec.sides(**params)
+    assert len(calls) == 81 * 2 * 3
+    calls.clear()
+    verify("main")
+    assert len(calls) == 27 * 3
+
+
+@pytest.mark.parametrize("name", ["main", "hmos", "lemma_dddd"])
+def test_sweep_memo_leaves_residuals_bit_identical(name):
+    """Every point's sides, built outside ``verify`` and evaluated alone, give
+    the report's residual bits and ``evals``."""
+    spec, cfg = catalogue._CATALOGUE[name], EvalConfig()
+    for point in verify(name, cfg=cfg).points:
+        pairs = spec.sides(**point.params)
+        combs = [[catalogue._factors(side) for side in pair] for pair in pairs]
+        values = [[math.prod(eval_combination(c, cfg) for c in side) for side in pair] for pair in combs]
+        residual = max(abs(lhs - rhs) for lhs, rhs in values)
+        evals = len({k for pair in combs for side in pair for c in side for k in c._terms})
+        assert (residual.hex(), evals) == (point.residual.hex(), point.evals)
+
+
+def test_sweeps_in_two_threads_keep_their_own_memo(monkeypatch):
+    """Two sweeps at once each build through one memo of their own and
+    report what serial runs report, timings aside."""
+
+    def bare(report):
+        out = report_dict(report)
+        del out["elapsed_ms"]
+        for point in out["points"]:
+            del point["elapsed_ms"]
+        return out
+
+    names = ("hmos", "main")
+    serial = {name: bare(verify(name)) for name in names}
+    memos = {name: [] for name in names}
+    for name in names:
+        spec = catalogue._CATALOGUE[name]
+
+        def sides(*args, _sides=spec.sides, _seen=memos[name], **kwargs):
+            _seen.append(ohno.sums._MEMO.get())
+            return _sides(*args, **kwargs)
+
+        monkeypatch.setitem(catalogue._CATALOGUE, name, dataclasses.replace(spec, sides=sides))
+    got = {}
+    threads = [threading.Thread(target=lambda n=name: got.update({n: bare(verify(n))})) for name in names]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == serial
+    hmos_memo, main_memo = memos["hmos"][0], memos["main"][0]
+    assert hmos_memo is not None and main_memo is not None and hmos_memo is not main_memo
+    assert all(m is hmos_memo for m in memos["hmos"]) and all(m is main_memo for m in memos["main"])
