@@ -40,11 +40,7 @@ from ohno.zeta import (
     reverse_swap,
     to_word,
 )
-from ohno.sums import (
-    dual_gap_skew_symbolic,
-    hoffman_sides,
-    ohno_sum_symbolic,
-)
+from ohno.sums import ohno_sum_symbolic
 from ohno.verify import (
     IdentitySpec,
     VerificationReport,
@@ -68,7 +64,6 @@ __all__ = [
     "ZetaCache",
     "append_entry",
     "combination_to_text",
-    "dual_gap_skew_symbolic",
     "dual_linear",
     "enumerate_shifts",
     "eval_combination",
@@ -76,7 +71,6 @@ __all__ = [
     "eval_zeta_direct",
     "expand_text",
     "hast",
-    "hoffman_sides",
     "iter_admissible",
     "list_identities",
     "ohno_sum_symbolic",

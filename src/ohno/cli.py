@@ -125,6 +125,13 @@ def _resolve_cache(cache_arg: str) -> tuple[Optional[ZetaCache], Optional[str]]:
     return ZetaCache(cache_arg), cache_arg
 
 
+def _check_directory(path: str) -> None:
+    """Refuse a file path to write whose directory is missing, before any work."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"no such directory {directory!r} for {path!r}")
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     print(eval_combination(expand_text(args.expr), args.cfg))
     return 0
@@ -167,6 +174,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             all_passed = all_passed and report.passed
         return 0 if all_passed else 1
 
+    if args.out is not None:
+        _check_directory(args.out)
     report = verify(args.name, cfg=args.cfg, **grid)
     print(report.summary())
     if args.out is not None:
@@ -197,6 +206,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         save_path = None
         if "cache" in args:  # a command that evaluates: build its request once
             cache, save_path = _resolve_cache(args.cache)
+            if save_path is not None:
+                _check_directory(save_path)
             args.cfg = EvalConfig(tol=args.tol, max_terms=args.terms_cap, cache=cache)
         code = _COMMANDS[args.command](args)
         if save_path is not None:

@@ -130,18 +130,6 @@ class Index(tuple):
             out.append(a + 1)
         return _trusted_index(out)
 
-    def oplus(self, shift: tuple[int, ...]) -> "Index":
-        """Componentwise sum with a same-depth vector of nonnegative integers."""
-        shift = tuple(shift)
-        if len(shift) != self.depth:
-            raise ValueError(
-                f"shift {shift!r} has length {len(shift)}, index {self} has depth {self.depth}"
-            )
-        for v in shift:
-            if not _int_at_least(v, 0):
-                raise ValueError(f"shift entries must be nonnegative integers, got {shift!r}")
-        return Index(e + v for e, v in zip(self, shift))
-
     def to_text(self) -> str:
         """Comma-separated entries, e.g. ``"1,3"``; the empty index is ``"()"``."""
         return ",".join(map(str, self)) if self else "()"

@@ -6,22 +6,21 @@ The basic object is the order-``m`` shifted sum of an admissible index:
 
 extended linearly to combinations.  Its one builder, ``ohno_sum_symbolic``,
 makes one pass over the terms of a combination into one accumulator.  On
-top of it the module builds the families used by the identity catalogue in
-:mod:`ohno.verify`:
+top of it the module builds the families that entries of the identity
+catalogue in :mod:`ohno.verify` share; an identity's own ``(lhs, rhs)``
+pairs are stated in its entry there:
 
 * the dual gap ``O_m((s) # k # {2}^l) - O_m((s) # (k # {2}^l)^dual)``
   between a shuffled shifted sum and its dualised partner
-  (``dual_gap_operands``), and its antisymmetrised difference
-  (``dual_gap_skew_sides``, ``dual_gap_skew_symbolic``);
+  (``dual_gap_operands``), and its antisymmetrised difference as a
+  positive and a negative side (``dual_gap_skew_sides``);
 * a three-part decomposition ``term_a + term_b + term_c`` of a particular
   skew gap, with closed-form re-expansions of each part;
 * the block ``{2}^(l+1)`` with one entry raised or split at positions ``p``
   and ``q``, as layered shifted sums (``grouped_*``) and as weighted
   composition sums (``composed_*``); summed over all positions they give
   ``-term_a``, ``term_bc_closed`` and the expansions ``*_entry_expansion``,
-  and at ``p = q`` the split family has three parts (``split_diag_parts``);
-* the two sides of the derivative-style relation of double shuffle
-  (``hoffman_sides``).
+  and at ``p = q`` the split family has three parts (``split_diag_parts``).
 
 Everything here returns exact :class:`~ohno.indices.IndexCombination`
 objects; evaluating them is :func:`~ohno.zeta.eval_combination`'s job.
@@ -63,14 +62,9 @@ __all__ = [
     "composed_split",
     "dual_gap_operands",
     "dual_gap_skew_sides",
-    "dual_gap_skew_symbolic",
-    "dualized_hast_expansion",
-    "dualized_shuffle_expansion",
     "grouped_single",
     "grouped_split",
-    "hast_merge_sides",
     "hast_shifted_sum",
-    "hoffman_sides",
     "ohno_sum_symbolic",
     "raised_entry_expansion",
     "split_diag_parts",
@@ -166,16 +160,10 @@ def dual_gap_skew_sides(s: int, t: int, l: int, m: int) -> tuple[IndexCombinatio
     ``(t; (s+1))`` at block length ``l``, as its positive and its negative
     part, each with nonnegative coefficients.  The two parts have equal
     values for all ``s, t >= 2`` and ``l, m >= 0``: that is the main identity
-    of the catalogue."""
+    of the catalogue.  Their difference is the skew gap as one combination."""
     plain_st, dual_st = dual_gap_operands(s, Index((t + 1,)), l)
     plain_ts, dual_ts = dual_gap_operands(t, Index((s + 1,)), l)
     return ohno_sum_symbolic(plain_st + dual_ts, m), ohno_sum_symbolic(dual_st + plain_ts, m)
-
-
-def dual_gap_skew_symbolic(s: int, t: int, l: int, m: int) -> IndexCombination:
-    """The skew gap as one exact combination."""
-    positive, negative = dual_gap_skew_sides(s, t, l, m)
-    return positive - negative
 
 
 def hast_shifted_sum(base: Union[Index, IndexCombination], k0: int, m: int) -> IndexCombination:
@@ -437,92 +425,3 @@ def split_diag_parts(s: int, l: int, m: int, p: int) -> list[tuple[IndexCombinat
         lambda u, v: (v - u + 2, s + v - u),
     )
     return list(zip(_split_diagonal(s, l, m, p), map(rhs_for, windows)))
-
-
-# -- exact expansion identities used by the catalogue -------------------------
-
-
-def dualized_shuffle_expansion(s: int, t: int, l: int) -> tuple[IndexCombination, IndexCombination]:
-    """Exact closed expansion of ``(s) # ((t) # {2}^l)^dual`` for ``l >= 1``:
-
-        sum over 0<=i<=l of
-          sum over 0<=j<=i     of ({2}^j, s, {2}^(i-j), {1}^(t-2), {2}^(l-i+1))
-        + sum over 1<=j<=t-2   of ({2}^i, {1}^j, s, {1}^(t-j-2), {2}^(l-i+1))
-        + sum over 0<=j<=l-i   of ({2}^i, {1}^(t-2), {2}^(j+1), s, {2}^(l-i-j))
-
-    Returns (lhs, rhs).
-    """
-    _check_expansion_params(s, t, l)
-    lhs = sha(Index((s,)), dual_linear(sha(Index((t,)), repeat(2, l))))
-    terms = []
-    for i in range(l + 1):
-        for j in range(i + 1):
-            terms.append((2,) * j + (s,) + (2,) * (i - j) + (1,) * (t - 2) + (2,) * (l - i + 1))
-        for j in range(1, t - 1):
-            terms.append((2,) * i + (1,) * j + (s,) + (1,) * (t - j - 2) + (2,) * (l - i + 1))
-        for j in range(l - i + 1):
-            terms.append((2,) * i + (1,) * (t - 2) + (2,) * (j + 1) + (s,) + (2,) * (l - i - j))
-    return lhs, _count(terms)
-
-
-def dualized_hast_expansion(s: int, t: int, l: int) -> tuple[IndexCombination, IndexCombination]:
-    """Exact closed expansion of ``(s-1) hast ((t+1) # {2}^l)^dual`` for ``l >= 1``:
-
-        sum over 1<=i<=l, 0<=j<=i-1 of ({2}^j, s+1, {2}^(i-j-1), {1}^(t-1), {2}^(l-i+1))
-      + sum over 0<=i<=l of
-          sum over 0<=j<=t-2 of ({2}^i, {1}^j, s, {1}^(t-j-2), {2}^(l-i+1))
-        + sum over 0<=j<=l-i of ({2}^i, {1}^(t-1), {2}^j, s+1, {2}^(l-i-j))
-
-    Returns (lhs, rhs).
-    """
-    _check_expansion_params(s, t, l)
-    lhs = hast(s - 1, dual_linear(sha(Index((t + 1,)), repeat(2, l))))
-    terms = []
-    for i in range(1, l + 1):
-        for j in range(i):
-            terms.append((2,) * j + (s + 1,) + (2,) * (i - j - 1) + (1,) * (t - 1) + (2,) * (l - i + 1))
-    for i in range(l + 1):
-        for j in range(t - 1):
-            terms.append((2,) * i + (1,) * j + (s,) + (1,) * (t - j - 2) + (2,) * (l - i + 1))
-        for j in range(l - i + 1):
-            terms.append((2,) * i + (1,) * (t - 1) + (2,) * j + (s + 1,) + (2,) * (l - i - j))
-    return lhs, _count(terms)
-
-
-def _check_expansion_params(s: int, t: int, l: int) -> None:
-    for name, v, low in (("s", s, 2), ("t", t, 2), ("l", l, 1)):
-        if not _int_at_least(v, low):
-            raise ValueError(f"expansion needs {name} >= {low}, got {v!r}")
-
-
-def hast_merge_sides(s: int, t: int, l: int) -> tuple[IndexCombination, IndexCombination]:
-    """The exact merge identity
-
-        (s-1) hast ((t+1) # {2}^l)  =  (s+t) # {2}^l + (s+1) # (t+1) # {2}^(l-1)
-
-    (the second summand is dropped at ``l = 0``).  Returns (lhs, rhs).
-    """
-    if not (_int_at_least(s, 2) and _int_at_least(t, 1)):
-        raise ValueError(f"merge identity needs s >= 2 and t >= 1, got s={s!r}, t={t!r}")
-    if not _int_at_least(l, 0):
-        raise ValueError(f"need l >= 0, got {l!r}")
-    lhs = hast(s - 1, sha(Index((t + 1,)), repeat(2, l)))
-    rhs = sha(Index((s + t,)), repeat(2, l))
-    if l >= 1:
-        rhs = rhs + sha(sha(Index((s + 1,)), Index((t + 1,))), repeat(2, l - 1))
-    return lhs, rhs
-
-
-# -- the derivative-style relation of double shuffle ---------------------------
-
-
-def hoffman_sides(k: Index) -> tuple[IndexCombination, IndexCombination]:
-    """Both sides of the derivative-style relation, as exact combinations:
-
-        lhs = (1) hast k = sum over i of (k1, ..., ki+1, ..., kr)
-        rhs = sum over i with ki >= 2, 0 <= j <= ki-2 of
-              (k1, ..., k(i-1), j+1, ki-j, k(i+1), ..., kr)
-    """
-    if not k.admissible:
-        raise ValueError(f"the defect needs an admissible index, got {k}")
-    return hast(1, k), _count(e for i in range(k.depth) for e in _split_entry(k, i))

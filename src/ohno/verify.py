@@ -5,7 +5,11 @@ Each catalogue entry is one function from its parameters to a list of
 a side may also be a tuple of combinations whose values multiply.  The
 :func:`identity` decorator registers it under its name, with its docstring as
 the statement and the kind, default grid and hypotheses given to the
-decorator, as an :class:`IdentitySpec`.  Two kinds exist:
+decorator, as an :class:`IdentitySpec`.  An entry states its pairs in its
+body, from the index algebra and the families that entries share in
+:mod:`ohno.sums`, and its hypotheses only in the decorator: :func:`verify`
+refuses a point that violates them before any side is built, so the body
+checks none of its arguments.  Two kinds exist:
 
 * ``numeric``: every side is evaluated as :func:`~ohno.zeta.eval_combination`
   evaluates it, bit for bit; the residual of a point is
@@ -67,13 +71,9 @@ from ohno.sums import (
     composed_split,
     dual_gap_operands,
     dual_gap_skew_sides,
-    dualized_hast_expansion,
-    dualized_shuffle_expansion,
     grouped_single,
     grouped_split,
-    hast_merge_sides,
     hast_shifted_sum,
-    hoffman_sides,
     ohno_sum_symbolic,
     raised_entry_expansion,
     split_diag_parts,
@@ -223,10 +223,14 @@ def stuffle_single(n, k):
     return [((as_combination(Index((n,))), as_combination(k)), star_single(n, k))]
 
 
+# The derivative-style relation of double shuffle:
+#   (1) hast k = sum over i of (k1, ..., ki+1, ..., kr)
+#              = sum over i with ki >= 2, 0 <= j <= ki-2 of (k1, ..., k(i-1), j+1, ki-j, k(i+1), ..., kr)
 @identity("numeric", {"weight": 6})
 def hoffman(k):
     """raising one entry (summed over positions) equals splitting one entry (summed over splits)"""
-    return [hoffman_sides(k)]
+    splits = (k[:i] + (j + 1, e - j) + k[i + 1 :] for i, e in enumerate(k) for j in range(e - 1))
+    return [(hast(1, k), IndexCombination((Index(split), 1) for split in splits))]
 
 
 @identity("numeric", {"s": (2, 3, 4, 5), "t": (2, 3, 4, 5), "m": (0, 1, 2, 3)}, {"s": 2, "t": 2, "m": 0})
@@ -306,16 +310,46 @@ def lemma_dddd(s, t, l, m):
     return [(a_pos + b_neg + c_neg, a_neg + b_pos + c_pos)]
 
 
+# The exact closed expansions, for l >= 1,
+#   (s) # ((t) # {2}^l)^dual
+#     = sum over 0<=i<=l of
+#         sum over 0<=j<=i     of ({2}^j, s, {2}^(i-j), {1}^(t-2), {2}^(l-i+1))
+#       + sum over 1<=j<=t-2   of ({2}^i, {1}^j, s, {1}^(t-j-2), {2}^(l-i+1))
+#       + sum over 0<=j<=l-i   of ({2}^i, {1}^(t-2), {2}^(j+1), s, {2}^(l-i-j))
+#   (s-1) hast ((t+1) # {2}^l)^dual
+#     = sum over 1<=i<=l, 0<=j<=i-1 of ({2}^j, s+1, {2}^(i-j-1), {1}^(t-1), {2}^(l-i+1))
+#     + sum over 0<=i<=l of
+#         sum over 0<=j<=t-2 of ({2}^i, {1}^j, s, {1}^(t-j-2), {2}^(l-i+1))
+#       + sum over 0<=j<=l-i of ({2}^i, {1}^(t-1), {2}^j, s+1, {2}^(l-i-j))
 @identity("exact-symbolic", {"s": (2, 3, 4), "t": (2, 3, 4), "l": (1, 2)}, {"s": 2, "t": 2, "l": 1})
 def sha_expansion_oooo(s, t, l):
     """closed expansions of the dualised interleave and dualised position-sum families"""
-    return [dualized_shuffle_expansion(s, t, l), dualized_hast_expansion(s, t, l)]
+    shuffled, merged = [], []
+    for i in range(l + 1):
+        head, tail = (2,) * i, (2,) * (l - i + 1)
+        shuffled += [(2,) * j + (s,) + (2,) * (i - j) + (1,) * (t - 2) + tail for j in range(i + 1)]
+        shuffled += [head + (1,) * j + (s,) + (1,) * (t - j - 2) + tail for j in range(1, t - 1)]
+        shuffled += [head + (1,) * (t - 2) + (2,) * (j + 1) + (s,) + (2,) * (l - i - j) for j in range(l - i + 1)]
+    for i in range(1, l + 1):
+        merged += [(2,) * j + (s + 1,) + (2,) * (i - j - 1) + (1,) * (t - 1) + (2,) * (l - i + 1) for j in range(i)]
+    for i in range(l + 1):
+        head, tail = (2,) * i, (2,) * (l - i + 1)
+        merged += [head + (1,) * j + (s,) + (1,) * (t - j - 2) + tail for j in range(t - 1)]
+        merged += [head + (1,) * (t - 1) + (2,) * j + (s + 1,) + (2,) * (l - i - j) for j in range(l - i + 1)]
+    pairs = [(sha(Index((s,)), dual_linear(sha(Index((t,)), repeat(2, l)))), shuffled)]
+    pairs.append((hast(s - 1, dual_linear(sha(Index((t + 1,)), repeat(2, l)))), merged))
+    return [(lhs, IndexCombination((Index(e), 1) for e in rhs)) for lhs, rhs in pairs]
 
 
+# The exact merge identity, its second summand dropped at l = 0:
+#   (s-1) hast ((t+1) # {2}^l)  =  (s+t) # {2}^l + (s+1) # (t+1) # {2}^(l-1)
 @identity("exact-symbolic", {"s": (2, 3, 4), "t": (1, 2, 3), "l": (0, 1, 2)}, {"s": 2, "t": 1, "l": 0})
 def hast_symmetry(s, t, l):
     """a position-sum against an interleaved {2}-block merges into a symmetric closed form"""
-    return [hast_merge_sides(s, t, l)]
+    rhs = sha(Index((s + t,)), repeat(2, l))
+    if l >= 1:
+        rhs = rhs + sha(sha(Index((s + 1,)), Index((t + 1,))), repeat(2, l - 1))
+    return [(hast(s - 1, sha(Index((t + 1,)), repeat(2, l))), rhs)]
 
 
 _BLOCK_GRID = {"s": (2, 3), "l": (1, 2), "m": (0, 1, 2), "p": None, "q": None}
@@ -420,6 +454,8 @@ def _grid(spec: IdentitySpec, overrides: Mapping[str, Any]) -> tuple[dict[str, A
         raise ValueError(
             f"unknown grid parameter(s) {sorted(unknown)} for {spec.name}; allowed: {sorted(allowed)}"
         )
+    if "k" in overrides and "weight" in overrides:
+        raise ValueError(f"grid parameters k and weight exclude each other for {spec.name}; weight bounds default k")
 
     desc: dict[str, Any] = {}
     points: list[dict[str, Any]] = [{}]

@@ -221,19 +221,6 @@ def test_dual_matches_binary_oracle(k):
 # ---------------------------------------------------------------------------
 
 
-def test_oplus():
-    assert Index((2, 3)).oplus((1, 0)) == Index((3, 3))
-    assert Index((2,)).oplus((0,)) == Index((2,))
-    assert EMPTY.oplus(()) == EMPTY
-
-
-def test_oplus_rejects_bad_shifts():
-    with pytest.raises(ValueError):
-        Index((2, 3)).oplus((1,))
-    with pytest.raises(ValueError):
-        Index((2, 3)).oplus((1, -1))
-
-
 def test_enumerate_shifts_frozen():
     assert enumerate_shifts(2, 2) == [(0, 2), (1, 1), (2, 0)]
     assert enumerate_shifts(3, 2) == [

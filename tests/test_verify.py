@@ -12,7 +12,7 @@ import pytest
 
 import ohno.sums
 from ohno.indices import Index, IndexCombination, iter_admissible
-from ohno.sums import dual_gap_skew_sides, dual_gap_skew_symbolic, ohno_sum_symbolic
+from ohno.sums import dual_gap_skew_sides, ohno_sum_symbolic
 from ohno.verify import (
     RESIDUAL_MARGIN,
     list_identities,
@@ -35,13 +35,17 @@ MANIFEST = pathlib.Path(__file__).with_name("identity_manifest.json")
 
 
 def test_registry_matches_checked_in_manifest():
-    """Catalogue coverage is pinned: names, order, kinds, and parameters."""
+    """Catalogue coverage is pinned: names, order, kinds, parameters,
+    statements and lower bounds, so a moved statement, a changed
+    ``ohno list`` line or a dropped hypothesis fails here."""
     manifest = json.loads(MANIFEST.read_text())
     specs = list_identities()
     assert [s.name for s in specs] == [row["name"] for row in manifest]
     for spec, row in zip(specs, manifest):
         assert spec.kind == row["kind"]
         assert list(spec.params) == row["params"]
+        assert spec.statement == row["statement"]
+        assert dict(spec.at_least) == row["at_least"]
 
 
 def test_registry_statements_and_kinds():
@@ -143,6 +147,14 @@ def test_unknown_grid_key():
         verify("duality", bogus=3)
 
 
+def test_index_list_and_weight_bound_exclude_each_other():
+    """``weight`` bounds only the default index family, so with ``k`` it
+    would be dropped; the pair is refused instead, naming both."""
+    for name in ("duality", "ohno", "hoffman"):
+        with pytest.raises(ValueError, match=rf"^grid parameters k and weight exclude each other for {name}; "):
+            verify(name, k=["(2,3)"], weight=9)
+
+
 def test_grid_index_must_be_index_or_text():
     for bad in (5, [5], [(2, 3)]):
         with pytest.raises(ValueError, match="expected an index or index text"):
@@ -194,6 +206,26 @@ def test_non_admissible_k_is_refused():
         ("(2,1)", "k must be admissible (nonempty, last entry >= 2), got (2,1)")
     ]
     assert [str(p.params["k"]) for p in report.evaluated] == ["(2,3)"]
+    report = verify("hoffman", k=["2,1", "()", "2,3"])
+    assert report.passed
+    assert [r.reason for r in report.refusals] == [
+        "k must be admissible (nonempty, last entry >= 2), got (2,1)",
+        "k must be admissible (nonempty, last entry >= 2), got ()",
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, param, bound",
+    [(spec.name, x, b) for spec in list_identities() for x, b in spec.at_least.items()],
+)
+def test_every_lower_bound_refuses_the_value_below_it(name, param, bound):
+    """The decorator's bounds are the only check of an entry's integer
+    parameters: one below a bound is refused before any side is built."""
+    with pytest.raises(ValueError) as caught:
+        verify(name, **{param: bound - 1})
+    assert str(caught.value) == (
+        f"every grid point violates the hypotheses of {name}: {param} must be at least {bound}, got {bound - 1}"
+    )
 
 
 def test_weight_bound_must_be_an_int_of_at_least_two():
@@ -295,11 +327,9 @@ def test_chained_residual_bounded_by_parts():
     for s, t, l, m in [(3, 3, 0, 1), (3, 4, 1, 1), (4, 3, 0, 2), (4, 4, 1, 2)]:
         report = verify("lemma_dddd", cfg=cfg, s=s, t=t, l=l, m=m)
         (point,) = report.points
-        parts = (
-            abs(eval_combination(dual_gap_skew_symbolic(s, t, l, m - 1), cfg))
-            + abs(eval_combination(dual_gap_skew_symbolic(s - 1, t, l, m), cfg))
-            + abs(eval_combination(dual_gap_skew_symbolic(s, t - 1, l, m), cfg))
-        )
+        skews = [dual_gap_skew_sides(s, t, l, m - 1), dual_gap_skew_sides(s - 1, t, l, m)]
+        skews.append(dual_gap_skew_sides(s, t - 1, l, m))
+        parts = sum(abs(eval_combination(pos - neg, cfg)) for pos, neg in skews)
         assert point.residual <= parts + 1e-28
 
 
