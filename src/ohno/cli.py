@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from typing import Optional
 
 from ohno.expr import GRAMMAR, ExprError, expand_text
@@ -33,9 +34,11 @@ from ohno.zeta import DEFAULT_CONFIG, EvalConfig, PrecisionError, ZetaCache, eva
 
 __all__ = ["main"]
 
-GRAMMAR_HELP = GRAMMAR + """
+_GRID_PARAMS = ("s", "t", "l", "m", "p", "q")
+
+GRAMMAR_HELP = GRAMMAR + f"""
 ranges:
-  grid flags (--s --t --l --m --p --q) accept a value (3), an inclusive
+  grid flags ({" ".join("--" + name for name in _GRID_PARAMS)}) accept a value (3), an inclusive
   range (2..4), or a comma-separated list (2,4,6).
 
 cache:
@@ -75,12 +78,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "and identity verification.",
         epilog=GRAMMAR_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = partial(parser.add_subparsers(dest="command", required=True).add_parser, allow_abbrev=False)
 
     def with_grammar(name: str, summary: str) -> argparse.ArgumentParser:
         """A subcommand whose help ends with the expression grammar."""
-        return sub.add_parser(name, help=summary, epilog=GRAMMAR_HELP, formatter_class=parser.formatter_class)
+        return add_parser(name, help=summary, epilog=GRAMMAR_HELP, formatter_class=parser.formatter_class)
 
     def add_eval_flags(p: argparse.ArgumentParser) -> None:
         tol, cap = DEFAULT_CONFIG.tol, DEFAULT_CONFIG.max_terms
@@ -100,16 +104,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ohno.add_argument("--M", type=int, required=True, help="print the sums of orders 0..M")
     add_eval_flags(p_ohno)
 
-    p_verify = sub.add_parser("verify", help="verify a catalogue identity over a grid")
+    p_verify = add_parser("verify", help="verify a catalogue identity over a grid")
     p_verify.add_argument("--name", required=True, help="identity name, or 'all'")
-    for flag in ("--s", "--t", "--l", "--m", "--p", "--q"):
-        p_verify.add_argument(flag, type=_range_values, default=None, help=f"grid values for {flag[2:]}")
+    for name in _GRID_PARAMS:
+        p_verify.add_argument(f"--{name}", type=_range_values, default=None, help=f"grid values for {name}")
     p_verify.add_argument("--weight", type=int, default=None, help="weight bound for index-family grids")
     p_verify.add_argument("--out", default=None, help="write the report to this path")
     p_verify.add_argument("--format", choices=("json", "csv"), help="report format with --out (default json)")
     add_eval_flags(p_verify)
 
-    sub.add_parser("list", help="show the identity catalogue")
+    add_parser("list", help="show the identity catalogue")
     return parser
 
 
@@ -126,7 +130,10 @@ def _resolve_cache(cache_arg: str) -> tuple[Optional[ZetaCache], Optional[str]]:
 
 
 def _check_directory(path: str) -> None:
-    """Refuse a file path to write whose directory is missing, before any work."""
+    """Refuse, before any work, a path to write that is empty, ends in a
+    separator, is a directory or lies in a missing directory."""
+    if not os.path.basename(path) or os.path.isdir(path):
+        raise OSError(f"{path!r} does not name a file to write")
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"no such directory {directory!r} for {path!r}")
@@ -154,11 +161,7 @@ def _cmd_ohno(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.format is not None and args.out is None:
         raise ValueError("--format requires --out")
-    grid: dict[str, object] = {}
-    for name in ("s", "t", "l", "m", "p", "q"):
-        values = getattr(args, name)
-        if values is not None:
-            grid[name] = values
+    grid: dict[str, object] = {name: getattr(args, name) for name in _GRID_PARAMS if getattr(args, name) is not None}
     if args.weight is not None:
         grid["weight"] = args.weight
 

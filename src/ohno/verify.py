@@ -4,9 +4,10 @@ Each catalogue entry is one function from its parameters to a list of
 ``(lhs, rhs)`` pairs of exact :class:`~ohno.indices.IndexCombination` sides;
 a side may also be a tuple of combinations whose values multiply.  The
 :func:`identity` decorator registers it under its name, with its docstring as
-the statement and the kind, default grid and hypotheses given to the
-decorator, as an :class:`IdentitySpec`.  An entry states its pairs in its
-body, from the index algebra and the families that entries share in
+the statement, as an :class:`IdentitySpec`; the decorator gives the kind and
+one inclusive ``(low, high)`` range per integer parameter, both its
+hypothesis ``>= low`` and its default values.  An entry states its pairs in
+its body, from the index algebra and the families that entries share in
 :mod:`ohno.sums`, and its hypotheses only in the decorator: :func:`verify`
 refuses a point that violates them before any side is built, so the body
 checks none of its arguments.  Two kinds exist:
@@ -106,10 +107,11 @@ Side = Union[IndexCombination, tuple[IndexCombination, ...]]
 class IdentitySpec:
     """A catalogue entry: what is verified and over which parameters.
 
-    ``grid`` holds the default value lists (``weight`` bounds the index
+    ``grid`` holds the default value tuples (``weight`` bounds the index
     family ``k``; ``None`` for ``p``/``q`` is the window ``1..l+1``).  The
     hypotheses are ``at_least`` (a lower bound per integer parameter),
-    admissibility of ``k``, and ``p, q <= l+1``.  ``sides`` maps the
+    admissibility of ``k``, and ``p, q <= l+1``; :func:`identity` derives
+    both mappings from one declaration per parameter.  ``sides`` maps the
     parameters of a point to its ``(lhs, rhs)`` pairs.
     """
 
@@ -188,36 +190,41 @@ class VerificationReport:
 _CATALOGUE: dict[str, IdentitySpec] = {}
 
 
-def identity(kind: str, grid: Mapping[str, Any], at_least: Optional[Mapping[str, int]] = None) -> Callable:
+def identity(kind: str, **declared: Any) -> Callable:
     """Register the decorated function as the catalogue entry of its name.
 
     The function's parameters are the identity's parameters, its docstring
     is the statement, and it returns the identity's ``(lhs, rhs)`` pairs at
-    one point.  ``at_least`` bounds every parameter except the index ``k``.
+    one point.  An integer parameter is declared once, as an inclusive
+    ``(low, high)`` pair: the hypothesis ``>= low`` and the default values
+    ``low..high``.  ``None`` gives ``p`` or ``q`` the bound 1 and the window
+    ``1..l+1``; ``weight=W`` bounds the default index family ``k``.
     """
+    grid = {x: d if x == "weight" or d is None else tuple(range(d[0], d[1] + 1)) for x, d in declared.items()}
+    at_least = {x: 1 if d is None else d[0] for x, d in declared.items() if x != "weight"}
 
     def register(fn: Callable) -> Callable:
         params = tuple(inspect.signature(fn).parameters)
         statement = inspect.getdoc(fn)
-        _CATALOGUE[fn.__name__] = IdentitySpec(fn.__name__, kind, params, statement, grid, at_least or {}, fn)
+        _CATALOGUE[fn.__name__] = IdentitySpec(fn.__name__, kind, params, statement, grid, at_least, fn)
         return fn
 
     return register
 
 
-@identity("numeric", {"weight": 6})
+@identity("numeric", weight=6)
 def duality(k):
     """the value of an admissible index equals the value of its dual"""
     return [(as_combination(k), as_combination(k.dual()))]
 
 
-@identity("numeric", {"weight": 5, "m": (0, 1, 2)}, {"m": 0})
+@identity("numeric", weight=5, m=(0, 2))
 def ohno(k, m):
     """order-m shifted sums of an admissible index and of its dual agree"""
     return [(ohno_sum_symbolic(k, m), ohno_sum_symbolic(k.dual(), m))]
 
 
-@identity("numeric", {"n": (2, 3), "weight": 4}, {"n": 2})
+@identity("numeric", n=(2, 3), weight=4)
 def stuffle_single(n, k):
     """the product of a depth-one value with any value expands through the depth-one harmonic product"""
     return [((as_combination(Index((n,))), as_combination(k)), star_single(n, k))]
@@ -226,32 +233,26 @@ def stuffle_single(n, k):
 # The derivative-style relation of double shuffle:
 #   (1) hast k = sum over i of (k1, ..., ki+1, ..., kr)
 #              = sum over i with ki >= 2, 0 <= j <= ki-2 of (k1, ..., k(i-1), j+1, ki-j, k(i+1), ..., kr)
-@identity("numeric", {"weight": 6})
+@identity("numeric", weight=6)
 def hoffman(k):
     """raising one entry (summed over positions) equals splitting one entry (summed over splits)"""
     splits = (k[:i] + (j + 1, e - j) + k[i + 1 :] for i, e in enumerate(k) for j in range(e - 1))
     return [(hast(1, k), IndexCombination((Index(split), 1) for split in splits))]
 
 
-@identity("numeric", {"s": (2, 3, 4, 5), "t": (2, 3, 4, 5), "m": (0, 1, 2, 3)}, {"s": 2, "t": 2, "m": 0})
+@identity("numeric", s=(2, 5), t=(2, 5), m=(0, 3))
 def hmos(s, t, m):
     """the depth-one dual gap at block length zero is symmetric in its two parameters"""
     return [dual_gap_skew_sides(s, t, 0, m)]
 
 
-@identity(
-    "numeric",
-    {"s": (2, 3, 4), "t": (2, 3, 4), "l": (0, 1, 2), "m": (0, 1, 2)},
-    {"s": 2, "t": 2, "l": 0, "m": 0},
-)
+@identity("numeric", s=(2, 4), t=(2, 4), l=(0, 2), m=(0, 2))
 def main(s, t, l, m):
     """the dual gap against a {2}-block is symmetric in its two parameters"""
     return [dual_gap_skew_sides(s, t, l, m)]
 
 
-@identity(
-    "numeric", {"s": (2, 3), "t": (1, 2, 3), "l": (0, 1), "m": (0, 1, 2)}, {"s": 2, "t": 1, "l": 0, "m": 0}
-)
+@identity("numeric", s=(2, 3), t=(1, 3), l=(0, 1), m=(0, 2))
 def lemma_fmpre1(s, t, l, m):
     """the dual gap equals the signed pair of position-sum families of the shifted body"""
     body = sha(Index((t + 1,)), repeat(2, l))
@@ -261,9 +262,7 @@ def lemma_fmpre1(s, t, l, m):
     return [(lhs, rhs)]
 
 
-@identity(
-    "numeric", {"s": (1, 2, 3), "t": (1, 2), "l": (0, 1), "m": (1, 2)}, {"s": 1, "t": 1, "l": 0, "m": 1}
-)
+@identity("numeric", s=(1, 3), t=(1, 2), l=(0, 1), m=(1, 2))
 def lemma_fmpre2(s, t, l, m):
     """telescoping two position-sum families reduces to one shifted position-sum"""
     body = sha(Index((t + 1,)), repeat(2, l))
@@ -274,7 +273,7 @@ def lemma_fmpre2(s, t, l, m):
     return pairs
 
 
-@identity("numeric", {"s": (3, 4), "t": (1, 2), "l": (0, 1), "m": (1, 2)}, {"s": 3, "t": 1, "l": 0, "m": 1})
+@identity("numeric", s=(3, 4), t=(1, 2), l=(0, 1), m=(1, 2))
 def lemma_fm(s, t, l, m):
     """the first difference of dual gaps equals the signed shifted position-sums"""
     body = sha(Index((t + 1,)), repeat(2, l))
@@ -285,9 +284,7 @@ def lemma_fm(s, t, l, m):
     return [(lhs, rhs)]
 
 
-@identity(
-    "numeric", {"s": (3, 4), "t": (3, 4), "l": (0, 1), "m": (0, 1, 2)}, {"s": 3, "t": 3, "l": 0, "m": 0}
-)
+@identity("numeric", s=(3, 4), t=(3, 4), l=(0, 1), m=(0, 2))
 def lemma_oooo(s, t, l, m):
     """dualised interleave minus dualised position-sum families are symmetric in the two parameters"""
 
@@ -301,7 +298,7 @@ def lemma_oooo(s, t, l, m):
     return [(lhs, ohno_sum_symbolic(position(s, t) + interleave(t, s), m))]
 
 
-@identity("numeric", {"s": (3, 4), "t": (3, 4), "l": (0, 1), "m": (1, 2)}, {"s": 3, "t": 3, "l": 0, "m": 1})
+@identity("numeric", s=(3, 4), t=(3, 4), l=(0, 1), m=(1, 2))
 def lemma_dddd(s, t, l, m):
     """the skew dual gap satisfies the triangle recurrence in (order, parameters)"""
     a_pos, a_neg = dual_gap_skew_sides(s, t, l, m - 1)
@@ -321,7 +318,7 @@ def lemma_dddd(s, t, l, m):
 #     + sum over 0<=i<=l of
 #         sum over 0<=j<=t-2 of ({2}^i, {1}^j, s, {1}^(t-j-2), {2}^(l-i+1))
 #       + sum over 0<=j<=l-i of ({2}^i, {1}^(t-1), {2}^j, s+1, {2}^(l-i-j))
-@identity("exact-symbolic", {"s": (2, 3, 4), "t": (2, 3, 4), "l": (1, 2)}, {"s": 2, "t": 2, "l": 1})
+@identity("exact-symbolic", s=(2, 4), t=(2, 4), l=(1, 2))
 def sha_expansion_oooo(s, t, l):
     """closed expansions of the dualised interleave and dualised position-sum families"""
     shuffled, merged = [], []
@@ -343,7 +340,7 @@ def sha_expansion_oooo(s, t, l):
 
 # The exact merge identity, its second summand dropped at l = 0:
 #   (s-1) hast ((t+1) # {2}^l)  =  (s+t) # {2}^l + (s+1) # (t+1) # {2}^(l-1)
-@identity("exact-symbolic", {"s": (2, 3, 4), "t": (1, 2, 3), "l": (0, 1, 2)}, {"s": 2, "t": 1, "l": 0})
+@identity("exact-symbolic", s=(2, 4), t=(1, 3), l=(0, 2))
 def hast_symmetry(s, t, l):
     """a position-sum against an interleaved {2}-block merges into a symmetric closed form"""
     rhs = sha(Index((s + t,)), repeat(2, l))
@@ -352,38 +349,32 @@ def hast_symmetry(s, t, l):
     return [(hast(s - 1, sha(Index((t + 1,)), repeat(2, l))), rhs)]
 
 
-_BLOCK_GRID = {"s": (2, 3), "l": (1, 2), "m": (0, 1, 2), "p": None, "q": None}
-_BLOCK_BOUNDS = {"s": 2, "l": 1, "m": 0, "p": 1, "q": 1}
-
-
-@identity("exact-symbolic", _BLOCK_GRID, _BLOCK_BOUNDS)
+@identity("exact-symbolic", s=(2, 3), l=(1, 2), m=(0, 2), p=None, q=None)
 def add1(s, l, m, p, q):
     """layered block sums with a raised entry equal weighted composition sums"""
     return [(grouped_single(s, l, m, p, q), composed_single(s, l, m, p, q))]
 
 
-@identity("exact-symbolic", _BLOCK_GRID, _BLOCK_BOUNDS)
+@identity("exact-symbolic", s=(2, 3), l=(1, 2), m=(0, 2), p=None, q=None)
 def add2(s, l, m, p, q):
     """layered block sums with a split entry equal weighted composition sums"""
     return [(grouped_split(s, l, m, p, q), composed_split(s, l, m, p, q))]
 
 
-@identity(
-    "exact-symbolic", {"s": (2, 3), "l": (1, 2), "m": (0, 1, 2), "p": None}, {"s": 2, "l": 1, "m": 0, "p": 1}
-)
+@identity("exact-symbolic", s=(2, 3), l=(1, 2), m=(0, 2), p=None)
 def add2_diagonal(s, l, m, p):
     """each of the three diagonal split families equals its slice of the weighted composition sums"""
     return split_diag_parts(s, l, m, p)
 
 
-@identity("numeric", {"s": (2, 3), "l": (0, 1), "m": (0, 1)}, {"s": 2, "l": 0, "m": 0})
+@identity("numeric", s=(2, 3), l=(0, 1), m=(0, 1))
 def abc_decomposition(s, l, m):
     """the skew dual gap against parameter 2 equals its three-part closed decomposition"""
     pos, neg = dual_gap_skew_sides(s, 2, l, m)
     return [(pos - term_a(s, l, m), neg + term_b(s, l, m) + term_c(s, l, m))]
 
 
-@identity("exact-symbolic", {"s": (2, 3), "l": (1, 2), "m": (0, 1)}, {"s": 2, "l": 1, "m": 0})
+@identity("exact-symbolic", s=(2, 3), l=(1, 2), m=(0, 1))
 def abc_closed_forms(s, l, m):
     """summed over all positions, the block families equal the closed forms of the decomposition parts"""
     window = list(product(range(1, l + 2), repeat=2))

@@ -241,6 +241,20 @@ def test_missing_input_rejected(run, capsys):
     assert "--expr" in capsys.readouterr().err
 
 
+def test_flag_prefixes_are_not_flags(run, capsys):
+    """Only the documented spellings are flags: ``--n`` is not ``--name``."""
+    with pytest.raises(SystemExit) as excinfo:
+        run("verify", "--name", "stuffle_single", "--n", "3")
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --n 3" in captured.err
+    assert captured.out == ""
+    with pytest.raises(SystemExit) as excinfo:
+        run("eval", "--ex", "(2,3)")
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_non_admissible_eval(run):
     code, _, err = run("eval", "--expr", "(1,1)")
     assert code == 2
@@ -463,3 +477,31 @@ def test_report_in_a_missing_directory_is_an_input_error(run, tmp_path):
     assert out == ""  # refused before anything is verified
     assert err.startswith("error: ")
     assert not path.parent.exists()
+
+
+_EVAL = ("eval", "--expr", "(2,3)")
+_VERIFY = ("verify", "--name", "duality", "--weight", "3")
+
+
+@pytest.mark.parametrize(
+    "argv, env_path",
+    [
+        (_EVAL + ("--cache", ""), None),
+        (_EVAL + ("--cache", "{dir}/missing/"), None),
+        (_EVAL, "{dir}/missing/"),
+        (_VERIFY + ("--out", ""), None),
+        (_VERIFY + ("--out", "{dir}/missing/"), None),
+        (_VERIFY + ("--out", "{dir}"), None),
+    ],
+    ids=["cache-empty", "cache-separator", "env-separator", "out-empty", "out-separator", "out-directory"],
+)
+def test_path_that_names_no_file_is_an_input_error(run, tmp_path, argv, env_path):
+    """An empty path, a trailing separator or an existing directory names no
+    file to write, and is refused before anything is evaluated."""
+    fill = {"dir": str(tmp_path).rstrip(os.sep)}
+    env = None if env_path is None else {"OHNO_CACHE": env_path.format(**fill)}
+    code, out, err = run(*(arg.format(**fill) for arg in argv), env=env)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
