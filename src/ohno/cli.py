@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import Optional
 
 from ohno.expr import GRAMMAR, ExprError, expand_text
@@ -71,6 +71,7 @@ def _range_values(text: str) -> list[int]:
     return out
 
 
+@cache  # built once per process: parsing keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ohno",

@@ -143,10 +143,10 @@ class Index(tuple):
         if text == "":
             return EMPTY
         try:
-            entries = tuple(int(part) for part in text.split(","))
+            entries = tuple(map(int, text.split(",")))
         except ValueError:
             raise ValueError(f"malformed index text {text!r}") from None
-        return Index(entries)
+        return _trusted_index(entries) if min(entries) >= 1 else Index(entries)
 
     def __str__(self) -> str:
         return f"({self.to_text()})" if self else "()"

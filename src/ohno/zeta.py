@@ -150,6 +150,8 @@ class ZetaCache:
     The flat-file form has one line per index:
     ``index<TAB>tol-bucket<TAB>hex-float``; a line whose index is not
     admissible, bucket outside 1..15 or value not finite is malformed.
+    :meth:`save` leaves alone a file that already holds every entry, so a
+    hand-written valid file stays as written until something new is stored.
     """
 
     def __init__(self, path: Optional[str] = None):
@@ -157,6 +159,9 @@ class ZetaCache:
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
+        # The path of a file known to hold every entry, None, or the token of a
+        # save in flight, which becomes the path unless a store changes an entry.
+        self._saved: object = None
         if path is not None and os.path.exists(path):
             self.load(path)
 
@@ -172,9 +177,15 @@ class ZetaCache:
 
     def store(self, k: Index, bucket: int, value: float) -> None:
         with self._lock:
+            self._merge(((k, bucket, value),))
+
+    def _merge(self, rows: Iterable[tuple[Index, int, float]]) -> None:
+        """Keep the finest bucket per index; the caller holds the lock."""
+        for k, bucket, value in rows:
             current = self._entries.get(k)
             if current is None or current[0] < bucket:
                 self._entries[k] = (bucket, value)
+                self._saved = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -186,22 +197,27 @@ class ZetaCache:
     def save(self, path: str) -> None:
         """Write the flat file through a temporary file in the same directory
         that replaces ``path`` only once complete, so a save that fails or is
-        killed midway leaves the previous file intact."""
+        killed midway leaves the previous file intact.  Writes nothing while
+        the file at ``path`` is known to hold every entry."""
         with self._lock:
-            rows = sorted(
-                ((k.to_text(), b, v) for k, (b, v) in self._entries.items()),
-                key=lambda row: row[0],
-            )
-        tmp = f"{path}.{os.getpid()}.tmp"
+            if self._saved == path and os.path.exists(path):
+                return
+            self._saved = token = [path]
+            items = list(self._entries.items())
+        # Sorted by index text, since a tab sorts below every character of one.
+        text = "".join(sorted(f"{k.to_text()}\t{b}\t{v.hex()}\n" for k, (b, v) in items))
+        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
         try:
             with open(tmp, "w", encoding="ascii") as fh:
-                for text, bucket, value in rows:
-                    fh.write(f"{text}\t{bucket}\t{value.hex()}\n")
+                fh.write(text)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
             raise
+        with self._lock:
+            if self._saved is token:
+                self._saved = path
 
     def load(self, path: str) -> None:
         """Merge the flat file at ``path``.  Every line is checked before any
@@ -222,8 +238,10 @@ class ZetaCache:
                 if not (k.admissible and 1 <= bucket <= _FINEST_BUCKET and math.isfinite(value)):
                     raise ValueError(f"malformed cache line {line!r}")
                 rows.append((k, bucket, value))
-        for row in rows:
-            self.store(*row)
+        with self._lock:
+            fresh = not self._entries
+            self._merge(rows)
+            self._saved = path if fresh else None
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,34 @@ def test_from_text_rejects_malformed(text):
         Index.from_text(text)
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("+2", (2,)),
+        (" 2 ", (2,)),
+        ("2_0", (20,)),
+        ("(2, 3)", (2, 3)),
+        ("()", ()),
+        ("", ()),
+        ("0,2", "index entries must be positive integers, got (0, 2)"),
+        ("-1,2", "index entries must be positive integers, got (-1, 2)"),
+        ("2,,3", "malformed index text '2,,3'"),
+        ("2.0", "malformed index text '2.0'"),
+    ],
+)
+def test_from_text_accepts_and_refuses_exactly(text, expected):
+    """What ``int`` accepts per entry is accepted, and every refusal keeps
+    its message, whichever way the entries are checked."""
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as excinfo:
+            Index.from_text(text)
+        assert str(excinfo.value) == expected
+    else:
+        k = Index.from_text(text)
+        assert type(k) is Index and k == Index(expected)
+        assert all(type(e) is int for e in k)
+
+
 def test_repeat():
     assert repeat(2, 3) == Index((2, 2, 2))
     assert repeat(5, 0) == EMPTY

@@ -3,6 +3,8 @@
 import hashlib
 import math
 import os
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -596,6 +598,163 @@ def test_cache_failed_save_keeps_previous_file(tmp_path):
     reloaded = ZetaCache(str(path))
     assert reloaded.lookup(Index((2,)), 12) == 1.5
     assert reloaded.lookup(Index((3,)), 12) == 2.5
+
+
+def _old_writer_text(entries):
+    """The flat file as the row-by-row writer made it: rows sorted by index
+    text, one ``text<TAB>bucket<TAB>hex`` line each."""
+    rows = sorted(((k.to_text(), b, v) for k, (b, v) in entries.items()), key=lambda row: row[0])
+    return "".join(f"{text}\t{bucket}\t{value.hex()}\n" for text, bucket, value in rows)
+
+
+_SMALL_CACHE = {
+    Index((2, 3)): (12, 1.5),
+    Index((10,)): (15, 0.25),
+    Index((2,)): (8, 2.5),
+    Index((2, 3, 4)): (12, 1.2),
+    Index((1, 2)): (1, 1.5),
+}
+
+
+def _saved_cache(path, entries=_SMALL_CACHE):
+    cache = ZetaCache()
+    for k, (bucket, value) in entries.items():
+        cache.store(k, bucket, value)
+    cache.save(str(path))
+    return cache
+
+
+def test_cache_file_text_pinned(tmp_path):
+    path = tmp_path / "cache.tsv"
+    _saved_cache(path)
+    assert path.read_text() == (
+        "1,2\t1\t0x1.8000000000000p+0\n"
+        "10\t15\t0x1.0000000000000p-2\n"
+        "2\t8\t0x1.4000000000000p+1\n"
+        "2,3\t12\t0x1.8000000000000p+0\n"
+        "2,3,4\t12\t0x1.3333333333333p+0\n"
+    )
+    assert path.read_text() == _old_writer_text(_SMALL_CACHE)
+
+    cache = ZetaCache(str(path))
+    cache.store(Index((2, 2)), 13, 0.75)
+    cache.save(str(path))
+    assert path.read_text() == _old_writer_text({**_SMALL_CACHE, Index((2, 2)): (13, 0.75)})
+
+
+def _file_state(path):
+    stat = os.stat(path)
+    return path.read_bytes(), stat.st_ino, stat.st_mtime_ns
+
+
+def test_cache_save_leaves_a_file_that_holds_every_entry(tmp_path):
+    path = tmp_path / "cache.tsv"
+    _saved_cache(path)
+    before = _file_state(path)
+
+    cache = ZetaCache(str(path))
+    assert cache.lookup(Index((2, 3)), 12) == 1.5
+    cache.store(Index((2, 3)), 8, 99.0)  # a coarser bucket changes no entry
+    cache.save(str(path))
+    assert _file_state(path) == before
+    assert os.listdir(tmp_path) == ["cache.tsv"]
+
+    saved = _saved_cache(path)  # a completed save is as good as a load
+    before = _file_state(path)
+    saved.save(str(path))
+    assert _file_state(path) == before
+
+
+def _refine(cache, path):
+    cache.store(Index((2,)), 9, 2.5)
+
+
+def _reload(cache, path):
+    cache.load(str(path))
+
+
+def _delete(cache, path):
+    os.remove(path)
+
+
+@pytest.mark.parametrize("change", [_refine, _reload, _delete, None], ids=["refine", "reload", "deleted", "other-path"])
+def test_cache_save_rewrites_after_a_change(tmp_path, change):
+    """A refining store, a load into a non-empty cache, a deleted file and
+    another path each make ``save`` write the whole file again."""
+    path = tmp_path / "cache.tsv"
+    _saved_cache(path)
+    cache = ZetaCache(str(path))
+    ino = os.stat(path).st_ino
+    if change is None:
+        path = tmp_path / "other.tsv"
+    else:
+        change(cache, path)
+    cache.save(str(path))
+    expected = {**_SMALL_CACHE, Index((2,)): (9, 2.5)} if change is _refine else _SMALL_CACHE
+    assert path.read_text() == _old_writer_text(expected)
+    if change in (_refine, _reload):
+        assert os.stat(path).st_ino != ino
+    assert sorted(os.listdir(tmp_path)) == sorted({"cache.tsv", path.name})
+
+
+def test_cache_store_during_a_save_is_written_by_the_next(tmp_path):
+    """A store that lands after a save took its rows is not in that file,
+    so the next save writes again."""
+    path = tmp_path / "cache.tsv"
+    cache = ZetaCache()
+
+    class StoresWhileWritten(float):
+        def hex(self):
+            cache.store(Index((3,)), 12, 2.5)
+            return float.hex(self)
+
+    cache.store(Index((2,)), 12, StoresWhileWritten(1.5))
+    cache.save(str(path))
+    assert path.read_text() == _old_writer_text({Index((2,)): (12, 1.5)})
+    cache.save(str(path))
+    assert path.read_text() == _old_writer_text({Index((2,)): (12, 1.5), Index((3,)): (12, 2.5)})
+
+
+@pytest.mark.parametrize("finest_first", [True, False])
+def test_cache_load_keeps_the_finest_of_two_lines(tmp_path, finest_first):
+    lines = ["2,3\t14\t0x1.8000000000000p+0\n", "2,3\t9\t0x1.4000000000000p+1\n"]
+    path = tmp_path / "cache.tsv"
+    path.write_text("".join(lines if finest_first else lines[::-1]))
+    cache = ZetaCache(str(path))
+    assert len(cache) == 1
+    assert cache.lookup(Index((2, 3)), 14) == 1.5
+
+
+def test_cache_threads_saving_one_path_use_their_own_temporary_files(tmp_path):
+    """Threads of one process that save to one path each write their own
+    temporary file, so every save completes and the file is one of theirs."""
+    path = tmp_path / "cache.tsv"
+    texts = set()
+    errors = []
+
+    def writer(n):
+        entries = {Index((2, n + 2)): (12, float(n))}
+        texts.add(_old_writer_text(entries))
+        try:
+            for _ in range(40):
+                _saved_cache(path, entries)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=writer, args=(n,)) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert path.read_text() in texts
+    assert os.listdir(tmp_path) == ["cache.tsv"]
 
 
 def test_cache_constructor_with_missing_path(tmp_path):
