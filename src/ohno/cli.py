@@ -119,15 +119,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_cache(cache_arg: str) -> tuple[Optional[ZetaCache], Optional[str]]:
-    """Map the --cache flag and OHNO_CACHE to (cache, path-to-save-or-None)."""
+    """Map the --cache flag and OHNO_CACHE to (cache, path-to-save-or-None),
+    refusing a path to save before its file is loaded."""
     if cache_arg == "off":
         return None, None
-    env_path = os.environ.get("OHNO_CACHE")
-    if env_path:
-        return ZetaCache(env_path), env_path
-    if cache_arg == "on":
+    path = os.environ.get("OHNO_CACHE") or (None if cache_arg == "on" else cache_arg)
+    if path is None:
         return ZetaCache(), None
-    return ZetaCache(cache_arg), cache_arg
+    _check_directory(path)
+    return ZetaCache(path), path
 
 
 def _check_directory(path: str) -> None:
@@ -210,8 +210,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         save_path = None
         if "cache" in args:  # a command that evaluates: build its request once
             cache, save_path = _resolve_cache(args.cache)
-            if save_path is not None:
-                _check_directory(save_path)
             args.cfg = EvalConfig(tol=args.tol, max_terms=args.terms_cap, cache=cache)
         code = _COMMANDS[args.command](args)
         if save_path is not None:

@@ -139,6 +139,12 @@ class ZetaCacheStats:
     misses: int = 0
 
 
+# The cache-file text this process last parsed or wrote and the rows (index ->
+# (bucket, value)) a parse of it keeps, one tuple so threads read a consistent
+# pair.  A parse is a pure function of the text, so a hit is never stale.
+_LAST_FILE: tuple[str, dict[Index, tuple[int, float]]] = ("", {})
+
+
 class ZetaCache:
     """Memo for evaluated indices, keyed by index and tolerance bucket.
 
@@ -152,6 +158,8 @@ class ZetaCache:
     admissible, bucket outside 1..15 or value not finite is malformed.
     :meth:`save` leaves alone a file that already holds every entry, so a
     hand-written valid file stays as written until something new is stored.
+    A process-wide memo holds one file's text and rows, so a :meth:`load` of
+    the file this process last parsed or wrote costs one read and one compare.
     """
 
     def __init__(self, path: Optional[str] = None):
@@ -199,6 +207,7 @@ class ZetaCache:
         that replaces ``path`` only once complete, so a save that fails or is
         killed midway leaves the previous file intact.  Writes nothing while
         the file at ``path`` is known to hold every entry."""
+        global _LAST_FILE
         with self._lock:
             if self._saved == path and os.path.exists(path):
                 return
@@ -218,30 +227,44 @@ class ZetaCache:
         with self._lock:
             if self._saved is token:
                 self._saved = path
+        # Seed the memo only where a load of the text gives back every entry.
+        if all(type(k) is Index and k.admissible and type(b) is int and 1 <= b <= _FINEST_BUCKET
+               and type(v) is float and math.isfinite(v) for k, (b, v) in items):
+            _LAST_FILE = (text, dict(items))
 
     def load(self, path: str) -> None:
         """Merge the flat file at ``path``.  Every line is checked before any
-        is stored, so a malformed line leaves the cache as it was."""
-        rows = []
-        with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
+        is stored, so a malformed line leaves the cache as it was.  The text
+        this process last parsed or wrote is not parsed again."""
+        global _LAST_FILE
+        with open(path, encoding="ascii") as fh:
+            text = fh.read()
+        last_text, rows = _LAST_FILE
+        if text != last_text:
+            rows = {}
+            for line in text.split("\n"):  # not splitlines(), which also splits at \x0b, \x0c, \x1c..\x1e
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    text, bucket_text, hex_text = line.split("\t")
-                    k = Index.from_text(text)
+                    index_text, bucket_text, hex_text = line.split("\t")
+                    k = Index.from_text(index_text)
                     bucket = int(bucket_text)
                     value = float.fromhex(hex_text)
                 except ValueError:
                     raise ValueError(f"malformed cache line {line!r}") from None
                 if not (k.admissible and 1 <= bucket <= _FINEST_BUCKET and math.isfinite(value)):
                     raise ValueError(f"malformed cache line {line!r}")
-                rows.append((k, bucket, value))
+                if rows.get(k, (0,))[0] < bucket:  # the finest bucket, on a tie the first line
+                    rows[k] = (bucket, value)
+            _LAST_FILE = (text, rows)
         with self._lock:
-            fresh = not self._entries
-            self._merge(rows)
-            self._saved = path if fresh else None
+            if self._entries:
+                self._merge((k, b, v) for k, (b, v) in rows.items())
+                self._saved = None
+            else:
+                self._entries.update(rows)  # a copy: a later store must not reach the memo
+                self._saved = path
 
 
 @dataclass(frozen=True)
@@ -406,8 +429,11 @@ def _fill_factors(words: Iterable[str], fbits: int) -> None:
 
 
 def clear_factor_cache() -> None:
-    """Drop memoised values, series factors, stopping indices and
-    inverse-power tables (all are recomputed on demand)."""
+    """Drop every process-wide memo: values, series factors, stopping indices
+    and inverse-power tables (all are recomputed on demand), and the last
+    cache-file text with its rows (the next load parses again)."""
+    global _LAST_FILE
+    _LAST_FILE = ("", {})
     with _FACTOR_LOCK:
         _VALUES.clear()
         _FACTOR_CACHE.clear()

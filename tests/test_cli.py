@@ -385,6 +385,15 @@ def test_cache_file_with_nan_value_is_a_usage_error(run, tmp_path, command):
     assert "malformed cache line" in err
 
 
+def test_cache_file_with_a_non_ascii_byte_is_an_input_error(run, tmp_path):
+    path = tmp_path / "latin.tsv"
+    path.write_bytes(b"2\t12\t0x1.a51a6625307d3p+0\n3\t12\t0x1.33ba004f00621p+0 \xe9\n")
+    code, out, err = run("eval", "--expr", "(2)", "--cache", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "can't decode byte 0xe9" in err
+
+
 def test_verify_populates_cache_file(run, tmp_path):
     path = tmp_path / "verify-cache.tsv"
     code, _, _ = run("verify", "--name", "duality", "--weight", "4", "--cache", str(path))
@@ -492,16 +501,23 @@ _VERIFY = ("verify", "--name", "duality", "--weight", "3")
         (_VERIFY + ("--out", ""), None),
         (_VERIFY + ("--out", "{dir}/missing/"), None),
         (_VERIFY + ("--out", "{dir}"), None),
+        (_EVAL + ("--cache", "{dir}"), None),
+        (_EVAL, "{dir}"),
     ],
-    ids=["cache-empty", "cache-separator", "env-separator", "out-empty", "out-separator", "out-directory"],
+    ids=[
+        "cache-empty", "cache-separator", "env-separator", "out-empty", "out-separator", "out-directory",
+        "cache-directory", "env-directory",
+    ],
 )
 def test_path_that_names_no_file_is_an_input_error(run, tmp_path, argv, env_path):
     """An empty path, a trailing separator or an existing directory names no
-    file to write, and is refused before anything is evaluated."""
+    file to write, and is refused before anything is evaluated, and before a
+    cache path is loaded."""
     fill = {"dir": str(tmp_path).rstrip(os.sep)}
     env = None if env_path is None else {"OHNO_CACHE": env_path.format(**fill)}
     code, out, err = run(*(arg.format(**fill) for arg in argv), env=env)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    assert "does not name a file to write" in err
     assert list(tmp_path.iterdir()) == []

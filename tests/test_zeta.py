@@ -27,6 +27,21 @@ from ohno.zeta import (
     to_word,
 )
 
+@pytest.fixture
+def parsed(monkeypatch):
+    """The index texts that cache loads parse, starting from an empty memo of
+    the last cache file."""
+    texts = []
+    parse = Index.from_text
+    monkeypatch.setattr(Index, "from_text", staticmethod(lambda text: texts.append(text) or parse(text)))
+    monkeypatch.setattr(zeta, "_LAST_FILE", ("", {}))
+    return texts
+
+
+# A cache file with a coarser and a finer line for (2, 3), the coarser first.
+_LOADED = "2,3\t9\t0x1.4000000000000p+1\n3\t12\t0x1.33ba004f00621p+0\n2,3\t14\t0x1.8000000000000p+0\n"
+
+
 # float64-rounded reference constants, independent of the evaluator under test
 PI = math.pi
 ZETA2 = PI**2 / 6
@@ -343,11 +358,17 @@ def test_combination_reads_each_term_through_eval_zeta(monkeypatch):
     assert seen == []
 
 
-def test_clear_factor_cache_empties_value_memo():
+def test_clear_factor_cache_empties_value_memo(tmp_path, parsed):
     eval_zeta(Index((2, 3)))
     assert zeta._VALUES
+    path = tmp_path / "cache.tsv"
+    path.write_text(_LOADED)
+    ZetaCache(str(path))
+    del parsed[:]
     clear_factor_cache()
     assert not zeta._VALUES
+    assert len(ZetaCache(str(path))) == 2
+    assert len(parsed) == 3  # the last file's text is dropped too, so it is parsed again
 
 
 def test_series_cap_exhaustion_from_combination():
@@ -757,6 +778,35 @@ def test_cache_threads_saving_one_path_use_their_own_temporary_files(tmp_path):
     assert os.listdir(tmp_path) == ["cache.tsv"]
 
 
+def test_cache_threads_loading_and_saving_read_their_own_files(tmp_path):
+    """Threads that save and reload files of their own through the one memo
+    of the last file each read back exactly their entries."""
+    errors = []
+
+    def worker(n):
+        path = tmp_path / f"cache{n}.tsv"
+        entries = {Index((2, n + 2)): (12, float(n)), Index((n + 3,)): (n + 1, 0.5)}
+        try:
+            for _ in range(40):
+                _saved_cache(path, entries)
+                assert ZetaCache(str(path))._entries == entries
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
 def test_cache_constructor_with_missing_path(tmp_path):
     cache = ZetaCache(str(tmp_path / "absent.tsv"))
     assert len(cache) == 0
@@ -803,6 +853,189 @@ def test_cache_failed_load_changes_nothing(tmp_path):
     assert cache.lookup(Index((2,)), 12) == 1.5
     assert cache.lookup(Index((2,)), 13) is None
     assert cache.lookup(Index((3,)), 1) is None
+
+
+def _bits(cache):
+    return {k: (bucket, value.hex(), type(value)) for k, (bucket, value) in cache._entries.items()}
+
+
+@pytest.mark.parametrize("fill", [False, True], ids=["empty", "non-empty"])
+def test_cache_load_of_the_last_text_matches_a_parse(tmp_path, parsed, fill):
+    """A load of the text this process last parsed does not parse it again,
+    and leaves the entries, value bits and save state a parse leaves."""
+    path = tmp_path / "cache.tsv"
+    path.write_text(_LOADED)
+    caches = [ZetaCache(), ZetaCache()]
+    for cache in caches:
+        if fill:
+            cache.store(Index((2, 3)), 10, 0.5)
+            cache.store(Index((4,)), 12, 0.75)
+        cache.load(str(path))
+        assert cache._saved == (None if fill else str(path))
+    assert len(parsed) == 3
+    assert _bits(caches[0]) == _bits(caches[1])
+    assert _bits(caches[0])[Index((2, 3))] == (14, "0x1.8000000000000p+0", float)
+
+
+def test_cache_load_of_a_saved_text_matches_a_parse(tmp_path, parsed):
+    """A save seeds the memo with what a load of its file gives back."""
+    path = tmp_path / "cache.tsv"
+    _saved_cache(path).store(Index((2,)), 15, 0.5)  # after the save: not in the file
+    hit = ZetaCache(str(path))
+    assert parsed == []
+    clear_factor_cache()
+    assert _bits(ZetaCache(str(path))) == _bits(hit) == {
+        k: (bucket, value.hex(), float) for k, (bucket, value) in _SMALL_CACHE.items()
+    }
+    assert len(parsed) == len(_SMALL_CACHE)
+
+
+def _rewrite_in_place(path, other):
+    """Same length, same inode and modification time, other values."""
+    stat = os.stat(path)
+    with open(path, "r+") as fh:
+        fh.write(_LOADED.replace("0x1.8", "0x1.c"))
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert os.stat(path).st_size == stat.st_size and os.stat(path).st_ino == stat.st_ino
+    return path
+
+
+def _other_path(path, other):
+    other.write_text(_LOADED.replace("0x1.8", "0x1.c"))
+    return other
+
+
+def _cleared(path, other):
+    clear_factor_cache()
+    return path
+
+
+@pytest.mark.parametrize("change", [_rewrite_in_place, _other_path, _cleared], ids=["in-place", "other-path", "cleared"])
+def test_cache_load_parses_again(tmp_path, parsed, change):
+    """The memo is keyed by the file's text, not by its path, size or time."""
+    path = tmp_path / "cache.tsv"
+    path.write_text(_LOADED)
+    ZetaCache(str(path))
+    del parsed[:]
+    path = change(path, tmp_path / "other.tsv")
+    cache = ZetaCache(str(path))
+    assert len(parsed) == 3
+    expected = 1.5 if change is _cleared else 1.75
+    assert cache.lookup(Index((2, 3)), 14) == expected
+
+
+def test_cache_load_refuses_a_malformed_file_every_time(tmp_path, parsed):
+    """A malformed file is refused, also right after a good load of its path,
+    and the refusal leaves the memo of the good text in place."""
+    path = tmp_path / "cache.tsv"
+    path.write_text(_LOADED)
+    cache = ZetaCache(str(path))
+    path.write_text(_LOADED + "2\t12\tnan\n")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="malformed cache line"):
+            cache.load(str(path))
+        with pytest.raises(ValueError, match="malformed cache line"):
+            ZetaCache(str(path))
+    assert len(cache) == 2 and cache._saved == str(path)
+    path.write_text(_LOADED)
+    del parsed[:]
+    assert _bits(ZetaCache(str(path))) == _bits(cache)
+    assert parsed == []
+
+
+def test_cache_store_never_reaches_the_memo(tmp_path, parsed):
+    """A cache filled by a parse or from the memo holds its own copy of the rows."""
+    path = tmp_path / "cache.tsv"
+    path.write_text(_LOADED)
+    for cache in (ZetaCache(str(path)), ZetaCache(str(path))):
+        cache.store(Index((2, 3)), 15, 0.5)
+        cache.store(Index((5,)), 12, 0.25)
+    reloaded = ZetaCache(str(path))
+    assert len(parsed) == 3
+    assert _bits(reloaded) == {
+        Index((2, 3)): (14, "0x1.8000000000000p+0", float),
+        Index((3,)): (12, "0x1.33ba004f00621p+0", float),
+    }
+
+
+class _Half(float):
+    pass
+
+
+@pytest.mark.parametrize(
+    "bucket, value", [(99, 1.0), (12, math.nan), (12, _Half(0.5))], ids=["bucket", "nan", "float-subclass"]
+)
+def test_cache_save_seeds_only_what_a_load_gives_back(tmp_path, parsed, bucket, value):
+    path = tmp_path / "cache.tsv"
+    cache = ZetaCache()
+    cache.store(Index((2,)), 12, 1.5)
+    cache.store(Index((3,)), bucket, value)
+    cache.save(str(path))
+    if type(value) is _Half:
+        assert type(ZetaCache(str(path)).lookup(Index((3,)), 12)) is float
+        assert len(parsed) == 2
+    else:
+        with pytest.raises(ValueError, match="malformed cache line"):
+            ZetaCache(str(path))
+
+
+def test_cache_load_from_the_memo_keeps_the_finest_bucket(tmp_path, parsed):
+    path = tmp_path / "cache.tsv"
+    path.write_text(_LOADED)
+    ZetaCache(str(path))
+    cache = ZetaCache()
+    cache.store(Index((2, 3)), 15, 0.5)
+    cache.store(Index((3,)), 11, 0.25)
+    cache.load(str(path))
+    assert len(parsed) == 3
+    assert _bits(cache) == {
+        Index((2, 3)): (15, "0x1.0000000000000p-1", float),
+        Index((3,)): (12, "0x1.33ba004f00621p+0", float),
+    }
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_cache_load_reads_any_line_ending(tmp_path, parsed, newline):
+    lf, other = tmp_path / "lf.tsv", tmp_path / "other.tsv"
+    lf.write_bytes(_LOADED.encode())
+    other.write_bytes(_LOADED.replace("\n", newline).encode())
+    assert _bits(ZetaCache(str(other))) == _bits(ZetaCache(str(lf)))
+    assert len(parsed) == 3  # one parse: both texts read the same
+
+
+def test_cache_load_skips_blank_lines(tmp_path, parsed):
+    path = tmp_path / "cache.tsv"
+    lines = _LOADED.splitlines(keepends=True)
+    path.write_text("\n" + lines[0] + "   \n\t\n" + lines[1] + " \x0b\x0c\x1c \n" + lines[2] + "\n\n")
+    assert len(ZetaCache(str(path))) == 2
+    assert len(parsed) == 3
+
+
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+def test_cache_load_splits_lines_at_newlines_only(tmp_path, parsed, separator):
+    """A separator that ``str.splitlines`` would split at joins two rows into one malformed line."""
+    path = tmp_path / "cache.tsv"
+    lines = _LOADED.splitlines()
+    path.write_text(f"{lines[0]}{separator}{lines[1]}\n")
+    with pytest.raises(ValueError, match="malformed cache line"):
+        ZetaCache(str(path))
+
+
+def test_cache_load_keeps_the_first_of_two_lines_of_one_bucket(tmp_path, parsed):
+    path = tmp_path / "cache.tsv"
+    path.write_text("2,3\t12\t0x1.8000000000000p+0\n2,3\t12\t0x1.4000000000000p+1\n")
+    for _ in range(2):  # a parse, then a load from the memo
+        assert ZetaCache(str(path)).lookup(Index((2, 3)), 12) == 1.5
+    assert len(parsed) == 2
+
+
+def test_cache_load_refuses_a_non_ascii_byte(tmp_path, parsed):
+    path = tmp_path / "cache.tsv"
+    path.write_bytes(_LOADED.encode() + b"2\t12\t0x1.4p+1 \xe9\n")
+    cache = ZetaCache()
+    with pytest.raises(UnicodeDecodeError):
+        cache.load(str(path))
+    assert len(cache) == 0 and parsed == []
 
 
 def test_cached_values_feed_combinations():
