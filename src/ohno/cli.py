@@ -119,8 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_cache(cache_arg: str) -> tuple[Optional[ZetaCache], Optional[str]]:
-    """Map the --cache flag and OHNO_CACHE to (cache, path-to-save-or-None),
-    refusing a path to save before its file is loaded."""
+    """Map --cache and OHNO_CACHE to (cache, path-to-save-or-None), checking a path before loading it."""
     if cache_arg == "off":
         return None, None
     path = os.environ.get("OHNO_CACHE") or (None if cache_arg == "on" else cache_arg)

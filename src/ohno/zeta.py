@@ -139,10 +139,15 @@ class ZetaCacheStats:
     misses: int = 0
 
 
-# The cache-file text this process last parsed or wrote and the rows (index ->
-# (bucket, value)) a parse of it keeps, one tuple so threads read a consistent
-# pair.  A parse is a pure function of the text, so a hit is never stale.
+# The cache-file text this process last parsed or wrote and the rows a parse of
+# it keeps, one tuple so threads read a consistent pair; a hit is never stale.
 _LAST_FILE: tuple[str, dict[Index, tuple[int, float]]] = ("", {})
+
+
+def _loads_back(k: object, bucket: object, value: object) -> bool:
+    """Whether a cache row is valid, so that its file line loads back as it."""
+    return (type(k) is Index and k.admissible and type(bucket) is int and 1 <= bucket <= _FINEST_BUCKET
+            and type(value) is float and math.isfinite(value))
 
 
 class ZetaCache:
@@ -158,8 +163,9 @@ class ZetaCache:
     admissible, bucket outside 1..15 or value not finite is malformed.
     :meth:`save` leaves alone a file that already holds every entry, so a
     hand-written valid file stays as written until something new is stored.
-    A process-wide memo holds one file's text and rows, so a :meth:`load` of
-    the file this process last parsed or wrote costs one read and one compare.
+    A process-wide memo keeps the text and rows of the last file this process parsed
+    or wrote, a second copy held until another file or :func:`clear_factor_cache`
+    replaces it, so loading that file again costs one read and one compare.
     """
 
     def __init__(self, path: Optional[str] = None):
@@ -228,14 +234,12 @@ class ZetaCache:
             if self._saved is token:
                 self._saved = path
         # Seed the memo only where a load of the text gives back every entry.
-        if all(type(k) is Index and k.admissible and type(b) is int and 1 <= b <= _FINEST_BUCKET
-               and type(v) is float and math.isfinite(v) for k, (b, v) in items):
+        if all(_loads_back(k, b, v) for k, (b, v) in items):
             _LAST_FILE = (text, dict(items))
 
     def load(self, path: str) -> None:
-        """Merge the flat file at ``path``.  Every line is checked before any
-        is stored, so a malformed line leaves the cache as it was.  The text
-        this process last parsed or wrote is not parsed again."""
+        """Merge the flat file at ``path``, parsed unless the memo holds its text.
+        Every line is checked before any is stored, so a malformed line leaves the cache as it was."""
         global _LAST_FILE
         with open(path, encoding="ascii") as fh:
             text = fh.read()
@@ -248,13 +252,11 @@ class ZetaCache:
                     continue
                 try:
                     index_text, bucket_text, hex_text = line.split("\t")
-                    k = Index.from_text(index_text)
-                    bucket = int(bucket_text)
-                    value = float.fromhex(hex_text)
+                    k, bucket, value = Index.from_text(index_text), int(bucket_text), float.fromhex(hex_text)
+                    if not _loads_back(k, bucket, value):
+                        raise ValueError
                 except ValueError:
                     raise ValueError(f"malformed cache line {line!r}") from None
-                if not (k.admissible and 1 <= bucket <= _FINEST_BUCKET and math.isfinite(value)):
-                    raise ValueError(f"malformed cache line {line!r}")
                 if rows.get(k, (0,))[0] < bucket:  # the finest bucket, on a tie the first line
                     rows[k] = (bucket, value)
             _LAST_FILE = (text, rows)

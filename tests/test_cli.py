@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ohno.cli as cli
+import ohno.zeta as zeta
 from ohno.verify import VerificationReport, list_identities
 from ohno.zeta import ZetaCache
 
@@ -345,6 +346,18 @@ def test_cache_file_created_and_reused(run, tmp_path):
     code, second, _ = run("eval", "--expr", "(3)", "--cache", str(path))
     assert code == 0
     assert first == second
+
+
+def test_repeated_calls_in_one_process_take_the_cache_file_from_the_memo(run, tmp_path, monkeypatch):
+    """A script that calls ``cli.main`` once per item loads the file the previous
+    call wrote without parsing it again."""
+    path = tmp_path / "cache.tsv"
+    monkeypatch.setattr(zeta, "_LAST_FILE", ("", {}))
+    first = run("eval", "--expr", "(2,3) + (3,2)", "--cache", str(path))
+    memo = zeta._LAST_FILE
+    assert memo[0] == path.read_text()
+    assert run("eval", "--expr", "(2,3) + (3,2)", "--cache", str(path)) == first
+    assert zeta._LAST_FILE is memo  # a parse would have replaced it
 
 
 def test_cache_env_overrides_flag_path(run, tmp_path):

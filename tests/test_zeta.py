@@ -963,7 +963,9 @@ class _Half(float):
 
 
 @pytest.mark.parametrize(
-    "bucket, value", [(99, 1.0), (12, math.nan), (12, _Half(0.5))], ids=["bucket", "nan", "float-subclass"]
+    "bucket, value",
+    [(99, 1.0), (12.0, 1.0), (12, math.nan), (12, _Half(0.5))],
+    ids=["bucket", "float-bucket", "nan", "float-subclass"],
 )
 def test_cache_save_seeds_only_what_a_load_gives_back(tmp_path, parsed, bucket, value):
     path = tmp_path / "cache.tsv"
