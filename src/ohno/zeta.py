@@ -12,7 +12,7 @@ Two evaluators are provided:
     over all deconcatenations of the word, of products of partial integrals
     at 1/2.  Every partial integral is a nested power series with geometric
     ratio 1/2, summed in fixed-point integer arithmetic at a working
-    precision derived from the tolerance.  This converges geometrically for
+    precision derived from a proven error bound.  This converges geometrically for
     *every* admissible index, including the ones with entries equal to 1 or
     a final entry of 2 where direct summation is hopeless.
 
@@ -22,15 +22,45 @@ Two evaluators are provided:
     order ``N^(1-kr) * (log N)^(r-1)``.  Slowly convergent by design; used
     only to cross-check the production path.
 
-Error budget of ``eval_zeta`` (absolute, target ``cfg.tol``):
+Error budget of ``eval_zeta`` (absolute).  Fixed-point quantities are
+integers in units of ``u = 2^-P``, ``P`` the working precision in bits.
+Every step rounds down and every dropped term is positive, so each computed
+factor, and the value before it becomes a double, falls short of the exact
+one by a deficit ``>= 0``:
 
-* truncation: each series factor is summed until a provable tail majorant
-  drops below ``2^-(P-8)`` where ``P`` is the working precision in bits;
-  with ``P >= 2*ceil(log2(1/tol)) + 16`` this leaves every
-  deconcatenation term far inside a uniform split of ``tol/2``;
-* rounding: fixed-point arithmetic with ``P`` fractional bits keeps the
-  accumulated rounding below ``tol/10``;
-* the final conversion rounds once to the nearest double.
+* inverse powers: ``a_m = 2^P // m^n = 2^P/m^n - eps`` with ``0 <= eps < 1``;
+* chains: the exact chain of a run tail is ``c_d(i) = sum over m <= i of
+  c_(d-1)(m-1) / m^n``, ``c_0 = 1``, at most ``H_i^d/d! <= L^d/d!`` for
+  ``i < N``, where ``L = 1 + ln N``.  A step ``(a_m * C) >> P`` with
+  ``C = c * 2^P - delta`` falls short of ``c * 2^P / m^n`` by at most
+  ``delta/m + c + 1``, so by induction on ``d`` a chain's deficit at ``i``
+  is at most ``i * A_d`` with ``A_d = d + sum_(j<d) L^j/j!``;
+* factors: one of depth ``k`` sums ``N = _stop(k, P)`` terms, and term
+  ``m`` is shifted ``m`` bits further, so it falls short by at most
+  ``(A_(k-1) + L^(k-1)/(k-1)!) * 2^-m + 1``: less than
+  ``N + k - 1 + S_k`` for all ``N`` terms, ``S_k = sum_(j<k) L^j/j!``.
+  :func:`_stop` gives truncation the same share as those ``N`` floors: a
+  tail of at most ``N`` units.  A factor's deficit is at most
+  ``E_k = 2N + k - 1 + S_k``;
+* read: an exact factor is at most ``Li_(1,...,1)(1/2) = (ln 2)^k/k! < 1``
+  and the outer two of the ``w + 1`` products have the factor 1 exactly, so
+  a product of factors short by ``e`` and ``f`` is short by at most
+  ``e + f`` before its floor, which adds 1 to each of the ``w - 1`` inner
+  products.  With ``d = max(r, w - r)`` the deepest factor (``r`` the
+  depth, ``w`` the weight), the sum falls short by at most
+  ``2w * E_d + w - 1`` units;
+* the double: the sum is at most ``zeta(k) <= zeta(w) <= zeta(2) < 2`` (sum
+  formula), so rounding it to the nearest double adds at most ``2^-53``.
+
+Hence ``|eval_zeta(k) - zeta(k)| <= 2^-P * (2w * E_d + w - 1) + 2^-53``
+(:func:`_bound`).  Factors below ``ln 2`` rather than 1 leave over a quarter
+of the factor part as slack, which covers the floating-point evaluation of
+the bound and of the stop rule's majorant.  The working precision at
+tolerance ``10^-b`` is the least ``P`` at which the bound of the heaviest
+index of the weight's class (weights up to 16, 17..32, 33..64, ...) is at
+most ``10^-b`` (:func:`_default_precision`): ``log2(10^b)`` plus 13 or 14
+guard bits up to weight 16, so 54 bits at ``b = 12``, and about 2 bits more
+per doubling of the weight.
 
 Cost of ``eval_zeta``.  The tail majorant depends only on the depth of a
 factor and on ``P``, so the number of terms a factor sums (its stopping
@@ -128,9 +158,40 @@ def _bucket_of(tol: float) -> int:
     return max(1, math.ceil(-math.log10(tol) - 1e-9))
 
 
-def _default_precision(bucket: int) -> int:
-    """Working precision in bits for a given tolerance bucket."""
-    return 2 * math.ceil(bucket * math.log2(10)) + 16
+# Weight classes: weights up to 2^c share the precision of class c >= 4, so
+# every default grid (weight <= 15) reads at one precision per bucket.
+_LIGHT = 16
+_PRECISIONS: dict[tuple[int, int], int] = {}  # (bucket, class) -> working precision
+# Rounding a value below 2 to the nearest double errs by at most half an ulp.
+_HALF_ULP = 2.0**-53
+
+
+def _bound(weight: int, depth: int, fbits: int) -> float:
+    """Proven bound on ``|eval_zeta(k) - zeta(k)|`` for ``k`` of ``weight``
+    whose deepest factor has ``depth``, read at ``fbits`` bits:
+    ``2^-P * (2w * E_d + w - 1) + 2^-53`` in the module docstring."""
+    n = _stop(depth, fbits)
+    lg, s, t = 1.0 + math.log(n), 0.0, 1.0
+    for j in range(1, depth + 1):
+        s, t = s + t, t * lg / j
+    return math.ldexp(2 * weight * (2 * n + depth - 1 + s) + weight - 1, -fbits) + _HALF_ULP
+
+
+def _default_precision(bucket: int, weight: int = _LIGHT) -> int:
+    """Working precision in bits for an index of ``weight`` at tolerance
+    ``10^-bucket``: the least at which :func:`_bound` of the heaviest index of
+    the weight's class meets the tolerance."""
+    cls = (max(weight, _LIGHT) - 1).bit_length()
+    fbits = _PRECISIONS.get((bucket, cls))
+    if fbits is None:
+        heaviest, budget = 1 << cls, 10.0**-bucket - _HALF_ULP
+        fbits = math.ceil(bucket * math.log2(10))
+        # The bound's fixed-point part is 2^-P times units that grow with P, so no
+        # precision short of the jump meets the budget.
+        while (excess := (_bound(heaviest, heaviest - 1, fbits) - _HALF_ULP) / budget) > 1:
+            fbits += math.ceil(math.log2(excess))
+        _PRECISIONS[bucket, cls] = fbits
+    return fbits
 
 
 @dataclass(frozen=True)
@@ -276,9 +337,14 @@ class EvalConfig:
     ``tol``
         Absolute accuracy target for a single value, a finite float or int.
         Values are returned as doubles, so targets below about 1e-15 are not
-        honourable; the constructor rejects them.  The working precision:
-        ``2*ceil(log2(1/tol)) + 16`` fixed-point bits for the tolerance
-        bucket, finer for a combination whose coefficient mass is large.
+        honourable; the constructor rejects them.  A value is within
+        ``10^-bucket`` of the exact one, ``bucket`` the number of decimal
+        digits of ``tol`` rounded towards finer.  The working precision is
+        the least number of fixed-point bits at which the module
+        docstring's proven bound meets ``10^-bucket`` for every weight in
+        the index's weight class (up to 16, 17..32, 33..64, ...): 54 bits
+        at tol 1e-12 up to weight 16.  A combination whose coefficient mass
+        is large refines the bucket of its terms.
     ``max_terms``
         Cap on the length of any single series factor.  An evaluation whose
         deepest factor needs more terms than this to meet the error budget
@@ -308,7 +374,7 @@ class EvalConfig:
 
     @cached_property
     def precision(self) -> int:
-        """Working precision in bits for a single index at ``tol``."""
+        """Working precision in bits at ``tol`` for an index of weight at most 16."""
         return _default_precision(self.bucket)
 
     @cached_property
@@ -331,8 +397,10 @@ _FACTOR_LOCK = threading.Lock()
 # Inverse-power tables only grow, in place, so a shorter read stays valid.
 _STOPS: dict[tuple[int, int], int] = {}
 _INV_POWERS: dict[tuple[int, int], list[int]] = {}
-# Final value per precision and index, like ``ZetaCache``'s entries: a pure
-# function of the two, like the factors it is summed from.
+# Final value per bucket and index, like ``ZetaCache``'s entries: a pure
+# function of the two, like the factors it is summed from.  A bucket is keyed
+# by its precision for weights up to 16, also where a heavier index is summed
+# at the precision of its weight class.
 _VALUES: defaultdict[int, dict[Index, float]] = defaultdict(dict)
 
 
@@ -349,22 +417,23 @@ def _stop(depth: int, fbits: int) -> int:
 
         2^-N * (1 + ln N)^(k-1) * rho/(1-rho),   rho = exp((k-1)/N) / 2
 
-    falls below ``2^-(fbits-8)``; the majorant dominates the true tail
-    because the inner sums are bounded by (1 + ln N)^(k-1) and
+    falls below ``N * 2^-fbits``: truncation takes the same share of the
+    error budget as the ``N`` floors of the summed terms (module
+    docstring).  The majorant dominates the true tail because the inner
+    sums are bounded by (1 + ln N)^(k-1) and
     ``(1 + ln(N+j)) <= (1 + ln N) * exp(j/N)``.  It does not depend on the
     runs, and it grows with the depth.
     """
     key = (depth, fbits)
     stop = _STOPS.get(key)
     if stop is None:
-        stop_log2 = -(fbits - 8)
         m = depth - 1
         while True:
             m += 1
             rho = math.exp((depth - 1) / m) / 2.0
             if rho < 1.0:
                 tail_log2 = -m + (depth - 1) * math.log2(1.0 + math.log(m)) + math.log2(rho / (1.0 - rho))
-                if tail_log2 < stop_log2:
+                if tail_log2 < math.log2(m) - fbits:
                     break
         stop = _STOPS[key] = m
     return stop
@@ -431,8 +500,8 @@ def _fill_factors(words: Iterable[str], fbits: int) -> None:
 
 
 def clear_factor_cache() -> None:
-    """Drop every process-wide memo: values, series factors, stopping indices
-    and inverse-power tables (all are recomputed on demand), and the last
+    """Drop every process-wide memo: values, series factors, stopping indices,
+    working precisions and inverse-power tables (all are recomputed on demand), and the last
     cache-file text with its rows (the next load parses again)."""
     global _LAST_FILE
     _LAST_FILE = ("", {})
@@ -440,6 +509,7 @@ def clear_factor_cache() -> None:
         _VALUES.clear()
         _FACTOR_CACHE.clear()
         _STOPS.clear()
+        _PRECISIONS.clear()
         _INV_POWERS.clear()
 
 
@@ -447,43 +517,77 @@ def clear_factor_cache() -> None:
 
 
 class _TermConfig(EvalConfig):
-    """What :func:`_plan` hands :func:`eval_zeta`: a filled term is read without a cap check."""
+    """What :func:`_plan` hands :func:`eval_zeta`: a filled term is read without checks."""
 
 
 def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
-    """Evaluate an admissible index to within ``cfg.tol`` (absolute)."""
+    """Evaluate an admissible index to within ``10^-cfg.bucket`` (absolute):
+    the index is checked, then the cap, before the cache or a memo is read,
+    and a missing value fills the factors of its two words."""
     cfg = cfg or DEFAULT_CONFIG
-    if type(cfg) is not _TermConfig:
+    planned = type(cfg) is _TermConfig  # read by _read: checked and filled by _plan and _fill
+    bucket, cache = cfg.bucket, cfg.cache
+    if not planned:
         if not isinstance(k, Index):
             raise ValueError(f"expected an Index, got {k!r}")
-        return eval_combination(k, cfg)  # checks the cap, fills, then reads k below
-    fbits, bucket, cache = cfg.precision, cfg.bucket, cfg.cache
+        if not k.admissible:
+            raise ValueError(f"cannot evaluate non-admissible index {_named(k)}")
+        w = sum(k)
+        fbits, deepest = _default_precision(bucket, w), max(len(k), w - len(k))
+        if _stop(deepest, fbits) > cfg.max_terms:
+            _refuse(cfg.max_terms, bucket, {fbits: deepest}, (k,))
     if cache is not None:
         hit = cache.lookup(k, bucket)
         if hit is not None:
             return hit
-    values = _VALUES[fbits]
+    values = _VALUES[cfg.precision]
     value = values.get(k)
     if value is None:
-        word = to_word(k)
-        dual = reverse_swap(word)
-        # The split after j letters multiplies the factor of word[j:] by that
-        # of reverse_swap(word[:j]) == dual[n-j:]; the empty word's is 1.
-        one, n = 1 << fbits, len(word)
-        lower = [_FACTOR_CACHE[word[j:], fbits] for j in range(n)] + [one]
-        upper = [one] + [_FACTOR_CACHE[dual[j:], fbits] for j in range(n - 1, -1, -1)]
-        acc = sum((u * v) >> fbits for u, v in zip(upper, lower))
-        value = values[k] = math.ldexp(float(acc), -fbits)
+        fbits = _default_precision(bucket, sum(k))
+        value = values[k] = math.ldexp(float(_fixed_point(k, fbits, fill=not planned)), -fbits)
     if cache is not None:
         cache.store(k, bucket, value)
     return value
+
+
+def _fixed_point(k: Index, fbits: int, fill: bool = True) -> int:
+    """``zeta(k)`` in units of ``2^-fbits``, short by at most the units of
+    the module docstring's error budget, read from the factors of the two
+    words of ``k`` (filled first unless ``fill`` is false)."""
+    word = to_word(k)
+    dual = reverse_swap(word)
+    if fill:
+        _fill_factors((word, dual), fbits)
+    # The split after j letters multiplies the factor of word[j:] by that
+    # of reverse_swap(word[:j]) == dual[n-j:]; the empty word's is 1.
+    one, n = 1 << fbits, len(word)
+    lower = [_FACTOR_CACHE[word[j:], fbits] for j in range(n)] + [one]
+    upper = [one] + [_FACTOR_CACHE[dual[j:], fbits] for j in range(n - 1, -1, -1)]
+    return sum((u * v) >> fbits for u, v in zip(upper, lower))
+
+
+def _refuse(cap: int, bucket: int, deepest: dict[int, int], terms: Iterable[Index]) -> None:
+    """Raise :class:`PrecisionError` for the deepest factors (``deepest`` maps
+    a precision to the depth of the deepest factor read at it) that need more
+    terms than ``cap``, naming the first index at fault in canonical order.
+    The two full words (the index's and its dual's, of length the weight)
+    are an index's deepest factors, and stops grow with depth."""
+    over = {fbits: d for fbits, d in deepest.items() if _stop(d, fbits) > cap}
+    fbits_of = {k: _default_precision(bucket, sum(k)) for k in terms}
+    tied = (k for k, fbits in fbits_of.items() if over.get(fbits) in (len(k), sum(k) - len(k)))
+    worst = min(tied, key=_sort_key)
+    fbits = fbits_of[worst]
+    raise PrecisionError(
+        f"series cap of {cap} terms is below what a depth-{over[fbits]} factor "
+        f"needs to meet the error budget (index {_named(worst)}, precision {fbits} bits)"
+    )
 
 
 def _plan(comb: Union[Index, IndexCombination], cfg: EvalConfig, todo: dict, held: dict) -> tuple:
     """Check one combination and add the terms whose factors must be filled
     before it is read to ``todo`` (indices per precision); returns what
     :func:`_read` takes.  Per-term tolerances are scaled by the coefficient
-    mass so the truncation budgets sum to at most ``cfg.tol``, but never below
+    mass so the per-term bounds sum to at most ``cfg.tol``, but never below
     1e-15.  A refusal (errors name the first index in canonical order) leaves
     ``todo`` and ``held`` alone.  ``held`` maps an index to the bucket the
     cache will hold for it once the combinations planned before are read, so
@@ -499,34 +603,33 @@ def _plan(comb: Union[Index, IndexCombination], cfg: EvalConfig, todo: dict, hel
     bucket = min(max(cfg.bucket, _bucket_of(cfg.tol / scale)), _FINEST_BUCKET)
     term_cfg = cfg._term_configs.get(bucket) or cfg._term_configs.setdefault(
         bucket, _TermConfig(tol=10.0**-bucket, max_terms=cfg.max_terms, cache=cfg.cache))
-    fbits = term_cfg.precision
-    values = _VALUES.get(fbits, {})
-    deepest, wanted = 0, []
+    light = term_cfg.precision
+    values = _VALUES.get(light, {})
+    light_deepest, wanted, heavy = 0, [], {}
     for k in terms:
         if not k or k[-1] < 2:  # k.admissible, inlined for the warm path
             bad = min((k for k in terms if not k.admissible), key=_sort_key)
             raise ValueError(f"cannot evaluate non-admissible index {_named(bad)}")
-        # The two full words (the index's and its dual's, of length the
-        # weight) are the deepest factors, and stops grow with depth.
-        d = max(len(k), sum(k) - len(k))
-        if d > deepest:
-            deepest = d
+        w = sum(k)
+        if w > _LIGHT:  # filled at the precision of its weight class
+            heavy[k] = _default_precision(bucket, w)
+        elif (d := max(len(k), w - len(k))) > light_deepest:
+            light_deepest = d
         if k not in values:
             wanted.append(k)
-    if _stop(deepest, fbits) > cfg.max_terms:
-        tied = (k for k in terms if deepest in (len(k), sum(k) - len(k)))
-        worst = min(tied, key=_sort_key)
-        raise PrecisionError(
-            f"series cap of {cfg.max_terms} terms is below what a depth-{deepest} factor "
-            f"needs to meet the error budget (index {_named(worst)}, precision {fbits} bits)"
-        )
+    deepest = {light: light_deepest} if light_deepest else {}  # precision -> its deepest factor
+    for k, fbits in heavy.items():
+        deepest[fbits] = max(deepest.get(fbits, 0), len(k), sum(k) - len(k))
+    for fbits, d in deepest.items():
+        if _stop(d, fbits) > cfg.max_terms:
+            _refuse(cfg.max_terms, bucket, deepest, terms)
     if cfg.cache is not None:
         entries = cfg.cache._entries
         missed = {k: bucket for k in terms if (held.get(k) or entries.get(k, (0,))[0]) < bucket}
         wanted = [k for k in wanted if k in missed]
         held.update(missed)  # a miss stores the value read at the bucket
-    if wanted:
-        todo.setdefault(fbits, {}).update(dict.fromkeys(wanted))
+    for k in wanted:
+        todo.setdefault(heavy.get(k, light), {})[k] = None
     return term_cfg, terms
 
 

@@ -18,12 +18,19 @@ restated as ``(lhs, rhs)`` sides.  Rewrite it only for an intended change of
 the catalogue::
 
     PYTHONPATH=src python tests/test_catalogue_golden.py
+
+A change that moves residuals can list the digested lines, one
+``identity<TAB>params<TAB>residual-hex`` line per numeric point, to diff
+them before and after::
+
+    PYTHONPATH=src python tests/test_catalogue_golden.py --residuals
 """
 
 import hashlib
 import importlib
 import json
 import pathlib
+import sys
 
 from ohno.indices import combination_to_text
 from ohno.verify import list_identities, verify
@@ -79,19 +86,26 @@ def test_default_grids_match_golden():
         assert got_row == want_row, got_row["identity"]
 
 
-def _residual_digest(cfg=None):
-    """The number of numeric default-grid points and one digest of their
-    residual bits, every identity verified in catalogue order with ``cfg``."""
+def _residual_lines(cfg=None):
+    """One ``identity<TAB>params<TAB>residual-hex`` line per numeric
+    default-grid point, every identity verified in catalogue order with ``cfg``."""
     lines = []
     for spec in list_identities():
         for p in verify(spec.name, cfg=cfg).points:
             if p.residual is not None:
                 params = json.dumps(dict(p.params), sort_keys=True)
                 lines.append(f"{spec.name}\t{params}\t{p.residual.hex()}\n")
+    return lines
+
+
+def _residual_digest(cfg=None):
+    """The number of numeric default-grid points and one digest of their residual bits."""
+    lines = _residual_lines(cfg)
     return len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
-RESIDUAL_DIGEST = (390, "8ea01c81f9bfe376de2f719017cb3eba9c8cc5b3d0887c60beb4fb71a1598a63")
+RESIDUAL_DIGEST = (390, "d3bd827594c26624dd379099d2a2dc509378df20561c0661458865ee2451f644")
+SHARED_CACHE_RESIDUAL_DIGEST = (390, "4b6b450d1d8bca2314cd15b30d26e075a49815ce1965a0a00fedc3e7dddbee7f")
 
 
 def test_default_residuals_pinned():
@@ -105,10 +119,11 @@ def test_default_residuals_pinned():
 def test_shared_cache_residuals_pinned():
     """The path of ``ohno verify --name all``: every identity through one
     ``ZetaCache`` at tol 1e-12.  A cache answers with the finest value it
-    holds, so its residuals could differ from the uncached ones; here they
-    do not.  The cache's hits and misses pin which requests it served."""
+    holds, and values at two buckets differ in their last bits, so its
+    residuals differ from the uncached ones.  The cache's hits and misses
+    pin which requests it served."""
     cache = ZetaCache()
-    assert _residual_digest(EvalConfig(tol=1e-12, cache=cache)) == RESIDUAL_DIGEST
+    assert _residual_digest(EvalConfig(tol=1e-12, cache=cache)) == SHARED_CACHE_RESIDUAL_DIGEST
     assert cache.stats == ZetaCacheStats(hits=21210, misses=4208)
     assert len(cache) == 3864
 
@@ -160,4 +175,7 @@ def test_default_sides_pinned():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(_dumps(catalogue_rows()))
+    if sys.argv[1:] == ["--residuals"]:
+        sys.stdout.write("".join(_residual_lines()))
+    else:
+        GOLDEN.write_text(_dumps(catalogue_rows()))

@@ -287,7 +287,7 @@ def test_help_shows_grammar(run, capsys):
     "text, message",
     [
         ("rep(2, 3000)", "error: series cap of 256 terms is below what a depth-3000 factor needs to meet the "
-         "error budget (index (2,...,2) of depth 3000 and weight 6000, precision 96 bits)\n"),
+         "error budget (index (2,...,2) of depth 3000 and weight 6000, precision 71 bits)\n"),
         ("rep(1, 3000)", "error: cannot evaluate non-admissible index (1,...,1) of depth 3000 and weight 3000\n"),
     ],
     ids=["precision", "non-admissible"],

@@ -299,6 +299,33 @@ def test_broken_identity_fails_at_every_point(name, monkeypatch):
             assert point.equal is False
 
 
+@pytest.mark.parametrize(
+    "name, failing, evaluated",
+    [("main", 54, 81), ("hmos", 48, 64), ("ohno", 24, 45), ("duality", 0, 31), ("lemma_fmpre2", 0, 24)],
+)
+def test_factor_noise_at_every_precision_fails_points(name, failing, evaluated, monkeypatch):
+    """A default sweep fills factors at several precisions (the coefficient
+    mass refines a combination's bucket).  Adding ``2^(P-20)``, a relative
+    2^-20, to every factor at every precision the memo holds fails the
+    points whose sides the noise moves apart; a duality pair reads the same
+    factor products on both sides, and ``lemma_fmpre2`` stays within its
+    threshold, so neither fails."""
+    filled = set()
+    original = zeta._fill_factors
+    monkeypatch.setattr(zeta, "_fill_factors", lambda words, fbits: filled.add(fbits) or original(words, fbits))
+    clear_factor_cache()
+    assert verify(name).passed
+    memo = zeta._FACTOR_CACHE
+    assert {fbits for _, fbits in memo} == filled
+    for key in memo:
+        memo[key] += 1 << (key[1] - 20)
+    zeta._VALUES.clear()
+    report = verify(name)
+    assert {fbits for _, fbits in memo} == filled  # the second sweep read the noisy factors, filled none
+    clear_factor_cache()
+    assert (sum(p.passed is False for p in report.evaluated), len(report.evaluated)) == (failing, evaluated)
+
+
 @pytest.mark.parametrize("spec", list_identities(), ids=lambda spec: spec.name)
 def test_catalogue_sides_have_int_coefficients(spec):
     """Every side the catalogue builds is integral, so its coefficients are
@@ -322,15 +349,22 @@ def test_catalogue_sides_have_int_coefficients(spec):
 
 def test_chained_residual_bounded_by_parts():
     """The three-point recurrence residual never exceeds the summed sizes of
-    the skew gaps it is assembled from (same configuration, same values)."""
-    cfg = EvalConfig()
+    the skew gaps it is assembled from (same configuration, same values), up
+    to the rounding of double arithmetic.  At tol 1e-15 every term is read at
+    bucket 15 whatever a combination's mass, so the sides and the gaps read
+    the same values; a coefficient times a value below 2 rounds by at most
+    ``2|c| * 2^-53``, and so does a sum its share."""
+    cfg = EvalConfig(tol=1e-15)
     for s, t, l, m in [(3, 3, 0, 1), (3, 4, 1, 1), (4, 3, 0, 2), (4, 4, 1, 2)]:
         report = verify("lemma_dddd", cfg=cfg, s=s, t=t, l=l, m=m)
         (point,) = report.points
         skews = [dual_gap_skew_sides(s, t, l, m - 1), dual_gap_skew_sides(s - 1, t, l, m)]
         skews.append(dual_gap_skew_sides(s, t - 1, l, m))
-        parts = sum(abs(eval_combination(pos - neg, cfg)) for pos, neg in skews)
-        assert point.residual <= parts + 1e-28
+        gaps = [pos - neg for pos, neg in skews]
+        parts = sum(abs(eval_combination(gap, cfg)) for gap in gaps)
+        ((lhs, rhs),) = catalogue._CATALOGUE["lemma_dddd"].sides(s=s, t=t, l=l, m=m)
+        mass = sum(comb.coefficient_mass() for comb in (lhs, rhs, *gaps))
+        assert point.residual <= parts + mass * 2.0**-51
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +527,10 @@ def test_planning_error_at_a_later_point_leaves_what_point_by_point_leaves():
     it are still read, so the cache ends as a point-by-point run leaves it."""
     grid = {"k": ["(2)", "(2,3)", "(2,2,9)", "(1,2)"]}
     caches = [ZetaCache(), ZetaCache()]
-    planned = _outcome(lambda: verify("duality", cfg=EvalConfig(max_terms=100, cache=caches[0]), **grid))
-    alone = _outcome(lambda: _point_by_point("duality", EvalConfig(max_terms=100, cache=caches[1]), **grid))
+    cap = zeta._stop(10, EvalConfig().precision) - 1  # short of the depth-10 dual of (2,2,9)
+    assert zeta._stop(3, EvalConfig().precision) <= cap
+    planned = _outcome(lambda: verify("duality", cfg=EvalConfig(max_terms=cap, cache=caches[0]), **grid))
+    alone = _outcome(lambda: _point_by_point("duality", EvalConfig(max_terms=cap, cache=caches[1]), **grid))
     assert planned == alone
     assert planned[0][:2] == ("raised", PrecisionError)
     assert "index (2,2,9)" in planned[0][2]
@@ -512,7 +548,9 @@ def test_read_error_of_an_earlier_point_comes_first(monkeypatch):
         return [(huge, huge)] if k == Index((2,)) else spec.sides(k=k)
 
     monkeypatch.setitem(catalogue._CATALOGUE, "duality", dataclasses.replace(spec, sides=sides))
-    cfg = EvalConfig(max_terms=112)  # enough for the first point, not for (2,2,12)
+    # enough for the first point (depth 1 at bucket 15), not for the depth-13 dual of (2,2,12)
+    cfg = EvalConfig(max_terms=zeta._stop(13, EvalConfig().precision) - 1)
+    assert zeta._stop(1, EvalConfig(tol=1e-15).precision) <= cfg.max_terms
     with pytest.raises(ValueError, match="value of the combination is beyond the double range"):
         verify("duality", cfg=cfg, k=["(2)", "(2,2,12)"])
     with pytest.raises(PrecisionError, match=r"index \(2,2,12\)"):

@@ -132,12 +132,32 @@ def test_config_defaults():
 
 @pytest.mark.parametrize(
     "tol, bucket, precision",
-    [(1e-12, 12, 96), (1e-10, 10, 84), (1e-15, 15, 116), (0.5, 1, 24)],
+    [(1e-12, 12, 54), (1e-10, 10, 47), (1e-15, 15, 64), (0.5, 1, 17)],
 )
 def test_config_derived_precision(tol, bucket, precision):
     cfg = EvalConfig(tol=tol)
     assert cfg.bucket == bucket
     assert cfg.precision == precision
+
+
+def test_error_within_the_proven_bound_at_the_tolerance_limit():
+    """Every admissible index of weight <= 10, at buckets 1, 8, 12 and 15,
+    evaluates within the proven bound of the same evaluation at 256 bits, and
+    the bound is within the bucket's tolerance, which one bit less would not
+    give every weight up to 16.  The 256-bit sum is read before rounding, so
+    it is short of the exact value by under 2^-240."""
+    clear_factor_cache()
+    exact = {k: Fraction(zeta._fixed_point(k, 256), 1 << 256) for k in iter_admissible(10)}
+    assert len(exact) == 511
+    for bucket in (1, 8, 12, 15):
+        cfg = EvalConfig(tol=10.0**-bucket)
+        # the least precision whose bound covers every weight up to 16
+        assert zeta._bound(16, 15, cfg.precision) <= 10.0**-bucket < zeta._bound(16, 15, cfg.precision - 1)
+        for k, value in exact.items():
+            weight, depth = sum(k), len(k)
+            bound = zeta._bound(weight, max(depth, weight - depth), cfg.precision)
+            assert abs(Fraction(eval_zeta(k, cfg)) - value) <= Fraction(bound) + Fraction(1, 1 << 240), (bucket, k)
+            assert bound <= 10.0**-bucket
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-3, 1e-16, float("inf"), float("nan"), True])
@@ -508,13 +528,35 @@ def test_factor_memo_pinned():
     table = "".join(f"{w}\t{b}\t{v:x}\n" for (w, b), v in sorted(zeta._FACTOR_CACHE.items()))
     assert len(zeta._FACTOR_CACHE) == 9213
     assert hashlib.sha256(table.encode()).hexdigest() == (
-        "693dad3e96608862b57588ba6e0634e92aaff98f1458d0882c7e18c6905e1b25"
+        "a82cca547fc21ec1dfed722b71094d6a424b3514895ed4dfbea4ecb2fb680022"
     )
 
 
 def test_generous_cap_succeeds():
     cfg = EvalConfig(tol=1e-12, max_terms=200)
     assert eval_zeta(Index((2,)), cfg) == pytest.approx(ZETA2, abs=1e-12)
+
+
+def test_heavier_index_fills_at_its_weight_class_precision(monkeypatch):
+    """Weights up to 16 share a bucket's precision; weights 17..32 read two
+    bits finer, where the bound of every weight in that class meets the
+    tolerance.  A combination of both fills once per precision and reads
+    the values its terms get alone."""
+    light, heavy = Index((2, 3)), Index((2,) * 8 + (3,))  # weights 5 and 19
+    assert [zeta._default_precision(12, w) for w in (2, 16, 17, 32, 33)] == [54, 54, 56, 56, 57]
+    assert zeta._bound(32, 31, 56) <= 1e-12 < zeta._bound(32, 31, 55)
+    fills = []
+    original = zeta._fill_factors
+    monkeypatch.setattr(zeta, "_fill_factors", lambda words, fbits: fills.append(fbits) or original(words, fbits))
+    clear_factor_cache()
+    together = eval_combination(IndexCombination({light: 1, heavy: 1}), EvalConfig(tol=1e-11))  # bucket 12
+    assert sorted(fills) == [54, 56]
+    assert {fbits for _, fbits in zeta._FACTOR_CACHE} == {54, 56}
+    assert set(zeta._VALUES[54]) == {light, heavy}  # the bucket's value memo
+    clear_factor_cache()
+    assert together == math.fsum([eval_zeta(light), eval_zeta(heavy)])
+    with pytest.raises(PrecisionError, match=r"depth-10 factor .* \(index \(2,2,2,2,2,2,2,2,3\), precision 56 bits\)"):
+        eval_combination(IndexCombination({light: 1, heavy: 1}), EvalConfig(tol=1e-11, max_terms=zeta._stop(10, 56) - 1))
 
 
 # ---------------------------------------------------------------------------
