@@ -59,7 +59,7 @@ the bound and of the stop rule's majorant.  The working precision at
 tolerance ``10^-b`` is the least ``P`` at which the bound of the heaviest
 index of the weight's class (weights up to 16, 17..32, 33..64, ...) is at
 most ``10^-b`` (:func:`_default_precision`): ``log2(10^b)`` plus 13 or 14
-guard bits up to weight 16, so 54 bits at ``b = 12``, and about 2 bits more
+guard bits up to weight 16, so 54 bits at ``b = 12``, and 1 or 2 bits more
 per doubling of the weight.
 
 Cost of ``eval_zeta``.  The tail majorant depends only on the depth of a
