@@ -307,9 +307,9 @@ def test_factor_noise_at_every_precision_fails_points(name, failing, evaluated, 
     """A default sweep fills factors at several precisions (the coefficient
     mass refines a combination's bucket).  Adding ``2^(P-20)``, a relative
     2^-20, to every factor at every precision the memo holds fails the
-    points whose sides the noise moves apart; a duality pair reads the same
-    factor products on both sides, and ``lemma_fmpre2`` stays within its
-    threshold, so neither fails."""
+    points whose sides the noise moves apart.  The sides of a ``duality``
+    or ``lemma_fmpre2`` pair read the same factor products, so their
+    residuals stay 0 and neither fails."""
     filled = set()
     original = zeta._fill_factors
     monkeypatch.setattr(zeta, "_fill_factors", lambda words, fbits: filled.add(fbits) or original(words, fbits))
