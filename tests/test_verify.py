@@ -317,12 +317,14 @@ def test_factor_noise_at_every_precision_fails_points(name, failing, evaluated, 
     assert verify(name).passed
     memo = zeta._FACTOR_CACHE
     assert {fbits for _, fbits in memo} == filled
-    for key in memo:
-        memo[key] += 1 << (key[1] - 20)
-    zeta._VALUES.clear()
-    report = verify(name)
-    assert {fbits for _, fbits in memo} == filled  # the second sweep read the noisy factors, filled none
-    clear_factor_cache()
+    try:
+        for key in memo:
+            memo[key] += 1 << (key[1] - 20)
+        zeta._VALUES.clear()
+        report = verify(name)
+        assert {fbits for _, fbits in memo} == filled  # the second sweep read the noisy factors, filled none
+    finally:
+        clear_factor_cache()  # no later test reads a noisy factor
     assert (sum(p.passed is False for p in report.evaluated), len(report.evaluated)) == (failing, evaluated)
 
 
