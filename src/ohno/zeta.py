@@ -174,6 +174,8 @@ def _bound(weight: int, depth: int, fbits: int) -> float:
     lg, s, t = 1.0 + math.log(n), 0.0, 1.0
     for j in range(1, depth + 1):
         s, t = s + t, t * lg / j
+        if j > lg and t < s * 2.0**-54:  # t falls from here on, and s + t rounds to s
+            break
     return math.ldexp(2 * weight * (2 * n + depth - 1 + s) + weight - 1, -fbits) + _HALF_ULP
 
 
@@ -398,9 +400,9 @@ _FACTOR_LOCK = threading.Lock()
 _STOPS: dict[tuple[int, int], int] = {}
 _INV_POWERS: dict[tuple[int, int], list[int]] = {}
 # Final value per bucket and index, like ``ZetaCache``'s entries: a pure
-# function of the two, like the factors it is summed from.  A bucket is keyed
-# by its precision for weights up to 16, also where a heavier index is summed
-# at the precision of its weight class.
+# function of the two, like the factors it is summed from.  A bucket's memo
+# is keyed by ``EvalConfig.precision``, its precision for weights up to 16;
+# a heavier index summed at its weight class's precision shares that memo.
 _VALUES: defaultdict[int, dict[Index, float]] = defaultdict(dict)
 
 
@@ -422,20 +424,30 @@ def _stop(depth: int, fbits: int) -> int:
     docstring).  The majorant dominates the true tail because the inner
     sums are bounded by (1 + ln N)^(k-1) and
     ``(1 + ln(N+j)) <= (1 + ln N) * exp(j/N)``.  It does not depend on the
-    runs, and it grows with the depth.
+    runs, and it grows with the depth.  Past ``rho < 1`` every term of the
+    majorant's log falls with ``N``, and so does ``-ln N``, so the test
+    fails up to ``N`` and holds beyond it: a doubling search and a
+    bisection find ``N`` in ``O(log N)`` tests, also for the depth of a
+    million that a refused index can ask for.
     """
     key = (depth, fbits)
     stop = _STOPS.get(key)
     if stop is None:
-        m = depth - 1
-        while True:
-            m += 1
+
+        def short(m: int) -> bool:  # the majorant at m is not yet below m * 2^-fbits
             rho = math.exp((depth - 1) / m) / 2.0
-            if rho < 1.0:
-                tail_log2 = -m + (depth - 1) * math.log2(1.0 + math.log(m)) + math.log2(rho / (1.0 - rho))
-                if tail_log2 < math.log2(m) - fbits:
-                    break
-        stop = _STOPS[key] = m
+            if rho >= 1.0:
+                return True
+            tail_log2 = -m + (depth - 1) * math.log2(1.0 + math.log(m)) + math.log2(rho / (1.0 - rho))
+            return tail_log2 >= math.log2(m) - fbits
+
+        low, stop = depth - 1, depth  # short(low) or low < depth; the stop is in (low, stop]
+        while short(stop):
+            low, stop = stop, 2 * stop
+        while stop - low > 1:
+            mid = (low + stop) // 2
+            low, stop = (mid, stop) if short(mid) else (low, mid)
+        _STOPS[key] = stop
     return stop
 
 
@@ -517,25 +529,17 @@ def clear_factor_cache() -> None:
 
 
 class _TermConfig(EvalConfig):
-    """What :func:`_plan` hands :func:`eval_zeta`: a filled term is read without checks."""
+    """What :func:`_plan` hands :func:`eval_zeta`: a filled term is read without a cap check."""
 
 
 def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
-    """Evaluate an admissible index to within ``10^-cfg.bucket`` (absolute):
-    the index is checked, then the cap, before the cache or a memo is read,
-    and a missing value fills the factors of its two words."""
+    """Evaluate an admissible index to within ``10^-cfg.bucket`` (absolute)."""
     cfg = cfg or DEFAULT_CONFIG
-    planned = type(cfg) is _TermConfig  # read by _read: checked and filled by _plan and _fill
-    bucket, cache = cfg.bucket, cfg.cache
-    if not planned:
+    if type(cfg) is not _TermConfig:
         if not isinstance(k, Index):
             raise ValueError(f"expected an Index, got {k!r}")
-        if not k.admissible:
-            raise ValueError(f"cannot evaluate non-admissible index {_named(k)}")
-        w = sum(k)
-        fbits, deepest = _default_precision(bucket, w), max(len(k), w - len(k))
-        if _stop(deepest, fbits) > cfg.max_terms:
-            _refuse(cfg.max_terms, bucket, {fbits: deepest}, (k,))
+        return eval_combination(k, cfg)  # checks the cap, fills, then reads k below
+    bucket, cache = cfg.bucket, cfg.cache
     if cache is not None:
         hit = cache.lookup(k, bucket)
         if hit is not None:
@@ -544,43 +548,18 @@ def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
     value = values.get(k)
     if value is None:
         fbits = _default_precision(bucket, sum(k))
-        value = values[k] = math.ldexp(float(_fixed_point(k, fbits, fill=not planned)), -fbits)
+        word = to_word(k)
+        dual = reverse_swap(word)
+        # The split after j letters multiplies the factor of word[j:] by that
+        # of reverse_swap(word[:j]) == dual[n-j:]; the empty word's is 1.
+        one, n = 1 << fbits, len(word)
+        lower = [_FACTOR_CACHE[word[j:], fbits] for j in range(n)] + [one]
+        upper = [one] + [_FACTOR_CACHE[dual[j:], fbits] for j in range(n - 1, -1, -1)]
+        acc = sum((u * v) >> fbits for u, v in zip(upper, lower))
+        value = values[k] = math.ldexp(float(acc), -fbits)
     if cache is not None:
         cache.store(k, bucket, value)
     return value
-
-
-def _fixed_point(k: Index, fbits: int, fill: bool = True) -> int:
-    """``zeta(k)`` in units of ``2^-fbits``, short by at most the units of
-    the module docstring's error budget, read from the factors of the two
-    words of ``k`` (filled first unless ``fill`` is false)."""
-    word = to_word(k)
-    dual = reverse_swap(word)
-    if fill:
-        _fill_factors((word, dual), fbits)
-    # The split after j letters multiplies the factor of word[j:] by that
-    # of reverse_swap(word[:j]) == dual[n-j:]; the empty word's is 1.
-    one, n = 1 << fbits, len(word)
-    lower = [_FACTOR_CACHE[word[j:], fbits] for j in range(n)] + [one]
-    upper = [one] + [_FACTOR_CACHE[dual[j:], fbits] for j in range(n - 1, -1, -1)]
-    return sum((u * v) >> fbits for u, v in zip(upper, lower))
-
-
-def _refuse(cap: int, bucket: int, deepest: dict[int, int], terms: Iterable[Index]) -> None:
-    """Raise :class:`PrecisionError` for the deepest factors (``deepest`` maps
-    a precision to the depth of the deepest factor read at it) that need more
-    terms than ``cap``, naming the first index at fault in canonical order.
-    The two full words (the index's and its dual's, of length the weight)
-    are an index's deepest factors, and stops grow with depth."""
-    over = {fbits: d for fbits, d in deepest.items() if _stop(d, fbits) > cap}
-    fbits_of = {k: _default_precision(bucket, sum(k)) for k in terms}
-    tied = (k for k, fbits in fbits_of.items() if over.get(fbits) in (len(k), sum(k) - len(k)))
-    worst = min(tied, key=_sort_key)
-    fbits = fbits_of[worst]
-    raise PrecisionError(
-        f"series cap of {cap} terms is below what a depth-{over[fbits]} factor "
-        f"needs to meet the error budget (index {_named(worst)}, precision {fbits} bits)"
-    )
 
 
 def _plan(comb: Union[Index, IndexCombination], cfg: EvalConfig, todo: dict, held: dict) -> tuple:
@@ -605,31 +584,38 @@ def _plan(comb: Union[Index, IndexCombination], cfg: EvalConfig, todo: dict, hel
         bucket, _TermConfig(tol=10.0**-bucket, max_terms=cfg.max_terms, cache=cfg.cache))
     light = term_cfg.precision
     values = _VALUES.get(light, {})
-    light_deepest, wanted, heavy = 0, [], {}
+    deepest: dict[int, int] = {}  # precision -> depth of the deepest factor read at it
+    wanted: dict[Index, int] = {}  # index -> its precision
     for k in terms:
         if not k or k[-1] < 2:  # k.admissible, inlined for the warm path
             bad = min((k for k in terms if not k.admissible), key=_sort_key)
             raise ValueError(f"cannot evaluate non-admissible index {_named(bad)}")
+        # The two full words (the index's and its dual's, of length the
+        # weight) are the deepest factors, and stops grow with depth.
         w = sum(k)
-        if w > _LIGHT:  # filled at the precision of its weight class
-            heavy[k] = _default_precision(bucket, w)
-        elif (d := max(len(k), w - len(k))) > light_deepest:
-            light_deepest = d
+        fbits = light if w <= _LIGHT else _default_precision(bucket, w)  # no call on the warm path
+        d = max(len(k), w - len(k))
+        if d > deepest.get(fbits, 0):
+            deepest[fbits] = d
         if k not in values:
-            wanted.append(k)
-    deepest = {light: light_deepest} if light_deepest else {}  # precision -> its deepest factor
-    for k, fbits in heavy.items():
-        deepest[fbits] = max(deepest.get(fbits, 0), len(k), sum(k) - len(k))
-    for fbits, d in deepest.items():
-        if _stop(d, fbits) > cfg.max_terms:
-            _refuse(cfg.max_terms, bucket, deepest, terms)
+            wanted[k] = fbits
+    over = {fbits: d for fbits, d in deepest.items() if _stop(d, fbits) > cfg.max_terms}
+    if over:
+        fbits_of = {k: _default_precision(bucket, sum(k)) for k in terms}
+        tied = (k for k, fbits in fbits_of.items() if over.get(fbits) in (len(k), sum(k) - len(k)))
+        worst = min(tied, key=_sort_key)
+        fbits = fbits_of[worst]
+        raise PrecisionError(
+            f"series cap of {cfg.max_terms} terms is below what a depth-{over[fbits]} factor "
+            f"needs to meet the error budget (index {_named(worst)}, precision {fbits} bits)"
+        )
     if cfg.cache is not None:
         entries = cfg.cache._entries
         missed = {k: bucket for k in terms if (held.get(k) or entries.get(k, (0,))[0]) < bucket}
-        wanted = [k for k in wanted if k in missed]
+        wanted = {k: fbits for k, fbits in wanted.items() if k in missed}
         held.update(missed)  # a miss stores the value read at the bucket
-    for k in wanted:
-        todo.setdefault(heavy.get(k, light), {})[k] = None
+    for k, fbits in wanted.items():
+        todo.setdefault(fbits, {})[k] = None
     return term_cfg, terms
 
 

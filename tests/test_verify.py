@@ -351,12 +351,22 @@ def test_catalogue_sides_have_int_coefficients(spec):
 
 def test_chained_residual_bounded_by_parts():
     """The three-point recurrence residual never exceeds the summed sizes of
-    the skew gaps it is assembled from (same configuration, same values), up
-    to the rounding of double arithmetic.  At tol 1e-15 every term is read at
-    bucket 15 whatever a combination's mass, so the sides and the gaps read
-    the same values; a coefficient times a value below 2 rounds by at most
-    ``2|c| * 2^-53``, and so does a sum its share."""
-    cfg = EvalConfig(tol=1e-15)
+    the skew gaps it is assembled from, up to what the five combinations
+    read differently.  ``lhs - rhs`` is a signed sum of the three gaps, term
+    by term, so had every combination read each index's bucket-15 value the
+    two sums would differ only by half an ulp of each ``c * value`` product
+    and of each sum.  The mass of a combination sets the bucket its terms
+    are read at (coarser for a small mass), and each term adds ``|c|`` times
+    its value's distance from the bucket-15 one."""
+    cfg, finest = EvalConfig(), EvalConfig(tol=1e-15)
+
+    def slack(comb):
+        value = eval_combination(comb, cfg)  # fills what the reads below take
+        term_cfg, terms = zeta._plan(comb, cfg, {}, {})
+        read = {k: zeta.eval_zeta(k, term_cfg) for k in terms}
+        apart = (abs(c) * (abs(read[k] - zeta.eval_zeta(k, finest)) + read[k] * 2.0**-53) for k, c in terms.items())
+        return math.fsum(apart) + abs(value) * 2.0**-53
+
     for s, t, l, m in [(3, 3, 0, 1), (3, 4, 1, 1), (4, 3, 0, 2), (4, 4, 1, 2)]:
         report = verify("lemma_dddd", cfg=cfg, s=s, t=t, l=l, m=m)
         (point,) = report.points
@@ -365,8 +375,8 @@ def test_chained_residual_bounded_by_parts():
         gaps = [pos - neg for pos, neg in skews]
         parts = sum(abs(eval_combination(gap, cfg)) for gap in gaps)
         ((lhs, rhs),) = catalogue._CATALOGUE["lemma_dddd"].sides(s=s, t=t, l=l, m=m)
-        mass = sum(comb.coefficient_mass() for comb in (lhs, rhs, *gaps))
-        assert point.residual <= parts + mass * 2.0**-51
+        # 2^-50 covers the roundings of the residual, of parts and of the slack's own sums
+        assert point.residual <= (parts + math.fsum(map(slack, (lhs, rhs, *gaps)))) * (1 + 2.0**-50)
 
 
 # ---------------------------------------------------------------------------
