@@ -1,6 +1,7 @@
 """Tests for the word codec, the nested-series evaluator, and its cache."""
 
 import hashlib
+import itertools
 import math
 import os
 import sys
@@ -541,6 +542,27 @@ def test_factor_memo_pinned():
     assert hashlib.sha256(table.encode()).hexdigest() == (
         "a82cca547fc21ec1dfed722b71094d6a424b3514895ed4dfbea4ecb2fb680022"
     )
+
+
+def _tail_below_budget(depth, fbits, n):
+    """The stop rule's test at ``n`` terms, as ``_stop``'s docstring states it."""
+    rho = math.exp((depth - 1) / n) / 2.0
+    if rho >= 1.0:
+        return False
+    tail_log2 = -n + (depth - 1) * math.log2(1.0 + math.log(n)) + math.log2(rho / (1.0 - rho))
+    return tail_log2 < math.log2(n) - fbits
+
+
+@pytest.mark.parametrize("fbits", [17, 54, 64, 256])
+def test_stop_is_the_first_count_that_meets_the_budget(fbits):
+    """``_stop`` searches by doubling and bisection; it finds the count that
+    a scan up from the depth finds first."""
+    for depth in range(1, 81):
+        first = next(n for n in itertools.count(depth) if _tail_below_budget(depth, fbits, n))
+        assert zeta._stop(depth, fbits) == first, depth
+    # the depth of a refused index of weight 2*10^6, too deep to scan
+    n = zeta._stop(10**6, fbits)
+    assert _tail_below_budget(10**6, fbits, n) and not _tail_below_budget(10**6, fbits, n - 1)
 
 
 def test_generous_cap_succeeds():
