@@ -28,16 +28,19 @@ overridable per parameter) in one pass over its parameters, refuses the
 points that violate an identity's hypotheses, and returns a
 :class:`VerificationReport`.  A numeric grid runs in three phases.  Plan:
 each point in turn builds its sides (what points share once per call, in
-the memo of :mod:`ohno.sums`) and plans their combinations, following the
-cache's store order from point to point.  Fill: one call per
-working precision fills what every plan misses.  Read: each point is reduced
-to its residual once nothing planned before it waits for the fill, so a warm
-sweep holds one point at a time.  A planning error ends the plan; the points
-before it are still filled and read, so the first error in point order is
-raised.  A point's ``elapsed_ms`` covers its own side building, planning,
-reads and comparison; the shared fill counts only in the report's.  Reports
-serialise to JSON (all points, including refusals) or CSV (evaluated points
-only) via :func:`report_to_file`.
+the memo of :mod:`ohno.sums`) and plans each distinct side object once,
+following the cache's store order.  Fill: one call per working precision
+fills what every plan misses.  Read: each point is reduced to its residual
+once nothing planned before it waits for the fill.  Without a cache a side
+is read once, its value a pure function of its terms; a cache is read at
+every occurrence, as it counts each lookup and may have stored a finer
+value in between.  So a warm sweep holds the pairs of one point at a time
+and the plan and value of every distinct side.  A planning error ends the
+plan; the points before it are still filled and read, so the first error in
+point order is raised.  A point's ``elapsed_ms`` covers its own side
+building, planning, reads and comparison; the shared fill counts only in
+the report's.  Reports serialise to JSON (all points, including refusals)
+or CSV (evaluated points only) via :func:`report_to_file`.
 """
 
 from __future__ import annotations
@@ -480,19 +483,25 @@ def _display_params(params: Mapping[str, Any]) -> dict[str, Any]:
 
 def _point_results(spec: IdentitySpec, cfg: EvalConfig, points: list[dict[str, Any]]) -> list[PointResult]:
     """Plan the points in order, fill once per precision, then read them (see the module docstring)."""
+    plans: dict[int, list] = {}  # id(side) -> [side, plan, value]; holding the side keeps its id unique
+
+    def value(entry: list) -> float:
+        if entry[2] is None or cfg.cache is not None:  # a cached read may hit a finer value
+            entry[2] = _read(*entry[1])
+        return entry[2]
 
     def read(row: Any) -> PointResult:
         if isinstance(row, PointResult):  # a refusal
             return row
         shown, pairs, planned, seconds = row
         start = time.perf_counter()
-        values = iter([_read(*plan) for plan in planned])
+        values = iter([value(entry) for entry in planned])
         if isinstance(pairs, Exception):  # a point whose planning raised
             raise pairs
         if spec.kind == "numeric":
             sides = [math.prod(next(values) for _ in _factors(side)) for pair in pairs for side in pair]
             residual = max(abs(lhs - rhs) for lhs, rhs in zip(sides[::2], sides[1::2]))
-            evals = len(set().union(*(terms for _, terms in planned)))
+            evals = len(set().union(*(terms for _, (_, terms), _ in planned)))
             outcome = dict(residual=residual, threshold=cfg.tol * max(evals, 1) * RESIDUAL_MARGIN, evals=evals)
         else:
             outcome = dict(equal=all(lhs == rhs for lhs, rhs in pairs))
@@ -510,12 +519,15 @@ def _point_results(spec: IdentitySpec, cfg: EvalConfig, points: list[dict[str, A
             pairs = spec.sides(**params)
             if spec.kind == "numeric":  # in the order the values are read
                 for comb in (c for pair in pairs for side in pair for c in _factors(side)):
-                    planned.append(_plan(comb, cfg, todo, held))
+                    entry = plans.get(id(comb))
+                    if entry is None:  # planning again would add nothing to todo or held
+                        entry = plans[id(comb)] = [comb, _plan(comb, cfg, todo, held), None]
+                    planned.append(entry)
         except Exception as exc:  # raised by read() once the points before it are read
             rows.append((shown, exc, planned, 0.0))
             break
         rows.append((shown, pairs, planned, time.perf_counter() - start))
-        if not todo:  # nothing waits for the fill, so a warm sweep holds one point at a time
+        if not todo:  # nothing waits for the fill, so a warm sweep reads each point at once
             results += map(read, rows)
             rows.clear()
     _fill(todo)

@@ -84,8 +84,9 @@ once per batch (a dict of a batch's chains peaked 15 MB higher on a
 553-term combination).  Read: ``eval_zeta`` reads each suffix factor of a
 term's two words once and memoises the final double per (index, ``P``), so
 a repeat costs one lookup.  ``eval_combination`` plans one combination;
-:func:`~ohno.verify.verify` plans every combination of a grid first, so one
-fill per precision serves the whole sweep and a chain is built once in it.
+:func:`~ohno.verify.verify` plans each distinct combination of a grid once,
+all before the fill, so one fill per precision serves the whole sweep and a
+chain is built once in it; without a cache it also reads each one once.
 
 Repeated evaluation with an identical configuration is bit-identical, up
 to what a cache may change (see :class:`EvalConfig`).
@@ -205,6 +206,9 @@ class ZetaCacheStats:
 # The cache-file text this process last parsed or wrote and the rows a parse of
 # it keeps, one tuple so threads read a consistent pair; a hit is never stale.
 _LAST_FILE: tuple[str, dict[Index, tuple[int, float]]] = ("", {})
+# The line of each row of the last file this process wrote, with the entry it
+# formats; an entry is immutable and held here, so ``is`` tells a kept line.
+_LINES: dict[Index, tuple[tuple[int, float], str]] = {}
 
 
 def _loads_back(k: object, bucket: object, value: object) -> bool:
@@ -228,7 +232,9 @@ class ZetaCache:
     hand-written valid file stays as written until something new is stored.
     A process-wide memo keeps the text and rows of the last file this process parsed
     or wrote, a second copy held until another file or :func:`clear_factor_cache`
-    replaces it, so loading that file again costs one read and one compare.
+    replaces it, so loading that file again costs one read and one compare.  The
+    lines of the last file written stay beside it, so a save formats and checks
+    only the rows stored since; the written bytes are those of a full format.
     """
 
     def __init__(self, path: Optional[str] = None):
@@ -276,14 +282,21 @@ class ZetaCache:
         that replaces ``path`` only once complete, so a save that fails or is
         killed midway leaves the previous file intact.  Writes nothing while
         the file at ``path`` is known to hold every entry."""
-        global _LAST_FILE
+        global _LAST_FILE, _LINES
         with self._lock:
             if self._saved == path and os.path.exists(path):
                 return
             self._saved = token = [path]
             items = list(self._entries.items())
+        kept, lines, back = _LINES, {}, True  # a row is formatted and checked once, when it first needs a line
+        for k, entry in items:
+            line = kept.get(k)
+            if line is None or line[0] is not entry:
+                line = (entry, f"{k.to_text()}\t{entry[0]}\t{entry[1].hex()}\n")
+                back = back and _loads_back(k, *entry)
+            lines[k] = line
         # Sorted by index text, since a tab sorts below every character of one.
-        text = "".join(sorted(f"{k.to_text()}\t{b}\t{v.hex()}\n" for k, (b, v) in items))
+        text = "".join(sorted(line for _, line in lines.values()))
         tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
         try:
             with open(tmp, "w", encoding="ascii") as fh:
@@ -296,9 +309,8 @@ class ZetaCache:
         with self._lock:
             if self._saved is token:
                 self._saved = path
-        # Seed the memo only where a load of the text gives back every entry.
-        if all(_loads_back(k, b, v) for k, (b, v) in items):
-            _LAST_FILE = (text, dict(items))
+        if back:  # seed the memos only where a load of the text gives back every entry
+            _LAST_FILE, _LINES = (text, dict(items)), lines
 
     def load(self, path: str) -> None:
         """Merge the flat file at ``path``, parsed unless the memo holds its text.
@@ -514,9 +526,9 @@ def _fill_factors(words: Iterable[str], fbits: int) -> None:
 def clear_factor_cache() -> None:
     """Drop every process-wide memo: values, series factors, stopping indices,
     working precisions and inverse-power tables (all are recomputed on demand), and the last
-    cache-file text with its rows (the next load parses again)."""
-    global _LAST_FILE
-    _LAST_FILE = ("", {})
+    cache-file text with its rows and lines (the next load parses again)."""
+    global _LAST_FILE, _LINES
+    _LAST_FILE, _LINES = ("", {}), {}
     with _FACTOR_LOCK:
         _VALUES.clear()
         _FACTOR_CACHE.clear()

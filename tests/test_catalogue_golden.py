@@ -24,6 +24,10 @@ A change that moves residuals can list the digested lines, one
 them before and after::
 
     PYTHONPATH=src python tests/test_catalogue_golden.py --residuals
+
+and, with ``--shared-cache`` added, the lines of the path of ``ohno verify
+--name all`` (one ``ZetaCache`` at tol 1e-12) and then one line of the
+cache's hits, misses and entries.
 """
 
 import hashlib
@@ -177,5 +181,9 @@ def test_default_sides_pinned():
 if __name__ == "__main__":
     if sys.argv[1:] == ["--residuals"]:
         sys.stdout.write("".join(_residual_lines()))
+    elif sys.argv[1:] == ["--residuals", "--shared-cache"]:
+        shared = ZetaCache()
+        sys.stdout.write("".join(_residual_lines(EvalConfig(tol=1e-12, cache=shared))))
+        print(f"hits={shared.stats.hits} misses={shared.stats.misses} entries={len(shared)}")
     else:
         GOLDEN.write_text(_dumps(catalogue_rows()))

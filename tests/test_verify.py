@@ -613,19 +613,20 @@ def test_sweep_memo_leaves_residuals_bit_identical(name):
         assert (residual.hex(), evals) == (point.residual.hex(), point.evals)
 
 
+def _bare(report):
+    """The report's dictionary form without its timings."""
+    out = report_dict(report)
+    del out["elapsed_ms"]
+    for point in out["points"]:
+        point.pop("elapsed_ms", None)
+    return out
+
+
 def test_sweeps_in_two_threads_keep_their_own_memo(monkeypatch):
     """Two sweeps at once each build through one memo of their own and
     report what serial runs report, timings aside."""
-
-    def bare(report):
-        out = report_dict(report)
-        del out["elapsed_ms"]
-        for point in out["points"]:
-            del point["elapsed_ms"]
-        return out
-
     names = ("hmos", "main")
-    serial = {name: bare(verify(name)) for name in names}
+    serial = {name: _bare(verify(name)) for name in names}
     memos = {name: [] for name in names}
     for name in names:
         spec = catalogue._CATALOGUE[name]
@@ -636,7 +637,7 @@ def test_sweeps_in_two_threads_keep_their_own_memo(monkeypatch):
 
         monkeypatch.setitem(catalogue._CATALOGUE, name, dataclasses.replace(spec, sides=sides))
     got = {}
-    threads = [threading.Thread(target=lambda n=name: got.update({n: bare(verify(n))})) for name in names]
+    threads = [threading.Thread(target=lambda n=name: got.update({n: _bare(verify(n))})) for name in names]
     for thread in threads:
         thread.start()
     for thread in threads:
@@ -646,3 +647,55 @@ def test_sweeps_in_two_threads_keep_their_own_memo(monkeypatch):
     hmos_memo, main_memo = memos["hmos"][0], memos["main"][0]
     assert hmos_memo is not None and main_memo is not None and hmos_memo is not main_memo
     assert all(m is hmos_memo for m in memos["hmos"]) and all(m is main_memo for m in memos["main"])
+
+
+# ---------------------------------------------------------------------------
+# one plan per distinct side, one read of it without a cache
+# ---------------------------------------------------------------------------
+
+
+class _NoMemo:
+    """Stands in for the sweep memo: ``verify`` opens none, so every point builds fresh sides."""
+
+    @staticmethod
+    def set(value):
+        return None
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "shared-cache"])
+def test_fresh_sides_report_what_shared_sides_report(cached, monkeypatch):
+    """Without the memo no side repeats as one object, and on the warm path a
+    point's sides are read before the next point is built, so a freed side's
+    id could come back.  Plans keyed by id must still give every report field
+    but timing, and the cache's counts and entries, of a run with the memo."""
+    numeric = [spec.name for spec in list_identities() if spec.kind == "numeric"]
+    for name in numeric:
+        verify(name)  # fills every factor and value the runs below read
+    fills = []
+    fill = catalogue._fill
+    monkeypatch.setattr(catalogue, "_fill", lambda todo: fills.append(bool(todo)) or fill(todo))
+    runs = []
+    for memo in (catalogue._MEMO, _NoMemo):
+        monkeypatch.setattr(catalogue, "_MEMO", memo)
+        cache = ZetaCache() if cached else None
+        reports = [_bare(verify(name, cfg=EvalConfig(tol=1e-12, cache=cache))) for name in numeric]
+        runs.append((reports, cache and (cache.stats, cache._entries)))
+    assert not any(fills)  # the warm path: nothing waited for a fill
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("cached, reads", [(False, 81), (True, 162)], ids=["no-cache", "cache"])
+def test_cold_sweep_plans_each_distinct_side_once(cached, reads, monkeypatch):
+    """``main`` at (t, s) has the sides of (s, t) swapped, and at s = t both
+    sides are one object: 81 distinct sides among 162.  Each is planned once;
+    it is read once without a cache and at every occurrence with one."""
+    spec = catalogue._CATALOGUE["main"]
+    assert sum(2 * len(spec.sides(**params)) for params in catalogue._grid(spec, {})[1]) == 162
+    planned, read = [], []
+    plan, read_plan = catalogue._plan, catalogue._read
+    monkeypatch.setattr(catalogue, "_plan", lambda comb, *rest: planned.append(comb) or plan(comb, *rest))
+    monkeypatch.setattr(catalogue, "_read", lambda *args: read.append(args) or read_plan(*args))
+    clear_factor_cache()
+    verify("main", cfg=EvalConfig(cache=ZetaCache() if cached else None))
+    assert len(planned) == len({id(comb) for comb in planned}) == 81
+    assert len(read) == reads

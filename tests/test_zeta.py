@@ -1056,6 +1056,32 @@ def test_cache_save_seeds_only_what_a_load_gives_back(tmp_path, parsed, bucket, 
             ZetaCache(str(path))
 
 
+def test_cache_save_formats_and_checks_only_the_rows_stored_since(tmp_path, monkeypatch):
+    """A cache loaded from the file this process last wrote formats and checks
+    only its new rows when it saves, and writes the bytes of a full format."""
+    path = tmp_path / "cache.tsv"
+    _saved_cache(path)
+    formatted, checked = [], []
+    to_text, loads_back = Index.to_text, zeta._loads_back
+    monkeypatch.setattr(Index, "to_text", lambda k: formatted.append(k) or to_text(k))
+    monkeypatch.setattr(zeta, "_loads_back", lambda k, *row: checked.append(k) or loads_back(k, *row))
+    cache = ZetaCache(str(path))
+    cache.store(Index((5,)), 12, 0.25)
+    cache.store(Index((2, 3)), 15, 0.5)
+    cache.save(str(path))
+    assert sorted(formatted) == sorted(checked) == sorted([Index((5,)), Index((2, 3))])
+    assert path.read_text() == _old_writer_text(cache._entries)
+
+
+def test_cache_save_keeps_no_line_of_a_row_that_does_not_load_back(tmp_path, monkeypatch):
+    monkeypatch.setattr(zeta, "_LINES", {})
+    cache = ZetaCache()
+    cache.store(Index((2,)), 12, 1.5)
+    cache.store(Index((3,)), 99, 1.0)
+    cache.save(str(tmp_path / "cache.tsv"))
+    assert zeta._LINES == {}
+
+
 def test_cache_load_from_the_memo_keeps_the_finest_bucket(tmp_path, parsed):
     path = tmp_path / "cache.tsv"
     path.write_text(_LOADED)
