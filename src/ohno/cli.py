@@ -2,14 +2,16 @@
 
 Subcommands::
 
-    eval     evaluate an expression to a float
-    expand   expand an expression to canonical combination text
-    ohno     numeric Ohno sums of an expression for orders 0..M
+    eval     evaluate expressions to floats, one line each
+    expand   expand expressions to canonical combination text, one line each
     verify   run one catalogue identity (or all) over a parameter grid
     list     show the identity catalogue
 
 Every input is an expression, so an index is written ``(2,3)``, a dual
-``dual(e)`` and one Ohno sum ``ohno(m, e)``.
+``dual(e)`` and one Ohno sum ``ohno(m, e)``.  ``eval`` and ``expand`` take
+``--expr`` once or more: every expression is expanded before any is
+evaluated, and one line is printed per expression, in argument order, with
+one configuration and one cache for the whole call.
 
 Exit codes: 0 on success (and verification pass), 1 on verification
 failure, 2 on usage or input errors, including a series cap too short for
@@ -28,7 +30,6 @@ from typing import Optional
 
 from ohno.expr import GRAMMAR, ExprError, expand_text
 from ohno.indices import combination_to_text
-from ohno.sums import ohno_sum_symbolic
 from ohno.verify import list_identities, report_to_file, verify
 from ohno.zeta import DEFAULT_CONFIG, EvalConfig, PrecisionError, ZetaCache, eval_combination
 
@@ -45,8 +46,8 @@ cache:
   --cache on     in-memory cache for this invocation (default)
   --cache off    no caching
   --cache PATH   file-backed cache, loaded before and saved after
-  The OHNO_CACHE environment variable, when set, forces a file-backed
-  cache at that path (overriding --cache on and --cache PATH).
+  One cache serves every --expr of a call, so a later expression may read
+  a finer value that an earlier one stored.
 """
 
 
@@ -93,17 +94,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--terms-cap", type=int, default=cap, help=f"series length cap (default {cap})")
         p.add_argument("--cache", default="on", help="on, off, or a file path (default on)")
 
-    p_eval = with_grammar("eval", "evaluate an expression to a float")
-    p_eval.add_argument("--expr", required=True, help="expression to evaluate")
+    p_eval = with_grammar("eval", "evaluate expressions to floats, one line each")
+    p_eval.add_argument("--expr", action="append", required=True, help="expression to evaluate; repeatable")
     add_eval_flags(p_eval)
 
-    p_expand = with_grammar("expand", "expand an expression to canonical combination text")
-    p_expand.add_argument("--expr", required=True, help="expression to expand")
-
-    p_ohno = with_grammar("ohno", "numeric Ohno sums of an expression for orders 0..M")
-    p_ohno.add_argument("--expr", required=True, help="expression whose Ohno sums to evaluate")
-    p_ohno.add_argument("--M", type=int, required=True, help="print the sums of orders 0..M")
-    add_eval_flags(p_ohno)
+    p_expand = with_grammar("expand", "expand expressions to canonical combination text, one line each")
+    p_expand.add_argument("--expr", action="append", required=True, help="expression to expand; repeatable")
 
     p_verify = add_parser("verify", help="verify a catalogue identity over a grid")
     p_verify.add_argument("--name", required=True, help="identity name, or 'all'")
@@ -119,14 +115,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_cache(cache_arg: str) -> tuple[Optional[ZetaCache], Optional[str]]:
-    """Map --cache and OHNO_CACHE to (cache, path-to-save-or-None), checking a path before loading it."""
+    """Map --cache to (cache, path-to-save-or-None), checking a path before loading it."""
     if cache_arg == "off":
         return None, None
-    path = os.environ.get("OHNO_CACHE") or (None if cache_arg == "on" else cache_arg)
-    if path is None:
+    if cache_arg == "on":
         return ZetaCache(), None
-    _check_directory(path)
-    return ZetaCache(path), path
+    _check_directory(cache_arg)
+    return ZetaCache(cache_arg), cache_arg
 
 
 def _check_directory(path: str) -> None:
@@ -140,21 +135,13 @@ def _check_directory(path: str) -> None:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    print(eval_combination(expand_text(args.expr), args.cfg))
+    combs = [expand_text(text) for text in args.expr]  # an input error stops the call before any evaluation
+    print("\n".join(str(eval_combination(comb, args.cfg)) for comb in combs))
     return 0
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    print(combination_to_text(expand_text(args.expr)))
-    return 0
-
-
-def _cmd_ohno(args: argparse.Namespace) -> int:
-    comb = expand_text(args.expr)
-    if args.M < 0:
-        raise ValueError("--M must be nonnegative")
-    values = [eval_combination(ohno_sum_symbolic(comb, m), args.cfg) for m in range(args.M + 1)]
-    print("\n".join(f"{order}: {value}" for order, value in enumerate(values)))
+    print("\n".join(combination_to_text(expand_text(text)) for text in args.expr))
     return 0
 
 
@@ -196,7 +183,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
 _COMMANDS = {
     "eval": _cmd_eval,
     "expand": _cmd_expand,
-    "ohno": _cmd_ohno,
     "verify": _cmd_verify,
     "list": _cmd_list,
 }

@@ -100,7 +100,7 @@ import os
 import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, repeat
 from operator import mul, rshift
 from typing import Iterable, Optional, Union
@@ -162,7 +162,6 @@ def _bucket_of(tol: float) -> int:
 # Weight classes: weights up to 2^c share the precision of class c >= 4, so
 # every default grid (weight <= 15) reads at one precision per bucket.
 _LIGHT = 16
-_PRECISIONS: dict[tuple[int, int], int] = {}  # (bucket, class) -> working precision
 # Rounding a value below 2 to the nearest double errs by at most half an ulp.
 _HALF_ULP = 2.0**-53
 
@@ -180,20 +179,17 @@ def _bound(weight: int, depth: int, fbits: int) -> float:
     return math.ldexp(2 * weight * (2 * n + depth - 1 + s) + weight - 1, -fbits) + _HALF_ULP
 
 
+@cache
 def _default_precision(bucket: int, weight: int = _LIGHT) -> int:
     """Working precision in bits for an index of ``weight`` at tolerance
     ``10^-bucket``: the least at which :func:`_bound` of the heaviest index of
     the weight's class meets the tolerance."""
-    cls = (max(weight, _LIGHT) - 1).bit_length()
-    fbits = _PRECISIONS.get((bucket, cls))
-    if fbits is None:
-        heaviest, budget = 1 << cls, 10.0**-bucket - _HALF_ULP
-        fbits = math.ceil(bucket * math.log2(10))
-        # The bound's fixed-point part is 2^-P times units that grow with P, so no
-        # precision short of the jump meets the budget.
-        while (excess := (_bound(heaviest, heaviest - 1, fbits) - _HALF_ULP) / budget) > 1:
-            fbits += math.ceil(math.log2(excess))
-        _PRECISIONS[bucket, cls] = fbits
+    heaviest = 1 << (max(weight, _LIGHT) - 1).bit_length()
+    budget, fbits = 10.0**-bucket - _HALF_ULP, math.ceil(bucket * math.log2(10))
+    # The bound's fixed-point part is 2^-P times units that grow with P, so no
+    # precision short of the jump meets the budget.
+    while (excess := (_bound(heaviest, heaviest - 1, fbits) - _HALF_ULP) / budget) > 1:
+        fbits += math.ceil(math.log2(excess))
     return fbits
 
 
@@ -259,6 +255,10 @@ class ZetaCache:
         return None
 
     def store(self, k: Index, bucket: int, value: float) -> None:
+        """Keep ``value`` unless a finer bucket is held; a row that :meth:`load`
+        would refuse (a float subclass loads back as a float) is a ``ValueError``."""
+        if not (isinstance(value, float) and _loads_back(k, bucket, float(value))):
+            raise ValueError(f"cannot cache bucket {bucket!r} and value {value!r} for {k!r}")
         with self._lock:
             self._merge(((k, bucket, value),))
 
@@ -406,10 +406,9 @@ DEFAULT_CONFIG = EvalConfig()
 # and can be shared freely across evaluations.
 _FACTOR_CACHE: dict[tuple[str, int], int] = {}
 _FACTOR_LOCK = threading.Lock()
-# Stopping index per (depth, precision), and fixed-point inverse powers
-# ``(1 << fbits) // m**n`` per (n, precision), indexed by m (entry 0 unused).
-# Inverse-power tables only grow, in place, so a shorter read stays valid.
-_STOPS: dict[tuple[int, int], int] = {}
+# Fixed-point inverse powers ``(1 << fbits) // m**n`` per (n, precision),
+# indexed by m (entry 0 unused).  Tables only grow, in place, so a shorter
+# read stays valid.
 _INV_POWERS: dict[tuple[int, int], list[int]] = {}
 # Final value per bucket and index, like ``ZetaCache``'s entries: a pure
 # function of the two, like the factors it is summed from.  A bucket's memo
@@ -418,6 +417,7 @@ _INV_POWERS: dict[tuple[int, int], list[int]] = {}
 _VALUES: defaultdict[int, dict[Index, float]] = defaultdict(dict)
 
 
+@cache
 def _stop(depth: int, fbits: int) -> int:
     """Number of terms summed for a series factor of depth ``depth >= 1``.
 
@@ -442,24 +442,19 @@ def _stop(depth: int, fbits: int) -> int:
     bisection find ``N`` in ``O(log N)`` tests, also for the depth of a
     million that a refused index can ask for.
     """
-    key = (depth, fbits)
-    stop = _STOPS.get(key)
-    if stop is None:
+    def short(m: int) -> bool:  # the majorant at m is not yet below m * 2^-fbits
+        rho = math.exp((depth - 1) / m) / 2.0
+        if rho >= 1.0:
+            return True
+        tail_log2 = -m + (depth - 1) * math.log2(1.0 + math.log(m)) + math.log2(rho / (1.0 - rho))
+        return tail_log2 >= math.log2(m) - fbits
 
-        def short(m: int) -> bool:  # the majorant at m is not yet below m * 2^-fbits
-            rho = math.exp((depth - 1) / m) / 2.0
-            if rho >= 1.0:
-                return True
-            tail_log2 = -m + (depth - 1) * math.log2(1.0 + math.log(m)) + math.log2(rho / (1.0 - rho))
-            return tail_log2 >= math.log2(m) - fbits
-
-        low, stop = depth - 1, depth  # short(low) or low < depth; the stop is in (low, stop]
-        while short(stop):
-            low, stop = stop, 2 * stop
-        while stop - low > 1:
-            mid = (low + stop) // 2
-            low, stop = (mid, stop) if short(mid) else (low, mid)
-        _STOPS[key] = stop
+    low, stop = depth - 1, depth  # short(low) or low < depth; the stop is in (low, stop]
+    while short(stop):
+        low, stop = stop, 2 * stop
+    while stop - low > 1:
+        mid = (low + stop) // 2
+        low, stop = (mid, stop) if short(mid) else (low, mid)
     return stop
 
 
@@ -532,9 +527,9 @@ def clear_factor_cache() -> None:
     with _FACTOR_LOCK:
         _VALUES.clear()
         _FACTOR_CACHE.clear()
-        _STOPS.clear()
-        _PRECISIONS.clear()
         _INV_POWERS.clear()
+    _stop.cache_clear()
+    _default_precision.cache_clear()
 
 
 # -- evaluators ---------------------------------------------------------------
@@ -570,7 +565,8 @@ def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
         acc = sum((u * v) >> fbits for u, v in zip(upper, lower))
         value = values[k] = math.ldexp(float(acc), -fbits)
     if cache is not None:
-        cache.store(k, bucket, value)
+        with cache._lock:  # a row built here is valid, so it skips store's check
+            cache._merge(((k, bucket, value),))
     return value
 
 

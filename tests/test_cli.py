@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line front end."""
 
+import argparse
+import contextlib
 import dataclasses
+import io
+import itertools
 import json
 import math
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -21,8 +26,6 @@ from ohno.zeta import ZetaCache
 def run(capsys, monkeypatch):
     """Invoke the CLI in-process; returns (exit code, stdout, stderr)."""
 
-    monkeypatch.delenv("OHNO_CACHE", raising=False)
-
     def invoke(*argv, env=None):
         if env:
             for key, value in env.items():
@@ -35,7 +38,7 @@ def run(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# eval / expand / ohno
+# eval / expand
 # ---------------------------------------------------------------------------
 
 
@@ -93,19 +96,71 @@ def test_ohno_numeric(run):
     assert float(out) == pytest.approx(math.pi**4 / 90, abs=1e-11)
 
 
+def _exprs(texts):
+    """The arguments that pass each of ``texts`` as one ``--expr``."""
+    return [arg for text in texts for arg in ("--expr", text)]
+
+
+_OHNO_SERIES = {
+    "(3)": ["1.2020569031595894", "1.0823232337111324", "1.0369277551433633", "1.0173430619844421"],
+    "(2,3) # (2)": ["0.13029787890835684", "0.2059349491340049", "0.24471370331559372", "0.2641259893686509"],
+    "(1,2,3)": ["0.03230902899166488", "0.04919165864867224", "0.05738277496745086", "0.061356590286708416"],
+}
+
+
 def test_ohno_series(run):
-    code, out, _ = run("ohno", "--expr", "(2)", "--M", "2")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert [ln.split(":")[0] for ln in lines] == ["0", "1", "2"]
-    assert float(lines[0].split(":")[1]) == pytest.approx(math.pi**2 / 6, abs=1e-11)
+    """The Ohno sums of orders 0..3 in one call, as the removed ``ohno --M 3`` printed them."""
+    for text, values in _OHNO_SERIES.items():
+        code, out, err = run("eval", *_exprs(f"ohno({m}, {text})" for m in range(4)))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == values
 
 
-def test_ohno_requires_an_order(run, capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        run("ohno", "--expr", "(3)")
-    assert excinfo.value.code == 2
-    assert "--M" in capsys.readouterr().err
+def _table_texts():
+    """Ohno-relation rows ``ohno(m, A # B) - ohno(m, dual(A # B))``, as a table lists them."""
+    rows = itertools.product(["(2)", "(3)", "(1,2)", "(2,2)"], ["(2)", "(1,3)"], range(3))
+    return [f"ohno({m}, {a} # {b}) - ohno({m}, dual({a} # {b}))" for a, b, m in itertools.islice(rows, 20)]
+
+
+@pytest.mark.parametrize("cache", ["path", "off"])
+def test_batch_prints_what_single_calls_print(run, tmp_path, cache):
+    """One call with every ``--expr`` prints, and saves, what one call per
+    expression prints and saves on the same ``--cache PATH`` (or without a cache)."""
+    batch_path, single_path = tmp_path / "batch.tsv", tmp_path / "single.tsv"
+    batch_flag, single_flag = (str(batch_path), str(single_path)) if cache == "path" else ("off", "off")
+    texts = _table_texts()
+    singles = [run("eval", "--expr", text, "--tol", "1e-12", "--cache", single_flag) for text in texts]
+    code, out, err = run("eval", *_exprs(texts), "--tol", "1e-12", "--cache", batch_flag)
+    assert (code, err) == (0, "")
+    assert {single[0] for single in singles} == {0}
+    assert out == "".join(single[1] for single in singles)
+    assert len(out.splitlines()) == len(texts) == 20
+    if cache == "path":
+        assert batch_path.read_bytes() == single_path.read_bytes()
+    else:
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "last, evaluated", [("(2", False), ("(1,1)", True)], ids=["syntax-error", "evaluation-error"]
+)
+def test_error_in_the_last_expression_prints_and_saves_nothing(run, tmp_path, monkeypatch, last, evaluated):
+    """An expression that fails to expand stops the call before anything is
+    evaluated; one that fails to evaluate, before anything is printed or saved."""
+    path = tmp_path / "cache.tsv"
+    assert run("eval", "--expr", "(2)", "--cache", str(path))[0] == 0
+    before = path.read_bytes()
+    if not evaluated:
+        monkeypatch.setattr(cli, "eval_combination", lambda *a: pytest.fail("evaluated before all expanded"))
+    code, out, err = run("eval", "--expr", "(2,3)", "--expr", "(3)", "--expr", last, "--cache", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert path.read_bytes() == before
+
+
+def test_expand_prints_one_line_per_expression(run):
+    code, out, err = run("expand", "--expr", "(2)#(3)", "--expr", "dual((3))")
+    assert (code, out, err) == (0, "(2,3) + (3,2)\n(1,2)\n", "")
 
 
 def test_expand_deep_index(run):
@@ -280,7 +335,25 @@ def test_help_shows_grammar(run, capsys):
     assert excinfo.value.code == 0
     out = capsys.readouterr().out
     assert "expression grammar" in out
-    assert "{eval,expand,ohno,verify,list}" in out
+    assert "{eval,expand,verify,list}" in out
+
+
+def test_cli_surface_is_pinned():
+    """Every subcommand and flag the parser accepts; an added knob shows up here."""
+    parser = cli._build_parser()
+    (subcommands,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    surface = {
+        name: [flag for action in sub._actions for flag in action.option_strings if flag not in ("-h", "--help")]
+        for name, sub in subcommands.choices.items()
+    }
+    evaluation = ["--tol", "--terms-cap", "--cache"]
+    assert [flag for action in parser._actions for flag in action.option_strings] == ["-h", "--help"]
+    assert surface == {
+        "eval": ["--expr", *evaluation],
+        "expand": ["--expr"],
+        "verify": ["--name", "--s", "--t", "--l", "--m", "--p", "--q", "--weight", "--out", "--format", *evaluation],
+        "list": [],
+    }
 
 
 @pytest.mark.parametrize(
@@ -360,23 +433,13 @@ def test_repeated_calls_in_one_process_take_the_cache_file_from_the_memo(run, tm
     assert zeta._LAST_FILE is memo  # a parse would have replaced it
 
 
-def test_cache_env_overrides_flag_path(run, tmp_path):
-    env_path = tmp_path / "env.tsv"
-    flag_path = tmp_path / "flag.tsv"
-    code, _, _ = run(
-        "eval", "--expr", "(4)", "--cache", str(flag_path),
-        env={"OHNO_CACHE": str(env_path)},
-    )
+@pytest.mark.parametrize("flag, written", [("on", []), ("flag.tsv", ["flag.tsv"])], ids=["on", "path"])
+def test_cache_variable_is_ignored(run, tmp_path, monkeypatch, flag, written):
+    """``OHNO_CACHE`` names no cache file: only ``--cache PATH`` writes one."""
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run("eval", "--expr", "(4)", "--cache", flag, env={"OHNO_CACHE": str(tmp_path / "env.tsv")})
     assert code == 0
-    assert env_path.exists()
-    assert not flag_path.exists()
-
-
-def test_cache_env_overrides_on(run, tmp_path):
-    env_path = tmp_path / "env.tsv"
-    code, _, _ = run("eval", "--expr", "(4)", "--cache", "on", env={"OHNO_CACHE": str(env_path)})
-    assert code == 0
-    assert env_path.exists()
+    assert [path.name for path in tmp_path.iterdir()] == written
 
 
 def test_cache_off_stays_off(run, tmp_path):
@@ -479,13 +542,9 @@ def test_cache_path_that_is_a_directory_is_an_input_error(run, tmp_path):
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
-def test_cache_file_in_a_missing_directory_is_an_input_error(run, tmp_path, via_env):
+def test_cache_file_in_a_missing_directory_is_an_input_error(run, tmp_path):
     path = tmp_path / "missing" / "cache.tsv"
-    if via_env:
-        code, out, err = run("eval", "--expr", "(2,3)", env={"OHNO_CACHE": str(path)})
-    else:
-        code, out, err = run("eval", "--expr", "(2,3)", "--cache", str(path))
+    code, out, err = run("eval", "--expr", "(2,3)", "--cache", str(path))
     assert code == 2
     assert out == ""  # refused before anything is evaluated
     assert err.startswith("error: ")
@@ -506,31 +565,71 @@ _VERIFY = ("verify", "--name", "duality", "--weight", "3")
 
 
 @pytest.mark.parametrize(
-    "argv, env_path",
+    "argv",
     [
-        (_EVAL + ("--cache", ""), None),
-        (_EVAL + ("--cache", "{dir}/missing/"), None),
-        (_EVAL, "{dir}/missing/"),
-        (_VERIFY + ("--out", ""), None),
-        (_VERIFY + ("--out", "{dir}/missing/"), None),
-        (_VERIFY + ("--out", "{dir}"), None),
-        (_EVAL + ("--cache", "{dir}"), None),
-        (_EVAL, "{dir}"),
+        _EVAL + ("--cache", ""),
+        _EVAL + ("--cache", "{dir}/missing/"),
+        _VERIFY + ("--out", ""),
+        _VERIFY + ("--out", "{dir}/missing/"),
+        _VERIFY + ("--out", "{dir}"),
+        _EVAL + ("--cache", "{dir}"),
     ],
-    ids=[
-        "cache-empty", "cache-separator", "env-separator", "out-empty", "out-separator", "out-directory",
-        "cache-directory", "env-directory",
-    ],
+    ids=["cache-empty", "cache-separator", "out-empty", "out-separator", "out-directory", "cache-directory"],
 )
-def test_path_that_names_no_file_is_an_input_error(run, tmp_path, argv, env_path):
+def test_path_that_names_no_file_is_an_input_error(run, tmp_path, argv):
     """An empty path, a trailing separator or an existing directory names no
     file to write, and is refused before anything is evaluated, and before a
     cache path is loaded."""
     fill = {"dir": str(tmp_path).rstrip(os.sep)}
-    env = None if env_path is None else {"OHNO_CACHE": env_path.format(**fill)}
-    code, out, err = run(*(arg.format(**fill) for arg in argv), env=env)
+    code, out, err = run(*(arg.format(**fill) for arg in argv))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
     assert "does not name a file to write" in err
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# the README's examples print what they show
+# ---------------------------------------------------------------------------
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _fenced(lang):
+    """The lines of each fenced ``lang`` block of the README, in order."""
+    blocks, block = [], None
+    for line in _README.read_text().splitlines():
+        if block is None:
+            block = [] if line == "```" + lang else None
+        elif line == "```":
+            blocks.append(block)
+            block = None
+        else:
+            block.append(line)
+    return blocks
+
+
+def test_readme_examples_print_what_they_show(run):
+    """Each ``$ ohno`` example that shows output prints it through ``cli.main``,
+    and each line of the Library tour (the first Python block) prints the
+    ``# `` lines right under it, and nothing where none are shown."""
+    actual, shown = {}, {}
+    for block in _fenced("sh"):
+        for i, line in enumerate(block):
+            output = list(itertools.takewhile(lambda out: out and not out.startswith("$ "), block[i + 1 :]))
+            if line.startswith("$ ohno ") and output:
+                actual[line] = run(*shlex.split(line[len("$ ohno ") :], comments=True))[:2]
+                shown[line] = (0, "".join(out + "\n" for out in output))
+    assert len(actual) == 10
+    tour, namespace = _fenced("python")[0], {}
+    for i, line in enumerate(tour):
+        if line and not line.startswith("#"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                exec(compile(line, "README.md", "single"), namespace)
+            actual[line] = out.getvalue()
+            shown[line] = "".join(
+                out[2:] + "\n" for out in itertools.takewhile(lambda out: out.startswith("# "), tour[i + 1 :])
+            )
+    assert actual == shown

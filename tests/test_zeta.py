@@ -1038,22 +1038,42 @@ class _Half(float):
 
 
 @pytest.mark.parametrize(
-    "bucket, value",
-    [(99, 1.0), (12.0, 1.0), (12, math.nan), (12, _Half(0.5))],
-    ids=["bucket", "float-bucket", "nan", "float-subclass"],
+    "k, bucket, value",
+    [
+        (Index((3,)), 99, 1.0),
+        (Index((3,)), 12.0, 1.0),
+        (Index((3,)), 12, math.nan),
+        (Index((3,)), 12, _Half(0.5)),
+        ((3,), 12, 1.0),
+        (Index((3, 1)), 12, 1.0),
+        (Index((3,)), 0, 1.0),
+        (Index((3,)), True, 1.0),
+        (Index((3,)), 12, 1),
+        (Index((3,)), 12, "1.0"),
+        (Index((3,)), 12, -math.inf),
+    ],
+    ids=[
+        "bucket", "float-bucket", "nan", "float-subclass", "tuple", "non-admissible", "bucket-0", "bool-bucket",
+        "int-value", "str-value", "inf",
+    ],
 )
-def test_cache_save_seeds_only_what_a_load_gives_back(tmp_path, parsed, bucket, value):
+def test_cache_save_seeds_only_what_a_load_gives_back(tmp_path, parsed, k, bucket, value):
+    """A row that a load would refuse is refused by ``store``, so the file a
+    save writes loads back; a float subclass is written and loads back as a
+    float, parsed again."""
     path = tmp_path / "cache.tsv"
     cache = ZetaCache()
     cache.store(Index((2,)), 12, 1.5)
-    cache.store(Index((3,)), bucket, value)
-    cache.save(str(path))
     if type(value) is _Half:
-        assert type(ZetaCache(str(path)).lookup(Index((3,)), 12)) is float
+        cache.store(k, bucket, value)
+        cache.save(str(path))
+        assert type(ZetaCache(str(path)).lookup(k, 12)) is float
         assert len(parsed) == 2
     else:
-        with pytest.raises(ValueError, match="malformed cache line"):
-            ZetaCache(str(path))
+        with pytest.raises(ValueError, match="cannot cache"):
+            cache.store(k, bucket, value)
+        cache.save(str(path))
+        assert _bits(ZetaCache(str(path))) == {Index((2,)): (12, "0x1.8000000000000p+0", float)}
 
 
 def test_cache_save_formats_and_checks_only_the_rows_stored_since(tmp_path, monkeypatch):
@@ -1061,13 +1081,13 @@ def test_cache_save_formats_and_checks_only_the_rows_stored_since(tmp_path, monk
     only its new rows when it saves, and writes the bytes of a full format."""
     path = tmp_path / "cache.tsv"
     _saved_cache(path)
-    formatted, checked = [], []
-    to_text, loads_back = Index.to_text, zeta._loads_back
-    monkeypatch.setattr(Index, "to_text", lambda k: formatted.append(k) or to_text(k))
-    monkeypatch.setattr(zeta, "_loads_back", lambda k, *row: checked.append(k) or loads_back(k, *row))
     cache = ZetaCache(str(path))
     cache.store(Index((5,)), 12, 0.25)
     cache.store(Index((2, 3)), 15, 0.5)
+    formatted, checked = [], []  # counted from here: store checks each row it is given
+    to_text, loads_back = Index.to_text, zeta._loads_back
+    monkeypatch.setattr(Index, "to_text", lambda k: formatted.append(k) or to_text(k))
+    monkeypatch.setattr(zeta, "_loads_back", lambda k, *row: checked.append(k) or loads_back(k, *row))
     cache.save(str(path))
     assert sorted(formatted) == sorted(checked) == sorted([Index((5,)), Index((2, 3))])
     assert path.read_text() == _old_writer_text(cache._entries)
@@ -1077,7 +1097,7 @@ def test_cache_save_keeps_no_line_of_a_row_that_does_not_load_back(tmp_path, mon
     monkeypatch.setattr(zeta, "_LINES", {})
     cache = ZetaCache()
     cache.store(Index((2,)), 12, 1.5)
-    cache.store(Index((3,)), 99, 1.0)
+    cache.store(Index((3,)), 12, _Half(1.0))  # written, but loads back as a float, not as itself
     cache.save(str(tmp_path / "cache.tsv"))
     assert zeta._LINES == {}
 
