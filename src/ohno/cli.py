@@ -11,7 +11,8 @@ Every input is an expression, so an index is written ``(2,3)``, a dual
 ``dual(e)`` and one Ohno sum ``ohno(m, e)``.  ``eval`` and ``expand`` take
 ``--expr`` once or more: every expression is expanded before any is
 evaluated, and one line is printed per expression, in argument order, with
-one configuration and one cache for the whole call.
+one configuration and one cache for the whole call.  In a call with two or
+more, an error names its ``--expr``, counting from 1.
 
 Exit codes: 0 on success (and verification pass), 1 on verification
 failure, 2 on usage or input errors, including a series cap too short for
@@ -26,7 +27,7 @@ import argparse
 import os
 import sys
 from functools import cache, partial
-from typing import Optional
+from typing import Callable, Optional
 
 from ohno.expr import GRAMMAR, ExprError, expand_text
 from ohno.indices import combination_to_text
@@ -134,14 +135,28 @@ def _check_directory(path: str) -> None:
         raise FileNotFoundError(f"no such directory {directory!r} for {path!r}")
 
 
+def _each(step: Callable, items: list) -> list:
+    """``step`` of each item, one per ``--expr`` in order; in a call with two
+    or more, an error names its ``--expr``, counting from 1, and keeps its type."""
+    results = []
+    for n, item in enumerate(items, 1):
+        try:
+            results.append(step(item))
+        except (ValueError, PrecisionError) as exc:
+            if len(items) > 1:
+                exc.args = (f"--expr {n}: {exc}",)
+            raise
+    return results
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
-    combs = [expand_text(text) for text in args.expr]  # an input error stops the call before any evaluation
-    print("\n".join(str(eval_combination(comb, args.cfg)) for comb in combs))
+    combs = _each(expand_text, args.expr)  # an input error stops the call before any evaluation
+    print("\n".join(str(value) for value in _each(lambda comb: eval_combination(comb, args.cfg), combs)))
     return 0
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    print("\n".join(combination_to_text(expand_text(text)) for text in args.expr))
+    print("\n".join(combination_to_text(comb) for comb in _each(expand_text, args.expr)))
     return 0
 
 

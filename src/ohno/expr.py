@@ -154,7 +154,7 @@ class _Parser:
             return terms[0][1]
 
         def total() -> IndexCombination:
-            out = IndexCombination.zero()
+            out = IndexCombination()
             for sign, term in terms:
                 out = out + term() if sign > 0 else out - term()
             return out
@@ -209,11 +209,12 @@ class _Parser:
 
     def literal_follows(self) -> bool:
         """True when the group opening at the current '(' holds only integers
-        and commas up to its closing ')'."""
+        and commas up to its closing ')', or up to the end of an input that
+        never closes it: that literal then lacks its ')'."""
         j = self.i + 1
         while self.tokens[j][0] in ("int", ","):
             j += 1
-        return self.tokens[j][0] == ")"
+        return self.tokens[j][0] in (")", "end")
 
     # literal := "(" int ("," int)* ")" | "()"
     def literal(self) -> _Expansion:
@@ -225,7 +226,7 @@ class _Parser:
                 self.take()
                 entries.append(self.expect("int", "an integer entry")[1])
         self.expect(")", "')' closing the index")
-        return self.guarded(at, lambda: IndexCombination.from_index(Index(entries)))
+        return self.guarded(at, lambda: IndexCombination({Index(entries): 1}))
 
     def call(self) -> _Expansion:
         _, name, at = self.take()
@@ -237,7 +238,7 @@ class _Parser:
             self.expect(",", "','")
             count = self.expect("int", "an integer repetition count")[1]
             self.expect(")", "')'")
-            return self.guarded(at, lambda: IndexCombination.from_index(repeat(entry, count)))
+            return self.guarded(at, lambda: IndexCombination({repeat(entry, count): 1}))
         if name == "dual":
             child = self.expr()
             self.expect(")", "')'")
@@ -257,7 +258,7 @@ def expand_text(text: str) -> IndexCombination:
     if not isinstance(text, str):
         raise ValueError(f"expected expression text, got {text!r}")
     if text.strip() == "0":
-        return IndexCombination.zero()
+        return IndexCombination()
     parser = _Parser(text)
     expansion = parser.expr()
     if parser.peek() != "end":

@@ -212,16 +212,6 @@ class IndexCombination:
             data[k] = data.get(k, 0) + (c if type(c) is int else _scalar(c))
         self._terms = _settled(data)
 
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def zero() -> "IndexCombination":
-        return IndexCombination()
-
-    @staticmethod
-    def from_index(k: Index, coef: Scalar = 1) -> "IndexCombination":
-        return IndexCombination({k: coef})
-
     # -- inspection -----------------------------------------------------------
 
     @property
@@ -310,7 +300,7 @@ def as_combination(x: Union[Index, IndexCombination]) -> IndexCombination:
     if isinstance(x, IndexCombination):
         return x
     if isinstance(x, Index):
-        return IndexCombination.from_index(x)
+        return IndexCombination({x: 1})
     raise ValueError(f"expected Index or IndexCombination, got {x!r}")
 
 
@@ -373,7 +363,10 @@ def iter_admissible(max_weight: int) -> Iterator[Index]:
     """All admissible indices of weight at most ``max_weight``, by weight,
     then last entry, then entries.  The entries before the last are a
     composition of the rest ``n`` of the weight: one of ``r`` parts is a shift
-    vector of length ``r`` and sum ``n - r``, plus one in every entry."""
+    vector of length ``r`` and sum ``n - r``, plus one in every entry.  A
+    bound that is no ``int`` is refused when the iteration starts."""
+    if type(max_weight) is not int:  # the package's integer rule: a bool is refused
+        raise ValueError(f"the weight bound must be an integer, got {max_weight!r}")
     for w in range(2, max_weight + 1):
         for last in range(2, w + 1):
             n = w - last

@@ -14,13 +14,12 @@ pairs are stated in its entry there:
   between a shuffled shifted sum and its dualised partner
   (``dual_gap_operands``), and its antisymmetrised difference as a
   positive and a negative side (``dual_gap_skew_sides``);
-* a three-part decomposition ``term_a + term_b + term_c`` of a particular
-  skew gap, with closed-form re-expansions of each part;
+* the first and third parts ``term_a`` and ``term_c`` of a three-part
+  decomposition of a particular skew gap;
 * the block ``{2}^(l+1)`` with one entry raised or split at positions ``p``
   and ``q``, as layered shifted sums (``grouped_*``) and as weighted
-  composition sums (``composed_*``); summed over all positions they give
-  ``-term_a``, ``term_bc_closed`` and the expansions ``*_entry_expansion``,
-  and at ``p = q`` the split family has three parts (``split_diag_parts``).
+  composition sums (``composed_*``); at ``p = q`` the split family has three
+  parts (``split_diagonal``).
 
 Everything here returns exact :class:`~ohno.indices.IndexCombination`
 objects; evaluating them is :func:`~ohno.zeta.eval_combination`'s job.
@@ -37,7 +36,7 @@ from __future__ import annotations
 from contextvars import ContextVar
 from functools import reduce, wraps
 from operator import add
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Optional, Union
 
 from ohno.indices import (
     Index,
@@ -48,7 +47,6 @@ from ohno.indices import (
     _shifts,
     _trusted_combination,
     _trusted_index,
-    append_entry,
     as_combination,
     dual_linear,
     enumerate_shifts,
@@ -66,12 +64,8 @@ __all__ = [
     "grouped_split",
     "hast_shifted_sum",
     "ohno_sum_symbolic",
-    "raised_entry_expansion",
-    "split_diag_parts",
-    "split_entry_expansion",
+    "split_diagonal",
     "term_a",
-    "term_b",
-    "term_bc_closed",
     "term_c",
 ]
 
@@ -79,11 +73,6 @@ __all__ = [
 def _check_order(m: int) -> None:
     if not _int_at_least(m, 0):
         raise ValueError(f"shift order must be a nonnegative integer, got {m!r}")
-
-
-def _count(terms: Iterable[tuple[int, ...]]) -> IndexCombination:
-    """The combination counting each entry tuple of ``terms`` once per occurrence."""
-    return IndexCombination((Index(entries), 1) for entries in terms)
 
 
 # -- shifted sums -------------------------------------------------------------
@@ -208,7 +197,7 @@ def _block(n: int, *raises: tuple[int, int], one_before: int = 0) -> Index:
 
 def _pairs(s: int, l: int, m: int, p: int) -> IndexCombination:
     """``sum over 0<=j<=s-2 of O_m-family({2}^(p-1), j+2, s-j+1, {2}^(l-p+1))``."""
-    return ohno_sum_symbolic(_count(_block(l + 2, (p, j), (p + 1, s - j - 1)) for j in range(s - 1)), m)
+    return ohno_sum_symbolic(IndexCombination((_block(l + 2, (p, j), (p + 1, s - j - 1)), 1) for j in range(s - 1)), m)
 
 
 def term_a(s: int, l: int, m: int) -> IndexCombination:
@@ -228,40 +217,11 @@ def term_a(s: int, l: int, m: int) -> IndexCombination:
     return -_layers(m, layer)
 
 
-def term_b(s: int, l: int, m: int) -> IndexCombination:
-    """Second decomposition part: the position-sum family against the
-    dualised block, ``sum over m1+m2=m of (s+m1) hast ((3)#{2}^l)^dual + shifts``."""
-    _check_block(s, l, m)
-    base = dual_linear(sha(Index((3,)), repeat(2, l)))
-    return hast_shifted_sum(base, s, m)
-
-
 def term_c(s: int, l: int, m: int) -> IndexCombination:
     """Third decomposition part, in reduced closed form:
     ``sum over 0<=i<=l, 0<=j<=s-2 of O_m-family({2}^i, j+2, s-j+1, {2}^(l-i))``."""
     _check_block(s, l, m)
     return reduce(add, (_pairs(s, l, m, p) for p in range(1, l + 2)))
-
-
-def term_bc_closed(s: int, l: int, m: int) -> IndexCombination:
-    """Closed form of ``term_b + term_c``: three layered append-families
-
-        sum over a of  O_(m-a)-family((1)#(s+a+2)#{2}^(l-1), 2)
-                     + O_(m-a)-family((s+a+1)#{2}^l, 2)
-                     + O_(m-a)-family((1)#{2}^l, s+a+2)
-
-    (an appended entry extends every index of the combination; the first
-    family is dropped at ``l = 0``) plus the reduced closed form of ``term_c``."""
-    _check_block(s, l, m)
-
-    def layer(a: int) -> IndexCombination:
-        comb = append_entry(sha(Index((s + a + 1,)), repeat(2, l)), 2)
-        comb = comb + append_entry(sha(Index((1,)), repeat(2, l)), s + a + 2)
-        if l >= 1:
-            comb = comb + append_entry(sha(sha(Index((1,)), Index((s + a + 2,))), repeat(2, l - 1)), 2)
-        return comb
-
-    return _layers(m, layer) + term_c(s, l, m)
 
 
 # -- grouped vs composed block families ---------------------------------------
@@ -314,11 +274,11 @@ def grouped_split(s: int, l: int, m: int, p: int, q: int) -> IndexCombination:
     position ``p`` and an entry 1 inserted before position ``q``, which for
     ``p < q`` is ``({2}^(p-1), s+a+2, {2}^(q-p-1), 1, {2}^(l-q+2))``.  At
     ``p = q`` it is the sum of the three diagonal families of
-    :func:`split_diag_parts`, the first of which is that insertion.
+    :func:`split_diagonal`, the first of which is that insertion.
     """
     _check_pq(s, l, m, p, q)
     if p == q:
-        first, second, third = _split_diagonal(s, l, m, p)
+        first, second, third = split_diagonal(s, l, m, p)
         return first + second + third
     return _layers(m, lambda a: _block(l + 1, (p, s + a), one_before=q))
 
@@ -344,42 +304,7 @@ def _composed(s: int, l: int, m: int, p: int, q: int, expand) -> IndexCombinatio
     )
 
 
-def raised_entry_expansion(s: int, l: int, m: int) -> IndexCombination:
-    """Independent builder of the composed-single family summed over ``p, q``:
-
-        sum over compositions m1+...+m(l+1) = m+s of
-            (sum over p of max(m_p - s + 1, 0)) *
-            sum over i of (m1+2, ..., m_i+3, ..., m(l+1)+2)
-    """
-    return _entry_expansion(s, l, m, _raise_entry)
-
-
-def split_entry_expansion(s: int, l: int, m: int) -> IndexCombination:
-    """Independent builder of the composed-split family summed over ``p, q``:
-
-        sum over compositions m1+...+m(l+1) = m+s of
-            (sum over p of max(m_p - s + 1, 0)) *
-            sum over i, 0 <= j <= m_i of
-            (m1+2, ..., m(i-1)+2, j+1, m_i-j+2, m(i+1)+2, ..., m(l+1)+2)
-    """
-    return _entry_expansion(s, l, m, _split_entry)
-
-
-def _entry_expansion(s: int, l: int, m: int, expand) -> IndexCombination:
-    """``sum over m1 + ... + m(l+1) = m + s of (sum over p of max(m_p - s + 1, 0))
-    * sum over i of expand((m1+2, ..., m(l+1)+2), i)``: the weights of all
-    positions are summed first, unlike in :func:`_composed`."""
-    _check_pq(s, l, m, 1, 1)
-    terms = []
-    for comp in enumerate_shifts(l + 1, m + s):
-        weight = sum(max(c - s + 1, 0) for c in comp)
-        if weight:
-            block = tuple(c + 2 for c in comp)
-            terms.extend((Index(entries), weight) for i in range(l + 1) for entries in expand(block, i))
-    return IndexCombination(terms)
-
-
-def _split_diagonal(s: int, l: int, m: int, p: int) -> list[IndexCombination]:
+def split_diagonal(s: int, l: int, m: int, p: int) -> list[IndexCombination]:
     """The three diagonal families whose sum is :func:`grouped_split` at
     ``p = q``:
 
@@ -387,41 +312,9 @@ def _split_diagonal(s: int, l: int, m: int, p: int) -> list[IndexCombination]:
         sum over a of O_(m-a)-family({2}^(p-1), s+a+1, {2}^(l-p+2))
         sum over 0<=j<=s-2 of O_m-family({2}^(p-1), j+2, s-j+1, {2}^(l-p+1))
     """
+    _check_pq(s, l, m, p, p)
     return [
         _layers(m, lambda a: _block(l + 1, (p, s + a), one_before=p)),
         _layers(m, lambda a: _block(l + 2, (p, s + a - 1))),
         _pairs(s, l, m, p),
     ]
-
-
-def split_diag_parts(s: int, l: int, m: int, p: int) -> list[tuple[IndexCombination, IndexCombination]]:
-    """The three diagonal (p = q) split sub-identities as (lhs, rhs) pairs.
-
-    Each lhs is one of the three layered families whose sum is
-    :func:`grouped_split` at ``p = q``; each rhs is the matching slice of the
-    composed form, a quadruple sum over v, an l-part composition of m - v,
-    u <= v and a j-window, of
-
-        ({2->}m1+2, ..., m(p-1)+2, j, s+v-j+3, m_p+2, ..., m_l+2)
-
-    with j-windows  [1, v-u+1],  [s+v-u+1, s+v+1]  and  [v-u+2, s+v-u].
-    """
-    _check_pq(s, l, m, p, p)
-
-    def rhs_for(window) -> IndexCombination:
-        terms = []
-        for v in range(m + 1):
-            for comp in enumerate_shifts(l, m - v):
-                head = tuple(c + 2 for c in comp[: p - 1])
-                tail = tuple(c + 2 for c in comp[p - 1 :])
-                for u in range(v + 1):
-                    lo, hi = window(u, v)
-                    terms.extend(head + (j, s + v - j + 3) + tail for j in range(lo, hi + 1))
-        return _count(terms)
-
-    windows = (
-        lambda u, v: (1, v - u + 1),
-        lambda u, v: (s + v - u + 1, s + v + 1),
-        lambda u, v: (v - u + 2, s + v - u),
-    )
-    return list(zip(_split_diagonal(s, l, m, p), map(rhs_for, windows)))

@@ -61,8 +61,10 @@ from ohno.indices import (
     Index,
     IndexCombination,
     _int_at_least,
+    append_entry,
     as_combination,
     dual_linear,
+    enumerate_shifts,
     hast,
     iter_admissible,
     repeat,
@@ -79,12 +81,8 @@ from ohno.sums import (
     grouped_split,
     hast_shifted_sum,
     ohno_sum_symbolic,
-    raised_entry_expansion,
-    split_diag_parts,
-    split_entry_expansion,
+    split_diagonal,
     term_a,
-    term_b,
-    term_bc_closed,
     term_c,
 )
 from ohno.zeta import EvalConfig, _fill, _plan, _read
@@ -364,28 +362,71 @@ def add2(s, l, m, p, q):
     return [(grouped_split(s, l, m, p, q), composed_split(s, l, m, p, q))]
 
 
+# Each diagonal split family equals one slice of the composed form, a
+# quadruple sum over v, an l-part composition of m - v, u <= v and a j-window, of
+#   ({2->}m1+2, ..., m(p-1)+2, j, s+v-j+3, m_p+2, ..., m_l+2)
+# with j-windows  [1, v-u+1],  [s+v-u+1, s+v+1]  and  [v-u+2, s+v-u].
 @identity("exact-symbolic", s=(2, 3), l=(1, 2), m=(0, 2), p=None)
 def add2_diagonal(s, l, m, p):
     """each of the three diagonal split families equals its slice of the weighted composition sums"""
-    return split_diag_parts(s, l, m, p)
+    windows = (
+        lambda u, v: (1, v - u + 1),
+        lambda u, v: (s + v - u + 1, s + v + 1),
+        lambda u, v: (v - u + 2, s + v - u),
+    )
+
+    def sliced(window) -> IndexCombination:
+        terms = []
+        for v in range(m + 1):
+            for comp in enumerate_shifts(l, m - v):
+                head = tuple(c + 2 for c in comp[: p - 1])
+                tail = tuple(c + 2 for c in comp[p - 1 :])
+                for u in range(v + 1):
+                    lo, hi = window(u, v)
+                    terms.extend((Index(head + (j, s + v - j + 3) + tail), 1) for j in range(lo, hi + 1))
+        return IndexCombination(terms)
+
+    return list(zip(split_diagonal(s, l, m, p), map(sliced, windows)))
 
 
 @identity("numeric", s=(2, 3), l=(0, 1), m=(0, 1))
 def abc_decomposition(s, l, m):
     """the skew dual gap against parameter 2 equals its three-part closed decomposition"""
     pos, neg = dual_gap_skew_sides(s, 2, l, m)
-    return [(pos - term_a(s, l, m), neg + term_b(s, l, m) + term_c(s, l, m))]
+    term_b = hast_shifted_sum(dual_linear(sha(Index((3,)), repeat(2, l))), s, m)
+    return [(pos - term_a(s, l, m), neg + term_b + term_c(s, l, m))]
 
 
+# The closed form of term_b + term_c, three layered append-families
+#   sum over a of  O_(m-a)-family((1)#(s+a+2)#{2}^(l-1), 2)
+#                + O_(m-a)-family((s+a+1)#{2}^l, 2)
+#                + O_(m-a)-family((1)#{2}^l, s+a+2)
+# (an appended entry extends every index of the combination) plus term_c;
+# and the composed families summed over p, q, which weigh both sides of
+# Hoffman's relation at each block (m1+2, ..., m(l+1)+2) with
+# m1 + ... + m(l+1) = m + s by  sum over p of max(m_p - s + 1, 0).
 @identity("exact-symbolic", s=(2, 3), l=(1, 2), m=(0, 1))
 def abc_closed_forms(s, l, m):
     """summed over all positions, the block families equal the closed forms of the decomposition parts"""
+
+    def layer(a: int) -> IndexCombination:
+        comb = append_entry(sha(Index((s + a + 1,)), repeat(2, l)), 2)
+        comb = comb + append_entry(sha(Index((1,)), repeat(2, l)), s + a + 2)
+        return comb + append_entry(sha(sha(Index((1,)), Index((s + a + 2,))), repeat(2, l - 1)), 2)
+
+    bc_closed = reduce(add, (ohno_sum_symbolic(layer(a), m - a) for a in range(m + 1))) + term_c(s, l, m)
+    raised = split = IndexCombination()
+    for comp in enumerate_shifts(l + 1, m + s):
+        weight = sum(max(c - s + 1, 0) for c in comp)
+        if weight:
+            [(lhs, rhs)] = hoffman(Index(c + 2 for c in comp))
+            raised, split = raised + weight * lhs, split + weight * rhs
     window = list(product(range(1, l + 2), repeat=2))
     closed_forms = [
         (grouped_single, -term_a(s, l, m)),
-        (grouped_split, term_bc_closed(s, l, m)),
-        (composed_single, raised_entry_expansion(s, l, m)),
-        (composed_split, split_entry_expansion(s, l, m)),
+        (grouped_split, bc_closed),
+        (composed_single, raised),
+        (composed_split, split),
     ]
     return [(reduce(add, (family(s, l, m, p, q) for p, q in window)), form) for family, form in closed_forms]
 

@@ -136,6 +136,8 @@ def to_word(k: Index) -> str:
     by a single Y.  The word length equals the weight; admissibility makes
     the word start with X and end with Y.
     """
+    if not isinstance(k, Index):
+        raise ValueError(f"expected an Index, got {k!r}")
     if not k.admissible:
         raise ValueError(f"only admissible indices have a word encoding, got {k}")
     return "".join("X" * (e - 1) + "Y" for e in reversed(k))
@@ -665,11 +667,13 @@ def eval_zeta_direct(k: Index, terms: int) -> tuple[float, float]:
     otherwise the bound degenerates to infinity.  Deliberately slow: this is
     the oracle, not the production evaluator.
     """
+    if not isinstance(k, Index):
+        raise ValueError(f"expected an Index, got {k!r}")
     if not k.admissible:
         raise ValueError(f"cannot evaluate non-admissible index {k}")
     r = k.depth
-    if terms < r:
-        raise ValueError(f"need at least depth={r} summation terms, got {terms}")
+    if not _int_at_least(terms, r):
+        raise ValueError(f"need at least depth={r} summation terms, got {terms!r}")
     partial_terms: list[float] = []
     # levels[j] accumulates the depth-j partial sum over m_j <= current m - 1;
     # levels[0] is the empty-product sentinel.

@@ -158,6 +158,27 @@ def test_error_in_the_last_expression_prints_and_saves_nothing(run, tmp_path, mo
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize(
+    "command, bad, message, grammar",
+    [
+        ("expand", "dual((1))", "dual is defined for admissible indices only, got (1) (line 1, column 1)", True),
+        ("eval", "(1)", "cannot evaluate non-admissible index (1)", False),
+    ],
+    ids=["expansion-error", "evaluation-error"],
+)
+def test_error_in_a_batch_names_its_expr(run, tmp_path, command, bad, message, grammar):
+    """In a call with two or more ``--expr``, an error names the failing one,
+    counting from 1; the grammar follows an expression error as before, and
+    the call still prints and saves nothing."""
+    path = tmp_path / "cache.tsv"
+    cache = ("--cache", str(path)) if command == "eval" else ()
+    code, out, err = run(command, "--expr", "(2)", "--expr", bad, "--expr", "(3)", *cache)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --expr 2: {message}\n")
+    assert ("expression grammar" in err) == grammar
+    assert not path.exists()
+
+
 def test_expand_prints_one_line_per_expression(run):
     code, out, err = run("expand", "--expr", "(2)#(3)", "--expr", "dual((3))")
     assert (code, out, err) == (0, "(2,3) + (3,2)\n(1,2)\n", "")

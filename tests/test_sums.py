@@ -19,6 +19,7 @@ from ohno.indices import (
     combination_to_text,
     enumerate_shifts,
     hast,
+    iter_admissible,
     repeat,
     sha,
 )
@@ -31,17 +32,12 @@ from ohno.sums import (
     grouped_split,
     hast_shifted_sum,
     ohno_sum_symbolic,
-    raised_entry_expansion,
-    split_diag_parts,
-    split_entry_expansion,
     term_a,
-    term_b,
-    term_bc_closed,
     term_c,
 )
 from ohno.expr import expand_text
 from ohno.verify import verify
-from ohno.zeta import EvalConfig, eval_combination, eval_zeta
+from ohno.zeta import EvalConfig, eval_combination, eval_zeta, eval_zeta_direct
 
 # The package re-exports the function ``verify`` under the module's name.
 catalogue = importlib.import_module("ohno.verify")
@@ -71,19 +67,33 @@ def _swept(name):
     return lambda *values: verify(name, **dict(zip(params, values)))
 
 
+def _is_entry(node):
+    """True for a function that ``@identity(...)`` registers in the catalogue."""
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "identity" for d in node.decorator_list)
+
+
 def test_every_public_builder_has_a_non_test_user():
-    """Each name ``ohno.sums`` exports is imported by another ``ohno`` module
-    or re-exported by the package: a builder that only tests use belongs in
-    the catalogue or nowhere."""
+    """Each name ``ohno.sums`` exports is re-exported by the package or has
+    at least two users, counting each catalogue entry, each other ``sums``
+    function and each other module that imports it: a builder that serves
+    one entry belongs in that entry, and one that only tests use nowhere."""
     package = pathlib.Path(ohno.__file__).parent
-    used = set(ohno.__all__)
+    users = {name: set() for name in ohno.sums.__all__}
     for path in package.glob("*.py"):
-        if path.name == "sums.py":
+        tree = ast.parse(path.read_text())
+        if path.name in ("sums.py", "verify.py"):
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and (path.name == "sums.py" or _is_entry(node)):
+                    used = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                    for name in (used & users.keys()) - {node.name}:
+                        users[name].add(f"{path.stem}.{node.name}")
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "ohno.sums":
-                used.update(alias.name for alias in node.names)
-    assert sorted(set(ohno.sums.__all__) - used) == []
+                for alias in node.names:
+                    users.get(alias.name, set()).add(path.stem)
+    lonely = sorted(name for name, who in users.items() if name not in ohno.__all__ and len(who) < 2)
+    assert lonely == []
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +171,7 @@ def test_ohno_sum_symbolic_of_order_zero_is_its_operand(monkeypatch):
     comb = expand_text("(2,1,3) + 1/2*(2) - 3*(1,1,2)")
     got = ohno_sum_symbolic(comb, 0)
     assert got == comb and list(got._terms.items()) == list(comb._terms.items())
-    assert ohno_sum_symbolic(Index((2, 3)), 0) == IndexCombination.from_index(Index((2, 3)))
+    assert ohno_sum_symbolic(Index((2, 3)), 0) == IndexCombination({Index((2, 3)): 1})
     monkeypatch.undo()
     for m in (0, 1):
         with pytest.raises(ValueError, match=r"^shifted sums need an admissible index, got \(2,1\)$"):
@@ -293,14 +303,14 @@ def test_hast_shifted_sum_brute_force():
     """Independent re-enumeration: raise entry i by k0 + m1 and distribute the
     remaining m - m1 over all entries, for every split and position."""
     for base, k0, m in [(Index((3,)), 2, 2), (Index((2, 2)), 2, 1), (Index((1, 2)), 3, 2)]:
-        expected = IndexCombination.zero()
+        expected = IndexCombination()
         for m1 in range(m + 1):
             for shift in enumerate_shifts(base.depth, m - m1):
                 shifted = Index(map(add, base, shift))
                 for i in range(shifted.depth):
                     entries = list(shifted)
                     entries[i] += k0 + m1
-                    expected = expected + IndexCombination.from_index(Index(tuple(entries)))
+                    expected = expected + IndexCombination({Index(tuple(entries)): 1})
         assert hast_shifted_sum(base, k0, m) == expected
 
 
@@ -319,12 +329,13 @@ def test_hast_shifted_sum_rejects():
 def test_term_frozen_values():
     assert T(term_a(2, 1, 0)) == "-(2,5) - (3,4) - (4,3) - (5,2)"
     assert T(term_a(2, 1, 1)) == "-2*(2,6) - 3*(3,5) - 2*(4,4) - 3*(5,3) - 2*(6,2)"
-    assert T(term_b(2, 1, 0)) == (
+    [(_, bc_rhs)] = _sides("abc_decomposition", 2, 1, 0)
+    assert T(bc_rhs - dual_gap_skew_sides(2, 2, 1, 0)[1] - term_c(2, 1, 0)) == (
         "(1,2,4) + (1,4,2) + (2,1,4) + (2,3,2) + (3,2,2) + (4,1,2)"
     )
     assert T(term_c(2, 1, 0)) == "(2,2,3) + (2,3,2)"
     assert T(term_c(3, 0, 0)) == "(2,4) + (3,3)"
-    assert T(term_bc_closed(2, 1, 0)) == (
+    assert T(_sides("abc_closed_forms", 2, 1, 0)[1][1]) == (
         "(1,2,4) + (1,4,2) + (2,1,4) + (2,2,3) + 2*(2,3,2) + (3,2,2) + (4,1,2)"
     )
 
@@ -346,8 +357,11 @@ def test_term_a_layers():
 
 
 def test_term_bc_closed_is_b_plus_c():
-    for s, l, m in product((2, 3, 4), (0, 1, 2), (0, 1, 2)):
-        assert term_bc_closed(s, l, m) == term_b(s, l, m) + term_c(s, l, m)
+    """The closed form in ``abc_closed_forms`` is the second plus the third
+    part of ``abc_decomposition``: its right side less the negative skew side."""
+    for s, l, m in product((2, 3, 4), (1, 2), (0, 1, 2)):
+        [(_, rhs)] = _sides("abc_decomposition", s, l, m)
+        assert _sides("abc_closed_forms", s, l, m)[1][1] == rhs - dual_gap_skew_sides(s, 2, l, m)[1]
 
 
 def test_term_a_equals_negated_shifted_family():
@@ -367,8 +381,6 @@ def test_term_a_value_matches_symbolic():
 def test_term_validation():
     with pytest.raises(ValueError):
         term_a(1, 0, 0)
-    with pytest.raises(ValueError):
-        term_b(2, -1, 0)
     with pytest.raises(ValueError):
         term_c(2, 0, -1)
 
@@ -396,8 +408,9 @@ def test_family_totals_match_closed_forms():
 
 
 def test_expansion_frozen_values():
-    assert T(raised_entry_expansion(2, 1, 0)) == "(2,5) + (3,4) + (4,3) + (5,2)"
-    assert T(split_entry_expansion(2, 1, 0)) == (
+    *_, (_, raised), (_, split) = _sides("abc_closed_forms", 2, 1, 0)
+    assert T(raised) == "(2,5) + (3,4) + (4,3) + (5,2)"
+    assert T(split) == (
         "(1,2,4) + (1,4,2) + (2,1,4) + (2,2,3) + 2*(2,3,2) + (3,2,2) + (4,1,2)"
     )
 
@@ -412,7 +425,7 @@ def test_pq_validation():
 
 
 def test_split_diag_parts_frozen():
-    parts = split_diag_parts(2, 1, 0, 1)
+    parts = _sides("add2_diagonal", 2, 1, 0, 1)
     assert [(T(lhs), T(rhs)) for lhs, rhs in parts] == [
         ("(1,4,2)", "(1,4,2)"),
         ("(3,2,2)", "(3,2,2)"),
@@ -479,7 +492,7 @@ def test_hoffman_defect_small():
     "build, args",
     [
         pytest.param(term_a, (2, True, 1), id="term_a-l"),
-        pytest.param(term_b, (2, 1, True), id="term_b-m"),
+        pytest.param(_swept("abc_decomposition"), (2, 1, True), id="term_b-m"),
         pytest.param(grouped_single, (2, 1, 0, True, 1), id="grouped_single-p"),
         pytest.param(composed_split, (2, 1, 0, 1, True), id="composed_split-q"),
         pytest.param(_swept("sha_expansion_oooo"), (2, 2, True), id="dualized_shuffle_expansion-l"),
@@ -495,6 +508,8 @@ def test_hoffman_defect_small():
         pytest.param(enumerate_shifts, (1, True), id="enumerate_shifts-m"),
         pytest.param(Index, ((True, 2),), id="Index-entry"),
         pytest.param(lambda t: EvalConfig(max_terms=t), (True,), id="EvalConfig-max_terms"),
+        pytest.param(eval_zeta_direct, (Index((2,)), True), id="eval_zeta_direct-terms"),
+        pytest.param(lambda w: list(iter_admissible(w)), (True,), id="iter_admissible-max_weight"),
     ],
 )
 def test_integer_arguments_reject_bool(build, args):
@@ -502,3 +517,4 @@ def test_integer_arguments_reject_bool(build, args):
     families refuses it, through one check, and so does a catalogue grid."""
     with pytest.raises(ValueError):
         build(*args)
+

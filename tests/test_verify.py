@@ -287,7 +287,7 @@ def test_broken_identity_fails_at_every_point(name, monkeypatch):
 
     def broken(**params):
         (lhs, rhs), *rest = spec.sides(**params)
-        return [(lhs, rhs + IndexCombination.from_index(Index((2,))))] + rest
+        return [(lhs, rhs + IndexCombination({Index((2,)): 1}))] + rest
 
     monkeypatch.setitem(catalogue._CATALOGUE, name, dataclasses.replace(spec, sides=broken))
     report = verify(name)
