@@ -88,6 +88,18 @@ a repeat costs one lookup.  ``eval_combination`` plans one combination;
 all before the fill, so one fill per precision serves the whole sweep and a
 chain is built once in it; without a cache it also reads each one once.
 
+The fill's window.  Floors are monotone and ``2^P // m^n <= 2^P // m``, so a
+computed chain is at most the chain whose runs are all 1, exactly
+``sum_(k>=1) e_k(1, 1/2, ..., 1/i) = prod_(m<=i) (1 + 1/m) - 1 = i`` at
+index ``i``: every entry at ``i >= 1`` is at most ``i * 2^P``, so term ``m``
+of a factor is below ``2^(P-m)``, and 0 from ``m = P`` on.  A chain of ``d``
+runs is 0 below index ``d``.  So chains are built to ``min(N, P - 1)``
+entries, and a factor of depth ``k`` sums ``m`` from ``k`` to ``min(N, P -
+1)``, short of the first ``m`` with ``bit_length(2^P // m^n) +
+bit_length(top) <= P + m``, ``top`` the last chain entry built (the left side
+falls with ``m``, the right grows; :func:`_headroom`).  Every skipped term is
+0, so every factor, the error budget and each value stand.
+
 Repeated evaluation with an identical configuration is bit-identical, up
 to what a cache may change (see :class:`EvalConfig`).
 """
@@ -98,6 +110,7 @@ import contextlib
 import math
 import os
 import threading
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -412,6 +425,7 @@ _FACTOR_LOCK = threading.Lock()
 # indexed by m (entry 0 unused).  Tables only grow, in place, so a shorter
 # read stays valid.
 _INV_POWERS: dict[tuple[int, int], list[int]] = {}
+_HEADROOM: dict[tuple[int, int], list[int]] = {}  # per (n, precision), see _headroom
 # Final value per bucket and index, like ``ZetaCache``'s entries: a pure
 # function of the two, like the factors it is summed from.  A bucket's memo
 # is keyed by ``EvalConfig.precision``, its precision for weights up to 16;
@@ -470,6 +484,17 @@ def _inverse_powers(n: int, fbits: int, terms: int) -> list[int]:
     return table
 
 
+def _headroom(n: int, fbits: int, terms: int) -> list[int]:
+    """``m - bit_length((1 << fbits) // m**n)`` for ``m = 0..terms`` or more,
+    strictly increasing from ``m = 1``; grown beside its inverse powers."""
+    table = _HEADROOM.setdefault((n, fbits), [0])
+    if len(table) <= terms:
+        inv = _inverse_powers(n, fbits, terms)
+        with _FACTOR_LOCK:
+            table.extend([m - inv[m].bit_length() for m in range(len(table), terms + 1)])
+    return table
+
+
 def _fill_factors(words: Iterable[str], fbits: int) -> None:
     """Memoise the factors of the suffixes of ``words`` that the memo lacks.
 
@@ -483,6 +508,8 @@ def _fill_factors(words: Iterable[str], fbits: int) -> None:
     that a word shares with the word before it is extended, not rebuilt.
     A fill stores every missing suffix of its word, so the memo is closed
     under suffixes, and one lookup of a whole word tells whether it is done.
+    Only the terms that can be nonzero are summed, chains only as far as they
+    read (module docstring): each factor and the error budget are unchanged.
     """
     todo: dict[str, tuple[int, ...]] = {}  # word -> its runs, reversed
     for word in words:
@@ -493,13 +520,13 @@ def _fill_factors(words: Iterable[str], fbits: int) -> None:
     for word in sorted(todo, key=todo.__getitem__):
         rev = todo[word]
         depth = len(rev)
-        terms = _stop(depth, fbits)
+        terms = min(_stop(depth, fbits), fbits - 1)
         shared = 0
         while shared < min(len(path), depth - 1) and path[shared] == rev[shared]:
             shared += 1
         del stack[shared + 1 :]
         path = rev[: depth - 1]
-        stack += ([0] for _ in range(shared + 1, depth))
+        stack += ([0] * d for d in range(shared + 1, depth))
         stack[0] += repeat(one, terms - len(stack[0]))
         for d in range(1, depth):
             chain, have = stack[d], len(stack[d])
@@ -513,11 +540,11 @@ def _fill_factors(words: Iterable[str], fbits: int) -> None:
             key = (word[j:], fbits)
             if key in _FACTOR_CACHE:
                 break
-            stop = _stop(d, fbits)
+            stop, chain = min(_stop(d, fbits), fbits - 1), stack[d - 1]
             inv = _inverse_powers(n, fbits, stop)
-            _FACTOR_CACHE[key] = sum(
-                map(rshift, map(mul, inv[1 : stop + 1], stack[d - 1]), range(fbits + 1, fbits + stop + 1))
-            )
+            cut = bisect_left(_headroom(n, fbits, stop), chain[-1].bit_length() - fbits, d, stop + 1)
+            products = map(mul, inv[d:cut], chain[d - 1 : cut - 1])
+            _FACTOR_CACHE[key] = sum(map(rshift, products, range(fbits + d, fbits + cut)))
 
 
 def clear_factor_cache() -> None:
@@ -530,6 +557,7 @@ def clear_factor_cache() -> None:
         _VALUES.clear()
         _FACTOR_CACHE.clear()
         _INV_POWERS.clear()
+        _HEADROOM.clear()
     _stop.cache_clear()
     _default_precision.cache_clear()
 
@@ -560,11 +588,12 @@ def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
         word = to_word(k)
         dual = reverse_swap(word)
         # The split after j letters multiplies the factor of word[j:] by that
-        # of reverse_swap(word[:j]) == dual[n-j:]; the empty word's is 1.
-        one, n = 1 << fbits, len(word)
-        lower = [_FACTOR_CACHE[word[j:], fbits] for j in range(n)] + [one]
-        upper = [one] + [_FACTOR_CACHE[dual[j:], fbits] for j in range(n - 1, -1, -1)]
-        acc = sum((u * v) >> fbits for u, v in zip(upper, lower))
+        # of reverse_swap(word[:j]) == dual[n-j:]; the empty word's is exactly
+        # 1, so the outer two splits add the factors of word and dual.
+        n = len(word)
+        lower = [_FACTOR_CACHE[word[j:], fbits] for j in range(n)]
+        upper = [_FACTOR_CACHE[dual[j:], fbits] for j in range(n - 1, -1, -1)]
+        acc = lower[0] + upper[-1] + sum(map(rshift, map(mul, lower[1:], upper), repeat(fbits)))
         value = values[k] = math.ldexp(float(acc), -fbits)
     if cache is not None:
         with cache._lock:  # a row built here is valid, so it skips store's check

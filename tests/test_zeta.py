@@ -391,14 +391,19 @@ def test_combination_reads_each_term_through_eval_zeta(monkeypatch):
 
 
 def test_clear_factor_cache_empties_value_memo(tmp_path, parsed):
+    """Every process-wide memo of values, factors and their tables is emptied."""
+    def memos():
+        return [zeta._VALUES, zeta._FACTOR_CACHE, zeta._INV_POWERS, zeta._HEADROOM,
+                zeta._stop.cache_info().currsize, zeta._default_precision.cache_info().currsize]
+
     eval_zeta(Index((2, 3)))
-    assert zeta._VALUES
+    assert all(memos())
     path = tmp_path / "cache.tsv"
     path.write_text(_LOADED)
     ZetaCache(str(path))
     del parsed[:]
     clear_factor_cache()
-    assert not zeta._VALUES
+    assert not any(memos())
     assert len(ZetaCache(str(path))) == 2
     assert len(parsed) == 3  # the last file's text is dropped too, so it is parsed again
 
@@ -542,6 +547,107 @@ def test_factor_memo_pinned():
     assert hashlib.sha256(table.encode()).hexdigest() == (
         "a82cca547fc21ec1dfed722b71094d6a424b3514895ed4dfbea4ecb2fb680022"
     )
+
+
+def _reference_fill(words, fbits):
+    """Every suffix factor of ``words``, as the fill computed them before it
+    summed only the terms that can be nonzero: the same stack of chains, but
+    every chain built to ``_stop`` of its word's depth and every term from
+    ``m = 1`` to ``_stop`` of the suffix's depth summed.  It also asserts
+    what that window rests on: every chain entry at index ``i >= 1`` is at
+    most ``i * 2^fbits``, and every term with ``m >= fbits`` is 0."""
+    one, factors = 1 << fbits, {}
+    runs = {w: tuple(len(x) + 1 for x in reversed(w[:-1].split("Y"))) for w in words}
+    stack, path = [[one]], ()
+    for word in sorted(runs, key=runs.__getitem__):
+        rev = runs[word]
+        depth, terms = len(rev), zeta._stop(len(rev), fbits)
+        shared = 0
+        while shared < min(len(path), depth - 1) and path[shared] == rev[shared]:
+            shared += 1
+        del stack[shared + 1 :]
+        path = rev[: depth - 1]
+        stack += ([0] for _ in range(shared + 1, depth))
+        stack[0] += [one] * (terms - len(stack[0]))
+        for d in range(1, depth):
+            chain = stack[d]
+            for i in range(len(chain), terms):
+                chain.append(chain[-1] + ((one // i ** rev[d - 1]) * stack[d - 1][i - 1] >> fbits))
+                assert chain[i] <= i << fbits, (word, d, i)
+        j = 0
+        for d, run in zip(range(depth, 0, -1), reversed(rev)):
+            for n in range(run, 0, -1):
+                if word[j:] not in factors:
+                    stop = zeta._stop(d, fbits)
+                    summed = [(one // m**n) * stack[d - 1][m - 1] >> (fbits + m) for m in range(1, stop + 1)]
+                    assert not any(summed[fbits - 1 :]), (word[j:], fbits)
+                    factors[word[j:]] = sum(summed)
+                j += 1
+    return factors
+
+
+def _filled(words, fbits):
+    clear_factor_cache()
+    zeta._fill_factors(words, fbits)
+    return {w: v for (w, b), v in zeta._FACTOR_CACHE.items() if b == fbits}
+
+
+@pytest.mark.parametrize("fbits", [3, 17, 27, 40, 54, 64, 128])
+def test_fill_drops_only_zero_terms(fbits):
+    """The fill sums each factor over a window of the terms that can be
+    nonzero, and gives every factor the full sum gives: on every admissible
+    index of weight <= 10 and its dual, at precisions either side of the
+    default ones.  At 3 bits term ``fbits - 1`` of the factor of ``Y`` is 1,
+    so a chain one entry short shows; at 4 to 54 bits no word of weight
+    <= 12 tried had a nonzero term there."""
+    words = [w for k in iter_admissible(10) for w in (to_word(k), reverse_swap(to_word(k)))]
+    assert _filled(words, fbits) == _reference_fill(words, fbits)
+
+
+def test_fill_drops_only_zero_terms_of_deep_words():
+    """The same on words of depth 40, 120 and 300 at 54 bits, deeper than the
+    precision: their chains start with more zeros than a factor sums terms.
+    The run tails of (1,...,1,2) are the all-ones chains, where the bound
+    ``i * 2^fbits`` on a chain entry is tightest."""
+    ks = [Index((1,) * (depth - 1) + (2,)) for depth in (40, 120, 300)] + [Index((2,) * 40), Index((1, 3) * 60)]
+    words = [w for k in ks for w in (to_word(k), reverse_swap(to_word(k)))]
+    assert _filled(words, 54) == _reference_fill(words, 54)
+
+
+def test_depth_300_index_is_pinned():
+    """The depth-300 index (1,...,1,2), whose dual is zeta(301), read bit for
+    bit at its weight class's 63 bits, before and after rounding."""
+    clear_factor_cache()
+    k = Index((1,) * 299 + (2,))
+    assert eval_zeta(k, EvalConfig(max_terms=1000)).hex() == "0x1.0000000000000p+0"
+    assert zeta._default_precision(12, sum(k)) == 63
+    assert _unrounded_sum(k, 63) == 0x7FFFFFFFFFFFFF38
+
+
+def test_threads_filling_one_new_precision_leave_the_memo_one_fill_leaves():
+    """Threads that fill the same words at a precision no memo holds yet grow
+    the shared inverse-power and headroom tables while the others read them;
+    they leave every memo as one fill alone leaves it."""
+    words = [to_word(k) for k in iter_admissible(9)]
+
+    def memos():
+        return dict(zeta._FACTOR_CACHE), dict(zeta._INV_POWERS), dict(zeta._HEADROOM)
+
+    _filled(words, 45)
+    alone = memos()
+    clear_factor_cache()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=zeta._fill_factors, args=(words, 45)) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert memos() == alone
 
 
 def _tail_below_budget(depth, fbits, n):
