@@ -35,6 +35,7 @@ integral coefficients already ``int``; neither checks anything.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement
@@ -136,14 +137,15 @@ class Index(tuple):
 
     @staticmethod
     def from_text(text: str) -> "Index":
-        """Parse ``"2,3"`` or ``"(2,3)"``; ``""`` and ``"()"`` are the empty index."""
+        """Parse ``"2,3"`` or ``"(2,3)"``; ``""`` and ``"()"`` are the empty index.
+        Each entry is spelt as in :mod:`ohno.expr` (see :func:`_int_text`)."""
         text = text.strip()
         if text.startswith("(") and text.endswith(")"):
             text = text[1:-1].strip()
         if text == "":
             return EMPTY
         try:
-            entries = tuple(map(int, text.split(",")))
+            entries = tuple(map(_int_text, text.split(",")))
         except ValueError:
             raise ValueError(f"malformed index text {text!r}") from None
         return _trusted_index(entries) if min(entries) >= 1 else Index(entries)
@@ -156,6 +158,18 @@ class Index(tuple):
 
 
 EMPTY = Index(())
+
+# An integer literal of :mod:`ohno.expr`, with spaces around it and perhaps a
+# ``-`` that ``Index`` then refuses: no ``+`` and no ``_`` between digits.
+_INT_TEXT = re.compile(r"\s*-?\d+\s*")
+
+
+def _int_text(text: str) -> int:
+    """The int spelt by ``text``, an entry of index text or a cache-file bucket."""
+    if not _INT_TEXT.fullmatch(text):
+        raise ValueError(f"malformed integer {text!r}")
+    return int(text)
+
 
 # An index over positive ints the algebra built itself, without the checks
 # of ``Index(...)``.

@@ -81,9 +81,11 @@ key) and finds the terms that no cache or memo will answer.  Fill: one
 batch per precision fills their missing factors; its words, sorted by
 reversed runs, are walked with one stack of chains, so each chain is built
 once per batch (a dict of a batch's chains peaked 15 MB higher on a
-553-term combination).  Read: ``eval_zeta`` reads each suffix factor of a
-term's two words once and memoises the final double per (index, ``P``), so
-a repeat costs one lookup.  ``eval_combination`` plans one combination;
+553-term combination).  The batch stores each factor in its precision's
+memo, keyed by word, then sums each planned value from the suffix factors of
+its index's two words and memoises the double per (bucket, index).  Read:
+``eval_zeta`` asks the cache, then that memo, so a repeat costs one lookup.
+``eval_combination`` plans one combination;
 :func:`~ohno.verify.verify` plans each distinct combination of a grid once,
 all before the fill, so one fill per precision serves the whole sweep and a
 chain is built once in it; without a cache it also reads each one once.
@@ -97,8 +99,12 @@ runs is 0 below index ``d``.  So chains are built to ``min(N, P - 1)``
 entries, and a factor of depth ``k`` sums ``m`` from ``k`` to ``min(N, P -
 1)``, short of the first ``m`` with ``bit_length(2^P // m^n) +
 bit_length(top) <= P + m``, ``top`` the last chain entry built (the left side
-falls with ``m``, the right grows; :func:`_headroom`).  Every skipped term is
-0, so every factor, the error budget and each value stand.
+falls with ``m``, the right grows; ``head`` in ``_TABLES``).  Every skipped
+term is 0, so every factor, the error budget and each value stand.  A suffix
+whose first run is a whole inner run ``n`` reads the chain ``c`` that the
+next level ``C`` adds that run to, so its term ``m`` is ``floor(a_m *
+c(m-1) / 2^(P+m))``, and as ``floor(floor(x / 2^P) / 2^m) = floor(x /
+2^(P+m))`` that is ``(C(m) - C(m-1)) >> m``: a step of ``C``, shifted.
 
 Repeated evaluation with an identical configuration is bit-identical, up
 to what a cache may change (see :class:`EvalConfig`).
@@ -115,10 +121,10 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import accumulate, repeat
-from operator import mul, rshift
+from operator import mul, rshift, sub
 from typing import Iterable, Optional, Union
 
-from ohno.indices import Index, IndexCombination, _int_at_least, _named, _sort_key, as_combination
+from ohno.indices import Index, IndexCombination, _int_at_least, _int_text, _named, _sort_key, as_combination
 
 __all__ = [
     "EvalConfig",
@@ -342,7 +348,7 @@ class ZetaCache:
                     continue
                 try:
                     index_text, bucket_text, hex_text = line.split("\t")
-                    k, bucket, value = Index.from_text(index_text), int(bucket_text), float.fromhex(hex_text)
+                    k, bucket, value = Index.from_text(index_text), _int_text(bucket_text), float.fromhex(hex_text)
                     if not _loads_back(k, bucket, value):
                         raise ValueError
                 except ValueError:
@@ -416,20 +422,21 @@ DEFAULT_CONFIG = EvalConfig()
 
 # -- series factors in fixed point --------------------------------------------
 
-# Cache of partial-integral values at 1/2, keyed by (word, precision).  The
-# stopping rule depends only on the key, so entries are pure functions of it
+# Partial-integral values at 1/2: one dict per precision, keyed by word,
+# made when a fill first stores at that precision.  The stopping rule depends
+# only on the word and the precision, so entries are pure functions of both
 # and can be shared freely across evaluations.
-_FACTOR_CACHE: dict[tuple[str, int], int] = {}
-_FACTOR_LOCK = threading.Lock()
-# Fixed-point inverse powers ``(1 << fbits) // m**n`` per (n, precision),
-# indexed by m (entry 0 unused).  Tables only grow, in place, so a shorter
-# read stays valid.
-_INV_POWERS: dict[tuple[int, int], list[int]] = {}
-_HEADROOM: dict[tuple[int, int], list[int]] = {}  # per (n, precision), see _headroom
+_FACTOR_CACHE: dict[int, dict[str, int]] = {}
+# Per (n, precision) the pair of lists ``(inv, head)`` over ``m = 0..P - 1``
+# (entry 0 is 0 in both): ``inv[m] = (1 << P) // m**n``, as far as any chain
+# or factor reads, and ``head[m] = m - bit_length(inv[m])``, strictly
+# increasing from ``m = 1`` (see :func:`_fill_factors`).
+_TABLES: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
 # Final value per bucket and index, like ``ZetaCache``'s entries: a pure
 # function of the two, like the factors it is summed from.  A bucket's memo
 # is keyed by ``EvalConfig.precision``, its precision for weights up to 16;
 # a heavier index summed at its weight class's precision shares that memo.
+# :func:`_fill` computes every value, :func:`eval_zeta` reads them.
 _VALUES: defaultdict[int, dict[Index, float]] = defaultdict(dict)
 
 
@@ -474,25 +481,13 @@ def _stop(depth: int, fbits: int) -> int:
     return stop
 
 
-def _inverse_powers(n: int, fbits: int, terms: int) -> list[int]:
-    """``(1 << fbits) // m**n`` for ``m = 0..terms`` or more (entry 0 is 0)."""
-    table = _INV_POWERS.setdefault((n, fbits), [0])
-    if len(table) <= terms:
-        one = 1 << fbits
-        with _FACTOR_LOCK:
-            table.extend([one // m**n for m in range(len(table), terms + 1)])
-    return table
-
-
-def _headroom(n: int, fbits: int, terms: int) -> list[int]:
-    """``m - bit_length((1 << fbits) // m**n)`` for ``m = 0..terms`` or more,
-    strictly increasing from ``m = 1``; grown beside its inverse powers."""
-    table = _HEADROOM.setdefault((n, fbits), [0])
-    if len(table) <= terms:
-        inv = _inverse_powers(n, fbits, terms)
-        with _FACTOR_LOCK:
-            table.extend([m - inv[m].bit_length() for m in range(len(table), terms + 1)])
-    return table
+def _tables(n: int, fbits: int) -> tuple[list[int], list[int]]:
+    """The pair ``(inv, head)`` of ``_TABLES`` for ``(n, fbits)``, built on first use."""
+    tables = _TABLES.get((n, fbits))
+    if tables is None:
+        inv = [0, *((1 << fbits) // m**n for m in range(1, fbits))]
+        tables = _TABLES.setdefault((n, fbits), (inv, [m - a.bit_length() for m, a in enumerate(inv)]))
+    return tables
 
 
 def _fill_factors(words: Iterable[str], fbits: int) -> None:
@@ -505,22 +500,31 @@ def _fill_factors(words: Iterable[str], fbits: int) -> None:
     alike (shift ``fbits``) from the chain of the tail one run shorter; the
     empty tail's chain is constant 1.  Stack level ``d`` holds the chain of
     the run tail of length ``d``.  Chain entries are prefix sums, so a level
-    that a word shares with the word before it is extended, not rebuilt.
-    A fill stores every missing suffix of its word, so the memo is closed
-    under suffixes, and one lookup of a whole word tells whether it is done.
-    Only the terms that can be nonzero are summed, chains only as far as they
-    read (module docstring): each factor and the error budget are unchanged.
+    that a word shares with the word before it is extended, not rebuilt, and
+    a suffix that starts with a whole inner run reads its terms off the
+    steps of the next level (module docstring).  A fill stores every missing
+    suffix of its word, so the memo is closed under suffixes, and one lookup
+    of a whole word tells whether it is done.  Only the terms that can be
+    nonzero are summed, chains only as far as they read (module docstring):
+    each factor and the error budget are unchanged.  Each run's tables and
+    each depth's stop are looked up once per fill.
     """
+    memo = _FACTOR_CACHE.get(fbits, {})
     todo: dict[str, tuple[int, ...]] = {}  # word -> its runs, reversed
     for word in words:
-        if word not in todo and (word, fbits) not in _FACTOR_CACHE:
+        if word not in todo and word not in memo:
             todo[word] = tuple(len(x) + 1 for x in reversed(word[:-1].split("Y")))
+    if not todo:
+        return
+    memo = _FACTOR_CACHE.setdefault(fbits, memo)
+    tables = [None, *(_tables(n, fbits) for n in range(1, max(map(max, todo.values())) + 1))]
+    stops = [min(_stop(d, fbits), fbits - 1) for d in range(1, max(map(len, todo.values())) + 1)]
     one = 1 << fbits
     stack, path = [[one]], ()
     for word in sorted(todo, key=todo.__getitem__):
         rev = todo[word]
         depth = len(rev)
-        terms = min(_stop(depth, fbits), fbits - 1)
+        terms = stops[depth - 1]
         shared = 0
         while shared < min(len(path), depth - 1) and path[shared] == rev[shared]:
             shared += 1
@@ -531,20 +535,22 @@ def _fill_factors(words: Iterable[str], fbits: int) -> None:
         for d in range(1, depth):
             chain, have = stack[d], len(stack[d])
             if have < terms:
-                inv = _inverse_powers(rev[d - 1], fbits, terms)
-                steps = map(rshift, map(mul, inv[have:terms], stack[d - 1][have - 1 : terms - 1]), repeat(fbits))
-                chain[have - 1 :] = accumulate(steps, initial=chain[-1])
+                steps = map(mul, tables[rev[d - 1]][0][have:terms], stack[d - 1][have - 1 : terms - 1])
+                chain[have - 1 :] = accumulate(map(rshift, steps, repeat(fbits)), initial=chain[-1])
         # (depth, first run) of the suffix at each position; the missing come first
         heads = ((d, n) for d, run in zip(range(depth, 0, -1), reversed(rev)) for n in range(run, 0, -1))
         for j, (d, n) in enumerate(heads):
-            key = (word[j:], fbits)
-            if key in _FACTOR_CACHE:
+            suffix = word[j:]
+            if suffix in memo:
                 break
-            stop, chain = min(_stop(d, fbits), fbits - 1), stack[d - 1]
-            inv = _inverse_powers(n, fbits, stop)
-            cut = bisect_left(_headroom(n, fbits, stop), chain[-1].bit_length() - fbits, d, stop + 1)
-            products = map(mul, inv[d:cut], chain[d - 1 : cut - 1])
-            _FACTOR_CACHE[key] = sum(map(rshift, products, range(fbits + d, fbits + cut)))
+            inv, head = tables[n]
+            chain = stack[d - 1]
+            cut = bisect_left(head, chain[-1].bit_length() - fbits, d, stops[d - 1] + 1)
+            if d < depth and n == rev[d - 1] and cut <= len(up := stack[d]):  # a whole inner run
+                memo[suffix] = sum(map(rshift, map(sub, up[d:cut], up[d - 1 : cut - 1]), range(d, cut)))
+            else:
+                products = map(mul, inv[d:cut], chain[d - 1 : cut - 1])
+                memo[suffix] = sum(map(rshift, products, range(fbits + d, fbits + cut)))
 
 
 def clear_factor_cache() -> None:
@@ -553,11 +559,9 @@ def clear_factor_cache() -> None:
     cache-file text with its rows and lines (the next load parses again)."""
     global _LAST_FILE, _LINES
     _LAST_FILE, _LINES = ("", {}), {}
-    with _FACTOR_LOCK:
-        _VALUES.clear()
-        _FACTOR_CACHE.clear()
-        _INV_POWERS.clear()
-        _HEADROOM.clear()
+    _VALUES.clear()
+    _FACTOR_CACHE.clear()
+    _TABLES.clear()
     _stop.cache_clear()
     _default_precision.cache_clear()
 
@@ -566,7 +570,7 @@ def clear_factor_cache() -> None:
 
 
 class _TermConfig(EvalConfig):
-    """What :func:`_plan` hands :func:`eval_zeta`: a filled term is read without a cap check."""
+    """What :func:`_plan` hands :func:`eval_zeta`: a term is read off the value memo without a cap check."""
 
 
 def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
@@ -581,20 +585,7 @@ def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
         hit = cache.lookup(k, bucket)
         if hit is not None:
             return hit
-    values = _VALUES[cfg.precision]
-    value = values.get(k)
-    if value is None:
-        fbits = _default_precision(bucket, sum(k))
-        word = to_word(k)
-        dual = reverse_swap(word)
-        # The split after j letters multiplies the factor of word[j:] by that
-        # of reverse_swap(word[:j]) == dual[n-j:]; the empty word's is exactly
-        # 1, so the outer two splits add the factors of word and dual.
-        n = len(word)
-        lower = [_FACTOR_CACHE[word[j:], fbits] for j in range(n)]
-        upper = [_FACTOR_CACHE[dual[j:], fbits] for j in range(n - 1, -1, -1)]
-        acc = lower[0] + upper[-1] + sum(map(rshift, map(mul, lower[1:], upper), repeat(fbits)))
-        value = values[k] = math.ldexp(float(acc), -fbits)
+    value = _VALUES[cfg.precision][k]  # computed by the fill
     if cache is not None:
         with cache._lock:  # a row built here is valid, so it skips store's check
             cache._merge(((k, bucket, value),))
@@ -602,8 +593,9 @@ def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
 
 
 def _plan(comb: Union[Index, IndexCombination], cfg: EvalConfig, todo: dict, held: dict) -> tuple:
-    """Check one combination and add the terms whose factors must be filled
-    before it is read to ``todo`` (indices per precision); returns what
+    """Check one combination and add the terms whose values the fill must
+    compute before it is read to ``todo`` (per precision of the factors, each
+    index with the precision of the value memo it is read from); returns what
     :func:`_read` takes.  Per-term tolerances are scaled by the coefficient
     mass so the per-term bounds sum to at most ``cfg.tol``, but never below
     1e-15.  A refusal (errors name the first index in canonical order) leaves
@@ -654,15 +646,27 @@ def _plan(comb: Union[Index, IndexCombination], cfg: EvalConfig, todo: dict, hel
         wanted = {k: fbits for k, fbits in wanted.items() if k in missed}
         held.update(missed)  # a miss stores the value read at the bucket
     for k, fbits in wanted.items():
-        todo.setdefault(fbits, {})[k] = None
+        todo.setdefault(fbits, {})[k] = light
     return term_cfg, terms
 
 
-def _fill(todo: dict[int, dict[Index, None]]) -> None:
-    """One :func:`_fill_factors` call per precision, for the planned words and their duals."""
+def _fill(todo: dict[int, dict[Index, int]]) -> None:
+    """Per precision, one :func:`_fill_factors` call for the planned words and
+    their duals, then each planned value into the value memo it is read from."""
     for fbits, ks in todo.items():
         words = list(map(to_word, ks))
-        _fill_factors([*words, *map(reverse_swap, words)], fbits)
+        duals = list(map(reverse_swap, words))
+        _fill_factors([*words, *duals], fbits)
+        memo = _FACTOR_CACHE[fbits]
+        for (k, light), word, dual in zip(ks.items(), words, duals):
+            # The split after j letters multiplies the factor of word[j:] by that
+            # of reverse_swap(word[:j]) == dual[n-j:]; the empty word's is exactly
+            # 1, so the outer two splits add the factors of word and dual.
+            n = len(word)
+            lower = [memo[word[j:]] for j in range(1, n)]
+            upper = [memo[dual[j:]] for j in range(n - 1, 0, -1)]
+            acc = memo[word] + memo[dual] + sum(map(rshift, map(mul, lower, upper), repeat(fbits)))
+            _VALUES[light][k] = math.ldexp(float(acc), -fbits)
 
 
 def _read(term_cfg: EvalConfig, terms: dict) -> float:
@@ -678,7 +682,7 @@ def _read(term_cfg: EvalConfig, terms: dict) -> float:
 
 def eval_combination(comb: Union[Index, IndexCombination], cfg: Optional[EvalConfig] = None) -> float:
     """Evaluate a rational combination of admissible indices: plan, fill, read."""
-    todo: dict[int, dict[Index, None]] = {}
+    todo: dict[int, dict[Index, int]] = {}
     planned = _plan(comb, cfg or DEFAULT_CONFIG, todo, {})
     _fill(todo)
     return _read(*planned)

@@ -482,6 +482,17 @@ def test_cache_file_with_nan_value_is_a_usage_error(run, tmp_path, command):
     assert "malformed cache line" in err
 
 
+def test_cache_row_spelt_unlike_an_expression_is_a_usage_error(run, tmp_path):
+    """``int`` alone reads ``1_0,2`` as (10,2) and ``1_2`` as bucket 12, which
+    would answer ``--expr "(10,2)"`` with the file's 0.5."""
+    path = tmp_path / "underscores.tsv"
+    path.write_text("1_0,2\t1_2\t0x1.0p-1\n")
+    code, out, err = run("eval", "--expr", "(10,2)", "--cache", str(path))
+    assert code == 2
+    assert out == ""
+    assert "malformed cache line" in err
+
+
 def test_cache_file_with_a_non_ascii_byte_is_an_input_error(run, tmp_path):
     path = tmp_path / "latin.tsv"
     path.write_bytes(b"2\t12\t0x1.a51a6625307d3p+0\n3\t12\t0x1.33ba004f00621p+0 \xe9\n")

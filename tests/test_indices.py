@@ -140,9 +140,9 @@ def test_from_text_rejects_malformed(text):
 @pytest.mark.parametrize(
     "text, expected",
     [
-        ("+2", (2,)),
+        ("+2", "malformed index text '+2'"),
         (" 2 ", (2,)),
-        ("2_0", (20,)),
+        ("2_0", "malformed index text '2_0'"),
         ("(2, 3)", (2, 3)),
         ("()", ()),
         ("", ()),
@@ -150,11 +150,17 @@ def test_from_text_rejects_malformed(text):
         ("-1,2", "index entries must be positive integers, got (-1, 2)"),
         ("2,,3", "malformed index text '2,,3'"),
         ("2.0", "malformed index text '2.0'"),
+        ("1_0,2", "malformed index text '1_0,2'"),
+        (" +2, 3", "malformed index text '+2, 3'"),
+        (" 2 ,\t3 ", (2, 3)),
+        ("\u0663,2", (3, 2)),
     ],
 )
 def test_from_text_accepts_and_refuses_exactly(text, expected):
-    """What ``int`` accepts per entry is accepted, and every refusal keeps
-    its message, whichever way the entries are checked."""
+    """An entry is accepted exactly when it is an integer literal of the
+    expression grammar (decimal digits, as ``\\d`` matches them), with spaces
+    around it: ``int`` alone would also take ``+2`` and ``1_0``.  Every
+    refusal keeps its message, whichever way the entries are checked."""
     if isinstance(expected, str):
         with pytest.raises(ValueError) as excinfo:
             Index.from_text(text)

@@ -163,6 +163,14 @@ def test_grid_index_must_be_index_or_text():
     assert report.grid == {"k": ["(2,3)", "(1,2)", "(3)"]}
 
 
+@pytest.mark.parametrize("text", ["1_0,2", " +2, 3", "(2,+3)"])
+def test_grid_index_text_is_spelt_as_in_expressions(text):
+    """Index text in a grid takes the entries an expression takes: ``int``
+    alone would read ``1_0`` as 10 and ``+2`` as 2."""
+    with pytest.raises(ValueError, match="^malformed index text "):
+        verify("duality", k=[text])
+
+
 def test_grid_value_must_be_an_int():
     """A single grid value that is not exactly an ``int`` is refused like a
     list entry: ``True`` is not ``1``."""
@@ -316,13 +324,16 @@ def test_factor_noise_at_every_precision_fails_points(name, failing, evaluated, 
     clear_factor_cache()
     assert verify(name).passed
     memo = zeta._FACTOR_CACHE
-    assert {fbits for _, fbits in memo} == filled
+    assert set(memo) == filled
+    sizes = {fbits: len(factors) for fbits, factors in memo.items()}
     try:
-        for key in memo:
-            memo[key] += 1 << (key[1] - 20)
+        for fbits, factors in memo.items():
+            for word in factors:
+                factors[word] += 1 << (fbits - 20)
         zeta._VALUES.clear()
         report = verify(name)
-        assert {fbits for _, fbits in memo} == filled  # the second sweep read the noisy factors, filled none
+        # the second sweep read the noisy factors, filled none
+        assert {fbits: len(factors) for fbits, factors in memo.items()} == sizes
     finally:
         clear_factor_cache()  # no later test reads a noisy factor
     assert (sum(p.passed is False for p in report.evaluated), len(report.evaluated)) == (failing, evaluated)
@@ -482,7 +493,7 @@ def _outcome(run):
         result = ("returned", run())
     except (ValueError, PrecisionError) as exc:
         result = ("raised", type(exc), str(exc))
-    return result, dict(zeta._FACTOR_CACHE)
+    return result, {p: dict(f) for p, f in zeta._FACTOR_CACHE.items()}
 
 
 def _precision_of(comb, cfg):

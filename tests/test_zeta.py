@@ -148,7 +148,7 @@ def _unrounded_sum(k, fbits):
     word = to_word(k)
     splits = [(word[j:], reverse_swap(word[:j])) for j in range(len(word) + 1)]
     zeta._fill_factors([w for split in splits for w in split if w], fbits)
-    factor = {w: zeta._FACTOR_CACHE[w, fbits] if w else 1 << fbits for split in splits for w in split}
+    factor = {w: zeta._FACTOR_CACHE[fbits][w] if w else 1 << fbits for split in splits for w in split}
     return sum((factor[a] * factor[b]) >> fbits for a, b in splits)
 
 
@@ -393,7 +393,7 @@ def test_combination_reads_each_term_through_eval_zeta(monkeypatch):
 def test_clear_factor_cache_empties_value_memo(tmp_path, parsed):
     """Every process-wide memo of values, factors and their tables is emptied."""
     def memos():
-        return [zeta._VALUES, zeta._FACTOR_CACHE, zeta._INV_POWERS, zeta._HEADROOM,
+        return [zeta._VALUES, zeta._FACTOR_CACHE, zeta._TABLES,
                 zeta._stop.cache_info().currsize, zeta._default_precision.cache_info().currsize]
 
     eval_zeta(Index((2, 3)))
@@ -434,7 +434,7 @@ def test_errors_name_the_first_bad_index_in_canonical_order():
 def _memo_of(evaluate):
     clear_factor_cache()
     evaluate()
-    return dict(zeta._FACTOR_CACHE), {p: dict(v) for p, v in zeta._VALUES.items()}
+    return {p: dict(f) for p, f in zeta._FACTOR_CACHE.items()}, {p: dict(v) for p, v in zeta._VALUES.items()}
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-12, 1e-15])
@@ -490,7 +490,7 @@ def test_batch_skips_terms_the_cache_or_value_memo_answers():
     clear_factor_cache()
     eval_combination(comb, EvalConfig(cache=answered))
     words = [w for k in (Index((2, 3)), Index((1, 2, 3))) for w in (to_word(k), reverse_swap(to_word(k)))]
-    assert {w for w, _ in zeta._FACTOR_CACHE} == {w[j:] for w in words for j in range(len(w))}
+    assert {w for memo in zeta._FACTOR_CACHE.values() for w in memo} == {w[j:] for w in words for j in range(len(w))}
 
 
 def test_factor_memo_is_closed_under_suffixes():
@@ -502,8 +502,7 @@ def test_factor_memo_is_closed_under_suffixes():
         for k in iter_admissible(9):
             eval_zeta(k, cfg)
     eval_combination(dual_gap_skew_sides(3, 4, 1, 1)[0])
-    memo = zeta._FACTOR_CACHE
-    assert all((w[j:], b) in memo for w, b in memo for j in range(len(w)))
+    assert all(w[j:] in memo for memo in zeta._FACTOR_CACHE.values() for w in memo for j in range(len(w)))
 
 
 def test_refused_request_writes_no_memo():
@@ -542,8 +541,9 @@ def test_factor_memo_pinned():
         cfg = EvalConfig(tol=tol)
         for k in iter_admissible(12):
             eval_zeta(k, cfg)
-    table = "".join(f"{w}\t{b}\t{v:x}\n" for (w, b), v in sorted(zeta._FACTOR_CACHE.items()))
-    assert len(zeta._FACTOR_CACHE) == 9213
+    memo = {(w, b): v for b, factors in zeta._FACTOR_CACHE.items() for w, v in factors.items()}
+    table = "".join(f"{w}\t{b}\t{v:x}\n" for (w, b), v in sorted(memo.items()))
+    assert len(memo) == 9213
     assert hashlib.sha256(table.encode()).hexdigest() == (
         "a82cca547fc21ec1dfed722b71094d6a424b3514895ed4dfbea4ecb2fb680022"
     )
@@ -589,7 +589,7 @@ def _reference_fill(words, fbits):
 def _filled(words, fbits):
     clear_factor_cache()
     zeta._fill_factors(words, fbits)
-    return {w: v for (w, b), v in zeta._FACTOR_CACHE.items() if b == fbits}
+    return dict(zeta._FACTOR_CACHE[fbits])
 
 
 @pytest.mark.parametrize("fbits", [3, 17, 27, 40, 54, 64, 128])
@@ -602,6 +602,10 @@ def test_fill_drops_only_zero_terms(fbits):
     <= 12 tried had a nonzero term there."""
     words = [w for k in iter_admissible(10) for w in (to_word(k), reverse_swap(to_word(k)))]
     assert _filled(words, fbits) == _reference_fill(words, fbits)
+    # Alone, a word has no shorter word in its batch, so the fill also reaches
+    # the suffixes that start inside an inner run.
+    for word in words[::29]:
+        assert _filled([word], fbits) == _reference_fill([word], fbits)
 
 
 def test_fill_drops_only_zero_terms_of_deep_words():
@@ -612,6 +616,36 @@ def test_fill_drops_only_zero_terms_of_deep_words():
     ks = [Index((1,) * (depth - 1) + (2,)) for depth in (40, 120, 300)] + [Index((2,) * 40), Index((1, 3) * 60)]
     words = [w for k in ks for w in (to_word(k), reverse_swap(to_word(k)))]
     assert _filled(words, 54) == _reference_fill(words, 54)
+
+
+@pytest.mark.parametrize("fbits", [17, 40, 54, 64])
+def test_fill_computes_exactly_the_planned_values(fbits):
+    """Planned one by one and filled, every admissible index of weight <= 10
+    and one of weight 19 (read at its weight class's precision) land in the
+    value memo of the bucket's precision, and nothing else does.  Each value
+    is the sum over the splits of its word of the product of the memo's
+    factors of the part after the split and of the dual of the part before."""
+    bucket = next(b for b in range(1, 16) if zeta._default_precision(b) == fbits)
+    heavy, cfg = Index((2,) * 8 + (3,)), EvalConfig(tol=10.0**-bucket)
+    light = list(iter_admissible(10))
+    clear_factor_cache()
+    todo = {}
+    for k in [*light, heavy]:
+        zeta._plan(k, cfg, todo, {})
+    heavy_fbits = zeta._default_precision(bucket, 19)
+    assert heavy_fbits > fbits
+    assert todo == {fbits: dict.fromkeys(light, fbits), heavy_fbits: {heavy: fbits}}
+    zeta._fill(todo)
+    assert list(zeta._VALUES) == [fbits]
+    assert set(zeta._VALUES[fbits]) == {*light, heavy}
+    for p, planned in todo.items():
+        memo = zeta._FACTOR_CACHE[p]
+        for k in planned:
+            word = to_word(k)
+            lower = [memo[word[j:]] for j in range(len(word))]
+            upper = [memo[reverse_swap(word[:j])] for j in range(1, len(word) + 1)]
+            acc = lower[0] + upper[-1] + sum((lower[j] * upper[j - 1]) >> p for j in range(1, len(word)))
+            assert zeta._VALUES[fbits][k] == math.ldexp(float(acc), -p), (p, k)
 
 
 def test_depth_300_index_is_pinned():
@@ -625,13 +659,13 @@ def test_depth_300_index_is_pinned():
 
 
 def test_threads_filling_one_new_precision_leave_the_memo_one_fill_leaves():
-    """Threads that fill the same words at a precision no memo holds yet grow
-    the shared inverse-power and headroom tables while the others read them;
-    they leave every memo as one fill alone leaves it."""
+    """Threads that fill the same words at a precision no memo holds yet build
+    the shared factor memo and tables while the others read them; they leave
+    every memo as one fill alone leaves it."""
     words = [to_word(k) for k in iter_admissible(9)]
 
     def memos():
-        return dict(zeta._FACTOR_CACHE), dict(zeta._INV_POWERS), dict(zeta._HEADROOM)
+        return {p: dict(f) for p, f in zeta._FACTOR_CACHE.items()}, dict(zeta._TABLES)
 
     _filled(words, 45)
     alone = memos()
@@ -690,7 +724,7 @@ def test_heavier_index_fills_at_its_weight_class_precision(monkeypatch):
     clear_factor_cache()
     together = eval_combination(IndexCombination({light: 1, heavy: 1}), EvalConfig(tol=1e-11))  # bucket 12
     assert sorted(fills) == [54, 56]
-    assert {fbits for _, fbits in zeta._FACTOR_CACHE} == {54, 56}
+    assert set(zeta._FACTOR_CACHE) == {54, 56}
     assert set(zeta._VALUES[54]) == {light, heavy}  # the bucket's value memo
     clear_factor_cache()
     assert together == math.fsum([eval_zeta(light), eval_zeta(heavy)])
@@ -1011,11 +1045,17 @@ def test_cache_load_rejects_garbage(tmp_path):
         "(2)\t99\t0x1.0p+0",
         "(1)\t12\t0x1.0p+0",
         "()\t12\t0x1.0p+0",
+        "1_0,2\t12\t0x1.0p-1",
+        " +2, 3\t12\t0x1.0p-1",
+        "10,2\t1_2\t0x1.0p-1",
+        "10,2\t+12\t0x1.0p-1",
     ],
 )
 def test_cache_load_rejects_values_it_cannot_serve(tmp_path, line):
     """A non-finite value, a bucket outside 1..15 or a non-admissible index
-    is refused like an unparsable line, also after good lines."""
+    is refused like an unparsable line, also after good lines.  So is an
+    index entry or bucket that is no integer literal of the expression
+    grammar, though ``int`` alone would read it (with an underscore or a sign)."""
     path = tmp_path / "bad.tsv"
     path.write_text(f"(3)\t12\t0x1.33ba004f00621p+0\n{line}\n")
     with pytest.raises(ValueError, match="malformed cache line"):
