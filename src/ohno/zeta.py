@@ -84,7 +84,9 @@ once per batch (a dict of a batch's chains peaked 15 MB higher on a
 553-term combination).  The batch stores each factor in its precision's
 memo, keyed by word, then sums each planned value from the suffix factors of
 its index's two words and memoises the double per (bucket, index).  Read:
-``eval_zeta`` asks the cache, then that memo, so a repeat costs one lookup.
+without a cache, one ``fsum`` over that memo in one pass; with one, each term
+goes through ``eval_zeta``, which takes the cache's lock once to count a hit,
+or a miss and the row it stores from that memo.
 ``eval_combination`` plans one combination;
 :func:`~ohno.verify.verify` plans each distinct combination of a grid once,
 all before the fill, so one fill per precision serves the whole sweep and a
@@ -570,7 +572,8 @@ def clear_factor_cache() -> None:
 
 
 class _TermConfig(EvalConfig):
-    """What :func:`_plan` hands :func:`eval_zeta`: a term is read off the value memo without a cap check."""
+    """What :func:`_plan` hands :func:`_read`, which hands it to :func:`eval_zeta` with each term
+    when it has a cache: :func:`eval_zeta` reads a term off the cache or the value memo without a cap check."""
 
 
 def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
@@ -581,14 +584,16 @@ def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
             raise ValueError(f"expected an Index, got {k!r}")
         return eval_combination(k, cfg)  # checks the cap, fills, then reads k below
     bucket, cache = cfg.bucket, cfg.cache
-    if cache is not None:
-        hit = cache.lookup(k, bucket)
-        if hit is not None:
-            return hit
-    value = _VALUES[cfg.precision][k]  # computed by the fill
-    if cache is not None:
-        with cache._lock:  # a row built here is valid, so it skips store's check
-            cache._merge(((k, bucket, value),))
+    if cache is None:
+        return _VALUES[cfg.precision][k]  # computed by the fill
+    with cache._lock:  # one lock per term: a hit, or a miss and its row (valid, so store's check is skipped)
+        entry = cache._entries.get(k)
+        if entry is not None and entry[0] >= bucket:
+            cache._hits += 1
+            return entry[1]
+        cache._misses += 1
+        value = _VALUES[cfg.precision][k]
+        cache._merge(((k, bucket, value),))
     return value
 
 
@@ -670,9 +675,15 @@ def _fill(todo: dict[int, dict[Index, int]]) -> None:
 
 
 def _read(term_cfg: EvalConfig, terms: dict) -> float:
-    """The value of filled terms, read in any order (``fsum`` is exact) and refused beyond the double range."""
-    try:
-        value = math.fsum(float(c) * eval_zeta(k, term_cfg) for k, c in terms.items())
+    """The value of filled terms, read in any order (``fsum`` is exact) and refused beyond the double range.
+    Without a cache, the value memo in one pass (an empty side reads none, so makes no memo); with
+    one, each term through :func:`eval_zeta`, looked up at each read so that a wrapper of it sees them."""
+    if term_cfg.cache is not None:
+        values = map(eval_zeta, terms, repeat(term_cfg))
+    else:
+        values = map(_VALUES[term_cfg.precision].__getitem__, terms) if terms else ()
+    try:  # an int or Fraction times a float is float(c) times it; _plan refused a mass beyond the double range
+        value = math.fsum(map(mul, terms.values(), values))
     except OverflowError:  # a partial sum beyond the double range
         value = math.inf
     if not math.isfinite(value):

@@ -639,6 +639,44 @@ def test_half_coefficients_stay_exact():
     assert combination_to_text(halved) == "1/4*(2) + 1/2*(3)"
 
 
+def _added_by_loop(a, b):
+    """``a + b`` as a term-by-term loop: ``a``'s terms, then ``b``'s new ones,
+    zeros dropped and integral coefficients as ``int``."""
+    out = dict(a._terms)
+    for k, c in b._terms.items():
+        out[k] = out.get(k, 0) + c
+    return {k: int(c) if c.denominator == 1 else c for k, c in out.items() if c}
+
+
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ({(2,): 1, (3,): -2}, {(1, 2): 5, (2, 3): 1}),  # disjoint
+        ({(2,): 1, (3,): -2}, {(1, 2): 5, (3,): 7}),  # overlapping
+        ({(2,): 1, (3,): -2}, {(3,): 2, (2,): -1}),  # cancelling to zero
+        ({(2,): 1, (3,): -2, (4,): 3}, {(3,): 2, (1, 3): 4}),  # one term cancels
+        ({(2,): _HALF, (3,): 1}, {(1, 2): _THIRD, (2, 2): 2}),  # disjoint, Fraction and int
+        ({(2,): _HALF, (3,): _THIRD}, {(2,): _HALF, (3,): -_HALF}),  # overlapping Fractions
+        ({(2,): _HALF}, {(2,): -_HALF}),  # Fractions cancelling to zero
+        ({}, {(2,): _HALF, (3,): 4}),  # zero plus a combination
+    ],
+)
+def test_sum_matches_the_term_by_term_loop(a, b):
+    """``+`` gives the loop's terms, coefficient types and term order, in
+    both operand orders, whether the supports are disjoint or not."""
+    a = IndexCombination({Index(k): c for k, c in a.items()})
+    b = IndexCombination({Index(k): c for k, c in b.items()})
+    for x, y in ((a, b), (b, a)):
+        expected = _added_by_loop(x, y)
+        total = x + y
+        assert list(total._terms.items()) == list(expected.items())
+        assert [type(c) for c in total._terms.values()] == [type(c) for c in expected.values()]
+        assert total == IndexCombination(list(x) + list(y))
+
+
 def test_statistics_are_exact_for_both_coefficient_types():
     ints = IndexCombination([(Index((2,)), -2), (Index((3,)), 5)])
     assert ints.coefficient_mass() == 7 and type(ints.coefficient_mass()) is int

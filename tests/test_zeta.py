@@ -369,25 +369,66 @@ def test_series_cap_ignores_warm_zeta_cache(evaluate):
 
 
 def test_combination_reads_each_term_through_eval_zeta(monkeypatch):
-    """eval_combination asks eval_zeta for every term at the combination's
-    bucket, so a wrapper around eval_zeta (the benchmark's tracer) sees
-    each per-term request; the cap is checked once, before any of them."""
+    """With a ZetaCache, eval_combination asks eval_zeta for every term once,
+    at the combination's bucket, so a wrapper around eval_zeta (the
+    benchmark's tracer) sees each per-term request.  Without one, it reads
+    the value memo in one pass: no term goes through eval_zeta, and the value
+    is the per-term reads' sum, bit for bit.  The cap is checked once, before
+    any read."""
     seen = []
 
     def spy(k, cfg=None):
         seen.append((k, cfg.bucket))
         return original(k, cfg)
 
+    a, b, c = Index((2, 3)), Index((1, 2, 1, 3)), Index((3,))
+    comb = IndexCombination({a: 100, b: 200, c: Fraction(1, 3)})  # mass 300 1/3: bucket 11 at tol 1e-8
+    reference = math.fsum(float(x) * eval_zeta(k, EvalConfig(tol=1e-11)) for k, x in comb)
     original = zeta.eval_zeta
     monkeypatch.setattr(zeta, "eval_zeta", spy)
-    a, b = Index((2, 3)), Index((1, 2, 1, 3))
-    comb = IndexCombination({a: 100, b: 200})  # mass 300: bucket 11 at tol 1e-8
-    eval_combination(comb, EvalConfig(tol=1e-8))
-    assert len(seen) == 2 and set(seen) == {(a, 11), (b, 11)}
+    cache = ZetaCache()
+    assert eval_combination(comb, EvalConfig(tol=1e-8, cache=cache)) == reference
+    assert sorted(seen) == sorted([(a, 11), (b, 11), (c, 11)])
+    assert cache.stats == zeta.ZetaCacheStats(hits=0, misses=3)
     seen.clear()
-    with pytest.raises(PrecisionError):
-        eval_combination(comb, EvalConfig(tol=1e-8, max_terms=8))
+    assert eval_combination(comb, EvalConfig(tol=1e-8)) == reference
     assert seen == []
+    for cfg in (EvalConfig(tol=1e-8, max_terms=8), EvalConfig(tol=1e-8, max_terms=8, cache=cache)):
+        with pytest.raises(PrecisionError):
+            eval_combination(comb, cfg)
+    assert seen == []
+    assert cache.stats == zeta.ZetaCacheStats(hits=0, misses=3)
+
+
+def _memos():
+    """A copy of every process-wide memo of ``zeta``."""
+    return ({p: dict(v) for p, v in zeta._VALUES.items()}, {p: dict(f) for p, f in zeta._FACTOR_CACHE.items()},
+            dict(zeta._TABLES), zeta._stop.cache_info().currsize, zeta._default_precision.cache_info().currsize,
+            zeta._LAST_FILE, dict(zeta._LINES))
+
+
+@pytest.mark.parametrize("with_cache", [False, True])
+def test_zero_or_refused_combination_leaves_every_memo(with_cache):
+    """The zero combination reads and derives nothing, so from a cleared
+    state it leaves every memo empty: no value memo appears for its
+    precision.  Neither it nor a combination refused as non-admissible,
+    after an admissible term was planned, changes a warm memo or the cache."""
+    cache = ZetaCache() if with_cache else None
+    zero = IndexCombination()
+    bad = IndexCombination({Index((2, 3)): Fraction(1, 2), Index((2, 1)): Fraction(1, 2)})  # mass 1: bucket 8
+    clear_factor_cache()
+    empty = _memos()
+    assert eval_combination(zero, EvalConfig(tol=1e-8, cache=cache)) == 0.0
+    assert _memos() == empty
+    eval_zeta(Index((3,)), EvalConfig(tol=1e-8))
+    before = _memos()
+    for tol in (1e-8, 1e-10):
+        assert eval_combination(zero, EvalConfig(tol=tol, cache=cache)) == 0.0
+    with pytest.raises(ValueError, match=r"non-admissible index \(2,1\)$"):
+        eval_combination(bad, EvalConfig(tol=1e-8, cache=cache))
+    assert _memos() == before
+    if cache is not None:
+        assert len(cache) == 0 and cache.stats == zeta.ZetaCacheStats()
 
 
 def test_clear_factor_cache_empties_value_memo(tmp_path, parsed):
@@ -441,20 +482,21 @@ def _memo_of(evaluate):
 def test_batch_fills_the_memo_of_terms_alone(tol, monkeypatch):
     """Both sides of a skew gap, each filled in one batch, leave the same
     factors and values, bit for bit, as their terms evaluated one by one at
-    the combination's bucket."""
+    the combination's bucket (each term with the bucket its plan reads it at)."""
     sides = dual_gap_skew_sides(4, 4, 2, 2)
     requests = []
 
-    def spy(k, cfg=None):
-        requests.append((k, cfg.bucket))
-        return original(k, cfg)
+    def spy(comb, cfg, todo, held):
+        term_cfg, terms = original(comb, cfg, todo, held)
+        requests.extend((k, term_cfg.bucket) for k in terms)
+        return term_cfg, terms
 
     def by_combination():
         for side in sides:
             eval_combination(side, EvalConfig(tol=tol))
 
-    original = zeta.eval_zeta
-    monkeypatch.setattr(zeta, "eval_zeta", spy)
+    original = zeta._plan
+    monkeypatch.setattr(zeta, "_plan", spy)
     batched = _memo_of(by_combination)
     monkeypatch.undo()
     assert len(requests) == sum(len(side) for side in sides)
@@ -1314,6 +1356,84 @@ def test_cached_values_feed_combinations():
     total = eval_combination(c, cfg)
     assert total == pytest.approx(ZETA2 + ZETA3, abs=1e-11)
     assert len(cache) == 2
+
+
+def _read_term_by_term(comb, cfg):
+    """A combination planned and filled, then read one term at a time through
+    ``ZetaCache.lookup`` and a ``store`` of each miss."""
+    todo = {}
+    term_cfg, terms = zeta._plan(comb, cfg, todo, {})
+    zeta._fill(todo)
+    products = []
+    for k, c in terms.items():
+        value = cfg.cache.lookup(k, term_cfg.bucket)
+        if value is None:
+            value = zeta._VALUES[term_cfg.precision][k]
+            cfg.cache.store(k, term_cfg.bucket, value)
+        products.append(float(c) * value)
+    return math.fsum(products)
+
+
+@pytest.mark.parametrize(
+    "terms, hits, misses",
+    [
+        ({(2, 3): 1, (1, 2, 3): -2, (4, 1, 2): 3, (3, 3): 1, (5,): 2}, 2, 3),  # mass 9: bucket 13
+        ({(1, 2, 3): 1, (5,): -1}, 2, 0),  # mass 2: bucket 13, every term held
+    ],
+)
+def test_cached_read_matches_the_term_by_term_read(tmp_path, terms, hits, misses):
+    """A cache holding one term at a coarser bucket than the read's, one at a
+    finer one and one at the same gives, after one ``eval_combination``, the
+    value, entries, counts and saved-path state of a read term by term."""
+    comb = IndexCombination({Index(k): c for k, c in terms.items()})
+
+    def saved(name):
+        cache, path = ZetaCache(), str(tmp_path / name)
+        cache.store(Index((2, 3)), 9, 0.25)  # coarser: a miss, replaced
+        cache.store(Index((1, 2, 3)), 15, 0.5)  # finer: a hit
+        cache.store(Index((5,)), 13, 0.75)  # the read's bucket: a hit
+        cache.save(path)
+        return cache, path
+
+    (cache, path), (reference, reference_path) = saved("read.tsv"), saved("reference.tsv")
+    value = eval_combination(comb, EvalConfig(cache=cache))
+    assert value.hex() == _read_term_by_term(comb, EvalConfig(cache=reference)).hex()
+    assert cache._entries == reference._entries
+    assert cache.stats == reference.stats == zeta.ZetaCacheStats(hits=hits, misses=misses)
+    assert (cache._saved == path) == (reference._saved == reference_path) == (misses == 0)
+
+
+def test_threads_reading_one_cache_count_every_term():
+    """Four threads reading one cache count a hit or a miss for every term
+    they read, and leave the entries that one thread's reads leave."""
+    sides = dual_gap_skew_sides(3, 4, 1, 1)
+    alone = ZetaCache()
+    for side in sides:
+        eval_combination(side, EvalConfig(cache=alone))
+    cache, errors = ZetaCache(), []
+
+    def reader():
+        try:
+            for _ in range(5):
+                for side in sides:
+                    eval_combination(side, EvalConfig(cache=cache))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert cache.stats.hits + cache.stats.misses == 4 * 5 * sum(len(side) for side in sides)
+    assert cache._entries == alone._entries
 
 
 # ---------------------------------------------------------------------------
