@@ -257,8 +257,6 @@ class IndexCombination:
     def __add__(self, other: "IndexCombination") -> "IndexCombination":
         if not isinstance(other, IndexCombination):
             return NotImplemented
-        if self._terms.keys().isdisjoint(other._terms):  # settled and apart, so the union is settled
-            return _trusted_combination({**self._terms, **other._terms})
         out = dict(self._terms)
         for k, c in other._terms.items():
             out[k] = out.get(k, 0) + c

@@ -85,8 +85,8 @@ once per batch (a dict of a batch's chains peaked 15 MB higher on a
 memo, keyed by word, then sums each planned value from the suffix factors of
 its index's two words and memoises the double per (bucket, index).  Read:
 without a cache, one ``fsum`` over that memo in one pass; with one, each term
-goes through ``eval_zeta``, which takes the cache's lock once to count a hit,
-or a miss and the row it stores from that memo.
+goes through ``eval_zeta`` to ``ZetaCache.lookup``, which takes the cache's
+lock once to count a hit, or a miss and the row it stores from that memo.
 ``eval_combination`` plans one combination;
 :func:`~ohno.verify.verify` plans each distinct combination of a grid once,
 all before the fill, so one fill per precision serves the whole sweep and a
@@ -267,7 +267,9 @@ class ZetaCache:
         if path is not None and os.path.exists(path):
             self.load(path)
 
-    def lookup(self, k: Index, bucket: int) -> Optional[float]:
+    def lookup(self, k: Index, bucket: int, precision: Optional[int] = None) -> Optional[float]:
+        """The value held for ``k`` at ``bucket`` or finer, counted as a hit; else a miss, counted, and
+        None, or with a ``precision`` the value the fill left for ``k`` in that value memo, stored here."""
         entry = self._entries.get(k)
         if entry is not None and entry[0] >= bucket:
             with self._lock:
@@ -275,6 +277,10 @@ class ZetaCache:
             return entry[1]
         with self._lock:
             self._misses += 1
+            if precision is not None:
+                value = _VALUES[precision][k]
+                self._merge(((k, bucket, value),))  # a filled value is a valid row, so store's check is skipped
+                return value
         return None
 
     def store(self, k: Index, bucket: int, value: float) -> None:
@@ -573,7 +579,7 @@ def clear_factor_cache() -> None:
 
 class _TermConfig(EvalConfig):
     """What :func:`_plan` hands :func:`_read`, which hands it to :func:`eval_zeta` with each term
-    when it has a cache: :func:`eval_zeta` reads a term off the cache or the value memo without a cap check."""
+    when it has a cache: the term is read off the cache, or on a miss the value memo, without a cap check."""
 
 
 def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
@@ -582,19 +588,8 @@ def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
     if type(cfg) is not _TermConfig:
         if not isinstance(k, Index):
             raise ValueError(f"expected an Index, got {k!r}")
-        return eval_combination(k, cfg)  # checks the cap, fills, then reads k below
-    bucket, cache = cfg.bucket, cfg.cache
-    if cache is None:
-        return _VALUES[cfg.precision][k]  # computed by the fill
-    with cache._lock:  # one lock per term: a hit, or a miss and its row (valid, so store's check is skipped)
-        entry = cache._entries.get(k)
-        if entry is not None and entry[0] >= bucket:
-            cache._hits += 1
-            return entry[1]
-        cache._misses += 1
-        value = _VALUES[cfg.precision][k]
-        cache._merge(((k, bucket, value),))
-    return value
+        return eval_combination(k, cfg)  # checks the cap, fills, then reads k
+    return cfg.cache.lookup(k, cfg.bucket, cfg.precision)  # _read passes a term only with a cache
 
 
 def _plan(comb: Union[Index, IndexCombination], cfg: EvalConfig, todo: dict, held: dict) -> tuple:
