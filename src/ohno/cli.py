@@ -47,8 +47,8 @@ cache:
   --cache on     in-memory cache for this invocation (default)
   --cache off    no caching
   --cache PATH   file-backed cache, loaded before and saved after
-  One cache serves every --expr of a call, so a later expression may read
-  a finer value that an earlier one stored.
+  One cache serves every --expr of a call.  A value does not depend on
+  --tol, so a cached value is the one --cache off prints.
 """
 
 

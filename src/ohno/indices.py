@@ -165,7 +165,7 @@ _INT_TEXT = re.compile(r"\s*-?\d+\s*")
 
 
 def _int_text(text: str) -> int:
-    """The int spelt by ``text``, an entry of index text or a cache-file bucket."""
+    """The int spelt by ``text``, an entry of index text."""
     if not _INT_TEXT.fullmatch(text):
         raise ValueError(f"malformed integer {text!r}")
     return int(text)

@@ -28,14 +28,12 @@ overridable per parameter) in one pass over its parameters, refuses the
 points that violate an identity's hypotheses, and returns a
 :class:`VerificationReport`.  A numeric grid runs in three phases.  Plan:
 each point in turn builds its sides (what points share once per call, in
-the memo of :mod:`ohno.sums`) and plans each distinct side object once,
-following the cache's store order.  Fill: one call per working precision
-fills what every plan misses.  Read: each point is reduced to its residual
-once nothing planned before it waits for the fill.  Without a cache a side
-is read once, its value a pure function of its terms; a cache is read at
-every occurrence, as it counts each lookup and may have stored a finer
-value in between.  So a warm sweep holds the pairs of one point at a time
-and the plan and value of every distinct side.  A planning error ends the
+the memo of :mod:`ohno.sums`) and plans each distinct side object once.
+Fill: one call per working precision fills what every plan misses.  Read:
+each point is reduced to its residual once nothing planned before it waits
+for the fill.  A side is read once, with or without a cache, its value a
+pure function of its terms.  So a warm sweep holds the pairs of one point
+at a time and the plan and value of every distinct side.  A planning error ends the
 plan; the points before it are still filled and read, so the first error in
 point order is raised.  A point's ``elapsed_ms`` covers its own side
 building, planning, reads and comparison; the shared fill counts only in
@@ -527,7 +525,7 @@ def _point_results(spec: IdentitySpec, cfg: EvalConfig, points: list[dict[str, A
     plans: dict[int, list] = {}  # id(side) -> [side, plan, value]; holding the side keeps its id unique
 
     def value(entry: list) -> float:
-        if entry[2] is None or cfg.cache is not None:  # a cached read may hit a finer value
+        if entry[2] is None:
             entry[2] = _read(*entry[1])
         return entry[2]
 
@@ -548,7 +546,7 @@ def _point_results(spec: IdentitySpec, cfg: EvalConfig, points: list[dict[str, A
             outcome = dict(equal=all(lhs == rhs for lhs, rhs in pairs))
         return PointResult(shown, **outcome, elapsed_ms=(seconds + time.perf_counter() - start) * 1000.0)
 
-    todo, held, results, rows = {}, {}, [], []  # rows: refusals and planned points until read
+    todo, results, rows = {}, [], []  # rows: refusals and planned points until read
     for params in points:
         shown = _display_params(params)
         reason = _refusal(spec, params)
@@ -561,8 +559,8 @@ def _point_results(spec: IdentitySpec, cfg: EvalConfig, points: list[dict[str, A
             if spec.kind == "numeric":  # in the order the values are read
                 for comb in (c for pair in pairs for side in pair for c in _factors(side)):
                     entry = plans.get(id(comb))
-                    if entry is None:  # planning again would add nothing to todo or held
-                        entry = plans[id(comb)] = [comb, _plan(comb, cfg, todo, held), None]
+                    if entry is None:  # planning again would add nothing to todo
+                        entry = plans[id(comb)] = [comb, _plan(comb, cfg, todo), None]
                     planned.append(entry)
         except Exception as exc:  # raised by read() once the points before it are read
             rows.append((shown, exc, planned, 0.0))

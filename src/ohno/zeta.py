@@ -55,12 +55,12 @@ one by a deficit ``>= 0``:
 Hence ``|eval_zeta(k) - zeta(k)| <= 2^-P * (2w * E_d + w - 1) + 2^-53``
 (:func:`_bound`).  Factors below ``ln 2`` rather than 1 leave over a quarter
 of the factor part as slack, which covers the floating-point evaluation of
-the bound and of the stop rule's majorant.  The working precision at
-tolerance ``10^-b`` is the least ``P`` at which the bound of the heaviest
-index of the weight's class (weights up to 16, 17..32, 33..64, ...) is at
-most ``10^-b`` (:func:`_default_precision`): ``log2(10^b)`` plus 13 or 14
-guard bits up to weight 16, so 54 bits at ``b = 12``, and 1 or 2 bits more
-per doubling of the weight.
+the bound and of the stop rule's majorant.  The working precision is the
+least ``P`` at which the bound of the heaviest index of the weight's class
+(weights up to 16, 17..32, 33..64, ...) is at most ``10^-15``, the double
+floor (:func:`_default_precision`): 64 bits up to weight 16, 66 up to 32, 68
+up to 64 and 70 up to 128.  It depends on the weight alone, not on a
+requested tolerance, so a value is a function of its index alone.
 
 Cost of ``eval_zeta``.  The tail majorant depends only on the depth of a
 factor and on ``P``, so the number of terms a factor sums (its stopping
@@ -83,14 +83,14 @@ reversed runs, are walked with one stack of chains, so each chain is built
 once per batch (a dict of a batch's chains peaked 15 MB higher on a
 553-term combination).  The batch stores each factor in its precision's
 memo, keyed by word, then sums each planned value from the suffix factors of
-its index's two words and memoises the double per (bucket, index).  Read:
-without a cache, one ``fsum`` over that memo in one pass; with one, each term
-goes through ``eval_zeta`` to ``ZetaCache.lookup``, which takes the cache's
-lock once to count a hit, or a miss and the row it stores from that memo.
+its index's two words and memoises the double per index.  Read: without a
+cache, one ``fsum`` over that memo in one pass; with one, each term goes
+through ``eval_zeta`` to ``ZetaCache.lookup``, which takes the cache's lock
+once to count a hit, or a miss and the row it stores from that memo.
 ``eval_combination`` plans one combination;
 :func:`~ohno.verify.verify` plans each distinct combination of a grid once,
 all before the fill, so one fill per precision serves the whole sweep and a
-chain is built once in it; without a cache it also reads each one once.
+chain is built once in it, and reads each one once.
 
 The fill's window.  Floors are monotone and ``2^P // m^n <= 2^P // m``, so a
 computed chain is at most the chain whose runs are all 1, exactly
@@ -108,8 +108,8 @@ next level ``C`` adds that run to, so its term ``m`` is ``floor(a_m *
 c(m-1) / 2^(P+m))``, and as ``floor(floor(x / 2^P) / 2^m) = floor(x /
 2^(P+m))`` that is ``(C(m) - C(m-1)) >> m``: a step of ``C``, shifted.
 
-Repeated evaluation with an identical configuration is bit-identical, up
-to what a cache may change (see :class:`EvalConfig`).
+A value is bit-identical whatever the configuration that asks for it, and
+so is one that a :class:`ZetaCache` filled by this evaluator answers with.
 """
 
 from __future__ import annotations
@@ -119,14 +119,13 @@ import math
 import os
 import threading
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import accumulate, repeat
 from operator import mul, rshift, sub
 from typing import Iterable, Optional, Union
 
-from ohno.indices import Index, IndexCombination, _int_at_least, _int_text, _named, _sort_key, as_combination
+from ohno.indices import Index, IndexCombination, _int_at_least, _named, _sort_key, as_combination
 
 __all__ = [
     "EvalConfig",
@@ -171,11 +170,6 @@ def reverse_swap(word: str) -> str:
 
 # -- configuration and cache --------------------------------------------------
 
-# Finest tolerance bucket of any evaluation, also where eval_combination stops
-# refining the per-term budgets it scales by coefficient mass.  Results are
-# doubles, so refining past the double-precision floor (tol 1e-15) buys nothing.
-_FINEST_BUCKET = 15
-
 
 def _bucket_of(tol: float) -> int:
     """Tolerance bucket: number of decimal digits, rounded towards finer."""
@@ -183,7 +177,7 @@ def _bucket_of(tol: float) -> int:
 
 
 # Weight classes: weights up to 2^c share the precision of class c >= 4, so
-# every default grid (weight <= 15) reads at one precision per bucket.
+# every default grid (weight <= 15) reads at one precision.
 _LIGHT = 16
 # Rounding a value below 2 to the nearest double errs by at most half an ulp.
 _HALF_ULP = 2.0**-53
@@ -203,12 +197,12 @@ def _bound(weight: int, depth: int, fbits: int) -> float:
 
 
 @cache
-def _default_precision(bucket: int, weight: int = _LIGHT) -> int:
-    """Working precision in bits for an index of ``weight`` at tolerance
-    ``10^-bucket``: the least at which :func:`_bound` of the heaviest index of
-    the weight's class meets the tolerance."""
+def _default_precision(weight: int = _LIGHT) -> int:
+    """Working precision in bits for an index of ``weight``: the least at
+    which :func:`_bound` of the heaviest index of the weight's class meets
+    the double floor ``10^-15``."""
     heaviest = 1 << (max(weight, _LIGHT) - 1).bit_length()
-    budget, fbits = 10.0**-bucket - _HALF_ULP, math.ceil(bucket * math.log2(10))
+    budget, fbits = 1e-15 - _HALF_ULP, math.ceil(15 * math.log2(10))
     # The bound's fixed-point part is 2^-P times units that grow with P, so no
     # precision short of the jump meets the budget.
     while (excess := (_bound(heaviest, heaviest - 1, fbits) - _HALF_ULP) / budget) > 1:
@@ -224,29 +218,30 @@ class ZetaCacheStats:
 
 # The cache-file text this process last parsed or wrote and the rows a parse of
 # it keeps, one tuple so threads read a consistent pair; a hit is never stale.
-_LAST_FILE: tuple[str, dict[Index, tuple[int, float]]] = ("", {})
-# The line of each row of the last file this process wrote, with the entry it
-# formats; an entry is immutable and held here, so ``is`` tells a kept line.
-_LINES: dict[Index, tuple[tuple[int, float], str]] = {}
+_LAST_FILE: tuple[str, dict[Index, float]] = ("", {})
+# The line of each row of the last file this process wrote, with the value it
+# formats; the value is held here, so ``is`` tells a kept line.
+_LINES: dict[Index, tuple[float, str]] = {}
 
 
-def _loads_back(k: object, bucket: object, value: object) -> bool:
+def _loads_back(k: object, value: object) -> bool:
     """Whether a cache row is valid, so that its file line loads back as it."""
-    return (type(k) is Index and k.admissible and type(bucket) is int and 1 <= bucket <= _FINEST_BUCKET
-            and type(value) is float and math.isfinite(value))
+    return type(k) is Index and k.admissible and type(value) is float and math.isfinite(value)
 
 
 class ZetaCache:
-    """Memo for evaluated indices, keyed by index and tolerance bucket.
+    """Memo for evaluated indices, one value per index.
 
-    Each index stores the value computed at the finest bucket requested so
-    far; a request at a coarser tolerance reuses it.  Safe for concurrent
-    readers and writers (last write wins, which is idempotent because values
-    are deterministic functions of index and bucket).
+    The first value held for an index stays: a later store or load of the
+    index changes nothing.  Values are deterministic functions of the index,
+    so a cache that only this evaluator fills answers with the value that no
+    cache would give, whatever the tolerance of either request.  Safe for
+    concurrent readers and writers.
 
-    The flat-file form has one line per index:
-    ``index<TAB>tol-bucket<TAB>hex-float``; a line whose index is not
-    admissible, bucket outside 1..15 or value not finite is malformed.
+    The flat-file form has one line per index: ``index<TAB>hex-float``; a
+    line whose index is not admissible or value not finite is malformed, and
+    so is a line of any other number of fields (the three-field lines of
+    older files, which carried a tolerance bucket, among them).
     :meth:`save` leaves alone a file that already holds every entry, so a
     hand-written valid file stays as written until something new is stored.
     A process-wide memo keeps the text and rows of the last file this process parsed
@@ -257,7 +252,7 @@ class ZetaCache:
     """
 
     def __init__(self, path: Optional[str] = None):
-        self._entries: dict[Index, tuple[int, float]] = {}
+        self._entries: dict[Index, float] = {}
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -267,37 +262,34 @@ class ZetaCache:
         if path is not None and os.path.exists(path):
             self.load(path)
 
-    def lookup(self, k: Index, bucket: int, precision: Optional[int] = None) -> Optional[float]:
-        """The value held for ``k`` at ``bucket`` or finer, counted as a hit; else a miss, counted, and
-        None, or with a ``precision`` the value the fill left for ``k`` in that value memo, stored here."""
-        entry = self._entries.get(k)
-        if entry is not None and entry[0] >= bucket:
+    def lookup(self, k: Index, filled: bool = False) -> Optional[float]:
+        """The value held for ``k``, counted as a hit; else a miss, counted, and None,
+        or if ``filled`` the value the fill left for ``k`` in the value memo, stored here."""
+        value = self._entries.get(k)
+        if value is not None:
             with self._lock:
                 self._hits += 1
-            return entry[1]
+            return value
         with self._lock:
             self._misses += 1
-            if precision is not None:
-                value = _VALUES[precision][k]
-                self._merge(((k, bucket, value),))  # a filled value is a valid row, so store's check is skipped
-                return value
+            if filled:  # a filled value is a valid row, so store's check is skipped
+                return self._add(k, _VALUES[k])
         return None
 
-    def store(self, k: Index, bucket: int, value: float) -> None:
-        """Keep ``value`` unless a finer bucket is held; a row that :meth:`load`
+    def store(self, k: Index, value: float) -> None:
+        """Keep ``value`` unless a value is held for ``k``; a row that :meth:`load`
         would refuse (a float subclass loads back as a float) is a ``ValueError``."""
-        if not (isinstance(value, float) and _loads_back(k, bucket, float(value))):
-            raise ValueError(f"cannot cache bucket {bucket!r} and value {value!r} for {k!r}")
+        if not (isinstance(value, float) and _loads_back(k, float(value))):
+            raise ValueError(f"cannot cache value {value!r} for {k!r}")
         with self._lock:
-            self._merge(((k, bucket, value),))
+            self._add(k, value)
 
-    def _merge(self, rows: Iterable[tuple[Index, int, float]]) -> None:
-        """Keep the finest bucket per index; the caller holds the lock."""
-        for k, bucket, value in rows:
-            current = self._entries.get(k)
-            if current is None or current[0] < bucket:
-                self._entries[k] = (bucket, value)
-                self._saved = None
+    def _add(self, k: Index, value: float) -> float:
+        """The value held for ``k``, ``value`` unless one was; the caller holds the lock."""
+        if k not in self._entries:
+            self._entries[k] = value
+            self._saved = None
+        return self._entries[k]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -318,11 +310,11 @@ class ZetaCache:
             self._saved = token = [path]
             items = list(self._entries.items())
         kept, lines, back = _LINES, {}, True  # a row is formatted and checked once, when it first needs a line
-        for k, entry in items:
+        for k, value in items:
             line = kept.get(k)
-            if line is None or line[0] is not entry:
-                line = (entry, f"{k.to_text()}\t{entry[0]}\t{entry[1].hex()}\n")
-                back = back and _loads_back(k, *entry)
+            if line is None or line[0] is not value:
+                line = (value, f"{k.to_text()}\t{value.hex()}\n")
+                back = back and _loads_back(k, value)
             lines[k] = line
         # Sorted by index text, since a tab sorts below every character of one.
         text = "".join(sorted(line for _, line in lines.values()))
@@ -342,7 +334,7 @@ class ZetaCache:
             _LAST_FILE, _LINES = (text, dict(items)), lines
 
     def load(self, path: str) -> None:
-        """Merge the flat file at ``path``, parsed unless the memo holds its text.
+        """Merge the flat file at ``path``, parsed unless the memo holds its text; held values stay.
         Every line is checked before any is stored, so a malformed line leaves the cache as it was."""
         global _LAST_FILE
         with open(path, encoding="ascii") as fh:
@@ -355,22 +347,17 @@ class ZetaCache:
                 if not line:
                     continue
                 try:
-                    index_text, bucket_text, hex_text = line.split("\t")
-                    k, bucket, value = Index.from_text(index_text), _int_text(bucket_text), float.fromhex(hex_text)
-                    if not _loads_back(k, bucket, value):
+                    index_text, hex_text = line.split("\t")
+                    k, value = Index.from_text(index_text), float.fromhex(hex_text)
+                    if not _loads_back(k, value):
                         raise ValueError
                 except ValueError:
                     raise ValueError(f"malformed cache line {line!r}") from None
-                if rows.get(k, (0,))[0] < bucket:  # the finest bucket, on a tie the first line
-                    rows[k] = (bucket, value)
+                rows.setdefault(k, value)  # on two lines of one index, the first
             _LAST_FILE = (text, rows)
         with self._lock:
-            if self._entries:
-                self._merge((k, b, v) for k, (b, v) in rows.items())
-                self._saved = None
-            else:
-                self._entries.update(rows)  # a copy: a later store must not reach the memo
-                self._saved = path
+            self._saved = None if self._entries else path
+            self._entries = {**rows, **self._entries}  # a copy: a later store must not reach the memo
 
 
 @dataclass(frozen=True)
@@ -380,23 +367,21 @@ class EvalConfig:
     ``tol``
         Absolute accuracy target for a single value, a finite float or int.
         Values are returned as doubles, so targets below about 1e-15 are not
-        honourable; the constructor rejects them.  A value is within
-        ``10^-bucket`` of the exact one, ``bucket`` the number of decimal
-        digits of ``tol`` rounded towards finer.  The working precision is
-        the least number of fixed-point bits at which the module
-        docstring's proven bound meets ``10^-bucket`` for every weight in
-        the index's weight class (up to 16, 17..32, 33..64, ...): 54 bits
-        at tol 1e-12 up to weight 16.  A combination whose coefficient mass
-        is large refines the bucket of its terms.
+        honourable; the constructor rejects them.  It moves no value: every
+        value is computed at its weight class's precision for the double
+        floor (module docstring), within 1e-15 of the exact one.  It sets the
+        pass rule of :func:`~ohno.verify.verify`.  ``bucket``, its number of
+        decimal digits rounded towards finer, is kept for tools that key
+        requests by it.
     ``max_terms``
         Cap on the length of any single series factor.  An evaluation whose
         deepest factor needs more terms than this to meet the error budget
         raises :class:`PrecisionError` rather than returning a degraded
         value, whether or not its value is memoised or cached.
     ``cache``
-        Optional :class:`ZetaCache`.  It answers with the value at the
-        finest bucket it holds for an index: within the requested tolerance,
-        but possibly not bit-identical to the value computed without it.
+        Optional :class:`ZetaCache`.  It answers with the value it holds for
+        an index, which is the value computed without it unless something
+        other than this evaluator stored it.
     """
 
     tol: float = 1e-12
@@ -416,13 +401,9 @@ class EvalConfig:
         return _bucket_of(self.tol)
 
     @cached_property
-    def precision(self) -> int:
-        """Working precision in bits at ``tol`` for an index of weight at most 16."""
-        return _default_precision(self.bucket)
-
-    @cached_property
-    def _term_configs(self) -> dict[int, "EvalConfig"]:
-        return {}  # bucket -> the configuration that :func:`_plan` reads terms at
+    def _term_config(self) -> "EvalConfig":
+        """What :func:`_read` hands :func:`eval_zeta` with each term when there is a cache."""
+        return _TermConfig(self.tol, self.max_terms, self.cache)
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -440,12 +421,10 @@ _FACTOR_CACHE: dict[int, dict[str, int]] = {}
 # or factor reads, and ``head[m] = m - bit_length(inv[m])``, strictly
 # increasing from ``m = 1`` (see :func:`_fill_factors`).
 _TABLES: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-# Final value per bucket and index, like ``ZetaCache``'s entries: a pure
-# function of the two, like the factors it is summed from.  A bucket's memo
-# is keyed by ``EvalConfig.precision``, its precision for weights up to 16;
-# a heavier index summed at its weight class's precision shares that memo.
-# :func:`_fill` computes every value, :func:`eval_zeta` reads them.
-_VALUES: defaultdict[int, dict[Index, float]] = defaultdict(dict)
+# Final value per index, like ``ZetaCache``'s entries: a pure function of
+# the index, like the factors it is summed from.  :func:`_fill` computes every
+# value, :func:`eval_zeta` reads them.
+_VALUES: dict[Index, float] = {}
 
 
 @cache
@@ -578,43 +557,35 @@ def clear_factor_cache() -> None:
 
 
 class _TermConfig(EvalConfig):
-    """What :func:`_plan` hands :func:`_read`, which hands it to :func:`eval_zeta` with each term
-    when it has a cache: the term is read off the cache, or on a miss the value memo, without a cap check."""
+    """What :func:`_read` hands :func:`eval_zeta` with each term when it has a
+    cache: the term is read off the cache, or on a miss the value memo, without a cap check."""
 
 
 def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
-    """Evaluate an admissible index to within ``10^-cfg.bucket`` (absolute)."""
+    """Evaluate an admissible index to within 1e-15 (absolute), whatever ``cfg.tol``."""
     cfg = cfg or DEFAULT_CONFIG
     if type(cfg) is not _TermConfig:
         if not isinstance(k, Index):
             raise ValueError(f"expected an Index, got {k!r}")
         return eval_combination(k, cfg)  # checks the cap, fills, then reads k
-    return cfg.cache.lookup(k, cfg.bucket, cfg.precision)  # _read passes a term only with a cache
+    return cfg.cache.lookup(k, filled=True)  # _read passes a term only with a cache
 
 
-def _plan(comb: Union[Index, IndexCombination], cfg: EvalConfig, todo: dict, held: dict) -> tuple:
+def _plan(comb: Union[Index, IndexCombination], cfg: EvalConfig, todo: dict) -> tuple:
     """Check one combination and add the terms whose values the fill must
-    compute before it is read to ``todo`` (per precision of the factors, each
-    index with the precision of the value memo it is read from); returns what
-    :func:`_read` takes.  Per-term tolerances are scaled by the coefficient
-    mass so the per-term bounds sum to at most ``cfg.tol``, but never below
-    1e-15.  A refusal (errors name the first index in canonical order) leaves
-    ``todo`` and ``held`` alone.  ``held`` maps an index to the bucket the
-    cache will hold for it once the combinations planned before are read, so
-    a plan follows the cache's store order without a lookup counted."""
+    compute before it is read to ``todo`` (per precision of the factors);
+    returns what :func:`_read` takes.  A term that the value memo or the
+    cache holds is left out.  A refusal (errors name the first index in
+    canonical order) leaves ``todo`` alone."""
     terms = {comb: 1} if isinstance(comb, Index) else as_combination(comb)._terms
     if not terms:
         return cfg, terms
-    mass = sum(map(abs, terms.values()))
     try:
-        scale = max(float(mass), 1.0)
+        float(sum(map(abs, terms.values())))
     except OverflowError:
         raise ValueError("the coefficient mass of the combination is beyond the double range") from None
-    bucket = min(max(cfg.bucket, _bucket_of(cfg.tol / scale)), _FINEST_BUCKET)
-    term_cfg = cfg._term_configs.get(bucket) or cfg._term_configs.setdefault(
-        bucket, _TermConfig(tol=10.0**-bucket, max_terms=cfg.max_terms, cache=cfg.cache))
-    light = term_cfg.precision
-    values = _VALUES.get(light, {})
+    light = _default_precision()
+    cached = {} if cfg.cache is None else cfg.cache._entries
     deepest: dict[int, int] = {}  # precision -> depth of the deepest factor read at it
     wanted: dict[Index, int] = {}  # index -> its precision
     for k in terms:
@@ -624,15 +595,15 @@ def _plan(comb: Union[Index, IndexCombination], cfg: EvalConfig, todo: dict, hel
         # The two full words (the index's and its dual's, of length the
         # weight) are the deepest factors, and stops grow with depth.
         w = sum(k)
-        fbits = light if w <= _LIGHT else _default_precision(bucket, w)  # no call on the warm path
+        fbits = light if w <= _LIGHT else _default_precision(w)
         d = max(len(k), w - len(k))
         if d > deepest.get(fbits, 0):
             deepest[fbits] = d
-        if k not in values:
+        if k not in _VALUES and k not in cached:
             wanted[k] = fbits
     over = {fbits: d for fbits, d in deepest.items() if _stop(d, fbits) > cfg.max_terms}
     if over:
-        fbits_of = {k: _default_precision(bucket, sum(k)) for k in terms}
+        fbits_of = {k: _default_precision(sum(k)) for k in terms}
         tied = (k for k, fbits in fbits_of.items() if over.get(fbits) in (len(k), sum(k) - len(k)))
         worst = min(tied, key=_sort_key)
         fbits = fbits_of[worst]
@@ -640,25 +611,20 @@ def _plan(comb: Union[Index, IndexCombination], cfg: EvalConfig, todo: dict, hel
             f"series cap of {cfg.max_terms} terms is below what a depth-{over[fbits]} factor "
             f"needs to meet the error budget (index {_named(worst)}, precision {fbits} bits)"
         )
-    if cfg.cache is not None:
-        entries = cfg.cache._entries
-        missed = {k: bucket for k in terms if (held.get(k) or entries.get(k, (0,))[0]) < bucket}
-        wanted = {k: fbits for k, fbits in wanted.items() if k in missed}
-        held.update(missed)  # a miss stores the value read at the bucket
     for k, fbits in wanted.items():
-        todo.setdefault(fbits, {})[k] = light
-    return term_cfg, terms
+        todo.setdefault(fbits, {})[k] = None
+    return cfg, terms
 
 
-def _fill(todo: dict[int, dict[Index, int]]) -> None:
+def _fill(todo: dict[int, dict[Index, None]]) -> None:
     """Per precision, one :func:`_fill_factors` call for the planned words and
-    their duals, then each planned value into the value memo it is read from."""
+    their duals, then each planned value into the value memo."""
     for fbits, ks in todo.items():
         words = list(map(to_word, ks))
         duals = list(map(reverse_swap, words))
         _fill_factors([*words, *duals], fbits)
         memo = _FACTOR_CACHE[fbits]
-        for (k, light), word, dual in zip(ks.items(), words, duals):
+        for k, word, dual in zip(ks, words, duals):
             # The split after j letters multiplies the factor of word[j:] by that
             # of reverse_swap(word[:j]) == dual[n-j:]; the empty word's is exactly
             # 1, so the outer two splits add the factors of word and dual.
@@ -666,17 +632,17 @@ def _fill(todo: dict[int, dict[Index, int]]) -> None:
             lower = [memo[word[j:]] for j in range(1, n)]
             upper = [memo[dual[j:]] for j in range(n - 1, 0, -1)]
             acc = memo[word] + memo[dual] + sum(map(rshift, map(mul, lower, upper), repeat(fbits)))
-            _VALUES[light][k] = math.ldexp(float(acc), -fbits)
+            _VALUES[k] = math.ldexp(float(acc), -fbits)
 
 
-def _read(term_cfg: EvalConfig, terms: dict) -> float:
+def _read(cfg: EvalConfig, terms: dict) -> float:
     """The value of filled terms, read in any order (``fsum`` is exact) and refused beyond the double range.
-    Without a cache, the value memo in one pass (an empty side reads none, so makes no memo); with
-    one, each term through :func:`eval_zeta`, looked up at each read so that a wrapper of it sees them."""
-    if term_cfg.cache is not None:
-        values = map(eval_zeta, terms, repeat(term_cfg))
+    Without a cache, the value memo in one pass; with one, each term through :func:`eval_zeta`,
+    looked up at each read so that a wrapper of it sees them."""
+    if cfg.cache is not None:
+        values = map(eval_zeta, terms, repeat(cfg._term_config))
     else:
-        values = map(_VALUES[term_cfg.precision].__getitem__, terms) if terms else ()
+        values = map(_VALUES.__getitem__, terms)
     try:  # an int or Fraction times a float is float(c) times it; _plan refused a mass beyond the double range
         value = math.fsum(map(mul, terms.values(), values))
     except OverflowError:  # a partial sum beyond the double range
@@ -688,8 +654,8 @@ def _read(term_cfg: EvalConfig, terms: dict) -> float:
 
 def eval_combination(comb: Union[Index, IndexCombination], cfg: Optional[EvalConfig] = None) -> float:
     """Evaluate a rational combination of admissible indices: plan, fill, read."""
-    todo: dict[int, dict[Index, int]] = {}
-    planned = _plan(comb, cfg or DEFAULT_CONFIG, todo, {})
+    todo: dict[int, dict[Index, None]] = {}
+    planned = _plan(comb, cfg or DEFAULT_CONFIG, todo)
     _fill(todo)
     return _read(*planned)
 

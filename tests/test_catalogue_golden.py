@@ -108,8 +108,7 @@ def _residual_digest(cfg=None):
     return len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
-RESIDUAL_DIGEST = (390, "d3bd827594c26624dd379099d2a2dc509378df20561c0661458865ee2451f644")
-SHARED_CACHE_RESIDUAL_DIGEST = (390, "4b6b450d1d8bca2314cd15b30d26e075a49815ce1965a0a00fedc3e7dddbee7f")
+RESIDUAL_DIGEST = (390, "721a0dc479a5668e7a1a0e9bd8fc1b832793149c74e91a4a0cc2587ce23448d1")
 
 
 def test_default_residuals_pinned():
@@ -122,13 +121,13 @@ def test_default_residuals_pinned():
 
 def test_shared_cache_residuals_pinned():
     """The path of ``ohno verify --name all``: every identity through one
-    ``ZetaCache`` at tol 1e-12.  A cache answers with the finest value it
-    holds, and values at two buckets differ in their last bits, so its
-    residuals differ from the uncached ones.  The cache's hits and misses
-    pin which requests it served."""
+    ``ZetaCache`` at tol 1e-12.  A value depends on its index alone, so the
+    cache answers with the uncached value and the residuals are the
+    uncached ones.  Each distinct index misses once, and each distinct side
+    of a sweep is read once; the hits pin which requests the cache served."""
     cache = ZetaCache()
-    assert _residual_digest(EvalConfig(tol=1e-12, cache=cache)) == SHARED_CACHE_RESIDUAL_DIGEST
-    assert cache.stats == ZetaCacheStats(hits=21210, misses=4208)
+    assert _residual_digest(EvalConfig(tol=1e-12, cache=cache)) == RESIDUAL_DIGEST
+    assert cache.stats == ZetaCacheStats(hits=11741, misses=3864)
     assert len(cache) == 3864
 
 

@@ -102,14 +102,16 @@ def _exprs(texts):
 
 
 _OHNO_SERIES = {
-    "(3)": ["1.2020569031595894", "1.0823232337111324", "1.0369277551433633", "1.0173430619844421"],
-    "(2,3) # (2)": ["0.13029787890835684", "0.2059349491340049", "0.24471370331559372", "0.2641259893686509"],
-    "(1,2,3)": ["0.03230902899166488", "0.04919165864867224", "0.05738277496745086", "0.061356590286708416"],
+    "(3)": ["1.2020569031595942", "1.0823232337111381", "1.03692775514337", "1.0173430619844492"],
+    "(2,3) # (2)": ["0.130297878908359", "0.20593494913401186", "0.24471370331559456", "0.2641259893686523"],
+    "(1,2,3)": ["0.032309028991669875", "0.04919165864867417", "0.057382774967454815", "0.0613565902867152"],
 }
 
 
 def test_ohno_series(run):
-    """The Ohno sums of orders 0..3 in one call, as the removed ``ohno --M 3`` printed them."""
+    """The Ohno sums of orders 0..3 in one call, as the removed ``ohno --M 3``
+    printed them.  Those of ``(3)`` are zeta(3), ..., zeta(6), each the double
+    nearest the exact value."""
     for text, values in _OHNO_SERIES.items():
         code, out, err = run("eval", *_exprs(f"ohno({m}, {text})" for m in range(4)))
         assert (code, err) == (0, "")
@@ -381,7 +383,7 @@ def test_cli_surface_is_pinned():
     "text, message",
     [
         ("rep(2, 3000)", "error: series cap of 256 terms is below what a depth-3000 factor needs to meet the "
-         "error budget (index (2,...,2) of depth 3000 and weight 6000, precision 71 bits)\n"),
+         "error budget (index (2,...,2) of depth 3000 and weight 6000, precision 82 bits)\n"),
         ("rep(1, 3000)", "error: cannot evaluate non-admissible index (1,...,1) of depth 3000 and weight 3000\n"),
     ],
     ids=["precision", "non-admissible"],
@@ -475,7 +477,7 @@ def test_cache_off_stays_off(run, tmp_path):
 )
 def test_cache_file_with_nan_value_is_a_usage_error(run, tmp_path, command):
     path = tmp_path / "nan.tsv"
-    path.write_text("2\t99\tnan\n")
+    path.write_text("2\tnan\n")
     code, out, err = run(*command, "--cache", str(path))
     assert code == 2
     assert out == ""
@@ -483,19 +485,43 @@ def test_cache_file_with_nan_value_is_a_usage_error(run, tmp_path, command):
 
 
 def test_cache_row_spelt_unlike_an_expression_is_a_usage_error(run, tmp_path):
-    """``int`` alone reads ``1_0,2`` as (10,2) and ``1_2`` as bucket 12, which
-    would answer ``--expr "(10,2)"`` with the file's 0.5."""
+    """``int`` alone reads ``1_0,2`` as (10,2), which would answer
+    ``--expr "(10,2)"`` with the file's 0.5."""
     path = tmp_path / "underscores.tsv"
-    path.write_text("1_0,2\t1_2\t0x1.0p-1\n")
+    path.write_text("1_0,2\t0x1.0p-1\n")
     code, out, err = run("eval", "--expr", "(10,2)", "--cache", str(path))
     assert code == 2
     assert out == ""
     assert "malformed cache line" in err
 
 
+def test_cache_file_of_the_bucketed_form_is_a_usage_error(run, tmp_path):
+    """A file of the older ``index<TAB>bucket<TAB>hex`` form, valid there, is
+    refused before anything is evaluated, and left as it was."""
+    path = tmp_path / "old.tsv"
+    path.write_text("2\t12\t0x1.a51a6625307d3p+0\n2,3\t15\t0x1.d4a7cd2e6a4fbp-3\n")
+    before = path.read_bytes()
+    code, out, err = run("eval", "--expr", "(2,3)", "--cache", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: malformed cache line '2\\t12\\t0x1.a51a6625307d3p+0'\n"
+    assert path.read_bytes() == before
+
+
+def test_cached_value_is_the_uncached_value_at_every_tol(run, tmp_path):
+    """A value stored at ``--tol 1e-8`` and read back at ``--tol 1e-15`` from
+    the same file prints what ``--cache off`` prints, at either tolerance."""
+    path = str(tmp_path / "cache.tsv")
+    plain = run("eval", "--expr", "(2,3)", "--cache", "off")
+    assert plain[0] == 0
+    for tol in ("1e-8", "1e-15"):
+        assert run("eval", "--expr", "(2,3)", "--tol", tol, "--cache", path) == plain
+        assert run("eval", "--expr", "(2,3)", "--tol", tol, "--cache", "off") == plain
+    assert len(Path(path).read_text().splitlines()) == 1
+
+
 def test_cache_file_with_a_non_ascii_byte_is_an_input_error(run, tmp_path):
     path = tmp_path / "latin.tsv"
-    path.write_bytes(b"2\t12\t0x1.a51a6625307d3p+0\n3\t12\t0x1.33ba004f00621p+0 \xe9\n")
+    path.write_bytes(b"2\t0x1.a51a6625307d3p+0\n3\t0x1.33ba004f00621p+0 \xe9\n")
     code, out, err = run("eval", "--expr", "(2)", "--cache", str(path))
     assert code == 2
     assert out == ""

@@ -7,6 +7,7 @@ import json
 import math
 import pathlib
 import threading
+from contextvars import copy_context
 
 import pytest
 
@@ -312,10 +313,10 @@ def test_broken_identity_fails_at_every_point(name, monkeypatch):
     [("main", 54, 81), ("hmos", 48, 64), ("ohno", 24, 45), ("duality", 0, 31), ("lemma_fmpre2", 0, 24)],
 )
 def test_factor_noise_at_every_precision_fails_points(name, failing, evaluated, monkeypatch):
-    """A default sweep fills factors at several precisions (the coefficient
-    mass refines a combination's bucket).  Adding ``2^(P-20)``, a relative
-    2^-20, to every factor at every precision the memo holds fails the
-    points whose sides the noise moves apart.  The sides of a ``duality``
+    """A default sweep fills factors at the precision of each weight class
+    it reads.  Adding ``2^(P-20)``, a relative 2^-20, to every factor at
+    every precision the memo holds fails the points whose sides the noise
+    moves apart.  The sides of a ``duality``
     or ``lemma_fmpre2`` pair read the same factor products, so their
     residuals stay 0 and neither fails."""
     filled = set()
@@ -362,21 +363,15 @@ def test_catalogue_sides_have_int_coefficients(spec):
 
 def test_chained_residual_bounded_by_parts():
     """The three-point recurrence residual never exceeds the summed sizes of
-    the skew gaps it is assembled from, up to what the five combinations
-    read differently.  ``lhs - rhs`` is a signed sum of the three gaps, term
-    by term, so had every combination read each index's bucket-15 value the
-    two sums would differ only by half an ulp of each ``c * value`` product
-    and of each sum.  The mass of a combination sets the bucket its terms
-    are read at (coarser for a small mass), and each term adds ``|c|`` times
-    its value's distance from the bucket-15 one."""
-    cfg, finest = EvalConfig(), EvalConfig(tol=1e-15)
+    the skew gaps it is assembled from, up to rounding.  ``lhs - rhs`` is a
+    signed sum of the three gaps, term by term, and every combination reads
+    the one value of each index, so the two sums differ only by half an ulp
+    of each ``c * value`` product and of each sum."""
+    cfg = EvalConfig()
 
     def slack(comb):
         value = eval_combination(comb, cfg)  # fills what the reads below take
-        term_cfg, terms = zeta._plan(comb, cfg, {}, {})
-        read = {k: zeta._VALUES[term_cfg.precision][k] for k in terms}
-        apart = (abs(c) * (abs(read[k] - zeta.eval_zeta(k, finest)) + read[k] * 2.0**-53) for k, c in terms.items())
-        return math.fsum(apart) + abs(value) * 2.0**-53
+        return math.fsum(abs(c) * zeta._VALUES[k] for k, c in comb.items()) * 2.0**-53 + abs(value) * 2.0**-53
 
     for s, t, l, m in [(3, 3, 0, 1), (3, 4, 1, 1), (4, 3, 0, 2), (4, 4, 1, 2)]:
         report = verify("lemma_dddd", cfg=cfg, s=s, t=t, l=l, m=m)
@@ -496,26 +491,34 @@ def _outcome(run):
     return result, {p: dict(f) for p, f in zeta._FACTOR_CACHE.items()}
 
 
-def _precision_of(comb, cfg):
-    mass = sum(abs(c) for c in comb._terms.values())
-    return zeta._default_precision(min(max(cfg.bucket, zeta._bucket_of(cfg.tol / max(mass, 1))), 15))
+def _distinct_sides(name, shared=True, **grid):
+    """The distinct side objects of the points of ``grid`` that are not
+    refused, built through one sweep memo as ``verify`` builds them, or with
+    none (each point builds its own sides)."""
+    spec, sides = catalogue._CATALOGUE[name], {}
+
+    def build():
+        if shared:
+            ohno.sums._MEMO.set({})
+        for params in catalogue._grid(spec, grid)[1]:
+            if catalogue._refusal(spec, params) is None:
+                pairs = spec.sides(**params)
+                sides.update((id(c), c) for pair in pairs for side in pair for c in catalogue._factors(side))
+
+    copy_context().run(build)
+    return list(sides.values())
 
 
 def test_cold_sweep_fills_once_per_precision(monkeypatch):
-    spec = catalogue._CATALOGUE["main"]
-    cfg = EvalConfig()
-    precisions = {
-        _precision_of(comb, cfg)
-        for params in catalogue._grid(spec, {})[1]
-        for pair in spec.sides(**params)
-        for side in pair
-        for comb in catalogue._factors(side)
-    }
+    """A grid of ``main`` whose sides span two weight classes fills once per
+    precision of their terms."""
+    grid = {"s": (2, 8), "t": (3, 8), "l": 0, "m": 0}
+    precisions = {zeta._default_precision(sum(k)) for comb in _distinct_sides("main", **grid) for k, _ in comb.items()}
     fills = []
     original = zeta._fill_factors
     monkeypatch.setattr(zeta, "_fill_factors", lambda words, fbits: fills.append(fbits) or original(words, fbits))
     clear_factor_cache()
-    verify("main", cfg=cfg)
+    verify("main", **grid)
     assert sorted(fills) == sorted(precisions)
     assert len(precisions) > 1
 
@@ -523,15 +526,19 @@ def test_cold_sweep_fills_once_per_precision(monkeypatch):
 @pytest.mark.parametrize("tol", [1e-8, 1e-12])
 @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
 def test_planned_sweep_matches_point_by_point_evaluation(tol, cached):
-    """Residuals, memoised factors and the cache's counts and entries are
-    those of evaluating every side alone, bit for bit."""
+    """Residuals, memoised factors and the cache's entries and misses are
+    those of evaluating every side alone, bit for bit.  The sweep reads each
+    distinct side once, so its hits are the term reads of those sides less
+    its misses."""
     caches = [ZetaCache() if cached else None for _ in range(2)]
     grid = {"s": (2, 4), "t": (3, 2), "l": (0, 2), "m": (1, 0, 2)}
     planned = _outcome(lambda: [p.residual for p in verify("main", cfg=EvalConfig(tol=tol, cache=caches[0]), **grid).points])
     alone = _outcome(lambda: _point_by_point("main", EvalConfig(tol=tol, cache=caches[1]), **grid))
     assert planned == alone
     if cached:
-        assert caches[0].stats == caches[1].stats
+        misses = caches[0].stats.misses
+        assert misses == caches[1].stats.misses == len(caches[0])
+        assert caches[0].stats.hits == sum(map(len, _distinct_sides("main", **grid))) - misses
         assert caches[0]._entries == caches[1]._entries
 
 
@@ -550,8 +557,8 @@ def test_planning_error_at_a_later_point_leaves_what_point_by_point_leaves():
     it are still read, so the cache ends as a point-by-point run leaves it."""
     grid = {"k": ["(2)", "(2,3)", "(2,2,9)", "(1,2)"]}
     caches = [ZetaCache(), ZetaCache()]
-    cap = zeta._stop(10, EvalConfig().precision) - 1  # short of the depth-10 dual of (2,2,9)
-    assert zeta._stop(3, EvalConfig().precision) <= cap
+    cap = zeta._stop(10, zeta._default_precision()) - 1  # short of the depth-10 dual of (2,2,9)
+    assert zeta._stop(3, zeta._default_precision()) <= cap
     planned = _outcome(lambda: verify("duality", cfg=EvalConfig(max_terms=cap, cache=caches[0]), **grid))
     alone = _outcome(lambda: _point_by_point("duality", EvalConfig(max_terms=cap, cache=caches[1]), **grid))
     assert planned == alone
@@ -571,9 +578,9 @@ def test_read_error_of_an_earlier_point_comes_first(monkeypatch):
         return [(huge, huge)] if k == Index((2,)) else spec.sides(k=k)
 
     monkeypatch.setitem(catalogue._CATALOGUE, "duality", dataclasses.replace(spec, sides=sides))
-    # enough for the first point (depth 1 at bucket 15), not for the depth-13 dual of (2,2,12)
-    cfg = EvalConfig(max_terms=zeta._stop(13, EvalConfig().precision) - 1)
-    assert zeta._stop(1, EvalConfig(tol=1e-15).precision) <= cfg.max_terms
+    # enough for the first point (depth 1), not for the depth-13 dual of (2,2,12)
+    cfg = EvalConfig(max_terms=zeta._stop(13, zeta._default_precision()) - 1)
+    assert zeta._stop(1, zeta._default_precision()) <= cfg.max_terms
     with pytest.raises(ValueError, match="value of the combination is beyond the double range"):
         verify("duality", cfg=cfg, k=["(2)", "(2,2,12)"])
     with pytest.raises(PrecisionError, match=r"index \(2,2,12\)"):
@@ -661,7 +668,7 @@ def test_sweeps_in_two_threads_keep_their_own_memo(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# one plan per distinct side, one read of it without a cache
+# one plan and one read per distinct side
 # ---------------------------------------------------------------------------
 
 
@@ -678,28 +685,37 @@ def test_fresh_sides_report_what_shared_sides_report(cached, monkeypatch):
     """Without the memo no side repeats as one object, and on the warm path a
     point's sides are read before the next point is built, so a freed side's
     id could come back.  Plans keyed by id must still give every report field
-    but timing, and the cache's counts and entries, of a run with the memo."""
+    but timing, and the cache's entries and misses, of a run with the memo.
+    Each run reads each distinct side once: its hits are the term reads of
+    those sides less its misses, so the run without the memo, whose points
+    share no side, has more."""
     numeric = [spec.name for spec in list_identities() if spec.kind == "numeric"]
     for name in numeric:
         verify(name)  # fills every factor and value the runs below read
     fills = []
     fill = catalogue._fill
     monkeypatch.setattr(catalogue, "_fill", lambda todo: fills.append(bool(todo)) or fill(todo))
-    runs = []
+    runs, hits = [], []
     for memo in (catalogue._MEMO, _NoMemo):
         monkeypatch.setattr(catalogue, "_MEMO", memo)
         cache = ZetaCache() if cached else None
         reports = [_bare(verify(name, cfg=EvalConfig(tol=1e-12, cache=cache))) for name in numeric]
-        runs.append((reports, cache and (cache.stats, cache._entries)))
+        runs.append((reports, cache and (cache.stats.misses, cache._entries)))
+        if cached:
+            reads = sum(len(c) for name in numeric for c in _distinct_sides(name, shared=memo is not _NoMemo))
+            assert cache.stats.hits == reads - cache.stats.misses
+            hits.append(cache.stats.hits)
     assert not any(fills)  # the warm path: nothing waited for a fill
     assert runs[0] == runs[1]
+    assert not cached or hits[0] < hits[1]
 
 
-@pytest.mark.parametrize("cached, reads", [(False, 81), (True, 162)], ids=["no-cache", "cache"])
-def test_cold_sweep_plans_each_distinct_side_once(cached, reads, monkeypatch):
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+def test_cold_sweep_plans_each_distinct_side_once(cached, monkeypatch):
     """``main`` at (t, s) has the sides of (s, t) swapped, and at s = t both
-    sides are one object: 81 distinct sides among 162.  Each is planned once;
-    it is read once without a cache and at every occurrence with one."""
+    sides are one object: 81 distinct sides among 162.  Each is planned once
+    and read once, with or without a cache; a cache's hits are the term
+    reads of those sides less its misses."""
     spec = catalogue._CATALOGUE["main"]
     assert sum(2 * len(spec.sides(**params)) for params in catalogue._grid(spec, {})[1]) == 162
     planned, read = [], []
@@ -707,6 +723,10 @@ def test_cold_sweep_plans_each_distinct_side_once(cached, reads, monkeypatch):
     monkeypatch.setattr(catalogue, "_plan", lambda comb, *rest: planned.append(comb) or plan(comb, *rest))
     monkeypatch.setattr(catalogue, "_read", lambda *args: read.append(args) or read_plan(*args))
     clear_factor_cache()
-    verify("main", cfg=EvalConfig(cache=ZetaCache() if cached else None))
+    cache = ZetaCache() if cached else None
+    verify("main", cfg=EvalConfig(cache=cache))
     assert len(planned) == len({id(comb) for comb in planned}) == 81
-    assert len(read) == reads
+    assert len(read) == 81
+    if cached:
+        assert cache.stats.hits == sum(map(len, _distinct_sides("main"))) - cache.stats.misses
+        assert cache.stats.misses == len(cache)

@@ -39,8 +39,8 @@ def parsed(monkeypatch):
     return texts
 
 
-# A cache file with a coarser and a finer line for (2, 3), the coarser first.
-_LOADED = "2,3\t9\t0x1.4000000000000p+1\n3\t12\t0x1.33ba004f00621p+0\n2,3\t14\t0x1.8000000000000p+0\n"
+# A cache file with two lines for (2, 3); the first, 1.5, is the one a load keeps.
+_LOADED = "2,3\t0x1.8000000000000p+0\n3\t0x1.33ba004f00621p+0\n2,3\t0x1.4000000000000p+1\n"
 
 
 # float64-rounded reference constants, independent of the evaluator under test
@@ -132,13 +132,20 @@ def test_config_defaults():
 
 
 @pytest.mark.parametrize(
-    "tol, bucket, precision",
+    "tol, bucket, enough",
     [(1e-12, 12, 54), (1e-10, 10, 47), (1e-15, 15, 64), (0.5, 1, 17)],
 )
-def test_config_derived_precision(tol, bucket, precision):
+def test_config_derived_precision(tol, bucket, enough):
+    """A config derives its bucket from ``tol`` and no precision: ``enough``
+    bits would meet the bucket's tolerance at every weight up to 16, one bit
+    less would not, yet every index of those weights is read at the 64 bits
+    of the double floor."""
     cfg = EvalConfig(tol=tol)
     assert cfg.bucket == bucket
-    assert cfg.precision == precision
+    assert zeta._bound(16, 15, enough) <= 10.0**-bucket < zeta._bound(16, 15, enough - 1)
+    clear_factor_cache()
+    eval_zeta(Index((2, 3)), cfg)
+    assert set(zeta._FACTOR_CACHE) == {64} == {zeta._default_precision()}
 
 
 def _unrounded_sum(k, fbits):
@@ -155,21 +162,21 @@ def _unrounded_sum(k, fbits):
 def test_error_within_the_proven_bound_at_the_tolerance_limit():
     """Every admissible index of weight <= 10, at buckets 1, 8, 12 and 15,
     evaluates within the proven bound of the same evaluation at 256 bits, and
-    the bound is within the bucket's tolerance, which one bit less would not
+    the bound is within the double floor 1e-15, which one bit less would not
     give every weight up to 16.  The 256-bit sum is read before rounding, so
     it is short of the exact value by under 2^-240."""
     clear_factor_cache()
     exact = {k: Fraction(_unrounded_sum(k, 256), 1 << 256) for k in iter_admissible(10)}
     assert len(exact) == 511
+    fbits = zeta._default_precision()
+    assert zeta._bound(16, 15, fbits) <= 1e-15 < zeta._bound(16, 15, fbits - 1)
     for bucket in (1, 8, 12, 15):
         cfg = EvalConfig(tol=10.0**-bucket)
-        # the least precision whose bound covers every weight up to 16
-        assert zeta._bound(16, 15, cfg.precision) <= 10.0**-bucket < zeta._bound(16, 15, cfg.precision - 1)
         for k, value in exact.items():
             weight, depth = sum(k), len(k)
-            bound = zeta._bound(weight, max(depth, weight - depth), cfg.precision)
+            bound = zeta._bound(weight, max(depth, weight - depth), fbits)
             assert abs(Fraction(eval_zeta(k, cfg)) - value) <= Fraction(bound) + Fraction(1, 1 << 240), (bucket, k)
-            assert bound <= 10.0**-bucket
+            assert bound <= 1e-15
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-3, 1e-16, float("inf"), float("nan"), True])
@@ -351,7 +358,7 @@ def test_series_cap_ignores_warm_value_memo():
     either: the cap check comes first."""
     k = Index((2,))
     value = eval_zeta(k)
-    assert zeta._VALUES[DEFAULT_CONFIG.precision][k] == value
+    assert zeta._VALUES[k] == value
     with pytest.raises(PrecisionError):
         eval_zeta(k, EvalConfig(max_terms=8))
 
@@ -370,11 +377,11 @@ def test_series_cap_ignores_warm_zeta_cache(evaluate):
 
 def test_combination_reads_each_term_through_eval_zeta(monkeypatch):
     """With a ZetaCache, eval_combination asks eval_zeta for every term once,
-    at the combination's bucket, so a wrapper around eval_zeta (the
-    benchmark's tracer) sees each per-term request.  Without one, it reads
-    the value memo in one pass: no term goes through eval_zeta, and the value
-    is the per-term reads' sum, bit for bit.  The cap is checked once, before
-    any read."""
+    with a config of the combination's tolerance, so a wrapper around
+    eval_zeta (the benchmark's tracer) sees each per-term request.  Without
+    one, it reads the value memo in one pass: no term goes through
+    eval_zeta, and the value is the sum of the terms' values alone, bit for
+    bit.  The cap is checked once, before any read."""
     seen = []
 
     def spy(k, cfg=None):
@@ -382,13 +389,13 @@ def test_combination_reads_each_term_through_eval_zeta(monkeypatch):
         return original(k, cfg)
 
     a, b, c = Index((2, 3)), Index((1, 2, 1, 3)), Index((3,))
-    comb = IndexCombination({a: 100, b: 200, c: Fraction(1, 3)})  # mass 300 1/3: bucket 11 at tol 1e-8
-    reference = math.fsum(float(x) * eval_zeta(k, EvalConfig(tol=1e-11)) for k, x in comb)
+    comb = IndexCombination({a: 100, b: 200, c: Fraction(1, 3)})
+    reference = math.fsum(float(x) * eval_zeta(k) for k, x in comb)
     original = zeta.eval_zeta
     monkeypatch.setattr(zeta, "eval_zeta", spy)
     cache = ZetaCache()
     assert eval_combination(comb, EvalConfig(tol=1e-8, cache=cache)) == reference
-    assert sorted(seen) == sorted([(a, 11), (b, 11), (c, 11)])
+    assert sorted(seen) == sorted([(a, 8), (b, 8), (c, 8)])
     assert cache.stats == zeta.ZetaCacheStats(hits=0, misses=3)
     seen.clear()
     assert eval_combination(comb, EvalConfig(tol=1e-8)) == reference
@@ -402,7 +409,7 @@ def test_combination_reads_each_term_through_eval_zeta(monkeypatch):
 
 def _memos():
     """A copy of every process-wide memo of ``zeta``."""
-    return ({p: dict(v) for p, v in zeta._VALUES.items()}, {p: dict(f) for p, f in zeta._FACTOR_CACHE.items()},
+    return (dict(zeta._VALUES), {p: dict(f) for p, f in zeta._FACTOR_CACHE.items()},
             dict(zeta._TABLES), zeta._stop.cache_info().currsize, zeta._default_precision.cache_info().currsize,
             zeta._LAST_FILE, dict(zeta._LINES))
 
@@ -415,7 +422,7 @@ def test_zero_or_refused_combination_leaves_every_memo(with_cache):
     after an admissible term was planned, changes a warm memo or the cache."""
     cache = ZetaCache() if with_cache else None
     zero = IndexCombination()
-    bad = IndexCombination({Index((2, 3)): Fraction(1, 2), Index((2, 1)): Fraction(1, 2)})  # mass 1: bucket 8
+    bad = IndexCombination({Index((2, 3)): Fraction(1, 2), Index((2, 1)): Fraction(1, 2)})
     clear_factor_cache()
     empty = _memos()
     assert eval_combination(zero, EvalConfig(tol=1e-8, cache=cache)) == 0.0
@@ -475,21 +482,21 @@ def test_errors_name_the_first_bad_index_in_canonical_order():
 def _memo_of(evaluate):
     clear_factor_cache()
     evaluate()
-    return {p: dict(f) for p, f in zeta._FACTOR_CACHE.items()}, {p: dict(v) for p, v in zeta._VALUES.items()}
+    return {p: dict(f) for p, f in zeta._FACTOR_CACHE.items()}, dict(zeta._VALUES)
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-12, 1e-15])
 def test_batch_fills_the_memo_of_terms_alone(tol, monkeypatch):
     """Both sides of a skew gap, each filled in one batch, leave the same
     factors and values, bit for bit, as their terms evaluated one by one at
-    the combination's bucket (each term with the bucket its plan reads it at)."""
+    the same tolerance."""
     sides = dual_gap_skew_sides(4, 4, 2, 2)
     requests = []
 
-    def spy(comb, cfg, todo, held):
-        term_cfg, terms = original(comb, cfg, todo, held)
-        requests.extend((k, term_cfg.bucket) for k in terms)
-        return term_cfg, terms
+    def spy(comb, cfg, todo):
+        planned = original(comb, cfg, todo)
+        requests.extend(planned[1])
+        return planned
 
     def by_combination():
         for side in sides:
@@ -500,7 +507,7 @@ def test_batch_fills_the_memo_of_terms_alone(tol, monkeypatch):
     batched = _memo_of(by_combination)
     monkeypatch.undo()
     assert len(requests) == sum(len(side) for side in sides)
-    alone = _memo_of(lambda: [eval_zeta(k, EvalConfig(tol=10.0**-b)) for k, b in requests])
+    alone = _memo_of(lambda: [eval_zeta(k, EvalConfig(tol=tol)) for k in requests])
     assert batched == alone
 
 
@@ -528,7 +535,7 @@ def test_batch_skips_terms_the_cache_or_value_memo_answers():
     eval_combination(comb)
     assert zeta._FACTOR_CACHE == {}
     answered = ZetaCache()
-    answered.store(Index((4, 1, 2)), 15, 0.5)
+    answered.store(Index((4, 1, 2)), 0.5)
     clear_factor_cache()
     eval_combination(comb, EvalConfig(cache=answered))
     words = [w for k in (Index((2, 3)), Index((1, 2, 3))) for w in (to_word(k), reverse_swap(to_word(k)))]
@@ -575,9 +582,9 @@ def test_batch_keeps_one_stack_of_chains():
 
 def test_factor_memo_pinned():
     """Every memoised series factor of a cold sweep over all admissible
-    indices of weight <= 12 at three tolerances, pinned bit for bit.  The
-    digest also pins the memo's key set: no factor is stored that no
-    deconcatenation uses."""
+    indices of weight <= 12 at three tolerances, pinned bit for bit: one
+    memo, at 64 bits, whatever the tolerance.  The digest also pins the
+    memo's key set: no factor is stored that no deconcatenation uses."""
     clear_factor_cache()
     for tol in (1e-8, 1e-12, 1e-15):
         cfg = EvalConfig(tol=tol)
@@ -585,9 +592,9 @@ def test_factor_memo_pinned():
             eval_zeta(k, cfg)
     memo = {(w, b): v for b, factors in zeta._FACTOR_CACHE.items() for w, v in factors.items()}
     table = "".join(f"{w}\t{b}\t{v:x}\n" for (w, b), v in sorted(memo.items()))
-    assert len(memo) == 9213
+    assert len(memo) == 3071
     assert hashlib.sha256(table.encode()).hexdigest() == (
-        "a82cca547fc21ec1dfed722b71094d6a424b3514895ed4dfbea4ecb2fb680022"
+        "edd175e4bc37bd57bd204152e4729534abefbc5e5cac9c4d279a6a15681115d8"
     )
 
 
@@ -662,42 +669,41 @@ def test_fill_drops_only_zero_terms_of_deep_words():
 
 @pytest.mark.parametrize("fbits", [17, 40, 54, 64])
 def test_fill_computes_exactly_the_planned_values(fbits):
-    """Planned one by one and filled, every admissible index of weight <= 10
-    and one of weight 19 (read at its weight class's precision) land in the
-    value memo of the bucket's precision, and nothing else does.  Each value
+    """Planned one by one, every admissible index of weight <= 10 is planned
+    at its weight class's 64 bits and one of weight 19 at 66, whatever the
+    tolerance.  A fill of that plan, or of the light ones at ``fbits``,
+    leaves in the value memo what it was handed and nothing else.  Each value
     is the sum over the splits of its word of the product of the memo's
     factors of the part after the split and of the dual of the part before."""
-    bucket = next(b for b in range(1, 16) if zeta._default_precision(b) == fbits)
-    heavy, cfg = Index((2,) * 8 + (3,)), EvalConfig(tol=10.0**-bucket)
+    heavy, cfg = Index((2,) * 8 + (3,)), EvalConfig(tol=10.0 ** -(fbits // 5))
     light = list(iter_admissible(10))
     clear_factor_cache()
     todo = {}
     for k in [*light, heavy]:
-        zeta._plan(k, cfg, todo, {})
-    heavy_fbits = zeta._default_precision(bucket, 19)
-    assert heavy_fbits > fbits
-    assert todo == {fbits: dict.fromkeys(light, fbits), heavy_fbits: {heavy: fbits}}
-    zeta._fill(todo)
-    assert list(zeta._VALUES) == [fbits]
-    assert set(zeta._VALUES[fbits]) == {*light, heavy}
-    for p, planned in todo.items():
-        memo = zeta._FACTOR_CACHE[p]
-        for k in planned:
-            word = to_word(k)
-            lower = [memo[word[j:]] for j in range(len(word))]
-            upper = [memo[reverse_swap(word[:j])] for j in range(1, len(word) + 1)]
-            acc = lower[0] + upper[-1] + sum((lower[j] * upper[j - 1]) >> p for j in range(1, len(word)))
-            assert zeta._VALUES[fbits][k] == math.ldexp(float(acc), -p), (p, k)
+        zeta._plan(k, cfg, todo)
+    assert todo == {64: dict.fromkeys(light), 66: {heavy: None}}
+    for planned in (todo, {fbits: dict.fromkeys(light)}):
+        clear_factor_cache()
+        zeta._fill(planned)
+        assert set(zeta._VALUES) == {k for ks in planned.values() for k in ks}
+        for p, ks in planned.items():
+            memo = zeta._FACTOR_CACHE[p]
+            for k in ks:
+                word = to_word(k)
+                lower = [memo[word[j:]] for j in range(len(word))]
+                upper = [memo[reverse_swap(word[:j])] for j in range(1, len(word) + 1)]
+                acc = lower[0] + upper[-1] + sum((lower[j] * upper[j - 1]) >> p for j in range(1, len(word)))
+                assert zeta._VALUES[k] == math.ldexp(float(acc), -p), (p, k)
 
 
 def test_depth_300_index_is_pinned():
     """The depth-300 index (1,...,1,2), whose dual is zeta(301), read bit for
-    bit at its weight class's 63 bits, before and after rounding."""
+    bit at its weight class's 73 bits, before and after rounding."""
     clear_factor_cache()
     k = Index((1,) * 299 + (2,))
     assert eval_zeta(k, EvalConfig(max_terms=1000)).hex() == "0x1.0000000000000p+0"
-    assert zeta._default_precision(12, sum(k)) == 63
-    assert _unrounded_sum(k, 63) == 0x7FFFFFFFFFFFFF38
+    assert zeta._default_precision(sum(k)) == 73
+    assert _unrounded_sum(k, 73) == (1 << 73) - 0x109
 
 
 def test_threads_filling_one_new_precision_leave_the_memo_one_fill_leaves():
@@ -753,25 +759,25 @@ def test_generous_cap_succeeds():
 
 
 def test_heavier_index_fills_at_its_weight_class_precision(monkeypatch):
-    """Weights up to 16 share a bucket's precision; weights 17..32 read two
-    bits finer, where the bound of every weight in that class meets the
-    tolerance.  A combination of both fills once per precision and reads
-    the values its terms get alone."""
+    """Weights up to 16 share one precision; weights 17..32 read two bits
+    finer, where the bound of every weight in that class meets the double
+    floor.  A combination of both fills once per precision and reads the
+    values its terms get alone."""
     light, heavy = Index((2, 3)), Index((2,) * 8 + (3,))  # weights 5 and 19
-    assert [zeta._default_precision(12, w) for w in (2, 16, 17, 32, 33)] == [54, 54, 56, 56, 57]
-    assert zeta._bound(32, 31, 56) <= 1e-12 < zeta._bound(32, 31, 55)
+    assert [zeta._default_precision(w) for w in (2, 16, 17, 32, 33, 64, 65, 128)] == [64, 64, 66, 66, 68, 68, 70, 70]
+    assert zeta._bound(32, 31, 66) <= 1e-15 < zeta._bound(32, 31, 65)
     fills = []
     original = zeta._fill_factors
     monkeypatch.setattr(zeta, "_fill_factors", lambda words, fbits: fills.append(fbits) or original(words, fbits))
     clear_factor_cache()
-    together = eval_combination(IndexCombination({light: 1, heavy: 1}), EvalConfig(tol=1e-11))  # bucket 12
-    assert sorted(fills) == [54, 56]
-    assert set(zeta._FACTOR_CACHE) == {54, 56}
-    assert set(zeta._VALUES[54]) == {light, heavy}  # the bucket's value memo
+    together = eval_combination(IndexCombination({light: 1, heavy: 1}), EvalConfig(tol=1e-11))
+    assert sorted(fills) == [64, 66]
+    assert set(zeta._FACTOR_CACHE) == {64, 66}
+    assert set(zeta._VALUES) == {light, heavy}
     clear_factor_cache()
     assert together == math.fsum([eval_zeta(light), eval_zeta(heavy)])
-    with pytest.raises(PrecisionError, match=r"depth-10 factor .* \(index \(2,2,2,2,2,2,2,2,3\), precision 56 bits\)"):
-        eval_combination(IndexCombination({light: 1, heavy: 1}), EvalConfig(tol=1e-11, max_terms=zeta._stop(10, 56) - 1))
+    with pytest.raises(PrecisionError, match=r"depth-10 factor .* \(index \(2,2,2,2,2,2,2,2,3\), precision 66 bits\)"):
+        eval_combination(IndexCombination({light: 1, heavy: 1}), EvalConfig(tol=1e-11, max_terms=zeta._stop(10, 66) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -796,18 +802,38 @@ def test_cache_is_transparent():
         assert eval_zeta(k, cfg) == eval_zeta(k, plain)  # second pass hits
 
 
+def test_value_depends_on_its_index_alone():
+    """Every admissible index of weight <= 8, and one each of weights 17 and
+    33, gets one bit pattern from ``eval_zeta`` at tol 1e-3, 1e-8, 1e-12 and
+    1e-15, without a cache and with one shared across the tolerances, asked
+    for from the coarsest tolerance or from the finest first."""
+    ks = [*iter_admissible(8), Index((2,) * 7 + (3,)), Index((2,) * 15 + (3,))]
+    assert [sum(k) for k in ks[-2:]] == [17, 33]
+    tols = (1e-3, 1e-8, 1e-12, 1e-15)
+    patterns = {k: set() for k in ks}
+    for order in (tols, tols[::-1]):
+        for cache in (None, ZetaCache()):
+            clear_factor_cache()
+            for tol in order:
+                cfg = EvalConfig(tol=tol, cache=cache)
+                for k in ks:
+                    patterns[k].add(eval_zeta(k, cfg).hex())
+    assert len(patterns) == 129
+    assert all(len(bits) == 1 for bits in patterns.values())
+
+
 def test_cache_answers_with_its_finest_value():
-    """A cache returns the finest value it holds for an index: after a
-    combination of mass 300 at tol 1e-8 (bucket 11), a single index at
-    tol 1e-8 gets the bucket-11 value, which differs in the last bit from
-    the bucket-8 value computed without the cache."""
+    """A cache answers with the one value it holds for an index, and a value
+    it filled is the value computed without it at any tolerance: after a
+    combination of mass 300 at tol 1e-8, a single index read from the cache
+    at tol 1e-8 is bit for bit what tol 1e-8, 1e-11 and 1e-15 compute alone."""
     k = Index((1, 2, 1, 3))
     cfg = EvalConfig(tol=1e-8, cache=ZetaCache())
     eval_combination(IndexCombination({k: 300}), cfg)
     cached = eval_zeta(k, cfg)
-    assert cached == eval_zeta(k, EvalConfig(tol=1e-11))
-    assert cached != eval_zeta(k, EvalConfig(tol=1e-8))
-    assert cached == pytest.approx(eval_zeta(k, EvalConfig(tol=1e-8)), abs=1e-8)
+    assert cfg.cache.stats == zeta.ZetaCacheStats(hits=1, misses=1)
+    for tol in (1e-8, 1e-11, 1e-15):
+        assert cached.hex() == eval_zeta(k, EvalConfig(tol=tol)).hex()
 
 
 def test_cache_counts_hits_and_misses():
@@ -822,15 +848,19 @@ def test_cache_counts_hits_and_misses():
 
 
 def test_cache_bucket_semantics():
+    """A cache holds one value per index, whatever the tolerance of the
+    request: a lookup or a read at any tolerance answers with the value
+    stored first, and a later store of the index changes nothing."""
     cache = ZetaCache()
     k = Index((2,))
-    cache.store(k, 12, 1.25)
-    assert cache.lookup(k, 10) == 1.25  # coarser request reuses finer value
-    assert cache.lookup(k, 14) is None  # finer request misses
-    cache.store(k, 8, 99.0)  # coarser store must not clobber the finer entry
-    assert cache.lookup(k, 10) == 1.25
-    cache.store(k, 14, 2.5)
-    assert cache.lookup(k, 14) == 2.5
+    assert cache.lookup(k) is None
+    cache.store(k, 1.25)
+    assert cache.lookup(k) == 1.25
+    cache.store(k, 2.5)  # a second value for a held index is dropped
+    assert cache.lookup(k) == 1.25
+    for tol in (1e-3, 1e-15):
+        assert eval_zeta(k, EvalConfig(tol=tol, cache=cache)) == 1.25
+    assert len(cache) == 1 and cache.stats == zeta.ZetaCacheStats(hits=4, misses=1)
 
 
 def test_cache_save_load_round_trip(tmp_path):
@@ -843,21 +873,20 @@ def test_cache_save_load_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     for line in lines:
-        text, bucket, hexval = line.split("\t")
+        text, hexval = line.split("\t")
         assert float.fromhex(hexval) == values[Index.from_text(text)]
-        assert int(bucket) == 12
 
     reloaded = ZetaCache(str(path))  # constructor auto-loads existing files
     assert len(reloaded) == 3
     for k, v in values.items():
-        assert reloaded.lookup(k, 12) == v
+        assert reloaded.lookup(k) == v
 
 
 def test_cache_failed_save_keeps_previous_file(tmp_path):
     path = tmp_path / "cache.tsv"
     previous = ZetaCache()
-    previous.store(Index((2,)), 12, 1.5)
-    previous.store(Index((3,)), 12, 2.5)
+    previous.store(Index((2,)), 1.5)
+    previous.store(Index((3,)), 2.5)
     previous.save(str(path))
     before = path.read_text()
 
@@ -866,38 +895,38 @@ def test_cache_failed_save_keeps_previous_file(tmp_path):
             raise OSError("disk full")
 
     cache = ZetaCache()
-    cache.store(Index((2,)), 12, 1.25)  # written first: "2" sorts before "9"
-    cache.store(Index((9,)), 12, DiskFull(0.5))
+    cache.store(Index((2,)), 1.25)  # written first: "2" sorts before "9"
+    cache.store(Index((9,)), DiskFull(0.5))
     with pytest.raises(OSError, match="disk full"):
         cache.save(str(path))
 
     assert path.read_text() == before
     assert os.listdir(tmp_path) == ["cache.tsv"]
     reloaded = ZetaCache(str(path))
-    assert reloaded.lookup(Index((2,)), 12) == 1.5
-    assert reloaded.lookup(Index((3,)), 12) == 2.5
+    assert reloaded.lookup(Index((2,))) == 1.5
+    assert reloaded.lookup(Index((3,))) == 2.5
 
 
 def _old_writer_text(entries):
     """The flat file as the row-by-row writer made it: rows sorted by index
-    text, one ``text<TAB>bucket<TAB>hex`` line each."""
-    rows = sorted(((k.to_text(), b, v) for k, (b, v) in entries.items()), key=lambda row: row[0])
-    return "".join(f"{text}\t{bucket}\t{value.hex()}\n" for text, bucket, value in rows)
+    text, one ``text<TAB>hex`` line each."""
+    rows = sorted(((k.to_text(), v) for k, v in entries.items()), key=lambda row: row[0])
+    return "".join(f"{text}\t{value.hex()}\n" for text, value in rows)
 
 
 _SMALL_CACHE = {
-    Index((2, 3)): (12, 1.5),
-    Index((10,)): (15, 0.25),
-    Index((2,)): (8, 2.5),
-    Index((2, 3, 4)): (12, 1.2),
-    Index((1, 2)): (1, 1.5),
+    Index((2, 3)): 1.5,
+    Index((10,)): 0.25,
+    Index((2,)): 2.5,
+    Index((2, 3, 4)): 1.2,
+    Index((1, 2)): 1.5,
 }
 
 
 def _saved_cache(path, entries=_SMALL_CACHE):
     cache = ZetaCache()
-    for k, (bucket, value) in entries.items():
-        cache.store(k, bucket, value)
+    for k, value in entries.items():
+        cache.store(k, value)
     cache.save(str(path))
     return cache
 
@@ -906,18 +935,18 @@ def test_cache_file_text_pinned(tmp_path):
     path = tmp_path / "cache.tsv"
     _saved_cache(path)
     assert path.read_text() == (
-        "1,2\t1\t0x1.8000000000000p+0\n"
-        "10\t15\t0x1.0000000000000p-2\n"
-        "2\t8\t0x1.4000000000000p+1\n"
-        "2,3\t12\t0x1.8000000000000p+0\n"
-        "2,3,4\t12\t0x1.3333333333333p+0\n"
+        "1,2\t0x1.8000000000000p+0\n"
+        "10\t0x1.0000000000000p-2\n"
+        "2\t0x1.4000000000000p+1\n"
+        "2,3\t0x1.8000000000000p+0\n"
+        "2,3,4\t0x1.3333333333333p+0\n"
     )
     assert path.read_text() == _old_writer_text(_SMALL_CACHE)
 
     cache = ZetaCache(str(path))
-    cache.store(Index((2, 2)), 13, 0.75)
+    cache.store(Index((2, 2)), 0.75)
     cache.save(str(path))
-    assert path.read_text() == _old_writer_text({**_SMALL_CACHE, Index((2, 2)): (13, 0.75)})
+    assert path.read_text() == _old_writer_text({**_SMALL_CACHE, Index((2, 2)): 0.75})
 
 
 def _file_state(path):
@@ -931,8 +960,8 @@ def test_cache_save_leaves_a_file_that_holds_every_entry(tmp_path):
     before = _file_state(path)
 
     cache = ZetaCache(str(path))
-    assert cache.lookup(Index((2, 3)), 12) == 1.5
-    cache.store(Index((2, 3)), 8, 99.0)  # a coarser bucket changes no entry
+    assert cache.lookup(Index((2, 3))) == 1.5
+    cache.store(Index((2, 3)), 99.0)  # a held index changes no entry
     cache.save(str(path))
     assert _file_state(path) == before
     assert os.listdir(tmp_path) == ["cache.tsv"]
@@ -944,7 +973,7 @@ def test_cache_save_leaves_a_file_that_holds_every_entry(tmp_path):
 
 
 def _refine(cache, path):
-    cache.store(Index((2,)), 9, 2.5)
+    cache.store(Index((9,)), 2.5)
 
 
 def _reload(cache, path):
@@ -957,8 +986,8 @@ def _delete(cache, path):
 
 @pytest.mark.parametrize("change", [_refine, _reload, _delete, None], ids=["refine", "reload", "deleted", "other-path"])
 def test_cache_save_rewrites_after_a_change(tmp_path, change):
-    """A refining store, a load into a non-empty cache, a deleted file and
-    another path each make ``save`` write the whole file again."""
+    """A store of a new index, a load into a non-empty cache, a deleted file
+    and another path each make ``save`` write the whole file again."""
     path = tmp_path / "cache.tsv"
     _saved_cache(path)
     cache = ZetaCache(str(path))
@@ -968,7 +997,7 @@ def test_cache_save_rewrites_after_a_change(tmp_path, change):
     else:
         change(cache, path)
     cache.save(str(path))
-    expected = {**_SMALL_CACHE, Index((2,)): (9, 2.5)} if change is _refine else _SMALL_CACHE
+    expected = {**_SMALL_CACHE, Index((9,)): 2.5} if change is _refine else _SMALL_CACHE
     assert path.read_text() == _old_writer_text(expected)
     if change in (_refine, _reload):
         assert os.stat(path).st_ino != ino
@@ -983,24 +1012,26 @@ def test_cache_store_during_a_save_is_written_by_the_next(tmp_path):
 
     class StoresWhileWritten(float):
         def hex(self):
-            cache.store(Index((3,)), 12, 2.5)
+            cache.store(Index((3,)), 2.5)
             return float.hex(self)
 
-    cache.store(Index((2,)), 12, StoresWhileWritten(1.5))
+    cache.store(Index((2,)), StoresWhileWritten(1.5))
     cache.save(str(path))
-    assert path.read_text() == _old_writer_text({Index((2,)): (12, 1.5)})
+    assert path.read_text() == _old_writer_text({Index((2,)): 1.5})
     cache.save(str(path))
-    assert path.read_text() == _old_writer_text({Index((2,)): (12, 1.5), Index((3,)): (12, 2.5)})
+    assert path.read_text() == _old_writer_text({Index((2,)): 1.5, Index((3,)): 2.5})
 
 
-@pytest.mark.parametrize("finest_first", [True, False])
-def test_cache_load_keeps_the_finest_of_two_lines(tmp_path, finest_first):
-    lines = ["2,3\t14\t0x1.8000000000000p+0\n", "2,3\t9\t0x1.4000000000000p+1\n"]
+@pytest.mark.parametrize("in_order", [True, False])
+def test_cache_load_keeps_the_finest_of_two_lines(tmp_path, in_order):
+    """A file holds one value per index: of two lines of one index, in either
+    order, the first is kept."""
+    lines = ["2,3\t0x1.8000000000000p+0\n", "2,3\t0x1.4000000000000p+1\n"]
     path = tmp_path / "cache.tsv"
-    path.write_text("".join(lines if finest_first else lines[::-1]))
+    path.write_text("".join(lines if in_order else lines[::-1]))
     cache = ZetaCache(str(path))
     assert len(cache) == 1
-    assert cache.lookup(Index((2, 3)), 14) == 1.5
+    assert cache.lookup(Index((2, 3))) == (1.5 if in_order else 2.5)
 
 
 def test_cache_threads_saving_one_path_use_their_own_temporary_files(tmp_path):
@@ -1011,7 +1042,7 @@ def test_cache_threads_saving_one_path_use_their_own_temporary_files(tmp_path):
     errors = []
 
     def writer(n):
-        entries = {Index((2, n + 2)): (12, float(n))}
+        entries = {Index((2, n + 2)): float(n)}
         texts.add(_old_writer_text(entries))
         try:
             for _ in range(40):
@@ -1042,7 +1073,7 @@ def test_cache_threads_loading_and_saving_read_their_own_files(tmp_path):
 
     def worker(n):
         path = tmp_path / f"cache{n}.tsv"
-        entries = {Index((2, n + 2)): (12, float(n)), Index((n + 3,)): (n + 1, 0.5)}
+        entries = {Index((2, n + 2)): float(n), Index((n + 3,)): 0.5}
         try:
             for _ in range(40):
                 _saved_cache(path, entries)
@@ -1091,15 +1122,25 @@ def test_cache_load_rejects_garbage(tmp_path):
         " +2, 3\t12\t0x1.0p-1",
         "10,2\t1_2\t0x1.0p-1",
         "10,2\t+12\t0x1.0p-1",
+        "(2)\tnan",
+        "(2)\tinf",
+        "(2)\t-inf",
+        "(1)\t0x1.0p+0",
+        "()\t0x1.0p+0",
+        "1_0,2\t0x1.0p-1",
+        " +2, 3\t0x1.0p-1",
+        "(2)",
     ],
 )
 def test_cache_load_rejects_values_it_cannot_serve(tmp_path, line):
-    """A non-finite value, a bucket outside 1..15 or a non-admissible index
-    is refused like an unparsable line, also after good lines.  So is an
-    index entry or bucket that is no integer literal of the expression
-    grammar, though ``int`` alone would read it (with an underscore or a sign)."""
+    """A non-finite value or a non-admissible index is refused like an
+    unparsable line, also after good lines.  So is an index entry that is no
+    integer literal of the expression grammar, though ``int`` alone would
+    read it (with an underscore or a sign), and a line of one field or of
+    three: every line of the older ``index<TAB>bucket<TAB>hex`` form, valid
+    there or not."""
     path = tmp_path / "bad.tsv"
-    path.write_text(f"(3)\t12\t0x1.33ba004f00621p+0\n{line}\n")
+    path.write_text(f"(3)\t0x1.33ba004f00621p+0\n{line}\n")
     with pytest.raises(ValueError, match="malformed cache line"):
         ZetaCache().load(str(path))
 
@@ -1107,19 +1148,34 @@ def test_cache_load_rejects_values_it_cannot_serve(tmp_path, line):
 def test_cache_failed_load_changes_nothing(tmp_path):
     """A load that meets a malformed line stores none of the lines before it."""
     cache = ZetaCache()
-    cache.store(Index((2,)), 12, 1.5)
+    cache.store(Index((2,)), 1.5)
     path = tmp_path / "bad.tsv"
-    path.write_text("(2)\t15\t0x1.0p+1\n(3)\t12\t0x1.33ba004f00621p+0\n(2,3)\t12\tnan\n")
+    path.write_text("(2)\t0x1.0p+1\n(3)\t0x1.33ba004f00621p+0\n(2,3)\tnan\n")
     with pytest.raises(ValueError, match="malformed cache line"):
         cache.load(str(path))
     assert len(cache) == 1
-    assert cache.lookup(Index((2,)), 12) == 1.5
-    assert cache.lookup(Index((2,)), 13) is None
-    assert cache.lookup(Index((3,)), 1) is None
+    assert cache.lookup(Index((2,))) == 1.5
+    assert cache.lookup(Index((3,))) is None
+
+
+def test_cache_load_refuses_a_file_of_the_bucketed_form(tmp_path, parsed):
+    """A file of the older ``index<TAB>bucket<TAB>hex`` form, whose every
+    line was valid there, is refused loudly on its first line and changes
+    neither the cache it is loaded into nor the memo of the last file."""
+    path = tmp_path / "old.tsv"
+    path.write_text("2,3\t15\t0x1.8000000000000p+0\n3\t12\t0x1.33ba004f00621p+0\n")
+    cache = ZetaCache()
+    cache.store(Index((2,)), 1.5)
+    with pytest.raises(ValueError, match=r"^malformed cache line '2,3\\t15\\t0x1.8000000000000p\+0'$"):
+        cache.load(str(path))
+    with pytest.raises(ValueError, match="malformed cache line"):
+        ZetaCache(str(path))
+    assert _bits(cache) == {Index((2,)): ("0x1.8000000000000p+0", float)}
+    assert cache.stats == zeta.ZetaCacheStats() and zeta._LAST_FILE == ("", {})
 
 
 def _bits(cache):
-    return {k: (bucket, value.hex(), type(value)) for k, (bucket, value) in cache._entries.items()}
+    return {k: (value.hex(), type(value)) for k, value in cache._entries.items()}
 
 
 @pytest.mark.parametrize("fill", [False, True], ids=["empty", "non-empty"])
@@ -1131,24 +1187,24 @@ def test_cache_load_of_the_last_text_matches_a_parse(tmp_path, parsed, fill):
     caches = [ZetaCache(), ZetaCache()]
     for cache in caches:
         if fill:
-            cache.store(Index((2, 3)), 10, 0.5)
-            cache.store(Index((4,)), 12, 0.75)
+            cache.store(Index((2, 3)), 0.5)
+            cache.store(Index((4,)), 0.75)
         cache.load(str(path))
         assert cache._saved == (None if fill else str(path))
     assert len(parsed) == 3
     assert _bits(caches[0]) == _bits(caches[1])
-    assert _bits(caches[0])[Index((2, 3))] == (14, "0x1.8000000000000p+0", float)
+    assert _bits(caches[0])[Index((2, 3))] == ("0x1.0000000000000p-1" if fill else "0x1.8000000000000p+0", float)
 
 
 def test_cache_load_of_a_saved_text_matches_a_parse(tmp_path, parsed):
     """A save seeds the memo with what a load of its file gives back."""
     path = tmp_path / "cache.tsv"
-    _saved_cache(path).store(Index((2,)), 15, 0.5)  # after the save: not in the file
+    _saved_cache(path).store(Index((7,)), 0.5)  # after the save: not in the file
     hit = ZetaCache(str(path))
     assert parsed == []
     clear_factor_cache()
     assert _bits(ZetaCache(str(path))) == _bits(hit) == {
-        k: (bucket, value.hex(), float) for k, (bucket, value) in _SMALL_CACHE.items()
+        k: (value.hex(), float) for k, value in _SMALL_CACHE.items()
     }
     assert len(parsed) == len(_SMALL_CACHE)
 
@@ -1184,7 +1240,7 @@ def test_cache_load_parses_again(tmp_path, parsed, change):
     cache = ZetaCache(str(path))
     assert len(parsed) == 3
     expected = 1.5 if change is _cleared else 1.75
-    assert cache.lookup(Index((2, 3)), 14) == expected
+    assert cache.lookup(Index((2, 3))) == expected
 
 
 def test_cache_load_refuses_a_malformed_file_every_time(tmp_path, parsed):
@@ -1193,7 +1249,7 @@ def test_cache_load_refuses_a_malformed_file_every_time(tmp_path, parsed):
     path = tmp_path / "cache.tsv"
     path.write_text(_LOADED)
     cache = ZetaCache(str(path))
-    path.write_text(_LOADED + "2\t12\tnan\n")
+    path.write_text(_LOADED + "2\tnan\n")
     for _ in range(2):
         with pytest.raises(ValueError, match="malformed cache line"):
             cache.load(str(path))
@@ -1211,13 +1267,13 @@ def test_cache_store_never_reaches_the_memo(tmp_path, parsed):
     path = tmp_path / "cache.tsv"
     path.write_text(_LOADED)
     for cache in (ZetaCache(str(path)), ZetaCache(str(path))):
-        cache.store(Index((2, 3)), 15, 0.5)
-        cache.store(Index((5,)), 12, 0.25)
+        cache.store(Index((4,)), 0.5)
+        cache.store(Index((5,)), 0.25)
     reloaded = ZetaCache(str(path))
     assert len(parsed) == 3
     assert _bits(reloaded) == {
-        Index((2, 3)): (14, "0x1.8000000000000p+0", float),
-        Index((3,)): (12, "0x1.33ba004f00621p+0", float),
+        Index((2, 3)): ("0x1.8000000000000p+0", float),
+        Index((3,)): ("0x1.33ba004f00621p+0", float),
     }
 
 
@@ -1226,42 +1282,38 @@ class _Half(float):
 
 
 @pytest.mark.parametrize(
-    "k, bucket, value",
+    "k, value",
     [
-        (Index((3,)), 99, 1.0),
-        (Index((3,)), 12.0, 1.0),
-        (Index((3,)), 12, math.nan),
-        (Index((3,)), 12, _Half(0.5)),
-        ((3,), 12, 1.0),
-        (Index((3, 1)), 12, 1.0),
-        (Index((3,)), 0, 1.0),
-        (Index((3,)), True, 1.0),
-        (Index((3,)), 12, 1),
-        (Index((3,)), 12, "1.0"),
-        (Index((3,)), 12, -math.inf),
+        (Index((3,)), (12, 1.0)),
+        (Index((3,)), math.nan),
+        (Index((3,)), _Half(0.5)),
+        ((3,), 1.0),
+        (Index((3, 1)), 1.0),
+        (Index((3,)), True),
+        (Index((3,)), 1),
+        (Index((3,)), "1.0"),
+        (Index((3,)), -math.inf),
     ],
-    ids=[
-        "bucket", "float-bucket", "nan", "float-subclass", "tuple", "non-admissible", "bucket-0", "bool-bucket",
-        "int-value", "str-value", "inf",
-    ],
+    ids=["bucket", "nan", "float-subclass", "tuple", "non-admissible", "bool-value", "int-value", "str-value", "inf"],
 )
-def test_cache_save_seeds_only_what_a_load_gives_back(tmp_path, parsed, k, bucket, value):
+def test_cache_save_seeds_only_what_a_load_gives_back(tmp_path, parsed, k, value):
     """A row that a load would refuse is refused by ``store``, so the file a
     save writes loads back; a float subclass is written and loads back as a
-    float, parsed again."""
+    float, parsed again.  A value paired with a bucket, as the rows of the
+    older bucketed cache were, is refused."""
     path = tmp_path / "cache.tsv"
     cache = ZetaCache()
-    cache.store(Index((2,)), 12, 1.5)
+    cache.store(Index((2,)), 1.5)
     if type(value) is _Half:
-        cache.store(k, bucket, value)
+        cache.store(k, value)
         cache.save(str(path))
-        assert type(ZetaCache(str(path)).lookup(k, 12)) is float
+        assert type(ZetaCache(str(path)).lookup(k)) is float
         assert len(parsed) == 2
     else:
         with pytest.raises(ValueError, match="cannot cache"):
-            cache.store(k, bucket, value)
+            cache.store(k, value)
         cache.save(str(path))
-        assert _bits(ZetaCache(str(path))) == {Index((2,)): (12, "0x1.8000000000000p+0", float)}
+        assert _bits(ZetaCache(str(path))) == {Index((2,)): ("0x1.8000000000000p+0", float)}
 
 
 def test_cache_save_formats_and_checks_only_the_rows_stored_since(tmp_path, monkeypatch):
@@ -1270,38 +1322,39 @@ def test_cache_save_formats_and_checks_only_the_rows_stored_since(tmp_path, monk
     path = tmp_path / "cache.tsv"
     _saved_cache(path)
     cache = ZetaCache(str(path))
-    cache.store(Index((5,)), 12, 0.25)
-    cache.store(Index((2, 3)), 15, 0.5)
+    cache.store(Index((5,)), 0.25)
+    cache.store(Index((2, 5)), 0.5)
     formatted, checked = [], []  # counted from here: store checks each row it is given
     to_text, loads_back = Index.to_text, zeta._loads_back
     monkeypatch.setattr(Index, "to_text", lambda k: formatted.append(k) or to_text(k))
     monkeypatch.setattr(zeta, "_loads_back", lambda k, *row: checked.append(k) or loads_back(k, *row))
     cache.save(str(path))
-    assert sorted(formatted) == sorted(checked) == sorted([Index((5,)), Index((2, 3))])
+    assert sorted(formatted) == sorted(checked) == sorted([Index((5,)), Index((2, 5))])
     assert path.read_text() == _old_writer_text(cache._entries)
 
 
 def test_cache_save_keeps_no_line_of_a_row_that_does_not_load_back(tmp_path, monkeypatch):
     monkeypatch.setattr(zeta, "_LINES", {})
     cache = ZetaCache()
-    cache.store(Index((2,)), 12, 1.5)
-    cache.store(Index((3,)), 12, _Half(1.0))  # written, but loads back as a float, not as itself
+    cache.store(Index((2,)), 1.5)
+    cache.store(Index((3,)), _Half(1.0))  # written, but loads back as a float, not as itself
     cache.save(str(tmp_path / "cache.tsv"))
     assert zeta._LINES == {}
 
 
 def test_cache_load_from_the_memo_keeps_the_finest_bucket(tmp_path, parsed):
+    """A load from the memo into a non-empty cache keeps the values it holds
+    and adds the rows of the file for the other indices, as a parse does."""
     path = tmp_path / "cache.tsv"
     path.write_text(_LOADED)
     ZetaCache(str(path))
     cache = ZetaCache()
-    cache.store(Index((2, 3)), 15, 0.5)
-    cache.store(Index((3,)), 11, 0.25)
+    cache.store(Index((2, 3)), 0.5)
     cache.load(str(path))
     assert len(parsed) == 3
     assert _bits(cache) == {
-        Index((2, 3)): (15, "0x1.0000000000000p-1", float),
-        Index((3,)): (12, "0x1.33ba004f00621p+0", float),
+        Index((2, 3)): ("0x1.0000000000000p-1", float),
+        Index((3,)): ("0x1.33ba004f00621p+0", float),
     }
 
 
@@ -1333,16 +1386,17 @@ def test_cache_load_splits_lines_at_newlines_only(tmp_path, parsed, separator):
 
 
 def test_cache_load_keeps_the_first_of_two_lines_of_one_bucket(tmp_path, parsed):
+    """The first of two lines of one index is kept by a parse and by a load from the memo."""
     path = tmp_path / "cache.tsv"
-    path.write_text("2,3\t12\t0x1.8000000000000p+0\n2,3\t12\t0x1.4000000000000p+1\n")
+    path.write_text("2,3\t0x1.8000000000000p+0\n2,3\t0x1.4000000000000p+1\n")
     for _ in range(2):  # a parse, then a load from the memo
-        assert ZetaCache(str(path)).lookup(Index((2, 3)), 12) == 1.5
+        assert ZetaCache(str(path)).lookup(Index((2, 3))) == 1.5
     assert len(parsed) == 2
 
 
 def test_cache_load_refuses_a_non_ascii_byte(tmp_path, parsed):
     path = tmp_path / "cache.tsv"
-    path.write_bytes(_LOADED.encode() + b"2\t12\t0x1.4p+1 \xe9\n")
+    path.write_bytes(_LOADED.encode() + b"2\t0x1.4p+1 \xe9\n")
     cache = ZetaCache()
     with pytest.raises(UnicodeDecodeError):
         cache.load(str(path))
@@ -1362,14 +1416,14 @@ def _read_term_by_term(comb, cfg):
     """A combination planned and filled, then read one term at a time through
     ``ZetaCache.lookup`` and a ``store`` of each miss."""
     todo = {}
-    term_cfg, terms = zeta._plan(comb, cfg, todo, {})
+    _, terms = zeta._plan(comb, cfg, todo)
     zeta._fill(todo)
     products = []
     for k, c in terms.items():
-        value = cfg.cache.lookup(k, term_cfg.bucket)
+        value = cfg.cache.lookup(k)
         if value is None:
-            value = zeta._VALUES[term_cfg.precision][k]
-            cfg.cache.store(k, term_cfg.bucket, value)
+            value = zeta._VALUES[k]
+            cfg.cache.store(k, value)
         products.append(float(c) * value)
     return math.fsum(products)
 
@@ -1377,21 +1431,20 @@ def _read_term_by_term(comb, cfg):
 @pytest.mark.parametrize(
     "terms, hits, misses",
     [
-        ({(2, 3): 1, (1, 2, 3): -2, (4, 1, 2): 3, (3, 3): 1, (5,): 2}, 2, 3),  # mass 9: bucket 13
-        ({(1, 2, 3): 1, (5,): -1}, 2, 0),  # mass 2: bucket 13, every term held
+        ({(2, 3): 1, (1, 2, 3): -2, (4, 1, 2): 3, (3, 3): 1, (5,): 2}, 2, 3),
+        ({(1, 2, 3): 1, (5,): -1}, 2, 0),  # every term held
     ],
 )
 def test_cached_read_matches_the_term_by_term_read(tmp_path, terms, hits, misses):
-    """A cache holding one term at a coarser bucket than the read's, one at a
-    finer one and one at the same gives, after one ``eval_combination``, the
-    value, entries, counts and saved-path state of a read term by term."""
+    """A cache holding two terms, at values other than the computed ones,
+    gives, after one ``eval_combination``, the value, entries, counts and
+    saved-path state of a read term by term."""
     comb = IndexCombination({Index(k): c for k, c in terms.items()})
 
     def saved(name):
         cache, path = ZetaCache(), str(tmp_path / name)
-        cache.store(Index((2, 3)), 9, 0.25)  # coarser: a miss, replaced
-        cache.store(Index((1, 2, 3)), 15, 0.5)  # finer: a hit
-        cache.store(Index((5,)), 13, 0.75)  # the read's bucket: a hit
+        cache.store(Index((1, 2, 3)), 0.5)
+        cache.store(Index((5,)), 0.75)
         cache.save(path)
         return cache, path
 
