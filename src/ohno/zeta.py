@@ -371,8 +371,8 @@ class EvalConfig:
         value is computed at its weight class's precision for the double
         floor (module docstring), within 1e-15 of the exact one.  It sets the
         pass rule of :func:`~ohno.verify.verify`.  ``bucket``, its number of
-        decimal digits rounded towards finer, is kept for tools that key
-        requests by it.
+        decimal digits rounded towards finer, is kept for the benchmark's
+        tracer (``bench/worker.py``), which keys requests by it.
     ``max_terms``
         Cap on the length of any single series factor.  An evaluation whose
         deepest factor needs more terms than this to meet the error budget
