@@ -15,10 +15,10 @@ one configuration and one cache for the whole call.  In a call with two or
 more, an error names its ``--expr``, counting from 1.
 
 Exit codes: 0 on success (and verification pass), 1 on verification
-failure, 2 on usage or input errors, including a series cap too short for
-the tolerance (``PrecisionError``), a cache or report file that cannot be
-read or written (``OSError``) and an expansion too large for memory
-(``MemoryError``).
+failure, 2 on usage or input errors, including an index or dual deeper than
+the depth limit ``ohno.zeta.MAX_DEPTH`` (``PrecisionError``), a cache or
+report file that cannot be read or written (``OSError``) and an expansion
+too large for memory (``MemoryError``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import cache, partial
 from typing import Callable, Optional
 
 from ohno.expr import GRAMMAR, ExprError, expand_text
-from ohno.indices import combination_to_text
+from ohno.indices import _int_text, combination_to_text
 from ohno.verify import list_identities, report_to_file, verify
 from ohno.zeta import DEFAULT_CONFIG, EvalConfig, PrecisionError, ZetaCache, eval_combination
 
@@ -52,24 +52,22 @@ cache:
 """
 
 
+def _int_value(text: str) -> int:
+    """An integer flag value, spelt as an integer of the expression grammar."""
+    try:
+        return _int_text(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _range_values(text: str) -> list[int]:
     out: list[int] = []
     for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo_text, _, hi_text = part.partition("..")
-            try:
-                lo, hi = int(lo_text), int(hi_text)
-            except ValueError:
-                raise argparse.ArgumentTypeError(f"malformed range {part!r}; use a..b") from None
-            if hi < lo:
-                raise argparse.ArgumentTypeError(f"empty range {part!r}")
-            out.extend(range(lo, hi + 1))
-        else:
-            try:
-                out.append(int(part))
-            except ValueError:
-                raise argparse.ArgumentTypeError(f"malformed integer {part!r}") from None
+        lo_text, dots, hi_text = part.partition("..")
+        lo, hi = _int_value(lo_text), _int_value(hi_text if dots else lo_text)
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"empty range {part.strip()!r}")
+        out.extend(range(lo, hi + 1))
     return out
 
 
@@ -90,9 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
         return add_parser(name, help=summary, epilog=GRAMMAR_HELP, formatter_class=parser.formatter_class)
 
     def add_eval_flags(p: argparse.ArgumentParser) -> None:
-        tol, cap = DEFAULT_CONFIG.tol, DEFAULT_CONFIG.max_terms
+        tol = DEFAULT_CONFIG.tol
         p.add_argument("--tol", type=float, default=tol, help=f"absolute accuracy target (default {tol})")
-        p.add_argument("--terms-cap", type=int, default=cap, help=f"series length cap (default {cap})")
         p.add_argument("--cache", default="on", help="on, off, or a file path (default on)")
 
     p_eval = with_grammar("eval", "evaluate expressions to floats, one line each")
@@ -106,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--name", required=True, help="identity name, or 'all'")
     for name in _GRID_PARAMS:
         p_verify.add_argument(f"--{name}", type=_range_values, default=None, help=f"grid values for {name}")
-    p_verify.add_argument("--weight", type=int, default=None, help="weight bound for index-family grids")
+    p_verify.add_argument("--weight", type=_int_value, default=None, help="weight bound for index-family grids")
     p_verify.add_argument("--out", default=None, help="write the report to this path")
     p_verify.add_argument("--format", choices=("json", "csv"), help="report format with --out (default json)")
     add_eval_flags(p_verify)
@@ -210,7 +207,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         save_path = None
         if "cache" in args:  # a command that evaluates: build its request once
             cache, save_path = _resolve_cache(args.cache)
-            args.cfg = EvalConfig(tol=args.tol, max_terms=args.terms_cap, cache=cache)
+            args.cfg = EvalConfig(tol=args.tol, cache=cache)
         code = _COMMANDS[args.command](args)
         if save_path is not None:
             cache.save(save_path)

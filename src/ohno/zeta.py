@@ -75,9 +75,9 @@ so both families are suffixes of a single word: ``w`` or its dual.  The
 inner sums of a factor form a chain that depends only on its run tail (the
 runs after its first), and suffixes share tails across words as well as
 within one.  So evaluation runs in three phases.  Plan: one pass over a
-combination's terms checks the ``max_terms`` cap before the cache counts a
-lookup or any memo is written (the cap belongs to the request, not the
-key) and finds the terms that no cache or memo will answer.  Fill: one
+combination's terms checks the depth limit :data:`MAX_DEPTH` before the
+cache counts a lookup or any memo is written and finds the terms that no
+cache or memo will answer, the only ones given a precision.  Fill: one
 batch per precision fills their missing factors; its words, sorted by
 reversed runs, are walked with one stack of chains, so each chain is built
 once per batch (a dict of a batch's chains peaked 15 MB higher on a
@@ -129,6 +129,7 @@ from ohno.indices import Index, IndexCombination, _int_at_least, _named, _sort_k
 
 __all__ = [
     "EvalConfig",
+    "MAX_DEPTH",
     "PrecisionError",
     "ZetaCache",
     "eval_combination",
@@ -140,7 +141,13 @@ __all__ = [
 
 
 class PrecisionError(RuntimeError):
-    """Raised when a series cap is exhausted before the error budget is met."""
+    """Raised for an index that is, or whose dual is, deeper than :data:`MAX_DEPTH`."""
+
+
+#: Upper bound for the depth ``r`` of an evaluated index and ``w - r`` of its
+#: dual: all weights up to 73, and depths ``w - 72`` to 72 up to weight 144.
+#: It bounds a fill's cost, which grows with the square of the depth.
+MAX_DEPTH = 72
 
 
 # -- word codec ---------------------------------------------------------------
@@ -277,12 +284,12 @@ class ZetaCache:
         return None
 
     def store(self, k: Index, value: float) -> None:
-        """Keep ``value`` unless a value is held for ``k``; a row that :meth:`load`
-        would refuse (a float subclass loads back as a float) is a ``ValueError``."""
+        """Keep ``value`` as the float a :meth:`load` gives back, unless a value is held
+        for ``k``; a row that :meth:`load` would refuse is a ``ValueError``."""
         if not (isinstance(value, float) and _loads_back(k, float(value))):
             raise ValueError(f"cannot cache value {value!r} for {k!r}")
         with self._lock:
-            self._add(k, value)
+            self._add(k, float(value))
 
     def _add(self, k: Index, value: float) -> float:
         """The value held for ``k``, ``value`` unless one was; the caller holds the lock."""
@@ -362,7 +369,7 @@ class ZetaCache:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Evaluation knobs.
+    """Evaluation knobs; the depth limit is not one (:data:`MAX_DEPTH`).
 
     ``tol``
         Absolute accuracy target for a single value, a finite float or int.
@@ -373,11 +380,6 @@ class EvalConfig:
         pass rule of :func:`~ohno.verify.verify`.  ``bucket``, its number of
         decimal digits rounded towards finer, is kept for the benchmark's
         tracer (``bench/worker.py``), which keys requests by it.
-    ``max_terms``
-        Cap on the length of any single series factor.  An evaluation whose
-        deepest factor needs more terms than this to meet the error budget
-        raises :class:`PrecisionError` rather than returning a degraded
-        value, whether or not its value is memoised or cached.
     ``cache``
         Optional :class:`ZetaCache`.  It answers with the value it holds for
         an index, which is the value computed without it unless something
@@ -385,7 +387,6 @@ class EvalConfig:
     """
 
     tol: float = 1e-12
-    max_terms: int = 256
     cache: Optional[ZetaCache] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -393,8 +394,6 @@ class EvalConfig:
             raise ValueError(f"tol must be a positive finite number, got {self.tol!r}")
         if self.tol < 1e-15:
             raise ValueError(f"tol {self.tol!r} is below the double-precision floor 1e-15")
-        if not _int_at_least(self.max_terms, 8):
-            raise ValueError(f"max_terms must be an integer >= 8, got {self.max_terms!r}")
 
     @cached_property
     def bucket(self) -> int:
@@ -403,7 +402,7 @@ class EvalConfig:
     @cached_property
     def _term_config(self) -> "EvalConfig":
         """What :func:`_read` hands :func:`eval_zeta` with each term when there is a cache."""
-        return _TermConfig(self.tol, self.max_terms, self.cache)
+        return _TermConfig(self.tol, self.cache)
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -449,8 +448,8 @@ def _stop(depth: int, fbits: int) -> int:
     runs, and it grows with the depth.  Past ``rho < 1`` every term of the
     majorant's log falls with ``N``, and so does ``-ln N``, so the test
     fails up to ``N`` and holds beyond it: a doubling search and a
-    bisection find ``N`` in ``O(log N)`` tests, also for the depth of a
-    million that a refused index can ask for.
+    bisection find ``N`` in ``O(log N)`` tests.  An index deeper than
+    :data:`MAX_DEPTH` is refused before it reaches here.
     """
     def short(m: int) -> bool:  # the majorant at m is not yet below m * 2^-fbits
         rho = math.exp((depth - 1) / m) / 2.0
@@ -558,7 +557,7 @@ def clear_factor_cache() -> None:
 
 class _TermConfig(EvalConfig):
     """What :func:`_read` hands :func:`eval_zeta` with each term when it has a
-    cache: the term is read off the cache, or on a miss the value memo, without a cap check."""
+    cache: the term is read off the cache, or on a miss the value memo, without a depth check."""
 
 
 def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
@@ -567,16 +566,17 @@ def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
     if type(cfg) is not _TermConfig:
         if not isinstance(k, Index):
             raise ValueError(f"expected an Index, got {k!r}")
-        return eval_combination(k, cfg)  # checks the cap, fills, then reads k
+        return eval_combination(k, cfg)  # checks the depth, fills, then reads k
     return cfg.cache.lookup(k, filled=True)  # _read passes a term only with a cache
 
 
 def _plan(comb: Union[Index, IndexCombination], cfg: EvalConfig, todo: dict) -> tuple:
     """Check one combination and add the terms whose values the fill must
     compute before it is read to ``todo`` (per precision of the factors);
-    returns what :func:`_read` takes.  A term that the value memo or the
-    cache holds is left out.  A refusal (errors name the first index in
-    canonical order) leaves ``todo`` alone."""
+    returns what :func:`_read` takes.  It checks the coefficient mass, then
+    admissibility, then :data:`MAX_DEPTH`, naming the first index at fault in
+    canonical order; a refusal leaves ``todo`` alone.  A term that the value
+    memo or the cache holds is left out and given no precision."""
     terms = {comb: 1} if isinstance(comb, Index) else as_combination(comb)._terms
     if not terms:
         return cfg, terms
@@ -584,35 +584,23 @@ def _plan(comb: Union[Index, IndexCombination], cfg: EvalConfig, todo: dict) -> 
         float(sum(map(abs, terms.values())))
     except OverflowError:
         raise ValueError("the coefficient mass of the combination is beyond the double range") from None
-    light = _default_precision()
     cached = {} if cfg.cache is None else cfg.cache._entries
-    deepest: dict[int, int] = {}  # precision -> depth of the deepest factor read at it
-    wanted: dict[Index, int] = {}  # index -> its precision
+    wanted: dict[Index, int] = {}  # index -> its weight
+    deep: list[Index] = []
     for k in terms:
         if not k or k[-1] < 2:  # k.admissible, inlined for the warm path
             bad = min((k for k in terms if not k.admissible), key=_sort_key)
             raise ValueError(f"cannot evaluate non-admissible index {_named(bad)}")
-        # The two full words (the index's and its dual's, of length the
-        # weight) are the deepest factors, and stops grow with depth.
         w = sum(k)
-        fbits = light if w <= _LIGHT else _default_precision(w)
-        d = max(len(k), w - len(k))
-        if d > deepest.get(fbits, 0):
-            deepest[fbits] = d
-        if k not in _VALUES and k not in cached:
-            wanted[k] = fbits
-    over = {fbits: d for fbits, d in deepest.items() if _stop(d, fbits) > cfg.max_terms}
-    if over:
-        fbits_of = {k: _default_precision(sum(k)) for k in terms}
-        tied = (k for k, fbits in fbits_of.items() if over.get(fbits) in (len(k), sum(k) - len(k)))
-        worst = min(tied, key=_sort_key)
-        fbits = fbits_of[worst]
-        raise PrecisionError(
-            f"series cap of {cfg.max_terms} terms is below what a depth-{over[fbits]} factor "
-            f"needs to meet the error budget (index {_named(worst)}, precision {fbits} bits)"
-        )
-    for k, fbits in wanted.items():
-        todo.setdefault(fbits, {})[k] = None
+        if len(k) > MAX_DEPTH or w - len(k) > MAX_DEPTH:
+            deep.append(k)
+        elif k not in _VALUES and k not in cached:
+            wanted[k] = w
+    if deep:
+        worst = _named(min(deep, key=_sort_key))
+        raise PrecisionError(f"index {worst} or its dual is deeper than the depth limit {MAX_DEPTH}")
+    for k, w in wanted.items():
+        todo.setdefault(_default_precision(w), {})[k] = None
     return cfg, terms
 
 

@@ -346,6 +346,30 @@ def test_malformed_range(run):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--s", "1_0"], ["--s", " +2"], ["--s", "1_0..1_0"], ["--weight", "1_0"]],
+    ids=["grid-underscore", "grid-plus", "range-underscore", "weight-underscore"],
+)
+def test_integer_flags_are_spelt_as_in_expressions(run, capsys, flags):
+    """Grid and weight integers follow the integer rule of index text: ``1_0``
+    and ``+2``, which ``int`` reads as 10 and 2, are usage errors."""
+    rest = ["--name", "duality"] if flags[0] == "--weight" else ["--name", "main", "--t", "2", "--l", "0", "--m", "0"]
+    with pytest.raises(SystemExit) as excinfo:
+        run("verify", *rest, *flags)
+    out, err = capsys.readouterr()
+    assert (excinfo.value.code, out) == (2, "")
+    assert f"argument {flags[0]}: malformed integer" in err
+
+
+@pytest.mark.parametrize(
+    "text, values", [("2..4", [2, 3, 4]), ("2,4,6", [2, 4, 6]), ("3", [3]), (" 2 .. 3 , 5", [2, 3, 5])]
+)
+def test_grid_flags_parse_values_ranges_and_lists(text, values):
+    args = cli._build_parser().parse_args(["verify", "--name", "main", "--s", text, "--weight", " 12 "])
+    assert (args.s, args.weight) == (values, 12)
+
+
 def test_no_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         cli.main([])
@@ -369,7 +393,7 @@ def test_cli_surface_is_pinned():
         name: [flag for action in sub._actions for flag in action.option_strings if flag not in ("-h", "--help")]
         for name, sub in subcommands.choices.items()
     }
-    evaluation = ["--tol", "--terms-cap", "--cache"]
+    evaluation = ["--tol", "--cache"]
     assert [flag for action in parser._actions for flag in action.option_strings] == ["-h", "--help"]
     assert surface == {
         "eval": ["--expr", *evaluation],
@@ -382,8 +406,8 @@ def test_cli_surface_is_pinned():
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("rep(2, 3000)", "error: series cap of 256 terms is below what a depth-3000 factor needs to meet the "
-         "error budget (index (2,...,2) of depth 3000 and weight 6000, precision 82 bits)\n"),
+        ("rep(2, 3000)", "error: index (2,...,2) of depth 3000 and weight 6000 or its dual is deeper than the "
+         "depth limit 72\n"),
         ("rep(1, 3000)", "error: cannot evaluate non-admissible index (1,...,1) of depth 3000 and weight 3000\n"),
     ],
     ids=["precision", "non-admissible"],
@@ -536,16 +560,18 @@ def test_verify_populates_cache_file(run, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# a series cap too short for the tolerance exits 2
+# an index deeper than the depth limit exits 2
 # ---------------------------------------------------------------------------
 
 
 def test_short_terms_cap_is_an_input_error(run, tmp_path):
+    """``(74)`` is shallow, but its dual has depth 73: refused, with no output
+    and no cache file, as every input error."""
     path = tmp_path / "cache.tsv"
-    code, out, err = run("eval", "--expr", "(2,3)", "--terms-cap", "8", "--cache", str(path))
+    code, out, err = run("eval", "--expr", "(2,3)", "--expr", "(74)", "--cache", str(path))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: series cap of 8 terms")
+    assert err == "error: --expr 2: index (74) or its dual is deeper than the depth limit 72\n"
     assert not path.exists()
 
 
@@ -577,14 +603,17 @@ def test_unusable_tolerance_is_an_input_error(run, tol):
 
 
 def test_short_terms_cap_not_answered_by_cache_file(run, tmp_path):
+    """A hand-written row for a depth-73 index does not answer it: the depth
+    is checked before the cache is read, and the file stays as written."""
+    deep = "(" + "1," * 72 + "2)"
     path = tmp_path / "cache.tsv"
-    code, _, _ = run("eval", "--expr", "(2,3)", "--cache", str(path))
-    assert code == 0
+    path.write_text(f"{deep[1:-1]}\t0x1.0000000000000p+0\n3\t0x1.33ba004f00621p+0\n")
     saved = path.read_text()
-    code, out, err = run("eval", "--expr", "(2,3)", "--terms-cap", "8", "--cache", str(path))
+    assert run("eval", "--expr", "(3)", "--cache", str(path)) == (0, "1.2020569031595942\n", "")
+    code, out, err = run("eval", "--expr", deep, "--cache", str(path))
     assert code == 2
     assert out == ""
-    assert "series cap of 8 terms" in err
+    assert err == "error: index (1,...,2) of depth 73 and weight 74 or its dual is deeper than the depth limit 72\n"
     assert path.read_text() == saved
 
 

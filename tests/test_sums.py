@@ -507,7 +507,6 @@ def test_hoffman_defect_small():
         pytest.param(enumerate_shifts, (True, 1), id="enumerate_shifts-r"),
         pytest.param(enumerate_shifts, (1, True), id="enumerate_shifts-m"),
         pytest.param(Index, ((True, 2),), id="Index-entry"),
-        pytest.param(lambda t: EvalConfig(max_terms=t), (True,), id="EvalConfig-max_terms"),
         pytest.param(eval_zeta_direct, (Index((2,)), True), id="eval_zeta_direct-terms"),
         pytest.param(lambda w: list(iter_admissible(w)), (True,), id="iter_admissible-max_weight"),
     ],

@@ -542,25 +542,24 @@ def test_planned_sweep_matches_point_by_point_evaluation(tol, cached):
         assert caches[0]._entries == caches[1]._entries
 
 
-def test_planning_error_of_the_first_point():
-    cfg = EvalConfig(max_terms=8)
+def test_planning_error_of_the_first_point(monkeypatch):
+    monkeypatch.setattr(zeta, "MAX_DEPTH", 2)
     first_side = catalogue._CATALOGUE["main"].sides(s=2, t=2, l=0, m=0)[0][0]
     with pytest.raises(PrecisionError) as expected:
-        eval_combination(first_side, cfg)
+        eval_combination(first_side)
     with pytest.raises(PrecisionError) as got:
-        verify("main", cfg=cfg)
+        verify("main")
     assert str(got.value) == str(expected.value)
 
 
-def test_planning_error_at_a_later_point_leaves_what_point_by_point_leaves():
-    """The third point needs more terms than the cap allows; the two before
+def test_planning_error_at_a_later_point_leaves_what_point_by_point_leaves(monkeypatch):
+    """The third point is deeper than the depth limit allows; the two before
     it are still read, so the cache ends as a point-by-point run leaves it."""
     grid = {"k": ["(2)", "(2,3)", "(2,2,9)", "(1,2)"]}
     caches = [ZetaCache(), ZetaCache()]
-    cap = zeta._stop(10, zeta._default_precision()) - 1  # short of the depth-10 dual of (2,2,9)
-    assert zeta._stop(3, zeta._default_precision()) <= cap
-    planned = _outcome(lambda: verify("duality", cfg=EvalConfig(max_terms=cap, cache=caches[0]), **grid))
-    alone = _outcome(lambda: _point_by_point("duality", EvalConfig(max_terms=cap, cache=caches[1]), **grid))
+    monkeypatch.setattr(zeta, "MAX_DEPTH", 9)  # short of the depth-10 dual of (2,2,9)
+    planned = _outcome(lambda: verify("duality", cfg=EvalConfig(cache=caches[0]), **grid))
+    alone = _outcome(lambda: _point_by_point("duality", EvalConfig(cache=caches[1]), **grid))
     assert planned == alone
     assert planned[0][:2] == ("raised", PrecisionError)
     assert "index (2,2,9)" in planned[0][2]
@@ -579,12 +578,11 @@ def test_read_error_of_an_earlier_point_comes_first(monkeypatch):
 
     monkeypatch.setitem(catalogue._CATALOGUE, "duality", dataclasses.replace(spec, sides=sides))
     # enough for the first point (depth 1), not for the depth-13 dual of (2,2,12)
-    cfg = EvalConfig(max_terms=zeta._stop(13, zeta._default_precision()) - 1)
-    assert zeta._stop(1, zeta._default_precision()) <= cfg.max_terms
+    monkeypatch.setattr(zeta, "MAX_DEPTH", 12)
     with pytest.raises(ValueError, match="value of the combination is beyond the double range"):
-        verify("duality", cfg=cfg, k=["(2)", "(2,2,12)"])
+        verify("duality", k=["(2)", "(2,2,12)"])
     with pytest.raises(PrecisionError, match=r"index \(2,2,12\)"):
-        verify("duality", cfg=cfg, k=["(2,2,12)", "(2)"])
+        verify("duality", k=["(2,2,12)", "(2)"])
 
 
 # ---------------------------------------------------------------------------
@@ -592,11 +590,12 @@ def test_read_error_of_an_earlier_point_comes_first(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_sweep_memo_lives_only_for_one_verify_call():
+def test_sweep_memo_lives_only_for_one_verify_call(monkeypatch):
     verify("hmos", m=(0, 1))
     assert ohno.sums._MEMO.get() is None
+    monkeypatch.setattr(zeta, "MAX_DEPTH", 2)
     with pytest.raises(PrecisionError):
-        verify("main", cfg=EvalConfig(max_terms=8))
+        verify("main")
     assert ohno.sums._MEMO.get() is None
     first, second = (ohno_sum_symbolic(Index((2, 3)), 2) for _ in range(2))
     assert first == second and first is not second

@@ -1,5 +1,6 @@
 """Tests for the word codec, the nested-series evaluator, and its cache."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -126,9 +127,11 @@ def test_reverse_swap_involution(word):
 
 
 def test_config_defaults():
+    """Two knobs, and one module constant for the depth limit."""
+    assert [f.name for f in dataclasses.fields(EvalConfig)] == ["tol", "cache"]
     assert DEFAULT_CONFIG.tol == 1e-12
-    assert DEFAULT_CONFIG.max_terms == 256
     assert DEFAULT_CONFIG.cache is None
+    assert zeta.MAX_DEPTH == 72
 
 
 @pytest.mark.parametrize(
@@ -183,13 +186,6 @@ def test_error_within_the_proven_bound_at_the_tolerance_limit():
 def test_config_rejects_bad_tol(tol):
     with pytest.raises(ValueError):
         EvalConfig(tol=tol)
-
-
-def test_config_rejects_bad_max_terms():
-    with pytest.raises(ValueError):
-        EvalConfig(max_terms=7)
-    with pytest.raises(ValueError):
-        EvalConfig(max_terms=2.5)
 
 
 def test_config_equality_ignores_cache():
@@ -334,44 +330,114 @@ def test_value_beyond_double_range_is_an_input_error(terms):
 
 
 # ---------------------------------------------------------------------------
-# precision failure is loud
+# the depth limit is loud
 # ---------------------------------------------------------------------------
 
 
 def test_series_cap_exhaustion_raises():
+    """An index deeper than the depth limit is refused, and so is one whose
+    dual is: ``(80)`` is the dual of ``(1,...,1,2)`` of depth 79."""
     clear_factor_cache()
-    cfg = EvalConfig(tol=1e-12, max_terms=8)
-    with pytest.raises(PrecisionError):
-        eval_zeta(Index((2,)), cfg)
+    for k in (Index((2,) * 80), Index((80,))):
+        with pytest.raises(PrecisionError, match=r"or its dual is deeper than the depth limit 72$"):
+            eval_zeta(k)
+    assert not zeta._VALUES
 
 
-def test_series_cap_ignores_warm_factors():
-    """The cap is a property of the request: factors memoised by an earlier
-    call at the default cap must not let a short cap through."""
-    eval_zeta(Index((2,)), EvalConfig(tol=1e-12))
-    with pytest.raises(PrecisionError):
-        eval_zeta(Index((2,)), EvalConfig(tol=1e-12, max_terms=8))
+def test_depth_limit_refuses_what_a_256_term_cap_refused_up_to_weight_128():
+    """At every weight up to 128, an index is refused exactly where its
+    deepest factor needed more than 256 terms at its weight class's
+    precision; the limit also admits the depth-72 factors of weights 129 to
+    144, read at 71 bits, where 256 terms fell one short."""
+    moved = set()
+    for w in range(2, 201):
+        for d in range((w + 1) // 2, w):
+            if (zeta._stop(d, zeta._default_precision(w)) <= 256) != (d <= zeta.MAX_DEPTH):
+                moved.add((w, d))
+    assert moved == {(w, 72) for w in range(129, 145)}
 
 
-def test_series_cap_ignores_warm_value_memo():
-    """The memoised value of an index must not let a short cap through
-    either: the cap check comes first."""
-    k = Index((2,))
+@pytest.mark.parametrize(
+    "entries, value",
+    [((1,) * 71 + (2,), "0x1.0000000000000p+0"), ((73,), "0x1.0000000000000p+0"), ((1,) * 72 + (2,), None),
+     ((74,), None)],
+    ids=["depth-72", "dual-depth-72", "depth-73", "dual-depth-73"],
+)
+def test_depth_limit_boundary(entries, value):
+    """Depth 72, of the index or of its dual, is evaluated; depth 73 is not.
+    ``(1,...,1,2)`` of depth 72 is the dual of ``(73)``: both are zeta(73),
+    which rounds to 1."""
+    k = Index(entries)
+    if value is None:
+        with pytest.raises(PrecisionError, match=r"or its dual is deeper than the depth limit 72$"):
+            eval_zeta(k)
+    else:
+        assert eval_zeta(k).hex() == value
+
+
+def test_depth_72_index_of_weight_130_is_evaluated():
+    """``(1,...,1,59)`` of depth 72 and weight 130 is read at its weight
+    class's 71 bits, where a cap of 256 terms per factor refused it
+    (``_stop(72, 71)`` is 257).  Its value is within the tail bound of the
+    direct oracle, and so is that of its dual."""
+    k = Index((1,) * 71 + (59,))
+    assert (len(k), sum(k), zeta._default_precision(sum(k))) == (72, 130, 71)
+    direct, tail = eval_zeta_direct(k, 200)
+    assert tail < 1e-75
+    for index in (k, k.dual()):
+        value = eval_zeta(index)
+        assert abs(value - direct) <= tail, index
+        assert abs(value - direct) <= zeta._bound(130, 72, 71)
+
+
+def test_refused_index_derives_no_precision(monkeypatch):
+    """A refused index never reaches ``_default_precision``, and a term that
+    the value memo or a cache holds needs no precision either."""
+    calls = []
+    original = zeta._default_precision
+    clear_factor_cache()
+    monkeypatch.setattr(zeta, "_default_precision", lambda *args: calls.append(args) or original(*args))
+    with pytest.raises(PrecisionError, match=r"^index \(74\) or its dual"):
+        eval_combination(IndexCombination({Index((2, 3)): 1, Index((74,)): 1}))
+    assert calls == []
+    eval_zeta(Index((2, 3)))
+    assert calls == [(5,)]
+    cache = ZetaCache()
+    cache.store(Index((3,)), 1.25)
+    eval_combination(IndexCombination({Index((2, 3)): 1, Index((3,)): 1}), EvalConfig(cache=cache))
+    assert calls == [(5,)]
+
+
+def test_series_cap_ignores_warm_factors(monkeypatch):
+    """The depth limit does not read the memos: factors memoised by an
+    earlier call under the default limit do not let a lower one through."""
+    eval_zeta(Index((2, 3)), EvalConfig(tol=1e-12))
+    monkeypatch.setattr(zeta, "MAX_DEPTH", 2)  # the dual of (2,3) is (2,1,2), of depth 3
+    with pytest.raises(PrecisionError, match=r"^index \(2,3\) or its dual is deeper than the depth limit 2$"):
+        eval_zeta(Index((2, 3)), EvalConfig(tol=1e-12))
+
+
+def test_series_cap_ignores_warm_value_memo(monkeypatch):
+    """The memoised value of an index does not let it through either: the
+    depth check comes first."""
+    k = Index((2, 3))
     value = eval_zeta(k)
     assert zeta._VALUES[k] == value
+    monkeypatch.setattr(zeta, "MAX_DEPTH", 2)
     with pytest.raises(PrecisionError):
-        eval_zeta(k, EvalConfig(max_terms=8))
+        eval_zeta(k)
 
 
 @pytest.mark.parametrize("evaluate", [eval_zeta, eval_combination])
-def test_series_cap_ignores_warm_zeta_cache(evaluate):
-    """A value held by a ZetaCache must not let a short cap through: the
-    cap is checked before the cache is read."""
+def test_series_cap_ignores_warm_zeta_cache(evaluate, monkeypatch):
+    """A value held by a ZetaCache does not let a too-deep index through:
+    the depth is checked before the cache is read."""
     cache = ZetaCache()
     k = Index((2, 3))
     eval_zeta(k, EvalConfig(cache=cache))
+    monkeypatch.setattr(zeta, "MAX_DEPTH", 2)
     with pytest.raises(PrecisionError):
-        evaluate(k, EvalConfig(max_terms=8, cache=cache))
+        evaluate(k, EvalConfig(cache=cache))
     assert cache.stats.hits == 0
 
 
@@ -381,7 +447,7 @@ def test_combination_reads_each_term_through_eval_zeta(monkeypatch):
     eval_zeta (the benchmark's tracer) sees each per-term request.  Without
     one, it reads the value memo in one pass: no term goes through
     eval_zeta, and the value is the sum of the terms' values alone, bit for
-    bit.  The cap is checked once, before any read."""
+    bit.  The depth limit is checked once, before any read."""
     seen = []
 
     def spy(k, cfg=None):
@@ -400,8 +466,9 @@ def test_combination_reads_each_term_through_eval_zeta(monkeypatch):
     seen.clear()
     assert eval_combination(comb, EvalConfig(tol=1e-8)) == reference
     assert seen == []
-    for cfg in (EvalConfig(tol=1e-8, max_terms=8), EvalConfig(tol=1e-8, max_terms=8, cache=cache)):
-        with pytest.raises(PrecisionError):
+    monkeypatch.setattr(zeta, "MAX_DEPTH", 3)  # b has depth 4
+    for cfg in (EvalConfig(tol=1e-8), EvalConfig(tol=1e-8, cache=cache)):
+        with pytest.raises(PrecisionError, match=r"^index \(1,2,1,3\)"):
             eval_combination(comb, cfg)
     assert seen == []
     assert cache.stats == zeta.ZetaCacheStats(hits=0, misses=3)
@@ -458,17 +525,21 @@ def test_clear_factor_cache_empties_value_memo(tmp_path, parsed):
 
 def test_series_cap_exhaustion_from_combination():
     clear_factor_cache()
-    cfg = EvalConfig(tol=1e-12, max_terms=8)
     with pytest.raises(PrecisionError):
-        eval_combination(IndexCombination({Index((3,)): 1}), cfg)
+        eval_combination(IndexCombination({Index((3,)): 1, Index((75,)): 1}))
 
 
-def test_errors_name_the_first_bad_index_in_canonical_order():
+def test_errors_name_the_first_bad_index_in_canonical_order(monkeypatch):
     """Terms are read in storage order, but an error still names the first
     index at fault in canonical order (by depth, then entries)."""
-    deep = IndexCombination({Index((3, 2)): 1, Index((2, 3)): 1})  # both depth-3 factors
-    with pytest.raises(PrecisionError, match=r"index \(2,3\),"):
-        eval_combination(deep, EvalConfig(max_terms=8))
+    deep = IndexCombination({Index((3, 2)): 1, Index((2, 3)): 1, Index((2,)): 1})  # two depth-3 duals
+    monkeypatch.setattr(zeta, "MAX_DEPTH", 2)
+    with pytest.raises(PrecisionError, match=r"^index \(2,3\) or its dual is deeper than the depth limit 2$"):
+        eval_combination(deep)
+    monkeypatch.undo()
+    deep = IndexCombination({Index((1,) * 73 + (2,)): 1, Index((75,)): 1, Index((74,)): 1})
+    with pytest.raises(PrecisionError, match=r"^index \(74\) or its dual"):
+        eval_combination(deep)
     bad = IndexCombination({Index((2, 1)): 1, Index((1,)): 1})
     with pytest.raises(ValueError, match=r"non-admissible index \(1\)$"):
         eval_combination(bad)
@@ -554,11 +625,16 @@ def test_factor_memo_is_closed_under_suffixes():
     assert all(w[j:] in memo for memo in zeta._FACTOR_CACHE.values() for w in memo for j in range(len(w)))
 
 
-def test_refused_request_writes_no_memo():
-    """The cap is checked before any factor is filled or value memoised."""
+def test_refused_request_writes_no_memo(monkeypatch):
+    """The depth is checked before any factor is filled or value memoised,
+    when only some terms of a combination are too deep."""
+    side = dual_gap_skew_sides(3, 4, 1, 1)[0]
+    depths = {max(len(k), sum(k) - len(k)) for k, _ in side}
+    monkeypatch.setattr(zeta, "MAX_DEPTH", max(depths) - 1)
+    assert min(depths) <= zeta.MAX_DEPTH
     clear_factor_cache()
     with pytest.raises(PrecisionError):
-        eval_combination(dual_gap_skew_sides(3, 4, 1, 1)[0], EvalConfig(max_terms=8))
+        eval_combination(side)
     assert zeta._FACTOR_CACHE == {}
     assert not zeta._VALUES
 
@@ -696,12 +772,16 @@ def test_fill_computes_exactly_the_planned_values(fbits):
                 assert zeta._VALUES[k] == math.ldexp(float(acc), -p), (p, k)
 
 
-def test_depth_300_index_is_pinned():
+def test_depth_300_index_is_pinned(monkeypatch):
     """The depth-300 index (1,...,1,2), whose dual is zeta(301), read bit for
-    bit at its weight class's 73 bits, before and after rounding."""
+    bit at its weight class's 73 bits, before and after rounding, once the
+    depth limit admits it."""
     clear_factor_cache()
     k = Index((1,) * 299 + (2,))
-    assert eval_zeta(k, EvalConfig(max_terms=1000)).hex() == "0x1.0000000000000p+0"
+    with pytest.raises(PrecisionError):
+        eval_zeta(k)
+    monkeypatch.setattr(zeta, "MAX_DEPTH", 300)
+    assert eval_zeta(k).hex() == "0x1.0000000000000p+0"
     assert zeta._default_precision(sum(k)) == 73
     assert _unrounded_sum(k, 73) == (1 << 73) - 0x109
 
@@ -748,14 +828,9 @@ def test_stop_is_the_first_count_that_meets_the_budget(fbits):
     for depth in range(1, 81):
         first = next(n for n in itertools.count(depth) if _tail_below_budget(depth, fbits, n))
         assert zeta._stop(depth, fbits) == first, depth
-    # the depth of a refused index of weight 2*10^6, too deep to scan
+    # a depth too deep to scan; a refused index no longer reaches _stop
     n = zeta._stop(10**6, fbits)
     assert _tail_below_budget(10**6, fbits, n) and not _tail_below_budget(10**6, fbits, n - 1)
-
-
-def test_generous_cap_succeeds():
-    cfg = EvalConfig(tol=1e-12, max_terms=200)
-    assert eval_zeta(Index((2,)), cfg) == pytest.approx(ZETA2, abs=1e-12)
 
 
 def test_heavier_index_fills_at_its_weight_class_precision(monkeypatch):
@@ -776,8 +851,9 @@ def test_heavier_index_fills_at_its_weight_class_precision(monkeypatch):
     assert set(zeta._VALUES) == {light, heavy}
     clear_factor_cache()
     assert together == math.fsum([eval_zeta(light), eval_zeta(heavy)])
-    with pytest.raises(PrecisionError, match=r"depth-10 factor .* \(index \(2,2,2,2,2,2,2,2,3\), precision 66 bits\)"):
-        eval_combination(IndexCombination({light: 1, heavy: 1}), EvalConfig(tol=1e-11, max_terms=zeta._stop(10, 66) - 1))
+    monkeypatch.setattr(zeta, "MAX_DEPTH", 9)  # the dual of heavy has depth 10
+    with pytest.raises(PrecisionError, match=r"^index \(2,2,2,2,2,2,2,2,3\) or its dual is deeper than the depth limit 9$"):
+        eval_combination(IndexCombination({light: 1, heavy: 1}), EvalConfig(tol=1e-11))
 
 
 # ---------------------------------------------------------------------------
@@ -896,7 +972,7 @@ def test_cache_failed_save_keeps_previous_file(tmp_path):
 
     cache = ZetaCache()
     cache.store(Index((2,)), 1.25)  # written first: "2" sorts before "9"
-    cache.store(Index((9,)), DiskFull(0.5))
+    cache._entries[Index((9,))] = DiskFull(0.5)  # store would keep a float, so the probe goes in directly
     with pytest.raises(OSError, match="disk full"):
         cache.save(str(path))
 
@@ -1015,7 +1091,7 @@ def test_cache_store_during_a_save_is_written_by_the_next(tmp_path):
             cache.store(Index((3,)), 2.5)
             return float.hex(self)
 
-    cache.store(Index((2,)), StoresWhileWritten(1.5))
+    cache._entries[Index((2,))] = StoresWhileWritten(1.5)  # store would keep a float
     cache.save(str(path))
     assert path.read_text() == _old_writer_text({Index((2,)): 1.5})
     cache.save(str(path))
@@ -1298,17 +1374,20 @@ class _Half(float):
 )
 def test_cache_save_seeds_only_what_a_load_gives_back(tmp_path, parsed, k, value):
     """A row that a load would refuse is refused by ``store``, so the file a
-    save writes loads back; a float subclass is written and loads back as a
-    float, parsed again.  A value paired with a bucket, as the rows of the
-    older bucketed cache were, is refused."""
+    save writes loads back; a float subclass is held as the float a load
+    gives back, before and after a save, which seeds the memo with it, so
+    the load parses no line.  A value paired with a bucket, as the rows of
+    the older bucketed cache were, is refused."""
     path = tmp_path / "cache.tsv"
     cache = ZetaCache()
     cache.store(Index((2,)), 1.5)
     if type(value) is _Half:
         cache.store(k, value)
+        assert type(cache.lookup(k)) is float and cache.lookup(k) == 0.5
         cache.save(str(path))
-        assert type(ZetaCache(str(path)).lookup(k)) is float
-        assert len(parsed) == 2
+        assert _bits(ZetaCache(str(path))) == {Index((2,)): ("0x1.8000000000000p+0", float),
+                                               k: ("0x1.0000000000000p-1", float)}
+        assert parsed == []
     else:
         with pytest.raises(ValueError, match="cannot cache"):
             cache.store(k, value)
@@ -1334,10 +1413,12 @@ def test_cache_save_formats_and_checks_only_the_rows_stored_since(tmp_path, monk
 
 
 def test_cache_save_keeps_no_line_of_a_row_that_does_not_load_back(tmp_path, monkeypatch):
+    """``store`` keeps a float subclass as a float, so only a row written into
+    the cache's entries directly can fail to load back as itself."""
     monkeypatch.setattr(zeta, "_LINES", {})
     cache = ZetaCache()
     cache.store(Index((2,)), 1.5)
-    cache.store(Index((3,)), _Half(1.0))  # written, but loads back as a float, not as itself
+    cache._entries[Index((3,))] = _Half(1.0)  # written, but loads back as a float, not as itself
     cache.save(str(tmp_path / "cache.tsv"))
     assert zeta._LINES == {}
 
