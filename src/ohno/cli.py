@@ -18,7 +18,7 @@ Exit codes: 0 on success (and verification pass), 1 on verification
 failure, 2 on usage or input errors, including an index or dual deeper than
 the depth limit ``ohno.zeta.MAX_DEPTH`` (``PrecisionError``), a cache or
 report file that cannot be read or written (``OSError``) and an expansion
-too large for memory (``MemoryError``).
+or a grid range too large for memory (``MemoryError``).
 """
 
 from __future__ import annotations
@@ -201,9 +201,8 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)  # a grid range can outgrow memory as it is parsed
         save_path = None
         if "cache" in args:  # a command that evaluates: build its request once
             cache, save_path = _resolve_cache(args.cache)

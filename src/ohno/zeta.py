@@ -81,9 +81,12 @@ cache or memo will answer, the only ones given a precision.  Fill: one
 batch per precision fills their missing factors; its words, sorted by
 reversed runs, are walked with one stack of chains, so each chain is built
 once per batch (a dict of a batch's chains peaked 15 MB higher on a
-553-term combination).  The batch stores each factor in its precision's
-memo, keyed by word, then sums each planned value from the suffix factors of
-its index's two words and memoises the double per index.  Read: without a
+553-term combination), and each level of a word's walk looks its chain up
+once for the suffixes that start in its run.  The batch stores each factor
+in its precision's memo, keyed by word, then sums each planned value from
+the suffix factors of its index's two words and memoises the double per
+index; an index whose dual was valued in the same batch takes that value,
+a sum of the same products.  Read: without a
 cache, one ``fsum`` over that memo in one pass; with one, each term goes
 through ``eval_zeta`` to ``ZetaCache.lookup``, which takes the cache's lock
 once to count a hit, or a miss and the row it stores from that memo.
@@ -493,50 +496,55 @@ def _fill_factors(words: Iterable[str], fbits: int) -> None:
     of a whole word tells whether it is done.  Only the terms that can be
     nonzero are summed, chains only as far as they read (module docstring):
     each factor and the error budget are unchanged.  Each run's tables and
-    each depth's stop are looked up once per fill.
+    each depth's stop are looked up once per fill.  The walk takes a word's
+    levels from the top down, hoists each level's chain, top entry, stop and
+    next level once, and stops at the first suffix the memo holds.  Levels a
+    word shares with the last are extended only when its stop is beyond the
+    last word's, to which they all reach.
     """
     memo = _FACTOR_CACHE.get(fbits, {})
-    todo: dict[str, tuple[int, ...]] = {}  # word -> its runs, reversed
-    for word in words:
+    todo: dict[str, tuple[int, ...]] = {}  # word -> its runs less 1 (its X-runs), last run first
+    for word in words:  # a comprehension, parsing each duplicate again, peaked higher
         if word not in todo and word not in memo:
-            todo[word] = tuple(len(x) + 1 for x in reversed(word[:-1].split("Y")))
+            todo[word] = tuple(map(len, word[-2::-1].split("Y")))
     if not todo:
         return
     memo = _FACTOR_CACHE.setdefault(fbits, memo)
-    tables = [None, *(_tables(n, fbits) for n in range(1, max(map(max, todo.values())) + 1))]
-    stops = [min(_stop(d, fbits), fbits - 1) for d in range(1, max(map(len, todo.values())) + 1)]
+    tables = [None, *(_tables(n, fbits) for n in range(1, max(map(max, todo.values())) + 2))]
+    ends = [0, *(min(_stop(d, fbits), fbits - 1) + 1 for d in range(1, max(map(len, todo.values())) + 1))]
     one = 1 << fbits
-    stack, path = [[one]], ()
-    for word in sorted(todo, key=todo.__getitem__):
-        rev = todo[word]
-        depth = len(rev)
-        terms = stops[depth - 1]
-        shared = 0
-        while shared < min(len(path), depth - 1) and path[shared] == rev[shared]:
+    stack, path, last = [[one] * ends[-1]], (), 0  # level 0, the empty tail's chain, is read to any word's terms
+    for word in sorted(todo, key=todo.__getitem__):  # a dict keyed by runs, or (runs, word) pairs, peaked higher
+        depth = len(rev := todo[word])
+        terms, limit, shared = ends[depth] - 1, min(len(stack), depth) - 1, 0
+        while shared < limit and path[shared] == rev[shared]:
             shared += 1
-        del stack[shared + 1 :]
-        path = rev[: depth - 1]
-        stack += ([0] * d for d in range(shared + 1, depth))
-        stack[0] += repeat(one, terms - len(stack[0]))
-        for d in range(1, depth):
+        stack[shared + 1 :] = ([0] * d for d in range(shared + 1, depth))
+        for d in range(1 if terms > last else shared + 1, depth):  # the shared levels reach the last word's terms
             chain, have = stack[d], len(stack[d])
             if have < terms:
-                steps = map(mul, tables[rev[d - 1]][0][have:terms], stack[d - 1][have - 1 : terms - 1])
+                steps = map(mul, tables[rev[d - 1] + 1][0][have:terms], stack[d - 1][have - 1 : terms - 1])
                 chain[have - 1 :] = accumulate(map(rshift, steps, repeat(fbits)), initial=chain[-1])
-        # (depth, first run) of the suffix at each position; the missing come first
-        heads = ((d, n) for d, run in zip(range(depth, 0, -1), reversed(rev)) for n in range(run, 0, -1))
-        for j, (d, n) in enumerate(heads):
-            suffix = word[j:]
-            if suffix in memo:
-                break
-            inv, head = tables[n]
-            chain = stack[d - 1]
-            cut = bisect_left(head, chain[-1].bit_length() - fbits, d, stops[d - 1] + 1)
-            if d < depth and n == rev[d - 1] and cut <= len(up := stack[d]):  # a whole inner run
-                memo[suffix] = sum(map(rshift, map(sub, up[d:cut], up[d - 1 : cut - 1]), range(d, cut)))
+        path, last = rev, terms
+        j, up = 0, ()  # up: the next level's chain, none above the word
+        for d in range(depth, 0, -1):  # the suffixes of depth d start in run rev[d - 1]; the missing come first
+            chain, end, run = stack[d - 1], ends[d], rev[d - 1] + 1
+            top, tail, shifts = chain[-1].bit_length() - fbits, chain[d - 1 :], range(fbits + d, fbits + end)
+            for n in range(run, 0, -1):
+                suffix = word[j:]
+                if suffix in memo:
+                    break
+                inv, head = tables[n]
+                cut = bisect_left(head, top, d, end)
+                if n == run and cut <= len(up):  # a whole inner run
+                    memo[suffix] = sum(map(rshift, map(sub, up[d:cut], up[d - 1 : cut - 1]), range(d, cut)))
+                else:
+                    memo[suffix] = sum(map(rshift, map(mul, inv[d:cut], tail), shifts))
+                j += 1
             else:
-                products = map(mul, inv[d:cut], chain[d - 1 : cut - 1])
-                memo[suffix] = sum(map(rshift, products, range(fbits + d, fbits + cut)))
+                up = chain
+                continue
+            break
 
 
 def clear_factor_cache() -> None:
@@ -606,21 +614,28 @@ def _plan(comb: Union[Index, IndexCombination], cfg: EvalConfig, todo: dict) -> 
 
 def _fill(todo: dict[int, dict[Index, None]]) -> None:
     """Per precision, one :func:`_fill_factors` call for the planned words and
-    their duals, then each planned value into the value memo."""
+    their duals, then each planned value into the value memo.  :func:`_plan`
+    checked every index, so words skip :func:`to_word`'s checks."""
     for fbits, ks in todo.items():
-        words = list(map(to_word, ks))
-        duals = list(map(reverse_swap, words))
+        runs = ["X" * (e - 1) + "Y" for e in range(max(map(max, ks)) + 1)]  # the text of entry e
+        words = ["".join(map(runs.__getitem__, k[::-1])) for k in ks]
+        duals = [word[::-1].translate(_SWAP) for word in words]
+        cuts, values = [slice(j, None) for j in range(max(map(len, words)))], {}  # frees the last batch's first
         _fill_factors([*words, *duals], fbits)
         memo = _FACTOR_CACHE[fbits]
         for k, word, dual in zip(ks, words, duals):
             # The split after j letters multiplies the factor of word[j:] by that
             # of reverse_swap(word[:j]) == dual[n-j:]; the empty word's is exactly
-            # 1, so the outer two splits add the factors of word and dual.
-            n = len(word)
-            lower = [memo[word[j:]] for j in range(1, n)]
-            upper = [memo[dual[j:]] for j in range(n - 1, 0, -1)]
-            acc = memo[word] + memo[dual] + sum(map(rshift, map(mul, lower, upper), repeat(fbits)))
-            _VALUES[k] = math.ldexp(float(acc), -fbits)
+            # 1, so the outer two splits add the factors of word and dual.  The
+            # dual's value sums the same products.
+            value = values.get(dual)
+            if value is None:
+                n = len(word)
+                lower = map(memo.__getitem__, map(word.__getitem__, cuts[1:n]))
+                upper = map(memo.__getitem__, map(dual.__getitem__, cuts[n - 1 : 0 : -1]))
+                acc = memo[word] + memo[dual] + sum(map(rshift, map(mul, lower, upper), repeat(fbits)))
+                value = values[word] = math.ldexp(float(acc), -fbits)
+            _VALUES[k] = value
 
 
 def _read(cfg: EvalConfig, terms: dict) -> float:

@@ -435,21 +435,35 @@ def test_grammar_errors_name_a_deep_index_briefly(run, text, message):
     assert help_text == cli.GRAMMAR_HELP + "\n"
 
 
-def test_expansion_beyond_memory_is_an_input_error():
-    """Run in a child whose address space is capped at 128 MB, where the
-    C(302, 3) shift vectors of length 300 cannot be built."""
+def _run_capped(*argv):
+    """Run the CLI in a child whose address space is capped at 128 MB; the cap
+    acts on that child alone."""
     cap = 128 * 2**20
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-m", "ohno.cli", "expand", "--expr", "ohno(3, rep(2, 300))"],
+    return subprocess.run(
+        [sys.executable, "-m", "ohno.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
+
+
+def _assert_out_of_memory(proc):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: out of memory")
     assert "Traceback" not in proc.stderr
+
+
+def test_expansion_beyond_memory_is_an_input_error():
+    """The C(302, 3) shift vectors of length 300 cannot be built under the cap."""
+    _assert_out_of_memory(_run_capped("expand", "--expr", "ohno(3, rep(2, 300))"))
+
+
+def test_grid_range_beyond_memory_is_an_input_error():
+    """A grid range is expanded as its flag is parsed, before any bound, so
+    one that outgrows the cap runs out of memory inside the parser."""
+    _assert_out_of_memory(_run_capped("verify", "--name", "main", "--s", "1..100000000000"))
 
 
 # ---------------------------------------------------------------------------

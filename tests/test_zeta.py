@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ohno import zeta
+from ohno.expr import expand_text
 from ohno.indices import EMPTY, Index, IndexCombination, iter_admissible, repeat
 from ohno.sums import dual_gap_skew_sides
 from ohno.zeta import (
@@ -741,6 +742,36 @@ def test_fill_drops_only_zero_terms_of_deep_words():
     ks = [Index((1,) * (depth - 1) + (2,)) for depth in (40, 120, 300)] + [Index((2,) * 40), Index((1, 3) * 60)]
     words = [w for k in ks for w in (to_word(k), reverse_swap(to_word(k)))]
     assert _filled(words, 54) == _reference_fill(words, 54)
+
+
+# Items shaped like the benchmark's Ohno-relation table, of weight 11, 11, 12 and 13.
+_TABLE_SHAPED = [
+    f"ohno({m}, {a} # {b}) - ohno({m}, dual({a} # {b}))"
+    for m, a, b in ((1, "(4)", "(1,2,3)"), (2, "(2,3)", "(4)"), (1, "(2)", "(1,2,3,3)"), (2, "(4)", "(1,3,3)"))
+]
+
+
+@pytest.mark.parametrize("fbits", [64, 66])
+def test_fill_matches_the_reference_on_catalogue_shaped_batches(fbits):
+    """At the default precisions of weights up to 32, the fill gives the
+    reference's factors on one batch of every index, and dual, of the dual-gap
+    sides for s, t in {2, 3} and l, m <= 1; on table-shaped items of weight
+    11 to 13; and on a batch whose depth-2 word sorts first and builds level
+    1 to its shorter stop, which the depth-3 word after it shares and must
+    extend to its own.  No factor at these precisions reads the entries that
+    extension adds, so the last batch pins the walk through it, not them."""
+    sides = [side for s, t, l, m in itertools.product((2, 3), (2, 3), (0, 1), (0, 1))
+             for side in dual_gap_skew_sides(s, t, l, m)]
+    table = [expand_text(text) for text in _TABLE_SHAPED]
+    assert {sum(k) for comb in table for k, _ in comb} == {11, 12, 13}
+    # A word's runs, last first, are its index's entries less 1, so (2, 3) sorts before
+    # (2, 3, 2) and shares its levels 0 and 1; level 1 stops short for depth 2.
+    shallow, deep = to_word(Index((2, 3))), to_word(Index((2, 3, 2)))
+    assert zeta._stop(2, fbits) < min(zeta._stop(3, fbits), fbits - 1)
+    for batch in ([k for side in sides for k, _ in side], [k for comb in table for k, _ in comb]):
+        words = [w for k in batch for w in (to_word(k), reverse_swap(to_word(k)))]
+        assert _filled(words, fbits) == _reference_fill(words, fbits)
+    assert _filled([deep, shallow], fbits) == _reference_fill([deep, shallow], fbits)
 
 
 @pytest.mark.parametrize("fbits", [17, 40, 54, 64])
