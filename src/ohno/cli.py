@@ -11,8 +11,11 @@ Every input is an expression, so an index is written ``(2,3)``, a dual
 ``dual(e)`` and one Ohno sum ``ohno(m, e)``.  ``eval`` and ``expand`` take
 ``--expr`` once or more: every expression is expanded before any is
 evaluated, and one line is printed per expression, in argument order, with
-one configuration and one cache for the whole call.  In a call with two or
-more, an error names its ``--expr``, counting from 1.
+one configuration for the whole call.  ``eval`` and ``verify`` run without
+a cache unless ``--cache PATH`` names a file, which is loaded once before the
+call and saved once after it; ``on`` and ``off``, the spellings of the
+in-memory cache and of none that earlier versions took, are refused.  In a
+call with two or more, an error names its ``--expr``, counting from 1.
 
 Exit codes: 0 on success (and verification pass), 1 on verification
 failure, 2 on usage or input errors, including an index or dual deeper than
@@ -42,13 +45,6 @@ GRAMMAR_HELP = GRAMMAR + f"""
 ranges:
   grid flags ({" ".join("--" + name for name in _GRID_PARAMS)}) accept a value (3), an inclusive
   range (2..4), or a comma-separated list (2,4,6).
-
-cache:
-  --cache on     in-memory cache for this invocation (default)
-  --cache off    no caching
-  --cache PATH   file-backed cache, loaded before and saved after
-  One cache serves every --expr of a call.  A value does not depend on
-  --tol, so a cached value is the one --cache off prints.
 """
 
 
@@ -90,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_eval_flags(p: argparse.ArgumentParser) -> None:
         tol = DEFAULT_CONFIG.tol
         p.add_argument("--tol", type=float, default=tol, help=f"absolute accuracy target (default {tol})")
-        p.add_argument("--cache", default="on", help="on, off, or a file path (default on)")
+        p.add_argument("--cache", help="cache file, loaded before and saved after (default: no cache)")
 
     p_eval = with_grammar("eval", "evaluate expressions to floats, one line each")
     p_eval.add_argument("--expr", action="append", required=True, help="expression to evaluate; repeatable")
@@ -112,14 +108,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_cache(cache_arg: str) -> tuple[Optional[ZetaCache], Optional[str]]:
-    """Map --cache to (cache, path-to-save-or-None), checking a path before loading it."""
-    if cache_arg == "off":
-        return None, None
-    if cache_arg == "on":
-        return ZetaCache(), None
-    _check_directory(cache_arg)
-    return ZetaCache(cache_arg), cache_arg
+def _load_cache(path: str) -> ZetaCache:
+    """The cache of ``--cache PATH``, checking the path before loading it."""
+    if path in ("on", "off"):  # spellings of earlier versions, not file names
+        raise ValueError(f"--cache takes a file path, not {path!r}: leave the flag out for no cache, "
+                         f"or write ./{path} for a file of that name")
+    _check_directory(path)
+    return ZetaCache(path)
 
 
 def _check_directory(path: str) -> None:
@@ -203,13 +198,14 @@ _COMMANDS = {
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)  # a grid range can outgrow memory as it is parsed
-        save_path = None
+        cache = None
         if "cache" in args:  # a command that evaluates: build its request once
-            cache, save_path = _resolve_cache(args.cache)
+            if args.cache is not None:
+                cache = _load_cache(args.cache)
             args.cfg = EvalConfig(tol=args.tol, cache=cache)
         code = _COMMANDS[args.command](args)
-        if save_path is not None:
-            cache.save(save_path)
+        if cache is not None:
+            cache.save(args.cache)
         return code
     except ExprError as exc:
         print(f"error: {exc}", file=sys.stderr)

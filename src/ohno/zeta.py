@@ -100,13 +100,15 @@ computed chain is at most the chain whose runs are all 1, exactly
 ``sum_(k>=1) e_k(1, 1/2, ..., 1/i) = prod_(m<=i) (1 + 1/m) - 1 = i`` at
 index ``i``: every entry at ``i >= 1`` is at most ``i * 2^P``, so term ``m``
 of a factor is below ``2^(P-m)``, and 0 from ``m = P`` on.  A chain of ``d``
-runs is 0 below index ``d``.  So chains are built to ``min(N, P - 1)``
-entries, and a factor of depth ``k`` sums ``m`` from ``k`` to ``min(N, P -
-1)``, short of the first ``m`` with ``bit_length(2^P // m^n) +
-bit_length(top) <= P + m``, ``top`` the last chain entry built (the left side
-falls with ``m``, the right grows; ``head`` in ``_TABLES``).  Every skipped
-term is 0, so every factor, the error budget and each value stand.  A suffix
-whose first run is a whole inner run ``n`` reads the chain ``c`` that the
+runs is 0 below index ``d``.  So a batch builds every chain to ``min(N, P -
+1)`` entries, ``N`` the stop of its deepest word, and a factor of depth
+``k`` sums ``m`` from ``k`` to at most ``min(_stop(k, P), P - 1)``, short of
+the first ``m`` with ``bit_length(2^P // m^n) + bit_length(top) <= P + m``,
+``top`` the last chain entry built (the left side falls with ``m``, the
+right grows; ``head`` in ``_TABLES``).  Chains do not fall, so ``top``
+bounds every entry a term reads, and a longer chain only raises it.  Every
+skipped term is 0, so every factor, the error budget and each value stand.
+A suffix whose first run is a whole inner run ``n`` reads the chain ``c`` that the
 next level ``C`` adds that run to, so its term ``m`` is ``floor(a_m *
 c(m-1) / 2^(P+m))``, and as ``floor(floor(x / 2^P) / 2^m) = floor(x /
 2^(P+m))`` that is ``(C(m) - C(m-1)) >> m``: a step of ``C``, shifted.
@@ -234,31 +236,29 @@ _LAST_FILE: tuple[str, dict[Index, float]] = ("", {})
 _LINES: dict[Index, tuple[float, str]] = {}
 
 
-def _loads_back(k: object, value: object) -> bool:
-    """Whether a cache row is valid, so that its file line loads back as it."""
-    return type(k) is Index and k.admissible and type(value) is float and math.isfinite(value)
-
-
 class ZetaCache:
     """Memo for evaluated indices, one value per index.
 
-    The first value held for an index stays: a later store or load of the
-    index changes nothing.  Values are deterministic functions of the index,
-    so a cache that only this evaluator fills answers with the value that no
-    cache would give, whatever the tolerance of either request.  Safe for
-    concurrent readers and writers.
+    A row enters a cache in one of two ways: a :meth:`load`, which checks
+    every line of its file, or the read of a term that the evaluator
+    valued (``lookup(k, filled=True)``).  The first value held for an index
+    stays: a later load or fill of the index changes nothing.  Values are
+    deterministic functions of the index, so a cache that only this
+    evaluator fills answers with the value that no cache would give,
+    whatever the tolerance of either request.  Safe for concurrent readers
+    and writers.
 
     The flat-file form has one line per index: ``index<TAB>hex-float``; a
     line whose index is not admissible or value not finite is malformed, and
     so is a line of any other number of fields (the three-field lines of
     older files, which carried a tolerance bucket, among them).
     :meth:`save` leaves alone a file that already holds every entry, so a
-    hand-written valid file stays as written until something new is stored.
+    hand-written valid file stays as written until the evaluator adds a row.
     A process-wide memo keeps the text and rows of the last file this process parsed
     or wrote, a second copy held until another file or :func:`clear_factor_cache`
     replaces it, so loading that file again costs one read and one compare.  The
-    lines of the last file written stay beside it, so a save formats and checks
-    only the rows stored since; the written bytes are those of a full format.
+    lines of the last file written stay beside it, so a save formats only the
+    rows added since; the written bytes are those of a full format.
     """
 
     def __init__(self, path: Optional[str] = None):
@@ -267,7 +267,7 @@ class ZetaCache:
         self._hits = 0
         self._misses = 0
         # The path of a file known to hold every entry, None, or the token of a
-        # save in flight, which becomes the path unless a store changes an entry.
+        # save in flight, which becomes the path unless a row is added.
         self._saved: object = None
         if path is not None and os.path.exists(path):
             self.load(path)
@@ -282,24 +282,12 @@ class ZetaCache:
             return value
         with self._lock:
             self._misses += 1
-            if filled:  # a filled value is a valid row, so store's check is skipped
-                return self._add(k, _VALUES[k])
-        return None
-
-    def store(self, k: Index, value: float) -> None:
-        """Keep ``value`` as the float a :meth:`load` gives back, unless a value is held
-        for ``k``; a row that :meth:`load` would refuse is a ``ValueError``."""
-        if not (isinstance(value, float) and _loads_back(k, float(value))):
-            raise ValueError(f"cannot cache value {value!r} for {k!r}")
-        with self._lock:
-            self._add(k, float(value))
-
-    def _add(self, k: Index, value: float) -> float:
-        """The value held for ``k``, ``value`` unless one was; the caller holds the lock."""
-        if k not in self._entries:
-            self._entries[k] = value
-            self._saved = None
-        return self._entries[k]
+            if not filled:
+                return None
+            if k not in self._entries:  # keyed by a plain Index, as a load keys a row
+                self._entries[k if type(k) is Index else Index(k)] = _VALUES[k]
+                self._saved = None
+            return self._entries[k]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -319,12 +307,11 @@ class ZetaCache:
                 return
             self._saved = token = [path]
             items = list(self._entries.items())
-        kept, lines, back = _LINES, {}, True  # a row is formatted and checked once, when it first needs a line
+        kept, lines = _LINES, {}  # a row is formatted once, when it first needs a line
         for k, value in items:
             line = kept.get(k)
             if line is None or line[0] is not value:
                 line = (value, f"{k.to_text()}\t{value.hex()}\n")
-                back = back and _loads_back(k, value)
             lines[k] = line
         # Sorted by index text, since a tab sorts below every character of one.
         text = "".join(sorted(line for _, line in lines.values()))
@@ -340,8 +327,7 @@ class ZetaCache:
         with self._lock:
             if self._saved is token:
                 self._saved = path
-        if back:  # seed the memos only where a load of the text gives back every entry
-            _LAST_FILE, _LINES = (text, dict(items)), lines
+        _LAST_FILE, _LINES = (text, dict(items)), lines
 
     def load(self, path: str) -> None:
         """Merge the flat file at ``path``, parsed unless the memo holds its text; held values stay.
@@ -359,7 +345,7 @@ class ZetaCache:
                 try:
                     index_text, hex_text = line.split("\t")
                     k, value = Index.from_text(index_text), float.fromhex(hex_text)
-                    if not _loads_back(k, value):
+                    if not (k.admissible and math.isfinite(value)):
                         raise ValueError
                 except ValueError:
                     raise ValueError(f"malformed cache line {line!r}") from None
@@ -367,7 +353,7 @@ class ZetaCache:
             _LAST_FILE = (text, rows)
         with self._lock:
             self._saved = None if self._entries else path
-            self._entries = {**rows, **self._entries}  # a copy: a later store must not reach the memo
+            self._entries = {**rows, **self._entries}  # a copy: a later row must not reach the memo
 
 
 @dataclass(frozen=True)
@@ -384,9 +370,10 @@ class EvalConfig:
         decimal digits rounded towards finer, is kept for the benchmark's
         tracer (``bench/worker.py``), which keys requests by it.
     ``cache``
-        Optional :class:`ZetaCache`.  It answers with the value it holds for
-        an index, which is the value computed without it unless something
-        other than this evaluator stored it.
+        Optional :class:`ZetaCache`, which the command line builds only for
+        ``--cache PATH``.  It answers with the value it holds for an index,
+        which is the value computed without it unless a file it loaded held
+        another.  Without one, a read is one ``fsum`` over the value memo.
     """
 
     tol: float = 1e-12
@@ -488,19 +475,17 @@ def _fill_factors(words: Iterable[str], fbits: int) -> None:
     sum over its run tail ``(n2, ..., nk)`` restricted to ``m2 <= i``, built
     alike (shift ``fbits``) from the chain of the tail one run shorter; the
     empty tail's chain is constant 1.  Stack level ``d`` holds the chain of
-    the run tail of length ``d``.  Chain entries are prefix sums, so a level
-    that a word shares with the word before it is extended, not rebuilt, and
+    the run tail of length ``d``, built to the batch's longest stop, so a
+    level that a word shares with the word before it is read as it is, and
     a suffix that starts with a whole inner run reads its terms off the
     steps of the next level (module docstring).  A fill stores every missing
     suffix of its word, so the memo is closed under suffixes, and one lookup
     of a whole word tells whether it is done.  Only the terms that can be
-    nonzero are summed, chains only as far as they read (module docstring):
-    each factor and the error budget are unchanged.  Each run's tables and
-    each depth's stop are looked up once per fill.  The walk takes a word's
-    levels from the top down, hoists each level's chain, top entry, stop and
-    next level once, and stops at the first suffix the memo holds.  Levels a
-    word shares with the last are extended only when its stop is beyond the
-    last word's, to which they all reach.
+    nonzero are summed (module docstring): each factor and the error budget
+    are unchanged.  Each run's tables and each depth's stop are looked up
+    once per fill.  The walk takes a word's levels from the top down, hoists
+    each level's chain, top entry, stop and next level once, and stops at
+    the first suffix the memo holds.
     """
     memo = _FACTOR_CACHE.get(fbits, {})
     todo: dict[str, tuple[int, ...]] = {}  # word -> its runs less 1 (its X-runs), last run first
@@ -512,20 +497,18 @@ def _fill_factors(words: Iterable[str], fbits: int) -> None:
     memo = _FACTOR_CACHE.setdefault(fbits, memo)
     tables = [None, *(_tables(n, fbits) for n in range(1, max(map(max, todo.values())) + 2))]
     ends = [0, *(min(_stop(d, fbits), fbits - 1) + 1 for d in range(1, max(map(len, todo.values())) + 1))]
-    one = 1 << fbits
-    stack, path, last = [[one] * ends[-1]], (), 0  # level 0, the empty tail's chain, is read to any word's terms
+    terms = ends[-1] - 1  # every chain reaches the batch's longest stop
+    stack, path = [[1 << fbits] * ends[-1]], ()  # level 0, the empty tail's chain
     for word in sorted(todo, key=todo.__getitem__):  # a dict keyed by runs, or (runs, word) pairs, peaked higher
         depth = len(rev := todo[word])
-        terms, limit, shared = ends[depth] - 1, min(len(stack), depth) - 1, 0
+        limit, shared = min(len(stack), depth) - 1, 0
         while shared < limit and path[shared] == rev[shared]:
             shared += 1
         stack[shared + 1 :] = ([0] * d for d in range(shared + 1, depth))
-        for d in range(1 if terms > last else shared + 1, depth):  # the shared levels reach the last word's terms
-            chain, have = stack[d], len(stack[d])
-            if have < terms:
-                steps = map(mul, tables[rev[d - 1] + 1][0][have:terms], stack[d - 1][have - 1 : terms - 1])
-                chain[have - 1 :] = accumulate(map(rshift, steps, repeat(fbits)), initial=chain[-1])
-        path, last = rev, terms
+        for d in range(shared + 1, depth):
+            steps = map(mul, tables[rev[d - 1] + 1][0][d:terms], stack[d - 1][d - 1 : terms - 1])
+            stack[d][d - 1 :] = accumulate(map(rshift, steps, repeat(fbits)), initial=0)
+        path = rev
         j, up = 0, ()  # up: the next level's chain, none above the word
         for d in range(depth, 0, -1):  # the suffixes of depth d start in run rev[d - 1]; the missing come first
             chain, end, run = stack[d - 1], ends[d], rev[d - 1] + 1

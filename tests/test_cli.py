@@ -129,10 +129,12 @@ def test_batch_prints_what_single_calls_print(run, tmp_path, cache):
     """One call with every ``--expr`` prints, and saves, what one call per
     expression prints and saves on the same ``--cache PATH`` (or without a cache)."""
     batch_path, single_path = tmp_path / "batch.tsv", tmp_path / "single.tsv"
-    batch_flag, single_flag = (str(batch_path), str(single_path)) if cache == "path" else ("off", "off")
+    batch_flag, single_flag = ("--cache", str(batch_path)), ("--cache", str(single_path))
+    if cache == "off":  # no flag, no cache
+        batch_flag = single_flag = ()
     texts = _table_texts()
-    singles = [run("eval", "--expr", text, "--tol", "1e-12", "--cache", single_flag) for text in texts]
-    code, out, err = run("eval", *_exprs(texts), "--tol", "1e-12", "--cache", batch_flag)
+    singles = [run("eval", "--expr", text, "--tol", "1e-12", *single_flag) for text in texts]
+    code, out, err = run("eval", *_exprs(texts), "--tol", "1e-12", *batch_flag)
     assert (code, err) == (0, "")
     assert {single[0] for single in singles} == {0}
     assert out == "".join(single[1] for single in singles)
@@ -470,6 +472,9 @@ def test_grid_range_beyond_memory_is_an_input_error():
 # cache plumbing
 # ---------------------------------------------------------------------------
 
+_EVAL_ARGS = ("eval", "--expr", "(2,3) + 2*(3)", "--expr", "(2,1,2)")
+_VERIFY_ARGS = ("verify", "--name", "duality", "--weight", "5")
+
 
 def test_cache_file_created_and_reused(run, tmp_path):
     path = tmp_path / "cache.tsv"
@@ -494,20 +499,48 @@ def test_repeated_calls_in_one_process_take_the_cache_file_from_the_memo(run, tm
     assert zeta._LAST_FILE is memo  # a parse would have replaced it
 
 
-@pytest.mark.parametrize("flag, written", [("on", []), ("flag.tsv", ["flag.tsv"])], ids=["on", "path"])
+@pytest.mark.parametrize(
+    "flag, written", [((), []), (("--cache", "flag.tsv"), ["flag.tsv"])], ids=["default", "path"]
+)
 def test_cache_variable_is_ignored(run, tmp_path, monkeypatch, flag, written):
     """``OHNO_CACHE`` names no cache file: only ``--cache PATH`` writes one."""
     monkeypatch.chdir(tmp_path)
-    code, _, _ = run("eval", "--expr", "(4)", "--cache", flag, env={"OHNO_CACHE": str(tmp_path / "env.tsv")})
+    code, _, _ = run("eval", "--expr", "(4)", *flag, env={"OHNO_CACHE": str(tmp_path / "env.tsv")})
     assert code == 0
     assert [path.name for path in tmp_path.iterdir()] == written
 
 
 def test_cache_off_stays_off(run, tmp_path):
     never = tmp_path / "never.tsv"
-    code, _, _ = run("eval", "--expr", "(4)", "--cache", "off", env={"OHNO_CACHE": str(never)})
+    code, _, _ = run("eval", "--expr", "(4)", env={"OHNO_CACHE": str(never)})
     assert code == 0
     assert not never.exists()
+
+
+@pytest.mark.parametrize("command", [_EVAL_ARGS, _VERIFY_ARGS], ids=["eval", "verify"])
+@pytest.mark.parametrize("spelling", ["on", "off"])
+def test_earlier_cache_spellings_are_refused(run, tmp_path, monkeypatch, command, spelling):
+    """``--cache on`` and ``--cache off`` name no file: one error line, exit 2,
+    and no file of that name in the working directory; ``./on`` names one."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(*command, "--cache", spelling)
+    assert (code, out) == (2, "")
+    assert err == (f"error: --cache takes a file path, not {spelling!r}: leave the flag out for no cache, "
+                   f"or write ./{spelling} for a file of that name\n")
+    assert list(tmp_path.iterdir()) == []
+    assert run(*command, "--cache", f"./{spelling}")[0] == 0
+    assert [path.name for path in tmp_path.iterdir()] == [spelling]
+
+
+@pytest.mark.parametrize("command", [_EVAL_ARGS, _VERIFY_ARGS], ids=["eval", "verify"])
+def test_no_cache_prints_what_a_cache_file_prints(run, tmp_path, monkeypatch, command):
+    """Without ``--cache``, ``eval`` and ``verify`` write no file and print what
+    ``--cache PATH`` prints, on a new file and on the file it wrote."""
+    monkeypatch.chdir(tmp_path)
+    plain = run(*command)
+    assert plain[0] == 0 and list(tmp_path.iterdir()) == []
+    for _ in range(2):
+        assert run(*command, "--cache", "cache.tsv") == plain
 
 
 @pytest.mark.parametrize(
@@ -547,13 +580,13 @@ def test_cache_file_of_the_bucketed_form_is_a_usage_error(run, tmp_path):
 
 def test_cached_value_is_the_uncached_value_at_every_tol(run, tmp_path):
     """A value stored at ``--tol 1e-8`` and read back at ``--tol 1e-15`` from
-    the same file prints what ``--cache off`` prints, at either tolerance."""
+    the same file prints what a call without ``--cache`` prints, at either tolerance."""
     path = str(tmp_path / "cache.tsv")
-    plain = run("eval", "--expr", "(2,3)", "--cache", "off")
+    plain = run("eval", "--expr", "(2,3)")
     assert plain[0] == 0
     for tol in ("1e-8", "1e-15"):
         assert run("eval", "--expr", "(2,3)", "--tol", tol, "--cache", path) == plain
-        assert run("eval", "--expr", "(2,3)", "--tol", tol, "--cache", "off") == plain
+        assert run("eval", "--expr", "(2,3)", "--tol", tol) == plain
     assert len(Path(path).read_text().splitlines()) == 1
 
 

@@ -45,6 +45,18 @@ def parsed(monkeypatch):
 _LOADED = "2,3\t0x1.8000000000000p+0\n3\t0x1.33ba004f00621p+0\n2,3\t0x1.4000000000000p+1\n"
 
 
+def _with_rows(directory, rows, cache=None):
+    """``cache`` (else a new one) after a load of a file of ``rows``, which is
+    then removed: besides the evaluator's fill, a load is the one way a row
+    enters a cache.  The file is named per thread, so threads seed side by side."""
+    path = directory / f"rows.{threading.get_ident()}.tsv"
+    path.write_text("".join(f"{k.to_text()}\t{value.hex()}\n" for k, value in rows.items()))
+    cache = ZetaCache() if cache is None else cache
+    cache.load(str(path))
+    path.unlink()
+    return cache
+
+
 # float64-rounded reference constants, independent of the evaluator under test
 PI = math.pi
 ZETA2 = PI**2 / 6
@@ -391,7 +403,7 @@ def test_depth_72_index_of_weight_130_is_evaluated():
         assert abs(value - direct) <= zeta._bound(130, 72, 71)
 
 
-def test_refused_index_derives_no_precision(monkeypatch):
+def test_refused_index_derives_no_precision(tmp_path, monkeypatch):
     """A refused index never reaches ``_default_precision``, and a term that
     the value memo or a cache holds needs no precision either."""
     calls = []
@@ -403,8 +415,7 @@ def test_refused_index_derives_no_precision(monkeypatch):
     assert calls == []
     eval_zeta(Index((2, 3)))
     assert calls == [(5,)]
-    cache = ZetaCache()
-    cache.store(Index((3,)), 1.25)
+    cache = _with_rows(tmp_path, {Index((3,)): 1.25})
     eval_combination(IndexCombination({Index((2, 3)): 1, Index((3,)): 1}), EvalConfig(cache=cache))
     assert calls == [(5,)]
 
@@ -592,7 +603,7 @@ def test_cold_combination_fills_its_factors_in_one_batch(monkeypatch):
     assert len(fills) == 1
 
 
-def test_batch_skips_terms_the_cache_or_value_memo_answers():
+def test_batch_skips_terms_the_cache_or_value_memo_answers(tmp_path):
     """No factor is computed for a term that a warm ZetaCache or the value
     memo answers, and the cache's hit and miss counts are left alone."""
     comb = IndexCombination({Index((2, 3)): 1, Index((1, 2, 3)): 2, Index((4, 1, 2)): 3})
@@ -606,8 +617,7 @@ def test_batch_skips_terms_the_cache_or_value_memo_answers():
     zeta._FACTOR_CACHE.clear()  # the value memo is warm, the factor memo cold
     eval_combination(comb)
     assert zeta._FACTOR_CACHE == {}
-    answered = ZetaCache()
-    answered.store(Index((4, 1, 2)), 0.5)
+    answered = _with_rows(tmp_path, {Index((4, 1, 2)): 0.5})
     clear_factor_cache()
     eval_combination(comb, EvalConfig(cache=answered))
     words = [w for k in (Index((2, 3)), Index((1, 2, 3))) for w in (to_word(k), reverse_swap(to_word(k)))]
@@ -751,15 +761,16 @@ _TABLE_SHAPED = [
 ]
 
 
-@pytest.mark.parametrize("fbits", [64, 66])
+@pytest.mark.parametrize("fbits", [24, 64, 66, 128])
 def test_fill_matches_the_reference_on_catalogue_shaped_batches(fbits):
-    """At the default precisions of weights up to 32, the fill gives the
-    reference's factors on one batch of every index, and dual, of the dual-gap
-    sides for s, t in {2, 3} and l, m <= 1; on table-shaped items of weight
-    11 to 13; and on a batch whose depth-2 word sorts first and builds level
-    1 to its shorter stop, which the depth-3 word after it shares and must
-    extend to its own.  No factor at these precisions reads the entries that
-    extension adds, so the last batch pins the walk through it, not them."""
+    """At the default precisions of weights up to 32, and at 24 and 128
+    bits, the fill gives the reference's factors on one batch of every index,
+    and dual, of the dual-gap sides for s, t in {2, 3} and l, m <= 1; on
+    table-shaped items of weight 11 to 13; and on a batch whose depth-2 word
+    sorts first and shares level 1 with the depth-3 word after it.  The fill
+    builds that level once, to the depth-3 stop, so the depth-2 word reads a
+    chain longer than its own stop: a higher top entry, whose wider cut adds
+    only terms that are 0."""
     sides = [side for s, t, l, m in itertools.product((2, 3), (2, 3), (0, 1), (0, 1))
              for side in dual_gap_skew_sides(s, t, l, m)]
     table = [expand_text(text) for text in _TABLE_SHAPED]
@@ -929,7 +940,7 @@ def test_value_depends_on_its_index_alone():
     assert all(len(bits) == 1 for bits in patterns.values())
 
 
-def test_cache_answers_with_its_finest_value():
+def test_cache_answers_with_the_value_computed_without_it():
     """A cache answers with the one value it holds for an index, and a value
     it filled is the value computed without it at any tolerance: after a
     combination of mass 300 at tol 1e-8, a single index read from the cache
@@ -954,17 +965,17 @@ def test_cache_counts_hits_and_misses():
     assert len(cache) == 1
 
 
-def test_cache_bucket_semantics():
+def test_cache_answers_any_tolerance_with_the_value_it_holds_first(tmp_path):
     """A cache holds one value per index, whatever the tolerance of the
     request: a lookup or a read at any tolerance answers with the value
-    stored first, and a later store of the index changes nothing."""
-    cache = ZetaCache()
+    loaded first, and a later load or fill of the index changes nothing."""
     k = Index((2,))
+    cache = ZetaCache()
     assert cache.lookup(k) is None
-    cache.store(k, 1.25)
+    _with_rows(tmp_path, {k: 1.25}, cache)
     assert cache.lookup(k) == 1.25
-    cache.store(k, 2.5)  # a second value for a held index is dropped
-    assert cache.lookup(k) == 1.25
+    _with_rows(tmp_path, {k: 2.5}, cache)  # a second value for a held index is dropped
+    assert cache.lookup(k, filled=True) == 1.25
     for tol in (1e-3, 1e-15):
         assert eval_zeta(k, EvalConfig(tol=tol, cache=cache)) == 1.25
     assert len(cache) == 1 and cache.stats == zeta.ZetaCacheStats(hits=4, misses=1)
@@ -991,19 +1002,15 @@ def test_cache_save_load_round_trip(tmp_path):
 
 def test_cache_failed_save_keeps_previous_file(tmp_path):
     path = tmp_path / "cache.tsv"
-    previous = ZetaCache()
-    previous.store(Index((2,)), 1.5)
-    previous.store(Index((3,)), 2.5)
-    previous.save(str(path))
+    _with_rows(tmp_path, {Index((2,)): 1.5, Index((3,)): 2.5}).save(str(path))
     before = path.read_text()
 
     class DiskFull(float):
         def hex(self):
             raise OSError("disk full")
 
-    cache = ZetaCache()
-    cache.store(Index((2,)), 1.25)  # written first: "2" sorts before "9"
-    cache._entries[Index((9,))] = DiskFull(0.5)  # store would keep a float, so the probe goes in directly
+    cache = _with_rows(tmp_path, {Index((2,)): 1.25})  # written first: "2" sorts before "9"
+    cache._entries[Index((9,))] = DiskFull(0.5)  # no load or fill keeps a float subclass
     with pytest.raises(OSError, match="disk full"):
         cache.save(str(path))
 
@@ -1031,9 +1038,7 @@ _SMALL_CACHE = {
 
 
 def _saved_cache(path, entries=_SMALL_CACHE):
-    cache = ZetaCache()
-    for k, value in entries.items():
-        cache.store(k, value)
+    cache = _with_rows(path.parent, entries)
     cache.save(str(path))
     return cache
 
@@ -1050,8 +1055,7 @@ def test_cache_file_text_pinned(tmp_path):
     )
     assert path.read_text() == _old_writer_text(_SMALL_CACHE)
 
-    cache = ZetaCache(str(path))
-    cache.store(Index((2, 2)), 0.75)
+    cache = _with_rows(tmp_path, {Index((2, 2)): 0.75}, ZetaCache(str(path)))
     cache.save(str(path))
     assert path.read_text() == _old_writer_text({**_SMALL_CACHE, Index((2, 2)): 0.75})
 
@@ -1068,7 +1072,7 @@ def test_cache_save_leaves_a_file_that_holds_every_entry(tmp_path):
 
     cache = ZetaCache(str(path))
     assert cache.lookup(Index((2, 3))) == 1.5
-    cache.store(Index((2, 3)), 99.0)  # a held index changes no entry
+    assert cache.lookup(Index((2, 3)), filled=True) == 1.5  # a held index changes no entry
     cache.save(str(path))
     assert _file_state(path) == before
     assert os.listdir(tmp_path) == ["cache.tsv"]
@@ -1080,7 +1084,7 @@ def test_cache_save_leaves_a_file_that_holds_every_entry(tmp_path):
 
 
 def _refine(cache, path):
-    cache.store(Index((9,)), 2.5)
+    eval_zeta(Index((9,)), EvalConfig(cache=cache))
 
 
 def _reload(cache, path):
@@ -1093,7 +1097,7 @@ def _delete(cache, path):
 
 @pytest.mark.parametrize("change", [_refine, _reload, _delete, None], ids=["refine", "reload", "deleted", "other-path"])
 def test_cache_save_rewrites_after_a_change(tmp_path, change):
-    """A store of a new index, a load into a non-empty cache, a deleted file
+    """A row the evaluator adds, a load into a non-empty cache, a deleted file
     and another path each make ``save`` write the whole file again."""
     path = tmp_path / "cache.tsv"
     _saved_cache(path)
@@ -1104,33 +1108,37 @@ def test_cache_save_rewrites_after_a_change(tmp_path, change):
     else:
         change(cache, path)
     cache.save(str(path))
-    expected = {**_SMALL_CACHE, Index((9,)): 2.5} if change is _refine else _SMALL_CACHE
+    expected = {**_SMALL_CACHE, Index((9,)): eval_zeta(Index((9,)))} if change is _refine else _SMALL_CACHE
     assert path.read_text() == _old_writer_text(expected)
     if change in (_refine, _reload):
         assert os.stat(path).st_ino != ino
     assert sorted(os.listdir(tmp_path)) == sorted({"cache.tsv", path.name})
 
 
-def test_cache_store_during_a_save_is_written_by_the_next(tmp_path):
-    """A store that lands after a save took its rows is not in that file,
+def test_cache_store_during_a_save_is_written_by_the_next(tmp_path, monkeypatch):
+    """A row the fill stores after a save took its rows is not in that file,
     so the next save writes again."""
     path = tmp_path / "cache.tsv"
     cache = ZetaCache()
+    k = Index((3,))
+    eval_zeta(k)  # the value memo holds the row that the lookup below stores
 
     class StoresWhileWritten(float):
         def hex(self):
-            cache.store(Index((3,)), 2.5)
+            cache.lookup(k, filled=True)
             return float.hex(self)
 
-    cache._entries[Index((2,))] = StoresWhileWritten(1.5)  # store would keep a float
+    monkeypatch.setattr(zeta, "_LAST_FILE", ("", {}))  # the save seeds the memos with the probe
+    monkeypatch.setattr(zeta, "_LINES", {})
+    cache._entries[Index((2,))] = StoresWhileWritten(1.5)  # no load or fill keeps a float subclass
     cache.save(str(path))
     assert path.read_text() == _old_writer_text({Index((2,)): 1.5})
     cache.save(str(path))
-    assert path.read_text() == _old_writer_text({Index((2,)): 1.5, Index((3,)): 2.5})
+    assert path.read_text() == _old_writer_text({Index((2,)): 1.5, k: eval_zeta(k)})
 
 
 @pytest.mark.parametrize("in_order", [True, False])
-def test_cache_load_keeps_the_finest_of_two_lines(tmp_path, in_order):
+def test_cache_load_keeps_the_first_of_two_lines(tmp_path, in_order):
     """A file holds one value per index: of two lines of one index, in either
     order, the first is kept."""
     lines = ["2,3\t0x1.8000000000000p+0\n", "2,3\t0x1.4000000000000p+1\n"]
@@ -1254,8 +1262,7 @@ def test_cache_load_rejects_values_it_cannot_serve(tmp_path, line):
 
 def test_cache_failed_load_changes_nothing(tmp_path):
     """A load that meets a malformed line stores none of the lines before it."""
-    cache = ZetaCache()
-    cache.store(Index((2,)), 1.5)
+    cache = _with_rows(tmp_path, {Index((2,)): 1.5})
     path = tmp_path / "bad.tsv"
     path.write_text("(2)\t0x1.0p+1\n(3)\t0x1.33ba004f00621p+0\n(2,3)\tnan\n")
     with pytest.raises(ValueError, match="malformed cache line"):
@@ -1271,14 +1278,14 @@ def test_cache_load_refuses_a_file_of_the_bucketed_form(tmp_path, parsed):
     neither the cache it is loaded into nor the memo of the last file."""
     path = tmp_path / "old.tsv"
     path.write_text("2,3\t15\t0x1.8000000000000p+0\n3\t12\t0x1.33ba004f00621p+0\n")
-    cache = ZetaCache()
-    cache.store(Index((2,)), 1.5)
+    cache = _with_rows(tmp_path, {Index((2,)): 1.5})
+    memo = zeta._LAST_FILE
     with pytest.raises(ValueError, match=r"^malformed cache line '2,3\\t15\\t0x1.8000000000000p\+0'$"):
         cache.load(str(path))
     with pytest.raises(ValueError, match="malformed cache line"):
         ZetaCache(str(path))
     assert _bits(cache) == {Index((2,)): ("0x1.8000000000000p+0", float)}
-    assert cache.stats == zeta.ZetaCacheStats() and zeta._LAST_FILE == ("", {})
+    assert cache.stats == zeta.ZetaCacheStats() and zeta._LAST_FILE is memo
 
 
 def _bits(cache):
@@ -1291,11 +1298,10 @@ def test_cache_load_of_the_last_text_matches_a_parse(tmp_path, parsed, fill):
     and leaves the entries, value bits and save state a parse leaves."""
     path = tmp_path / "cache.tsv"
     path.write_text(_LOADED)
-    caches = [ZetaCache(), ZetaCache()]
+    rows = {Index((2, 3)): 0.5, Index((4,)): 0.75} if fill else {}
+    caches = [_with_rows(tmp_path, rows), _with_rows(tmp_path, rows)]
+    del parsed[:]
     for cache in caches:
-        if fill:
-            cache.store(Index((2, 3)), 0.5)
-            cache.store(Index((4,)), 0.75)
         cache.load(str(path))
         assert cache._saved == (None if fill else str(path))
     assert len(parsed) == 3
@@ -1306,7 +1312,8 @@ def test_cache_load_of_the_last_text_matches_a_parse(tmp_path, parsed, fill):
 def test_cache_load_of_a_saved_text_matches_a_parse(tmp_path, parsed):
     """A save seeds the memo with what a load of its file gives back."""
     path = tmp_path / "cache.tsv"
-    _saved_cache(path).store(Index((7,)), 0.5)  # after the save: not in the file
+    eval_zeta(Index((7,)), EvalConfig(cache=_saved_cache(path)))  # after the save: not in the file
+    del parsed[:]
     hit = ZetaCache(str(path))
     assert parsed == []
     clear_factor_cache()
@@ -1370,12 +1377,13 @@ def test_cache_load_refuses_a_malformed_file_every_time(tmp_path, parsed):
 
 
 def test_cache_store_never_reaches_the_memo(tmp_path, parsed):
-    """A cache filled by a parse or from the memo holds its own copy of the rows."""
+    """A cache filled by a parse or from the memo holds its own copy of the
+    rows, so the rows the evaluator adds to it stay out of the memo."""
     path = tmp_path / "cache.tsv"
     path.write_text(_LOADED)
     for cache in (ZetaCache(str(path)), ZetaCache(str(path))):
-        cache.store(Index((4,)), 0.5)
-        cache.store(Index((5,)), 0.25)
+        eval_combination(IndexCombination({Index((4,)): 1, Index((5,)): 1}), EvalConfig(cache=cache))
+        assert len(cache) == 4
     reloaded = ZetaCache(str(path))
     assert len(parsed) == 3
     assert _bits(reloaded) == {
@@ -1384,84 +1392,63 @@ def test_cache_store_never_reaches_the_memo(tmp_path, parsed):
     }
 
 
-class _Half(float):
-    pass
+class _Tagged(Index):
+    """A caller's index type: equal to, and hashed like, the plain index."""
+
+    def to_text(self):
+        return f"({super().to_text()})"
 
 
-@pytest.mark.parametrize(
-    "k, value",
-    [
-        (Index((3,)), (12, 1.0)),
-        (Index((3,)), math.nan),
-        (Index((3,)), _Half(0.5)),
-        ((3,), 1.0),
-        (Index((3, 1)), 1.0),
-        (Index((3,)), True),
-        (Index((3,)), 1),
-        (Index((3,)), "1.0"),
-        (Index((3,)), -math.inf),
-    ],
-    ids=["bucket", "nan", "float-subclass", "tuple", "non-admissible", "bool-value", "int-value", "str-value", "inf"],
-)
-def test_cache_save_seeds_only_what_a_load_gives_back(tmp_path, parsed, k, value):
-    """A row that a load would refuse is refused by ``store``, so the file a
-    save writes loads back; a float subclass is held as the float a load
-    gives back, before and after a save, which seeds the memo with it, so
-    the load parses no line.  A value paired with a bucket, as the rows of
-    the older bucketed cache were, is refused."""
-    path = tmp_path / "cache.tsv"
-    cache = ZetaCache()
-    cache.store(Index((2,)), 1.5)
-    if type(value) is _Half:
-        cache.store(k, value)
-        assert type(cache.lookup(k)) is float and cache.lookup(k) == 0.5
-        cache.save(str(path))
-        assert _bits(ZetaCache(str(path))) == {Index((2,)): ("0x1.8000000000000p+0", float),
-                                               k: ("0x1.0000000000000p-1", float)}
-        assert parsed == []
-    else:
-        with pytest.raises(ValueError, match="cannot cache"):
-            cache.store(k, value)
-        cache.save(str(path))
-        assert _bits(ZetaCache(str(path))) == {Index((2,)): ("0x1.8000000000000p+0", float)}
+def test_cache_save_seeds_only_what_a_load_gives_back(tmp_path, parsed):
+    """An index of a caller's ``Index`` subclass, as a combination key, reaches
+    a cache through the fill, which keys its row by a plain ``Index``.  So
+    the file a save writes, and the memo it seeds, give back what a parse of
+    that file gives: the same rows, and on a second save the same text."""
+    tagged, plain = _Tagged((2, 3)), Index((4,))
+    path, reference = tmp_path / "cache.tsv", tmp_path / "reference.tsv"
+    for keys, target in (((Index(tagged), plain), reference), ((tagged, plain), path)):  # path saved last
+        cache = ZetaCache()
+        eval_combination(IndexCombination(dict.fromkeys(keys, 1)), EvalConfig(cache=cache))
+        assert {type(k) for k in cache._entries} == {Index}
+        cache.save(str(target))
+    assert path.read_text() == reference.read_text() == "".join(
+        f"{k.to_text()}\t{eval_zeta(k).hex()}\n" for k in (Index(tagged), plain)
+    )
+    from_memo = ZetaCache(str(path))
+    assert parsed == []
+    clear_factor_cache()
+    from_parse = ZetaCache(str(path))
+    assert len(parsed) == 2
+    assert [(type(k), k, v.hex()) for k, v in from_memo._entries.items()] == [
+        (type(k), k, v.hex()) for k, v in from_parse._entries.items()
+    ]
+    from_memo.lookup(tagged, filled=True)  # a held row: nothing to write
+    from_memo.save(str(tmp_path / "again.tsv"))
+    assert (tmp_path / "again.tsv").read_text() == path.read_text()
 
 
-def test_cache_save_formats_and_checks_only_the_rows_stored_since(tmp_path, monkeypatch):
-    """A cache loaded from the file this process last wrote formats and checks
-    only its new rows when it saves, and writes the bytes of a full format."""
+def test_cache_save_formats_only_the_rows_added_since(tmp_path, monkeypatch):
+    """A cache loaded from the file this process last wrote formats only its
+    new rows when it saves, and writes the bytes of a full format."""
     path = tmp_path / "cache.tsv"
     _saved_cache(path)
-    cache = ZetaCache(str(path))
-    cache.store(Index((5,)), 0.25)
-    cache.store(Index((2, 5)), 0.5)
-    formatted, checked = [], []  # counted from here: store checks each row it is given
-    to_text, loads_back = Index.to_text, zeta._loads_back
+    cache = _with_rows(tmp_path, {Index((5,)): 0.25, Index((2, 5)): 0.5}, ZetaCache(str(path)))
+    formatted = []
+    to_text = Index.to_text
     monkeypatch.setattr(Index, "to_text", lambda k: formatted.append(k) or to_text(k))
-    monkeypatch.setattr(zeta, "_loads_back", lambda k, *row: checked.append(k) or loads_back(k, *row))
     cache.save(str(path))
-    assert sorted(formatted) == sorted(checked) == sorted([Index((5,)), Index((2, 5))])
+    assert sorted(formatted) == sorted([Index((5,)), Index((2, 5))])
     assert path.read_text() == _old_writer_text(cache._entries)
 
 
-def test_cache_save_keeps_no_line_of_a_row_that_does_not_load_back(tmp_path, monkeypatch):
-    """``store`` keeps a float subclass as a float, so only a row written into
-    the cache's entries directly can fail to load back as itself."""
-    monkeypatch.setattr(zeta, "_LINES", {})
-    cache = ZetaCache()
-    cache.store(Index((2,)), 1.5)
-    cache._entries[Index((3,))] = _Half(1.0)  # written, but loads back as a float, not as itself
-    cache.save(str(tmp_path / "cache.tsv"))
-    assert zeta._LINES == {}
-
-
-def test_cache_load_from_the_memo_keeps_the_finest_bucket(tmp_path, parsed):
+def test_cache_load_from_the_memo_keeps_the_values_it_holds(tmp_path, parsed):
     """A load from the memo into a non-empty cache keeps the values it holds
     and adds the rows of the file for the other indices, as a parse does."""
     path = tmp_path / "cache.tsv"
     path.write_text(_LOADED)
+    cache = _with_rows(tmp_path, {Index((2, 3)): 0.5})
+    del parsed[:]
     ZetaCache(str(path))
-    cache = ZetaCache()
-    cache.store(Index((2, 3)), 0.5)
     cache.load(str(path))
     assert len(parsed) == 3
     assert _bits(cache) == {
@@ -1497,7 +1484,7 @@ def test_cache_load_splits_lines_at_newlines_only(tmp_path, parsed, separator):
         ZetaCache(str(path))
 
 
-def test_cache_load_keeps_the_first_of_two_lines_of_one_bucket(tmp_path, parsed):
+def test_cache_load_from_the_memo_keeps_the_first_of_two_lines(tmp_path, parsed):
     """The first of two lines of one index is kept by a parse and by a load from the memo."""
     path = tmp_path / "cache.tsv"
     path.write_text("2,3\t0x1.8000000000000p+0\n2,3\t0x1.4000000000000p+1\n")
@@ -1526,17 +1513,13 @@ def test_cached_values_feed_combinations():
 
 def _read_term_by_term(comb, cfg):
     """A combination planned and filled, then read one term at a time through
-    ``ZetaCache.lookup`` and a ``store`` of each miss."""
+    ``ZetaCache.lookup``, which on a miss stores the value the fill left."""
     todo = {}
     _, terms = zeta._plan(comb, cfg, todo)
     zeta._fill(todo)
     products = []
     for k, c in terms.items():
-        value = cfg.cache.lookup(k)
-        if value is None:
-            value = zeta._VALUES[k]
-            cfg.cache.store(k, value)
-        products.append(float(c) * value)
+        products.append(float(c) * cfg.cache.lookup(k, filled=True))
     return math.fsum(products)
 
 
@@ -1554,9 +1537,7 @@ def test_cached_read_matches_the_term_by_term_read(tmp_path, terms, hits, misses
     comb = IndexCombination({Index(k): c for k, c in terms.items()})
 
     def saved(name):
-        cache, path = ZetaCache(), str(tmp_path / name)
-        cache.store(Index((1, 2, 3)), 0.5)
-        cache.store(Index((5,)), 0.75)
+        cache, path = _with_rows(tmp_path, {Index((1, 2, 3)): 0.5, Index((5,)): 0.75}), str(tmp_path / name)
         cache.save(path)
         return cache, path
 
