@@ -14,7 +14,10 @@ and the three products used throughout the package:
 
 Each linear operator (``sha``, ``hast``, ``map_indices`` and the maps built
 on it) is one loop over the terms of its operands that writes into one
-dict; no per-term combination is built and merged.
+dict; no per-term combination is built and merged.  Within one
+:func:`~ohno.verify.verify` call, the sweep memo ``_MEMO`` keeps the results
+of ``sha``, ``hast`` and ``dual_linear`` per arguments, as it keeps those of
+the builders of :mod:`ohno.sums`.
 
 Everything in this module is exact and no floats ever appear.  A
 coefficient is an ``int`` whenever its value is an integer and a
@@ -36,11 +39,12 @@ integral coefficients already ``int``; neither checks anything.
 from __future__ import annotations
 
 import re
+from contextvars import ContextVar
 from fractions import Fraction
-from functools import partial
+from functools import partial, wraps
 from itertools import combinations_with_replacement
 from operator import sub
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 __all__ = [
     "EMPTY",
@@ -338,9 +342,30 @@ def combination_to_text(comb: IndexCombination) -> str:
     return "".join(parts)
 
 
+_MEMO: ContextVar[Optional[dict]] = ContextVar("ohno_sweep_memo", default=None)
+
+
+def _memoised(builder: Callable) -> Callable:
+    """The pure ``builder``, its results shared in the open memo between positional
+    calls with arguments equal in value and type, a combination counting as its terms."""
+
+    @wraps(builder)
+    def shared(*args, **kwargs):
+        memo = _MEMO.get()
+        if memo is None or kwargs:
+            return builder(*args, **kwargs)
+        key = (builder, *(frozenset(a._terms.items()) if type(a) is IndexCombination else (type(a), a) for a in args))
+        if key not in memo:
+            memo[key] = builder(*args)
+        return memo[key]
+
+    return shared
+
+
 # -- duality on combinations --------------------------------------------------
 
 
+@_memoised
 def dual_linear(comb: Union[Index, IndexCombination]) -> IndexCombination:
     """Apply duality to every support index, keeping coefficients."""
     return as_combination(comb).map_indices(lambda k: k.dual())
@@ -420,6 +445,7 @@ def _interleave(a: tuple[int, ...], b: tuple[int, ...]) -> dict[tuple[int, ...],
     return row[-1]
 
 
+@_memoised
 def sha(left: Union[Index, IndexCombination], right: Union[Index, IndexCombination]) -> IndexCombination:
     """The interleaving product ``#``, extended bilinearly.
 
@@ -441,6 +467,7 @@ def sha(left: Union[Index, IndexCombination], right: Union[Index, IndexCombinati
 # -- the position-sum product -------------------------------------------------
 
 
+@_memoised
 def hast(k: int, target: Union[Index, IndexCombination]) -> IndexCombination:
     """Add ``k`` to one entry of the target, summed over all positions.
 

@@ -24,24 +24,25 @@ pairs are stated in its entry there:
 Everything here returns exact :class:`~ohno.indices.IndexCombination`
 objects; evaluating them is :func:`~ohno.zeta.eval_combination`'s job.
 
-Within one :func:`~ohno.verify.verify` call, ``_MEMO`` keeps the results of
-``dual_gap_operands`` and ``dual_gap_skew_sides`` per arguments, of
-``ohno_sum_symbolic`` per operand term set and order, and shift vectors per
-depth and order; a context variable, so threads never share it, and outside
-such a call nothing is kept.
+Within one :func:`~ohno.verify.verify` call, the sweep memo of
+:mod:`ohno.indices` keeps the results of ``dual_gap_operands`` and
+``dual_gap_skew_sides`` per arguments, of ``ohno_sum_symbolic`` per operand
+term set and order, and shift vectors per depth and order; a context
+variable, so threads never share it, and outside such a call nothing is kept.
 """
 
 from __future__ import annotations
 
-from contextvars import ContextVar
-from functools import reduce, wraps
+from functools import reduce
 from operator import add
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from ohno.indices import (
     Index,
     IndexCombination,
+    _MEMO,
     _int_at_least,
+    _memoised,
     _named,
     _settled,
     _shifts,
@@ -76,26 +77,6 @@ def _check_order(m: int) -> None:
 
 
 # -- shifted sums -------------------------------------------------------------
-
-_MEMO: ContextVar[Optional[dict]] = ContextVar("ohno_sweep_memo", default=None)
-
-
-def _memoised(builder: Callable) -> Callable:
-    """The pure ``builder``, its results shared in the open memo between
-    positional calls with equal arguments, a combination counting as its terms."""
-
-    @wraps(builder)
-    def shared(*args, **kwargs):
-        memo = _MEMO.get()
-        if memo is None or kwargs:
-            return builder(*args, **kwargs)
-        key = (builder, *(frozenset(a._terms.items()) if type(a) is IndexCombination else a for a in args))
-        if key not in memo:
-            memo[key] = builder(*args)
-        return memo[key]
-
-    return shared
-
 
 @_memoised
 def ohno_sum_symbolic(comb: Union[Index, IndexCombination], m: int) -> IndexCombination:

@@ -28,7 +28,8 @@ overridable per parameter) in one pass over its parameters, refuses the
 points that violate an identity's hypotheses, and returns a
 :class:`VerificationReport`.  A numeric grid runs in three phases.  Plan:
 each point in turn builds its sides (what points share once per call, in
-the memo of :mod:`ohno.sums`) and plans each distinct side object once.
+the sweep memo of :mod:`ohno.indices`) and plans each distinct side object
+once, a side of valued terms with one subset test (see :mod:`ohno.zeta`).
 Fill: one call per working precision fills what every plan misses.  Read:
 each point is reduced to its residual once nothing planned before it waits
 for the fill.  A side is read once, with or without a cache, its value a
@@ -58,6 +59,7 @@ from typing import Any, Callable, Mapping, Optional, Union
 from ohno.indices import (
     Index,
     IndexCombination,
+    _MEMO,
     _int_at_least,
     append_entry,
     as_combination,
@@ -70,7 +72,6 @@ from ohno.indices import (
     star_single,
 )
 from ohno.sums import (
-    _MEMO,
     composed_single,
     composed_split,
     dual_gap_operands,
@@ -594,7 +595,7 @@ def verify(name: str, *, cfg: Optional[EvalConfig] = None, **grid: Any) -> Verif
         raise ValueError(f"the grid for {name} is empty")
 
     start = time.perf_counter()
-    context = copy_context()  # holds the side memo of ohno.sums for this call only
+    context = copy_context()  # holds the sweep memo of ohno.indices for this call only
     context.run(_MEMO.set, {})
     results = context.run(_point_results, spec, cfg, points)
     elapsed_ms = (time.perf_counter() - start) * 1000.0

@@ -77,7 +77,10 @@ runs after its first), and suffixes share tails across words as well as
 within one.  So evaluation runs in three phases.  Plan: one pass over a
 combination's terms checks the depth limit :data:`MAX_DEPTH` before the
 cache counts a lookup or any memo is written and finds the terms that no
-cache or memo will answer, the only ones given a precision.  Fill: one
+cache or memo will answer, the only ones given a precision.  A side whose
+every term is valued needs only one subset test, while :data:`MAX_DEPTH` is
+not below ``_VALUED_DEPTH``, the largest limit under which terms were planned
+for a fill, so that no valued index is deeper.  Fill: one
 batch per precision fills their missing factors; its words, sorted by
 reversed runs, are walked with one stack of chains, so each chain is built
 once per batch (a dict of a batch's chains peaked 15 MB higher on a
@@ -414,6 +417,8 @@ _TABLES: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
 # the index, like the factors it is summed from.  :func:`_fill` computes every
 # value, :func:`eval_zeta` reads them.
 _VALUES: dict[Index, float] = {}
+# The largest :data:`MAX_DEPTH` under which :func:`_plan` handed terms to the fill.
+_VALUED_DEPTH = 0
 
 
 @cache
@@ -532,10 +537,10 @@ def _fill_factors(words: Iterable[str], fbits: int) -> None:
 
 def clear_factor_cache() -> None:
     """Drop every process-wide memo: values, series factors, stopping indices,
-    working precisions and inverse-power tables (all are recomputed on demand), and the last
-    cache-file text with its rows and lines (the next load parses again)."""
-    global _LAST_FILE, _LINES
-    _LAST_FILE, _LINES = ("", {}), {}
+    working precisions and inverse-power tables (all are recomputed on demand), the last
+    cache-file text with its rows and lines (the next load parses again), and ``_VALUED_DEPTH``."""
+    global _LAST_FILE, _LINES, _VALUED_DEPTH
+    _LAST_FILE, _LINES, _VALUED_DEPTH = ("", {}), {}, 0
     _VALUES.clear()
     _FACTOR_CACHE.clear()
     _TABLES.clear()
@@ -568,6 +573,7 @@ def _plan(comb: Union[Index, IndexCombination], cfg: EvalConfig, todo: dict) -> 
     admissibility, then :data:`MAX_DEPTH`, naming the first index at fault in
     canonical order; a refusal leaves ``todo`` alone.  A term that the value
     memo or the cache holds is left out and given no precision."""
+    global _VALUED_DEPTH
     terms = {comb: 1} if isinstance(comb, Index) else as_combination(comb)._terms
     if not terms:
         return cfg, terms
@@ -575,6 +581,8 @@ def _plan(comb: Union[Index, IndexCombination], cfg: EvalConfig, todo: dict) -> 
         float(sum(map(abs, terms.values())))
     except OverflowError:
         raise ValueError("the coefficient mass of the combination is beyond the double range") from None
+    if MAX_DEPTH >= _VALUED_DEPTH and terms.keys() <= _VALUES.keys():
+        return cfg, terms
     cached = {} if cfg.cache is None else cfg.cache._entries
     wanted: dict[Index, int] = {}  # index -> its weight
     deep: list[Index] = []
@@ -590,6 +598,8 @@ def _plan(comb: Union[Index, IndexCombination], cfg: EvalConfig, todo: dict) -> 
     if deep:
         worst = _named(min(deep, key=_sort_key))
         raise PrecisionError(f"index {worst} or its dual is deeper than the depth limit {MAX_DEPTH}")
+    if wanted:
+        _VALUED_DEPTH = max(_VALUED_DEPTH, MAX_DEPTH)
     for k, w in wanted.items():
         todo.setdefault(_default_precision(w), {})[k] = None
     return cfg, terms

@@ -510,13 +510,6 @@ def test_cache_variable_is_ignored(run, tmp_path, monkeypatch, flag, written):
     assert [path.name for path in tmp_path.iterdir()] == written
 
 
-def test_cache_off_stays_off(run, tmp_path):
-    never = tmp_path / "never.tsv"
-    code, _, _ = run("eval", "--expr", "(4)", env={"OHNO_CACHE": str(never)})
-    assert code == 0
-    assert not never.exists()
-
-
 @pytest.mark.parametrize("command", [_EVAL_ARGS, _VERIFY_ARGS], ids=["eval", "verify"])
 @pytest.mark.parametrize("spelling", ["on", "off"])
 def test_earlier_cache_spellings_are_refused(run, tmp_path, monkeypatch, command, spelling):

@@ -1,6 +1,8 @@
-"""The runtime needs only the standard library, and no function recurses by name."""
+"""The runtime needs only the standard library, no function recurses by name,
+and every module builds products and duals through the sweep memo."""
 
 import ast
+import importlib
 import pathlib
 import sys
 
@@ -43,3 +45,24 @@ def test_no_function_calls_itself():
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == fn.name:
                     selfcalls.append(f"{path.stem}.{fn.name}:{node.lineno}")
     assert selfcalls == []
+
+
+def test_every_module_binds_the_memoised_builders():
+    """Every ``ohno`` module that binds ``sha``, ``hast`` or ``dual_linear``,
+    under that name or another, binds the memoised function of
+    ``ohno.indices``, so no caller builds past the sweep memo of ``verify``."""
+    from ohno import indices
+
+    builders = {name: getattr(indices, name) for name in ("sha", "hast", "dual_linear")}
+    assert all(hasattr(fn, "__wrapped__") for fn in builders.values())
+    stray, bound = [], set()
+    for path in MODULES:
+        module = ohno if path.stem == "__init__" else importlib.import_module(f"ohno.{path.stem}")
+        for attr, value in vars(module).items():
+            name = getattr(value, "__name__", None) if callable(value) else None
+            if attr in builders or name in builders:
+                bound.add(path.stem)
+                if value is not builders.get(name):
+                    stray.append(f"{path.stem}.{attr}")
+    assert stray == []
+    assert {"__init__", "expr", "indices", "sums", "verify"} <= bound

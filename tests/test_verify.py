@@ -12,7 +12,7 @@ from contextvars import copy_context
 import pytest
 
 import ohno.sums
-from ohno.indices import Index, IndexCombination, iter_admissible
+from ohno.indices import Index, IndexCombination, as_combination, dual_linear, hast, iter_admissible, repeat, sha
 from ohno.sums import dual_gap_skew_sides, ohno_sum_symbolic
 from ohno.verify import (
     RESIDUAL_MARGIN,
@@ -600,6 +600,47 @@ def test_sweep_memo_lives_only_for_one_verify_call(monkeypatch):
     first, second = (ohno_sum_symbolic(Index((2, 3)), 2) for _ in range(2))
     assert first == second and first is not second
     assert dual_gap_skew_sides(2, 3, 1, 1)[0] is not dual_gap_skew_sides(2, 3, 1, 1)[0]
+    body = sha(Index((4,)), repeat(2, 2))
+    for build in (lambda: sha(Index((3,)), body), lambda: hast(2, body), lambda: dual_linear(body)):
+        first, second = build(), build()
+        assert first == second and first is not second
+
+
+def test_sweep_memo_keeps_argument_checks():
+    """In an open memo, an argument that a builder refuses is refused after an
+    equal one of another type was built: a plain tuple for an index, or a
+    ``bool`` for an integer."""
+    body, k = sha(Index((4,)), repeat(2, 1)), Index((2, 3))
+
+    def sweep():
+        ohno.sums._MEMO.set({})
+        sha(Index((3,)), body)
+        hast(1, body)
+        ohno_sum_symbolic(k, 1)
+        for refused in (lambda: sha((3,), body), lambda: hast(True, body), lambda: ohno_sum_symbolic(k, True)):
+            with pytest.raises(ValueError):
+                refused()
+
+    copy_context().run(sweep)
+
+
+def test_sweep_memo_builds_each_distinct_sha_product_once(monkeypatch):
+    """``lemma_oooo`` asks for 144 interleaving products of 14 distinct argument
+    pairs; each distinct pair is built once, so the sweep interleaves the
+    term pairs of those 14 and no more."""
+    calls, interleaved = [], []
+    memoised, interleave = catalogue.sha, ohno.indices._interleave
+
+    def recorded(left, right):
+        calls.append(tuple(frozenset(as_combination(x)._terms.items()) for x in (left, right)))
+        return memoised(left, right)
+
+    monkeypatch.setattr(catalogue, "sha", recorded)
+    monkeypatch.setattr(ohno.indices, "_interleave", lambda a, b: interleaved.append(1) or interleave(a, b))
+    verify("lemma_oooo")
+    distinct = set(calls)
+    assert (len(calls), len(distinct)) == (144, 14)
+    assert len(interleaved) == sum(len(left) * len(right) for left, right in distinct) == 18
 
 
 def test_sweep_memo_builds_each_dual_gap_operand_once(monkeypatch):
@@ -616,7 +657,9 @@ def test_sweep_memo_builds_each_dual_gap_operand_once(monkeypatch):
     assert len(calls) == 27 * 3
 
 
-@pytest.mark.parametrize("name", ["main", "hmos", "lemma_dddd"])
+@pytest.mark.parametrize(
+    "name", ["main", "hmos", "lemma_dddd", "lemma_fmpre1", "lemma_fmpre2", "lemma_fm", "lemma_oooo"]
+)
 def test_sweep_memo_leaves_residuals_bit_identical(name):
     """Every point's sides, built outside ``verify`` and evaluated alone, give
     the report's residual bits and ``evals``."""

@@ -17,6 +17,7 @@ from ohno import zeta
 from ohno.expr import expand_text
 from ohno.indices import EMPTY, Index, IndexCombination, iter_admissible, repeat
 from ohno.sums import dual_gap_skew_sides
+from ohno.verify import verify
 from ohno.zeta import (
     DEFAULT_CONFIG,
     EvalConfig,
@@ -431,13 +432,33 @@ def test_series_cap_ignores_warm_factors(monkeypatch):
 
 def test_series_cap_ignores_warm_value_memo(monkeypatch):
     """The memoised value of an index does not let it through either: the
-    depth check comes first."""
+    depth check comes first.  So it does for a combination, or a sweep's
+    side, whose every term is valued."""
     k = Index((2, 3))
     value = eval_zeta(k)
     assert zeta._VALUES[k] == value
+    comb = IndexCombination({k: 1, Index((3,)): 2, Index((2, 1, 2)): 1})
+    eval_combination(comb)
+    verify("duality", k=["(2,3)"])
+    assert all(term in zeta._VALUES for term, _ in comb.items())
     monkeypatch.setattr(zeta, "MAX_DEPTH", 2)
     with pytest.raises(PrecisionError):
         eval_zeta(k)
+    with pytest.raises(PrecisionError, match=r"^index \(2,3\) or its dual"):
+        eval_combination(comb)
+    with pytest.raises(PrecisionError, match=r"^index \(2,3\) or its dual"):
+        verify("duality", k=["(2,3)"])
+
+
+def test_too_deep_cache_row_is_refused_beside_valued_terms(tmp_path):
+    """A row that a cache file holds for an index deeper than the depth limit
+    is refused, though every other term of its combination is valued."""
+    deep, k = Index((1,) * 73 + (2,)), Index((2, 3))
+    cache = _with_rows(tmp_path, {deep: 1.0})
+    eval_zeta(k)
+    with pytest.raises(PrecisionError, match=r"^index \(1,...,2\) of depth 74 and weight 75 or its dual"):
+        eval_combination(IndexCombination({k: 1, deep: 1}), EvalConfig(cache=cache))
+    assert cache.stats == zeta.ZetaCacheStats()
 
 
 @pytest.mark.parametrize("evaluate", [eval_zeta, eval_combination])
@@ -520,10 +541,12 @@ def test_zero_or_refused_combination_leaves_every_memo(with_cache):
 def test_clear_factor_cache_empties_value_memo(tmp_path, parsed):
     """Every process-wide memo of values, factors and their tables is emptied."""
     def memos():
-        return [zeta._VALUES, zeta._FACTOR_CACHE, zeta._TABLES,
+        return [zeta._VALUES, zeta._FACTOR_CACHE, zeta._TABLES, zeta._VALUED_DEPTH,
                 zeta._stop.cache_info().currsize, zeta._default_precision.cache_info().currsize]
 
+    clear_factor_cache()
     eval_zeta(Index((2, 3)))
+    assert zeta._VALUED_DEPTH == zeta.MAX_DEPTH
     assert all(memos())
     path = tmp_path / "cache.tsv"
     path.write_text(_LOADED)
