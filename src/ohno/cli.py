@@ -13,8 +13,11 @@ Every input is an expression, so an index is written ``(2,3)``, a dual
 evaluated, and one line is printed per expression, in argument order, with
 one configuration for the whole call.  ``eval`` and ``verify`` run without
 a cache unless ``--cache PATH`` names a file, which is loaded once before the
-call and saved once after it; ``on`` and ``off``, the spellings of the
-in-memory cache and of none that earlier versions took, are refused.  In a
+call and saved once after it when the call stored a row (a cache miss) or no
+file is at the path, so a file that answers every term stays as it was;
+``on`` and ``off``, the spellings of the in-memory cache and of none that
+earlier versions took, are refused.  An expression that starts with ``-`` is
+passed as ``--expr=TEXT``: ``--expr -(2)`` reads ``-(2)`` as a flag.  In a
 call with two or more, an error names its ``--expr``, counting from 1.
 
 Exit codes: 0 on success (and verification pass), 1 on verification
@@ -86,14 +89,16 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_eval_flags(p: argparse.ArgumentParser) -> None:
         tol = DEFAULT_CONFIG.tol
         p.add_argument("--tol", type=float, default=tol, help=f"absolute accuracy target (default {tol})")
-        p.add_argument("--cache", help="cache file, loaded before and saved after (default: no cache)")
+        p.add_argument("--cache", help="cache file, loaded before and saved after a call that adds a row "
+                       "or finds no file there (default: no cache)")
 
+    expr_help = "; repeatable; write --expr=TEXT for one that starts with '-'"
     p_eval = with_grammar("eval", "evaluate expressions to floats, one line each")
-    p_eval.add_argument("--expr", action="append", required=True, help="expression to evaluate; repeatable")
+    p_eval.add_argument("--expr", action="append", required=True, help="expression to evaluate" + expr_help)
     add_eval_flags(p_eval)
 
     p_expand = with_grammar("expand", "expand expressions to canonical combination text, one line each")
-    p_expand.add_argument("--expr", action="append", required=True, help="expression to expand; repeatable")
+    p_expand.add_argument("--expr", action="append", required=True, help="expression to expand" + expr_help)
 
     p_verify = add_parser("verify", help="verify a catalogue identity over a grid")
     p_verify.add_argument("--name", required=True, help="identity name, or 'all'")
@@ -204,7 +209,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 cache = _load_cache(args.cache)
             args.cfg = EvalConfig(tol=args.tol, cache=cache)
         code = _COMMANDS[args.command](args)
-        if cache is not None:
+        if cache is not None and (cache.stats.misses or not os.path.exists(args.cache)):  # a miss stores a row
             cache.save(args.cache)
         return code
     except ExprError as exc:

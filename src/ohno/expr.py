@@ -51,6 +51,7 @@ notes:
 #: Upper bound for each integer literal.  It bounds no expansion:
 #: ``ohno(50, rep(2, 50))`` is accepted and has C(99, 49) terms.
 MAX_INT_LITERAL = 10**6
+_INT_DIGITS = len(str(MAX_INT_LITERAL))
 
 #: Upper bound for the levels of ``(`` open at once, function calls
 #: included; keeps the parser's recursion far from the interpreter's limit.
@@ -94,8 +95,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if kind == "bad":
             raise _error(text, f"unexpected character {text[at]!r}", at)
         if kind == "int":
-            value = int(word)
-            if value > MAX_INT_LITERAL:
+            # Too large if a digit before the limit's width is not 0 (int(ch) reads any \d),
+            # so int() never reads more digits than the limit has.
+            head, value = word[:-_INT_DIGITS], int(word[-_INT_DIGITS:])
+            if value > MAX_INT_LITERAL or head and any(map(int, head)):
                 raise _error(text, f"integer literal too large (limit {MAX_INT_LITERAL})", at)
             tokens.append(("int", value, at))
         elif kind is not None:

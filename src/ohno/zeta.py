@@ -91,7 +91,7 @@ the suffix factors of its index's two words and memoises the double per
 index; an index whose dual was valued in the same batch takes that value,
 a sum of the same products.  Read: without a
 cache, one ``fsum`` over that memo in one pass; with one, each term goes
-through ``eval_zeta`` to ``ZetaCache.lookup``, which takes the cache's lock
+through ``eval_zeta`` to the cache's term read, which takes the cache's lock
 once to count a hit, or a miss and the row it stores from that memo.
 ``eval_combination`` plans one combination;
 :func:`~ohno.verify.verify` plans each distinct combination of a grid once,
@@ -243,9 +243,9 @@ class ZetaCache:
     """Memo for evaluated indices, one value per index.
 
     A row enters a cache in one of two ways: a :meth:`load`, which checks
-    every line of its file, or the read of a term that the evaluator
-    valued (``lookup(k, filled=True)``).  The first value held for an index
-    stays: a later load or fill of the index changes nothing.  Values are
+    every line of its file, or the read of a term that the evaluator valued,
+    which stores the value the fill left.  The first value held for an
+    index stays: a later load or fill of the index changes nothing.  Values are
     deterministic functions of the index, so a cache that only this
     evaluator fills answers with the value that no cache would give,
     whatever the tolerance of either request.  Safe for concurrent readers
@@ -255,8 +255,8 @@ class ZetaCache:
     line whose index is not admissible or value not finite is malformed, and
     so is a line of any other number of fields (the three-field lines of
     older files, which carried a tolerance bucket, among them).
-    :meth:`save` leaves alone a file that already holds every entry, so a
-    hand-written valid file stays as written until the evaluator adds a row.
+    :meth:`save` always writes the whole file, atomically; the command line
+    saves only after a call that stored a row or when no file is at the path.
     A process-wide memo keeps the text and rows of the last file this process parsed
     or wrote, a second copy held until another file or :func:`clear_factor_cache`
     replaces it, so loading that file again costs one read and one compare.  The
@@ -269,15 +269,12 @@ class ZetaCache:
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
-        # The path of a file known to hold every entry, None, or the token of a
-        # save in flight, which becomes the path unless a row is added.
-        self._saved: object = None
         if path is not None and os.path.exists(path):
             self.load(path)
 
-    def lookup(self, k: Index, filled: bool = False) -> Optional[float]:
-        """The value held for ``k``, counted as a hit; else a miss, counted, and None,
-        or if ``filled`` the value the fill left for ``k`` in the value memo, stored here."""
+    def _term(self, k: Index) -> float:
+        """The value held for ``k``, counted as a hit; else, counted as a miss, the
+        value the fill left for ``k`` in the value memo, stored here."""
         value = self._entries.get(k)
         if value is not None:
             with self._lock:
@@ -285,12 +282,8 @@ class ZetaCache:
             return value
         with self._lock:
             self._misses += 1
-            if not filled:
-                return None
-            if k not in self._entries:  # keyed by a plain Index, as a load keys a row
-                self._entries[k if type(k) is Index else Index(k)] = _VALUES[k]
-                self._saved = None
-            return self._entries[k]
+            # Keyed by a plain Index, as a load keys a row; a row stored first stays.
+            return self._entries.setdefault(k if type(k) is Index else Index(k), _VALUES[k])
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -302,13 +295,9 @@ class ZetaCache:
     def save(self, path: str) -> None:
         """Write the flat file through a temporary file in the same directory
         that replaces ``path`` only once complete, so a save that fails or is
-        killed midway leaves the previous file intact.  Writes nothing while
-        the file at ``path`` is known to hold every entry."""
+        killed midway leaves the previous file intact."""
         global _LAST_FILE, _LINES
         with self._lock:
-            if self._saved == path and os.path.exists(path):
-                return
-            self._saved = token = [path]
             items = list(self._entries.items())
         kept, lines = _LINES, {}  # a row is formatted once, when it first needs a line
         for k, value in items:
@@ -327,9 +316,6 @@ class ZetaCache:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
             raise
-        with self._lock:
-            if self._saved is token:
-                self._saved = path
         _LAST_FILE, _LINES = (text, dict(items)), lines
 
     def load(self, path: str) -> None:
@@ -355,7 +341,6 @@ class ZetaCache:
                 rows.setdefault(k, value)  # on two lines of one index, the first
             _LAST_FILE = (text, rows)
         with self._lock:
-            self._saved = None if self._entries else path
             self._entries = {**rows, **self._entries}  # a copy: a later row must not reach the memo
 
 
@@ -563,7 +548,7 @@ def eval_zeta(k: Index, cfg: Optional[EvalConfig] = None) -> float:
         if not isinstance(k, Index):
             raise ValueError(f"expected an Index, got {k!r}")
         return eval_combination(k, cfg)  # checks the depth, fills, then reads k
-    return cfg.cache.lookup(k, filled=True)  # _read passes a term only with a cache
+    return cfg.cache._term(k)  # _read passes a term only with a cache
 
 
 def _plan(comb: Union[Index, IndexCombination], cfg: EvalConfig, todo: dict) -> tuple:

@@ -18,6 +18,7 @@ import pytest
 
 import ohno.cli as cli
 import ohno.zeta as zeta
+from ohno.indices import Index
 from ohno.verify import VerificationReport, list_identities
 from ohno.zeta import ZetaCache
 
@@ -186,6 +187,17 @@ def test_error_in_a_batch_names_its_expr(run, tmp_path, command, bad, message, g
 def test_expand_prints_one_line_per_expression(run):
     code, out, err = run("expand", "--expr", "(2)#(3)", "--expr", "dual((3))")
     assert (code, out, err) == (0, "(2,3) + (3,2)\n(1,2)\n", "")
+
+
+@pytest.mark.parametrize("command", ["eval", "expand"])
+def test_expression_that_starts_with_a_minus_is_passed_with_an_equals_sign(run, capsys, command):
+    """``--expr -(2)`` reads ``-(2)`` as a flag and exits 2; ``--expr=-(2)`` takes it."""
+    with pytest.raises(SystemExit) as excinfo:
+        run(command, "--expr", "-(2)")
+    assert excinfo.value.code == 2
+    assert "argument --expr: expected one argument" in capsys.readouterr().err
+    assert run(command, "--expr=-(2)") == run(command, "--expr", "(2) - 2*(2)")
+    assert run("expand", "--expr=-(2)") == (0, "-(2)\n", "")
 
 
 def test_expand_deep_index(run):
@@ -485,6 +497,45 @@ def test_cache_file_created_and_reused(run, tmp_path):
     code, second, _ = run("eval", "--expr", "(3)", "--cache", str(path))
     assert code == 0
     assert first == second
+
+
+def _file_state(path):
+    stat = os.stat(path)
+    return path.read_bytes(), stat.st_ino, stat.st_mtime_ns
+
+
+@pytest.mark.parametrize("command", [_EVAL_ARGS, _VERIFY_ARGS], ids=["eval", "verify"])
+def test_cache_file_that_answers_every_term_is_left_as_written(run, tmp_path, command):
+    """A valid, unsorted, hand-written file that answers every term of a call
+    keeps its bytes, inode and modification time; a call that stores a row
+    rewrites it sorted."""
+    path = tmp_path / "cache.tsv"
+    first = run(*command, "--cache", str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(reversed(lines)))
+    before = _file_state(path)
+    assert run(*command, "--cache", str(path)) == first
+    assert _file_state(path) == before
+    assert os.listdir(tmp_path) == ["cache.tsv"]
+    assert run("eval", "--expr", "(7)", "--cache", str(path))[0] == 0
+    assert path.read_text() == "".join(sorted([*lines, f"7\t{zeta.eval_zeta(Index((7,))).hex()}\n"]))
+
+
+def test_call_that_stores_no_row_creates_a_missing_file(run, tmp_path):
+    path = tmp_path / "new.tsv"
+    assert run("eval", "--expr", "0", "--cache", str(path)) == (0, "0.0\n", "")
+    assert path.read_bytes() == b""
+
+
+def test_cache_file_removed_during_a_call_is_written_again(run, tmp_path, monkeypatch):
+    """A call that stores no row still writes the file when it is gone by the save."""
+    path = tmp_path / "cache.tsv"
+    first = run("eval", "--expr", "(2,3)", "--cache", str(path))
+    text = path.read_text()
+    evaluate = cli.eval_combination
+    monkeypatch.setattr(cli, "eval_combination", lambda *args: path.unlink() or evaluate(*args))
+    assert run("eval", "--expr", "(2,3)", "--cache", str(path)) == first
+    assert path.read_text() == text
 
 
 def test_repeated_calls_in_one_process_take_the_cache_file_from_the_memo(run, tmp_path, monkeypatch):

@@ -132,6 +132,7 @@ def test_round_trip_random_combinations(c):
         ("", 1, 1, "expected an index"),
         ("(2) +\n(3", 2, 3, "expected ')' closing the index"),
         ("(1000001)", 1, 2, "too large"),
+        pytest.param("(" + "9" * 5000 + ")", 1, 2, "too large", id="5000-digits"),
         ("hast(0,(2))", 1, 1, "positive integer"),
         ("dual((1,1))", 1, 1, "admissible"),
         ("ohno(-1,(2))", 1, 6, "integer first argument"),

@@ -58,6 +58,11 @@ def _with_rows(directory, rows, cache=None):
     return cache
 
 
+def _held(cache, k):
+    """The value ``cache`` holds for ``k``, or None; neither read nor counted."""
+    return cache._entries.get(k)
+
+
 # float64-rounded reference constants, independent of the evaluator under test
 PI = math.pi
 ZETA2 = PI**2 / 6
@@ -990,18 +995,19 @@ def test_cache_counts_hits_and_misses():
 
 def test_cache_answers_any_tolerance_with_the_value_it_holds_first(tmp_path):
     """A cache holds one value per index, whatever the tolerance of the
-    request: a lookup or a read at any tolerance answers with the value
-    loaded first, and a later load or fill of the index changes nothing."""
+    request: a read at any tolerance answers with the value loaded first,
+    and a later load or fill of the index changes nothing."""
     k = Index((2,))
     cache = ZetaCache()
-    assert cache.lookup(k) is None
+    assert _held(cache, k) is None
     _with_rows(tmp_path, {k: 1.25}, cache)
-    assert cache.lookup(k) == 1.25
+    assert _held(cache, k) == 1.25
     _with_rows(tmp_path, {k: 2.5}, cache)  # a second value for a held index is dropped
-    assert cache.lookup(k, filled=True) == 1.25
+    eval_zeta(k)  # the value memo holds the computed value; a read of the held row keeps 1.25
     for tol in (1e-3, 1e-15):
         assert eval_zeta(k, EvalConfig(tol=tol, cache=cache)) == 1.25
-    assert len(cache) == 1 and cache.stats == zeta.ZetaCacheStats(hits=4, misses=1)
+    assert len(cache) == 1 and _held(cache, k) == 1.25
+    assert cache.stats == zeta.ZetaCacheStats(hits=2, misses=0)
 
 
 def test_cache_save_load_round_trip(tmp_path):
@@ -1020,7 +1026,7 @@ def test_cache_save_load_round_trip(tmp_path):
     reloaded = ZetaCache(str(path))  # constructor auto-loads existing files
     assert len(reloaded) == 3
     for k, v in values.items():
-        assert reloaded.lookup(k) == v
+        assert _held(reloaded, k) == v
 
 
 def test_cache_failed_save_keeps_previous_file(tmp_path):
@@ -1040,8 +1046,8 @@ def test_cache_failed_save_keeps_previous_file(tmp_path):
     assert path.read_text() == before
     assert os.listdir(tmp_path) == ["cache.tsv"]
     reloaded = ZetaCache(str(path))
-    assert reloaded.lookup(Index((2,))) == 1.5
-    assert reloaded.lookup(Index((3,))) == 2.5
+    assert _held(reloaded, Index((2,))) == 1.5
+    assert _held(reloaded, Index((3,))) == 2.5
 
 
 def _old_writer_text(entries):
@@ -1083,29 +1089,6 @@ def test_cache_file_text_pinned(tmp_path):
     assert path.read_text() == _old_writer_text({**_SMALL_CACHE, Index((2, 2)): 0.75})
 
 
-def _file_state(path):
-    stat = os.stat(path)
-    return path.read_bytes(), stat.st_ino, stat.st_mtime_ns
-
-
-def test_cache_save_leaves_a_file_that_holds_every_entry(tmp_path):
-    path = tmp_path / "cache.tsv"
-    _saved_cache(path)
-    before = _file_state(path)
-
-    cache = ZetaCache(str(path))
-    assert cache.lookup(Index((2, 3))) == 1.5
-    assert cache.lookup(Index((2, 3)), filled=True) == 1.5  # a held index changes no entry
-    cache.save(str(path))
-    assert _file_state(path) == before
-    assert os.listdir(tmp_path) == ["cache.tsv"]
-
-    saved = _saved_cache(path)  # a completed save is as good as a load
-    before = _file_state(path)
-    saved.save(str(path))
-    assert _file_state(path) == before
-
-
 def _refine(cache, path):
     eval_zeta(Index((9,)), EvalConfig(cache=cache))
 
@@ -1138,24 +1121,33 @@ def test_cache_save_rewrites_after_a_change(tmp_path, change):
     assert sorted(os.listdir(tmp_path)) == sorted({"cache.tsv", path.name})
 
 
-def test_cache_store_during_a_save_is_written_by_the_next(tmp_path, monkeypatch):
-    """A row the fill stores after a save took its rows is not in that file,
-    so the next save writes again."""
+def test_cache_save_that_lands_last_does_not_stop_the_next(tmp_path, monkeypatch):
+    """Two saves of one cache to one path, the first held back at its replace
+    until a row is stored and the second has finished, leave the first's file
+    of one row; a third save writes both rows."""
     path = tmp_path / "cache.tsv"
-    cache = ZetaCache()
+    cache = _with_rows(tmp_path, {Index((2,)): 1.5})
     k = Index((3,))
-    eval_zeta(k)  # the value memo holds the row that the lookup below stores
+    replace, held, release = os.replace, threading.Event(), threading.Event()
 
-    class StoresWhileWritten(float):
-        def hex(self):
-            cache.lookup(k, filled=True)
-            return float.hex(self)
+    def held_back(src, dst):
+        if threading.current_thread() is first:
+            held.set()
+            release.wait(timeout=60)
+        replace(src, dst)
 
-    monkeypatch.setattr(zeta, "_LAST_FILE", ("", {}))  # the save seeds the memos with the probe
-    monkeypatch.setattr(zeta, "_LINES", {})
-    cache._entries[Index((2,))] = StoresWhileWritten(1.5)  # no load or fill keeps a float subclass
-    cache.save(str(path))
-    assert path.read_text() == _old_writer_text({Index((2,)): 1.5})
+    monkeypatch.setattr(zeta.os, "replace", held_back)
+    first = threading.Thread(target=cache.save, args=(str(path),))
+    first.start()
+    try:
+        assert held.wait(timeout=60)
+        eval_zeta(k, EvalConfig(cache=cache))  # a miss: the row is stored
+        cache.save(str(path))
+        assert path.read_text() == _old_writer_text({Index((2,)): 1.5, k: eval_zeta(k)})
+    finally:
+        release.set()
+        first.join(timeout=60)
+    assert path.read_text() == _old_writer_text({Index((2,)): 1.5})  # the first landed last
     cache.save(str(path))
     assert path.read_text() == _old_writer_text({Index((2,)): 1.5, k: eval_zeta(k)})
 
@@ -1169,7 +1161,7 @@ def test_cache_load_keeps_the_first_of_two_lines(tmp_path, in_order):
     path.write_text("".join(lines if in_order else lines[::-1]))
     cache = ZetaCache(str(path))
     assert len(cache) == 1
-    assert cache.lookup(Index((2, 3))) == (1.5 if in_order else 2.5)
+    assert _held(cache, Index((2, 3))) == (1.5 if in_order else 2.5)
 
 
 def test_cache_threads_saving_one_path_use_their_own_temporary_files(tmp_path):
@@ -1291,8 +1283,8 @@ def test_cache_failed_load_changes_nothing(tmp_path):
     with pytest.raises(ValueError, match="malformed cache line"):
         cache.load(str(path))
     assert len(cache) == 1
-    assert cache.lookup(Index((2,))) == 1.5
-    assert cache.lookup(Index((3,))) is None
+    assert _held(cache, Index((2,))) == 1.5
+    assert _held(cache, Index((3,))) is None
 
 
 def test_cache_load_refuses_a_file_of_the_bucketed_form(tmp_path, parsed):
@@ -1318,7 +1310,7 @@ def _bits(cache):
 @pytest.mark.parametrize("fill", [False, True], ids=["empty", "non-empty"])
 def test_cache_load_of_the_last_text_matches_a_parse(tmp_path, parsed, fill):
     """A load of the text this process last parsed does not parse it again,
-    and leaves the entries, value bits and save state a parse leaves."""
+    and leaves the entries and value bits a parse leaves."""
     path = tmp_path / "cache.tsv"
     path.write_text(_LOADED)
     rows = {Index((2, 3)): 0.5, Index((4,)): 0.75} if fill else {}
@@ -1326,7 +1318,6 @@ def test_cache_load_of_the_last_text_matches_a_parse(tmp_path, parsed, fill):
     del parsed[:]
     for cache in caches:
         cache.load(str(path))
-        assert cache._saved == (None if fill else str(path))
     assert len(parsed) == 3
     assert _bits(caches[0]) == _bits(caches[1])
     assert _bits(caches[0])[Index((2, 3))] == ("0x1.0000000000000p-1" if fill else "0x1.8000000000000p+0", float)
@@ -1377,7 +1368,7 @@ def test_cache_load_parses_again(tmp_path, parsed, change):
     cache = ZetaCache(str(path))
     assert len(parsed) == 3
     expected = 1.5 if change is _cleared else 1.75
-    assert cache.lookup(Index((2, 3))) == expected
+    assert _held(cache, Index((2, 3))) == expected
 
 
 def test_cache_load_refuses_a_malformed_file_every_time(tmp_path, parsed):
@@ -1392,7 +1383,7 @@ def test_cache_load_refuses_a_malformed_file_every_time(tmp_path, parsed):
             cache.load(str(path))
         with pytest.raises(ValueError, match="malformed cache line"):
             ZetaCache(str(path))
-    assert len(cache) == 2 and cache._saved == str(path)
+    assert len(cache) == 2
     path.write_text(_LOADED)
     del parsed[:]
     assert _bits(ZetaCache(str(path))) == _bits(cache)
@@ -1445,7 +1436,7 @@ def test_cache_save_seeds_only_what_a_load_gives_back(tmp_path, parsed):
     assert [(type(k), k, v.hex()) for k, v in from_memo._entries.items()] == [
         (type(k), k, v.hex()) for k, v in from_parse._entries.items()
     ]
-    from_memo.lookup(tagged, filled=True)  # a held row: nothing to write
+    from_memo._term(tagged)  # a held row: nothing added
     from_memo.save(str(tmp_path / "again.tsv"))
     assert (tmp_path / "again.tsv").read_text() == path.read_text()
 
@@ -1512,7 +1503,7 @@ def test_cache_load_from_the_memo_keeps_the_first_of_two_lines(tmp_path, parsed)
     path = tmp_path / "cache.tsv"
     path.write_text("2,3\t0x1.8000000000000p+0\n2,3\t0x1.4000000000000p+1\n")
     for _ in range(2):  # a parse, then a load from the memo
-        assert ZetaCache(str(path)).lookup(Index((2, 3))) == 1.5
+        assert _held(ZetaCache(str(path)), Index((2, 3))) == 1.5
     assert len(parsed) == 2
 
 
@@ -1536,13 +1527,13 @@ def test_cached_values_feed_combinations():
 
 def _read_term_by_term(comb, cfg):
     """A combination planned and filled, then read one term at a time through
-    ``ZetaCache.lookup``, which on a miss stores the value the fill left."""
+    the cache's term read, which on a miss stores the value the fill left."""
     todo = {}
     _, terms = zeta._plan(comb, cfg, todo)
     zeta._fill(todo)
     products = []
     for k, c in terms.items():
-        products.append(float(c) * cfg.cache.lookup(k, filled=True))
+        products.append(float(c) * cfg.cache._term(k))
     return math.fsum(products)
 
 
@@ -1555,21 +1546,14 @@ def _read_term_by_term(comb, cfg):
 )
 def test_cached_read_matches_the_term_by_term_read(tmp_path, terms, hits, misses):
     """A cache holding two terms, at values other than the computed ones,
-    gives, after one ``eval_combination``, the value, entries, counts and
-    saved-path state of a read term by term."""
+    gives, after one ``eval_combination``, the value, entries and counts of a
+    read term by term."""
     comb = IndexCombination({Index(k): c for k, c in terms.items()})
-
-    def saved(name):
-        cache, path = _with_rows(tmp_path, {Index((1, 2, 3)): 0.5, Index((5,)): 0.75}), str(tmp_path / name)
-        cache.save(path)
-        return cache, path
-
-    (cache, path), (reference, reference_path) = saved("read.tsv"), saved("reference.tsv")
+    cache, reference = (_with_rows(tmp_path, {Index((1, 2, 3)): 0.5, Index((5,)): 0.75}) for _ in range(2))
     value = eval_combination(comb, EvalConfig(cache=cache))
     assert value.hex() == _read_term_by_term(comb, EvalConfig(cache=reference)).hex()
     assert cache._entries == reference._entries
     assert cache.stats == reference.stats == zeta.ZetaCacheStats(hits=hits, misses=misses)
-    assert (cache._saved == path) == (reference._saved == reference_path) == (misses == 0)
 
 
 def test_threads_reading_one_cache_count_every_term():
