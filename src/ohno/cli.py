@@ -105,8 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _GRID_PARAMS:
         p_verify.add_argument(f"--{name}", type=_range_values, default=None, help=f"grid values for {name}")
     p_verify.add_argument("--weight", type=_int_value, default=None, help="weight bound for index-family grids")
-    p_verify.add_argument("--out", default=None, help="write the report to this path")
-    p_verify.add_argument("--format", choices=("json", "csv"), help="report format with --out (default json)")
+    p_verify.add_argument("--out", help="report path: CSV (evaluated points) if it ends in .csv, else JSON")
     add_eval_flags(p_verify)
 
     add_parser("list", help="show the identity catalogue")
@@ -158,8 +157,6 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.format is not None and args.out is None:
-        raise ValueError("--format requires --out")
     grid: dict[str, object] = {name: getattr(args, name) for name in _GRID_PARAMS if getattr(args, name) is not None}
     if args.weight is not None:
         grid["weight"] = args.weight
@@ -181,7 +178,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify(args.name, cfg=args.cfg, **grid)
     print(report.summary())
     if args.out is not None:
-        report_to_file(report, args.out, args.format or "json")
+        report_to_file(report, args.out)
     return 0 if report.passed else 1
 
 

@@ -164,15 +164,18 @@ class Index(tuple):
 EMPTY = Index(())
 
 # An integer literal of :mod:`ohno.expr`, with spaces around it and perhaps a
-# ``-`` that ``Index`` then refuses: no ``+`` and no ``_`` between digits.
-_INT_TEXT = re.compile(r"\s*-?\d+\s*")
+# ``-`` that ``Index`` then refuses (no ``+``, no ``_``), split before its last 18 digits.
+_INT_TEXT = re.compile(r"\s*(-?)(\d*?)(\d{1,18})\s*")
 
 
 def _int_text(text: str) -> int:
-    """The int spelt by ``text``, an entry of index text."""
-    if not _INT_TEXT.fullmatch(text):
+    """The int spelt by ``text``, an entry of index text, below 10**18 whatever its length."""
+    match = _INT_TEXT.fullmatch(text)
+    if not match:
         raise ValueError(f"malformed integer {text!r}")
-    return int(text)
+    if match[2] and any(map(int, match[2])):  # the digits before the last 18 (int(ch) reads any \d)
+        raise ValueError("integer too large (limit 999999999999999999)")
+    return int(match[1] + match[3])
 
 
 # An index over positive ints the algebra built itself, without the checks

@@ -38,8 +38,9 @@ at a time and the plan and value of every distinct side.  A planning error ends 
 plan; the points before it are still filled and read, so the first error in
 point order is raised.  A point's ``elapsed_ms`` covers its own side
 building, planning, reads and comparison; the shared fill counts only in
-the report's.  Reports serialise to JSON (all points, including refusals)
-or CSV (evaluated points only) via :func:`report_to_file`.
+the report's.  :func:`report_to_file` writes a report as CSV (evaluated
+points only) to a path that ends in ``.csv``, in any letter case, and as
+JSON (all points, including refusals) to any other path.
 """
 
 from __future__ import annotations
@@ -641,14 +642,9 @@ def report_dict(report: VerificationReport) -> dict[str, Any]:
     }
 
 
-def report_to_file(report: VerificationReport, path: str, fmt: str = "json") -> None:
-    """Write a report as ``json`` (all points) or ``csv`` (evaluated points)."""
-    if fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report_dict(report), fh, indent=2)
-            fh.write("\n")
-        return
-    if fmt == "csv":
+def report_to_file(report: VerificationReport, path: str) -> None:
+    """Write a report as CSV (evaluated points) to a ``.csv`` path, in any case, else as JSON (all points)."""
+    if path.lower().endswith(".csv"):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["identity", "params", "residual", "tol", "pass", "evals", "elapsed_ms"])
@@ -661,4 +657,6 @@ def report_to_file(report: VerificationReport, path: str, fmt: str = "json") -> 
                 row = [report.identity, params, residual, tol, str(point.passed), point.evals]
                 writer.writerow(row + [round(point.elapsed_ms, 3)])
         return
-    raise ValueError(f"unknown report format {fmt!r}; use 'json' or 'csv'")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report_dict(report), fh, indent=2)
+        fh.write("\n")

@@ -154,13 +154,20 @@ def test_from_text_rejects_malformed(text):
         (" +2, 3", "malformed index text '+2, 3'"),
         (" 2 ,\t3 ", (2, 3)),
         ("\u0663,2", (3, 2)),
+        (f"2,{10**18 - 1}", (2, 10**18 - 1)),
+        (f"2,{10**18}", f"malformed index text '2,{10**18}'"),
+        pytest.param("0" * 5000 + "5", (5,), id="5000-digits-of-5"),
+        pytest.param("\u0660" * 30 + "\u0663", (3,), id="arabic-indic-zeros"),
+        pytest.param("2," + "9" * 5000, f"malformed index text '2,{'9' * 5000}'", id="5000-nines"),
     ],
 )
 def test_from_text_accepts_and_refuses_exactly(text, expected):
     """An entry is accepted exactly when it is an integer literal of the
     expression grammar (decimal digits, as ``\\d`` matches them), with spaces
     around it: ``int`` alone would also take ``+2`` and ``1_0``.  Every
-    refusal keeps its message, whichever way the entries are checked."""
+    refusal keeps its message, whichever way the entries are checked.  An
+    entry of 10**18 or more is malformed, decided from its digits, so the
+    interpreter's limit on converting digits never shows."""
     if isinstance(expected, str):
         with pytest.raises(ValueError) as excinfo:
             Index.from_text(text)

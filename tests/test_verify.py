@@ -407,7 +407,7 @@ def test_report_dict_shape():
 def test_report_json_round_trip(tmp_path):
     report = verify("lemma_fm", s=(2, 3), t=1, l=0, m=1)
     path = tmp_path / "report.json"
-    report_to_file(report, str(path), "json")
+    report_to_file(report, str(path))
     data = json.loads(path.read_text())
     assert data["pass"] is True
     refused = [p for p in data["points"] if p.get("refused")]
@@ -420,7 +420,7 @@ def test_report_json_round_trip(tmp_path):
 def test_report_csv(tmp_path):
     report = verify("lemma_fm", s=(2, 3), t=1, l=0, m=1)
     path = tmp_path / "report.csv"
-    report_to_file(report, str(path), "csv")
+    report_to_file(report, str(path))
     rows = list(csv.reader(path.open()))
     assert rows[0] == ["identity", "params", "residual", "tol", "pass", "evals", "elapsed_ms"]
     assert len(rows) == 2  # refused points are json-only
@@ -432,16 +432,30 @@ def test_report_csv(tmp_path):
 def test_report_csv_exact_rows(tmp_path):
     report = verify("hast_symmetry", s=2, t=1, l=(0, 1))
     path = tmp_path / "exact.csv"
-    report_to_file(report, str(path), "csv")
+    report_to_file(report, str(path))
     rows = list(csv.reader(path.open()))
     assert [r[2] for r in rows[1:]] == ["equal", "equal"]
     assert [r[3] for r in rows[1:]] == ["", ""]
 
 
-def test_report_unknown_format(tmp_path):
-    report = verify("hast_symmetry", s=2, t=1, l=0)
-    with pytest.raises(ValueError):
-        report_to_file(report, str(tmp_path / "x.xml"), "xml")
+@pytest.mark.parametrize(
+    "name, shape",
+    [("r.csv", "csv"), ("r.CSV", "csv"), ("r.json", "json"), ("r.xml", "json"), ("report", "json")],
+)
+def test_report_shape_follows_the_path_suffix(tmp_path, name, shape):
+    """A path that ends in ``.csv``, in any letter case, gets the CSV rows of
+    the evaluated points; any other path gets the JSON of every point."""
+    report = verify("lemma_fm", s=(2, 3), t=1, l=0, m=1)
+    path = tmp_path / name
+    report_to_file(report, str(path))
+    text = path.read_text()
+    if shape == "csv":
+        rows = list(csv.reader(text.splitlines()))
+        assert rows[0] == ["identity", "params", "residual", "tol", "pass", "evals", "elapsed_ms"]
+        assert [row[:2] for row in rows[1:]] == [["lemma_fm", "s=3;t=1;l=0;m=1"]]
+    else:
+        assert text == json.dumps(report_dict(report), indent=2) + "\n"
+        assert len(json.loads(text)["points"]) == 2  # the refused point too
 
 
 # ---------------------------------------------------------------------------
