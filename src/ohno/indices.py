@@ -265,9 +265,12 @@ class IndexCombination:
         if not isinstance(other, IndexCombination):
             return NotImplemented
         out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0) + c
-        return _trusted_combination(_settled(out))
+        for k, c in other._terms.items():  # settles only the keys that other touches
+            if c := out.get(k, 0) + c:
+                out[k] = c if type(c) is int else _scalar(c)
+            else:
+                del out[k]
+        return _trusted_combination(out)
 
     def __sub__(self, other: "IndexCombination") -> "IndexCombination":
         if not isinstance(other, IndexCombination):

@@ -5,10 +5,10 @@ The basic object is the order-``m`` shifted sum of an admissible index:
     O_m(k) = sum over shift vectors e >= 0 with |e| = m of  zeta(k + e)
 
 extended linearly to combinations.  Its one builder, ``ohno_sum_symbolic``,
-makes one pass over the terms of a combination into one accumulator.  On
-top of it the module builds the families that entries of the identity
-catalogue in :mod:`ohno.verify` share; an identity's own ``(lhs, rhs)``
-pairs are stated in its entry there:
+adds each term to its depth's shift columns and makes each distinct sum an
+``Index`` once.  On top of it the module builds the families that entries
+of the identity catalogue in :mod:`ohno.verify` share; an identity's own
+``(lhs, rhs)`` pairs are stated in its entry there:
 
 * the dual gap ``O_m((s) # k # {2}^l) - O_m((s) # (k # {2}^l)^dual)``
   between a shuffled shifted sum and its dualised partner
@@ -25,15 +25,17 @@ Everything here returns exact :class:`~ohno.indices.IndexCombination`
 objects; evaluating them is :func:`~ohno.zeta.eval_combination`'s job.
 
 Within one :func:`~ohno.verify.verify` call, the sweep memo of
-:mod:`ohno.indices` keeps the results of ``dual_gap_operands`` and
-``dual_gap_skew_sides`` per arguments, of ``ohno_sum_symbolic`` per operand
-term set and order, and shift vectors per depth and order; a context
-variable, so threads never share it, and outside such a call nothing is kept.
+:mod:`ohno.indices` keeps the results of ``dual_gap_operands`` per
+arguments, of ``dual_gap_skew_sides`` per unordered pair ``s, t`` and
+``l, m``, of ``ohno_sum_symbolic`` per operand term set and order, and shift
+columns per depth and order; a context variable, so threads never share it,
+and outside such a call nothing is kept.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from itertools import repeat as forever  # the name repeat is the index {a}^l of ohno.indices
 from operator import add
 from typing import Callable, Union
 
@@ -83,8 +85,8 @@ def ohno_sum_symbolic(comb: Union[Index, IndexCombination], m: int) -> IndexComb
     """The order-``m`` shifted sum, extended linearly: each admissible index
     ``k`` of ``comb`` becomes the sum of ``k + e`` over the shift vectors ``e``
     of its depth with ``|e| = m``, with its coefficient; at ``m = 0`` that is
-    ``comb`` itself.  The shift vectors of each depth are enumerated once per
-    call, or once per ``verify`` call in its memo."""
+    ``comb`` itself.  The shift vectors of each depth are enumerated and
+    transposed once per call, or once per ``verify`` call in its memo."""
     _check_order(m)
     comb = as_combination(comb)
     for k in comb._terms:
@@ -96,13 +98,12 @@ def ohno_sum_symbolic(comb: Union[Index, IndexCombination], m: int) -> IndexComb
     shifts = {} if memo is None else memo
     for k, c in comb._terms.items():
         table = (_shifts, len(k), m)
-        vectors = shifts.get(table)
-        if vectors is None:
-            vectors = shifts[table] = _shifts(len(k), m)
-        for e in vectors:
-            key = _trusted_index(map(add, k, e))
+        columns = shifts.get(table)
+        if columns is None:  # one tuple per position: its entries in the shift vectors
+            columns = shifts[table] = [*zip(*_shifts(len(k), m))]
+        for key in zip(*map(map, forever(add), columns, map(forever, k))):
             out[key] = out.get(key, 0) + c
-    return _trusted_combination(_settled(out))
+    return _trusted_combination(_settled({_trusted_index(key): c for key, c in out.items()}))
 
 
 # -- the dual gap and its antisymmetrisation ----------------------------------
@@ -124,16 +125,27 @@ def dual_gap_operands(s: int, k: Index, l: int) -> tuple[IndexCombination, Index
     return plain, dualised
 
 
-@_memoised
 def dual_gap_skew_sides(s: int, t: int, l: int, m: int) -> tuple[IndexCombination, IndexCombination]:
     """The skew gap, the dual gap of ``(s; (t+1))`` minus that of
     ``(t; (s+1))`` at block length ``l``, as its positive and its negative
     part, each with nonnegative coefficients.  The two parts have equal
     values for all ``s, t >= 2`` and ``l, m >= 0``: that is the main identity
-    of the catalogue.  Their difference is the skew gap as one combination."""
+    of the catalogue.  Their difference is the skew gap as one combination.
+    Built at ``s <= t``, swapped for ``s > t``; one combination at ``s == t``."""
+    for v in (s, t):  # before ordering them, which would compare any two objects
+        if not _int_at_least(v, 2):
+            raise ValueError(f"the depth-one factor needs an entry >= 2, got {v!r}")
+    sides = _skew_sides(min(s, t), max(s, t), l, m)
+    return sides if s <= t else sides[::-1]
+
+
+@_memoised
+def _skew_sides(s: int, t: int, l: int, m: int) -> tuple[IndexCombination, IndexCombination]:
+    """:func:`dual_gap_skew_sides` at ``s <= t``."""
     plain_st, dual_st = dual_gap_operands(s, Index((t + 1,)), l)
     plain_ts, dual_ts = dual_gap_operands(t, Index((s + 1,)), l)
-    return ohno_sum_symbolic(plain_st + dual_ts, m), ohno_sum_symbolic(dual_st + plain_ts, m)
+    positive = ohno_sum_symbolic(plain_st + dual_ts, m)
+    return positive, positive if s == t else ohno_sum_symbolic(dual_st + plain_ts, m)
 
 
 def hast_shifted_sum(base: Union[Index, IndexCombination], k0: int, m: int) -> IndexCombination:

@@ -85,6 +85,7 @@ from ohno.sums import (
     term_a,
     term_c,
 )
+from ohno import zeta
 from ohno.zeta import EvalConfig, _fill, _plan, _read
 
 __all__ = [
@@ -503,6 +504,11 @@ def _grid(spec: IdentitySpec, overrides: Mapping[str, Any]) -> tuple[dict[str, A
                 weight = overrides.get("weight", defaults["weight"])
                 if not _int_at_least(weight, 2):
                     raise ValueError(f"weight must be an integer >= 2, got {weight!r}")
+                if weight > 2 * zeta.MAX_DEPTH:  # a cap on an enumeration of 2^(weight-1) - 1 indices
+                    raise ValueError(
+                        f"weight must be at most {2 * zeta.MAX_DEPTH} (indices above twice the depth limit"
+                        f" cannot be evaluated), got {weight}"
+                    )
                 values = list(iter_admissible(weight))
                 desc["weight"] = weight
         elif name in ("p", "q") and defaults[name] is None and name not in overrides:
@@ -582,9 +588,9 @@ def verify(name: str, *, cfg: Optional[EvalConfig] = None, **grid: Any) -> Verif
     ``grid`` keyword arguments override the per-identity defaults; each value
     may be a single int/index or an iterable.  Index families default to all
     admissible indices up to the identity's default ``weight`` bound (override
-    with ``weight=...`` or an explicit ``k=...`` list).  Points violating the
-    identity's hypotheses are refused, recorded, and excluded from the
-    verdict; if every point is refused a ``ValueError`` is raised.
+    with ``weight=...``, at most ``2 * MAX_DEPTH``, or an explicit ``k=...``
+    list).  Points violating the hypotheses are refused, recorded and excluded
+    from the verdict; if every point is refused a ``ValueError`` is raised.
     """
     if name not in _CATALOGUE:
         known = ", ".join(_CATALOGUE)

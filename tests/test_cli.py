@@ -485,6 +485,18 @@ def test_grid_range_beyond_memory_is_an_input_error():
     _assert_out_of_memory(_run_capped("verify", "--name", "main", "--s", "1..100000000000"))
 
 
+@pytest.mark.parametrize("weight", ["145", "9" * 18], ids=["just-above", "largest-flag"])
+def test_weight_above_twice_the_depth_limit_is_refused_before_enumerating(weight):
+    """A weight above 144 is refused at once, whatever its size: enumerating
+    the 2^(W-1) - 1 indices of weight <= W first would never end, and an index
+    of weight above twice the depth limit 72, or its dual, is too deep."""
+    proc = _run_capped("verify", "--name", "duality", "--weight", weight)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: weight must be at most 144 (indices above twice the depth limit cannot be evaluated), got {weight}\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # cache plumbing
 # ---------------------------------------------------------------------------

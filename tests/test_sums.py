@@ -4,15 +4,20 @@ import ast
 import importlib
 import math
 import pathlib
+from contextvars import copy_context
+from fractions import Fraction
+from functools import reduce
 from itertools import product
 from operator import add
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ohno
 import ohno.sums
 
 from ohno.indices import (
+    _MEMO,
     EMPTY,
     Index,
     IndexCombination,
@@ -154,6 +159,82 @@ def test_ohno_sum_symbolic_enumerates_shifts_once_per_depth(monkeypatch):
     got = ohno_sum_symbolic(expand_text("(2) + (3) + (1,2) + (2,2) + 2*(1,1,3) + (2,1,2)"), 2)
     assert sorted(calls) == [(1, 2), (2, 2), (3, 2)]
     assert sum(c for _, c in got) == 2 * 1 + 2 * 3 + 3 * 6
+
+
+def _in_memo(build):
+    """``build()`` in a fresh sweep memo, as one ``verify`` call runs its points."""
+    context = copy_context()
+    context.run(_MEMO.set, {})
+    return context.run(build)
+
+
+def _shifted(comb, m):
+    """The order-``m`` shifted sum by its definition: ``k + e`` for each term
+    ``k`` and each shift vector ``e``, one checked key at a time."""
+    out = {}
+    for k, c in comb.items():
+        for e in enumerate_shifts(len(k), m):
+            key = Index(a + b for a, b in zip(k, e))
+            out[key] = out.get(key, 0) + c
+    return IndexCombination(out)
+
+
+small_admissible_st = st.tuples(
+    st.lists(st.integers(min_value=1, max_value=3), max_size=3), st.integers(min_value=2, max_value=3)
+).map(lambda t: Index((*t[0], t[1])))
+# Few distinct values, so shifts of two terms that meet often cancel or sum to an integer.
+coefficient_st = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)])
+combination_st = st.dictionaries(small_admissible_st, coefficient_st, max_size=5).map(IndexCombination)
+
+
+@given(st.lists(combination_st, min_size=1, max_size=3), st.integers(min_value=0, max_value=3), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_ohno_sum_symbolic_is_the_sum_over_shift_vectors(combs, m, memo):
+    """With signed ``int`` and ``Fraction`` coefficients, alone or several in
+    one sweep memo (which keeps the shift columns of each depth), the result
+    has ``Index`` keys and settled coefficients."""
+    build = lambda: [ohno_sum_symbolic(comb, m) for comb in combs]
+    for comb, got in zip(combs, _in_memo(build) if memo else build()):
+        assert got == _shifted(comb, m)
+        assert all(type(k) is Index and (type(c) is int or c.denominator > 1) for k, c in got._terms.items())
+
+
+@given(small_admissible_st, small_admissible_st, st.integers(min_value=0, max_value=3), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_shifted_sum_of_a_shuffle_is_the_shuffle_of_shifted_sums(a, b, m, memo):
+    """``O_m(a # b) = sum over i + j = m of O_i(a) # O_j(b)``, exactly: the shift
+    vectors of an interleaving split into those of its two operands.  One
+    side shifts interleavings, the other interleaves shifts."""
+
+    def sides():
+        shuffled = reduce(add, (sha(ohno_sum_symbolic(a, i), ohno_sum_symbolic(b, m - i)) for i in range(m + 1)))
+        return ohno_sum_symbolic(sha(a, b), m), shuffled
+
+    lhs, rhs = _in_memo(sides) if memo else sides()
+    assert lhs == rhs
+
+
+@given(*[st.integers(min_value=2, max_value=5)] * 2, *[st.integers(min_value=0, max_value=2)] * 2, st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_dual_gap_skew_sides_swap_with_their_parameters(s, t, l, m, memo):
+    """Each side is the shifted sum its definition names, at ``(t, s)`` the
+    two sides of ``(s, t)`` are swapped, and at ``s = t`` they are equal."""
+    both = lambda: (dual_gap_skew_sides(s, t, l, m), dual_gap_skew_sides(t, s, l, m))
+    (positive, negative), swapped = _in_memo(both) if memo else both()
+    plain_st, dual_st = dual_gap_operands(s, Index((t + 1,)), l)
+    plain_ts, dual_ts = dual_gap_operands(t, Index((s + 1,)), l)
+    assert positive == ohno_sum_symbolic(plain_st + dual_ts, m)
+    assert negative == ohno_sum_symbolic(dual_st + plain_ts, m)
+    assert swapped == (negative, positive)
+    assert s != t or positive == negative
+
+
+@pytest.mark.parametrize("s, t, bad", [("x", 3, "'x'"), (3, "x", "'x'"), (3, 1, "1"), (True, 3, "True")])
+def test_dual_gap_skew_sides_refuses_a_bad_factor_before_ordering_its_parameters(s, t, bad):
+    """Either parameter not an ``int >= 2`` is named, whichever is larger:
+    ordering them first would raise ``TypeError`` for ``'x'`` against ``3``."""
+    with pytest.raises(ValueError, match=rf"^the depth-one factor needs an entry >= 2, got {bad}$"):
+        dual_gap_skew_sides(s, t, 0, 0)
 
 
 def test_ohno_sum_symbolic_of_a_deep_index():
